@@ -1,7 +1,9 @@
 // Wall-clock micro-benchmarks (google-benchmark) for the per-iteration
 // stages the complexity analysis (§4.4) covers: one ant walk, one merit
-// update (dominated by Hardware-Grouping's O(k²)), one list schedule, and
-// a full single-round exploration, swept over DFG size k.
+// update (one Hardware-Grouping component labelling, then a forward pass per
+// hardware option of each operation over its vS_x — O(k²) only when one
+// component spans the block), one list schedule, and a full single-round
+// exploration, swept over DFG size k.
 //
 // A custom main injects --benchmark_out=BENCH_explorer.json (JSON format)
 // unless the caller passed their own --benchmark_out, so a bare run always
@@ -94,7 +96,11 @@ BENCHMARK(BM_AntWalkScratchReuse)
     ->Range(16, 256)
     ->Complexity(benchmark::oNSquared);
 
-void BM_MeritUpdate(benchmark::State& state) {
+/// One merit update per benchmark iteration over a seeded random DAG whose
+/// previous-iteration options come from `pick(table, rng)`, reusing one
+/// GroupingScratch the way an ACO colony does.
+template <typename Pick>
+void merit_update(benchmark::State& state, Pick pick) {
   const dfg::Graph g = random_dag(static_cast<std::size_t>(state.range(0)), 4);
   const hw::HwLibrary lib = hw::HwLibrary::paper_default();
   const hw::GPlus gplus(g, lib);
@@ -103,23 +109,56 @@ void BM_MeritUpdate(benchmark::State& state) {
   core::PheromoneState pheromone(gplus, params);
   isa::IsaFormat format;
   format.reg_file = {6, 3};
-  const core::MeritEngine engine(gplus, format, params);
+  const core::MeritEngine engine(gplus, format, params, reach);
   const dfg::PathInfo path =
       dfg::longest_path(g, [&](dfg::NodeId v) { return gplus.software_cycles(v); });
   dfg::NodeSet critical = g.all_nodes();
-  std::vector<int> chosen(g.num_nodes(), 1);
+  Rng rng(6);
+  std::vector<int> chosen(g.num_nodes());
+  for (dfg::NodeId v = 0; v < g.num_nodes(); ++v)
+    chosen[v] = pick(gplus.table(v), rng);
   core::MeritInputs inputs;
   inputs.chosen = chosen;
   inputs.critical = &critical;
   inputs.path = &path;
   inputs.tet = static_cast<int>(g.num_nodes());
+  core::GroupingScratch scratch;
   for (auto _ : state) {
-    engine.update(pheromone, inputs, reach);
+    engine.update(pheromone, inputs, scratch);
     benchmark::ClobberMemory();
   }
   state.SetComplexityN(state.range(0));
 }
+
+// Every node on its first hardware option: each weakly-connected piece of
+// the DAG is one component whose analysis all its members share — the
+// cheapest grouping case per member, though each member still evaluates its
+// own options over the whole component.
+void BM_MeritUpdate(benchmark::State& state) {
+  merit_update(state, [](const hw::IoTable&, Rng&) { return 1; });
+}
 BENCHMARK(BM_MeritUpdate)->Range(16, 256)->Complexity(benchmark::oNSquared);
+
+// Seeded mix with the software share of a real exploration: over the 2250
+// iterations of MiExplorerGoldenTest.LargeRandomBlockExplorationMatchesGolden
+// (96 nodes, 9 rounds), 67% of the hardware-capable operations' picks were
+// software (per-iteration quartiles 62% and 73%) and no operation was left
+// unchosen.  Here each node independently picks software with that share and
+// otherwise a random hardware option, so the hardware-chosen nodes fall into
+// small components and every software-chosen operation builds its vS_x as
+// the union of the components around it.
+void BM_MeritUpdateMixed(benchmark::State& state) {
+  merit_update(state, [](const hw::IoTable& table, Rng& rng) {
+    if (rng.next_double() < 0.67 || !table.has_hardware())
+      return static_cast<int>(table.first_software());
+    return static_cast<int>(
+        table.num_software() +
+        rng.next_below(static_cast<std::uint32_t>(table.num_hardware())));
+  });
+}
+BENCHMARK(BM_MeritUpdateMixed)
+    ->Range(16, 256)
+    ->Complexity(benchmark::oNSquared);
 
 void BM_ExploreBlock(benchmark::State& state) {
   const dfg::Graph g = random_dag(static_cast<std::size_t>(state.range(0)), 5);

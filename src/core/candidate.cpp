@@ -20,11 +20,12 @@ std::vector<dfg::NodeSet> legalize_timing(const hw::GPlus& gplus,
                                           hw::ClockSpec clock) {
   const dfg::Graph& graph = gplus.graph();
   auto depth_of = [&](const dfg::NodeSet& s) {
-    return dfg::induced_critical_path(graph, s, [&](dfg::NodeId v) {
-      return gplus.table(v)
-          .option(static_cast<std::size_t>(taken[v]))
-          .delay;
-    });
+    return dfg::induced_critical_path(
+        graph, gplus.topological_order(), s, [&](dfg::NodeId v) {
+          return gplus.table(v)
+              .option(static_cast<std::size_t>(taken[v]))
+              .delay;
+        });
   };
   while (piece.count() > 1 &&
          clock.cycles_for(depth_of(piece)) > max_latency_cycles) {

@@ -7,28 +7,12 @@
 namespace isex::core {
 namespace {
 
-/// Finds an outside node lying on a member-to-member path, or kInvalidNode.
-dfg::NodeId find_violator(const dfg::Graph& graph, const dfg::NodeSet& s,
-                          const dfg::Reachability& reach) {
-  const std::vector<dfg::NodeId> members = s.to_vector();
-  for (dfg::NodeId w = 0; w < graph.num_nodes(); ++w) {
-    if (s.contains(w)) continue;
-    bool below = false;
-    bool above = false;
-    for (const dfg::NodeId m : members) {
-      below = below || reach.reaches(m, w);
-      above = above || reach.reaches(w, m);
-      if (below && above) return w;
-    }
-  }
-  return dfg::kInvalidNode;
-}
-
 void split_recursive(const dfg::Graph& graph, dfg::NodeSet piece,
                      const dfg::Reachability& reach,
                      std::vector<dfg::NodeSet>& out) {
   if (piece.empty()) return;
-  const dfg::NodeId w = find_violator(graph, piece, reach);
+  // Lowest-id outside node on a member-to-member path.
+  const dfg::NodeId w = dfg::convexity_violators(piece, reach).first();
   if (w == dfg::kInvalidNode) {
     // Convex; emit connected pieces.
     for (auto& comp : dfg::weakly_connected_components(graph, piece))

@@ -10,8 +10,9 @@
 namespace isex::core {
 
 MeritEngine::MeritEngine(const hw::GPlus& gplus, const isa::IsaFormat& format,
-                         const ExplorerParams& params, hw::ClockSpec clock)
-    : gplus_(&gplus), format_(format), params_(&params), clock_(clock) {}
+                         const ExplorerParams& params,
+                         const dfg::Reachability& reach, hw::ClockSpec clock)
+    : gplus_(&gplus), params_(&params), grouping_(gplus, format, reach, clock) {}
 
 double MeritEngine::max_allowable_cycles(const dfg::Graph& graph,
                                          const dfg::NodeSet& members,
@@ -32,13 +33,13 @@ double MeritEngine::max_allowable_cycles(const dfg::Graph& graph,
 }
 
 void MeritEngine::update(PheromoneState& pheromone, const MeritInputs& inputs,
-                         const dfg::Reachability& reach) const {
+                         GroupingScratch& scratch) const {
   const dfg::Graph& graph = gplus_->graph();
   const std::size_t n = graph.num_nodes();
   ISEX_ASSERT(inputs.chosen.size() == n);
   ISEX_ASSERT(inputs.critical != nullptr && inputs.path != nullptr);
 
-  const HardwareGrouping grouping(*gplus_, format_, clock_);
+  grouping_.label_components(inputs.chosen, scratch);
   const ExplorerParams& p = *params_;
 
   for (dfg::NodeId x = 0; x < n; ++x) {
@@ -51,16 +52,12 @@ void MeritEngine::update(PheromoneState& pheromone, const MeritInputs& inputs,
     }
 
     if (table.has_hardware()) {
-      const VirtualCandidate cand = grouping.group(x, inputs.chosen, reach);
+      const VirtualCandidate& cand = grouping_.group(x, scratch);
       // With locality awareness off (single-issue baseline) every operation
       // counts as critical: any saved cycle shortens a sequential schedule.
       const bool x_critical = !p.locality_aware || inputs.critical->contains(x);
-      bool cand_critical = !p.locality_aware;
-      if (!cand_critical) {
-        cand.members.for_each([&](dfg::NodeId m) {
-          cand_critical = cand_critical || inputs.critical->contains(m);
-        });
-      }
+      const bool cand_critical =
+          !p.locality_aware || cand.members.intersects(*inputs.critical);
 
       // Case 1: critical-path boost.
       if (x_critical) {

@@ -12,6 +12,12 @@
 //        (smaller area breaking ties); off it, any option fitting inside the
 //        Max_AEC slack window wins with the smallest area.
 // Finally the node's merits are renormalized (paper step 8).
+//
+// One update groups once per iteration, not once per node: the
+// hardware-chosen nodes are labelled into components and each component is
+// analysed once (HardwareGrouping::label_components); every operation's vS_x
+// is then its component, or its adjacent components joined around it, and
+// only x's own option evaluations are computed per operation.
 #pragma once
 
 #include <span>
@@ -39,12 +45,16 @@ struct MeritInputs {
 
 class MeritEngine {
  public:
+  /// Binds one round; `reach` is the round graph's reachability and, like
+  /// `gplus` and `params`, must outlive the engine.
   MeritEngine(const hw::GPlus& gplus, const isa::IsaFormat& format,
-              const ExplorerParams& params, hw::ClockSpec clock = {});
+              const ExplorerParams& params, const dfg::Reachability& reach,
+              hw::ClockSpec clock = {});
 
-  /// Recomputes merits for every node/option in place.
+  /// Recomputes merits for every node/option in place.  `scratch` holds the
+  /// grouping's per-iteration state (one per colony).
   void update(PheromoneState& pheromone, const MeritInputs& inputs,
-              const dfg::Reachability& reach) const;
+              GroupingScratch& scratch) const;
 
   /// Max_AEC (Fig 4.3.8): the execution window, in cycles, available to the
   /// candidate without stretching the schedule — from the members' earliest
@@ -55,9 +65,8 @@ class MeritEngine {
 
  private:
   const hw::GPlus* gplus_;
-  isa::IsaFormat format_;
   const ExplorerParams* params_;
-  hw::ClockSpec clock_;
+  HardwareGrouping grouping_;
 };
 
 }  // namespace isex::core

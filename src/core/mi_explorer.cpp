@@ -105,9 +105,18 @@ struct RoundContext {
   const MeritEngine& merit;
   const std::vector<double>& sp;
   const dfg::PathInfo& path;
-  const dfg::Reachability& reach;
   const ExplorerParams& params;
   int round = 0;
+};
+
+/// One colony's working storage: the ant walk's buffers, the grouping's
+/// per-iteration state, and the reorder flags of the trail update.  Owned
+/// by explore() rather than by the per-round chains, so the buffers survive
+/// every round and a warmed-up iteration allocates nothing.
+struct ColonyScratch {
+  WalkScratch walk;
+  GroupingScratch grouping;
+  std::vector<bool> reordered;
 };
 
 /// One colony's ACO chain: a private pheromone state plus the loop-carried
@@ -137,12 +146,14 @@ struct AcoChain {
 
   /// One ACO iteration: ant walk, trail update, Hardware-Grouping merit
   /// update, incumbent update, optional trace point.  Returns
-  /// pheromone.converged() after the step.  `scratch` and `reordered` are
-  /// caller-owned so they survive across rounds (chains do not).
+  /// pheromone.converged() after the step.  `scratch` is caller-owned so it
+  /// survives across rounds (chains do not).
   bool step(const RoundContext& ctx, Rng& rng, int colony,
-            WalkScratch& scratch, std::vector<bool>& reordered) {
+            ColonyScratch& scratch) {
     const dfg::Graph& current = ctx.graph;
-    const WalkResult& walk = ctx.walker.run(pheromone, ctx.sp, rng, scratch);
+    const WalkResult& walk =
+        ctx.walker.run(pheromone, ctx.sp, rng, scratch.walk);
+    std::vector<bool>& reordered = scratch.reordered;
     const bool improved = walk.tet <= tet_old;
     worst_tet = std::max(worst_tet, walk.tet);
     sum_tet += walk.tet;
@@ -159,7 +170,7 @@ struct AcoChain {
     inputs.critical = &critical;
     inputs.path = &ctx.path;
     inputs.tet = walk.tet;
-    ctx.merit.update(pheromone, inputs, ctx.reach);
+    ctx.merit.update(pheromone, inputs, scratch.grouping);
 
     if (improved) {
       tet_old = walk.tet;
@@ -219,12 +230,11 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
   // walks at least once; 1 is the paper's serial loop.
   const int k_eff =
       std::max(1, std::min(params_.colonies, params_.max_iterations));
-  // One walk scratch (and reorder buffer) per colony per explore call:
-  // chains are rebuilt every round — their pheromone state is shaped by the
-  // round's G+ — but these buffers persist, so every ant walk of every round
-  // is allocation-free after warm-up.  Colony c touches only slot c.
-  std::vector<WalkScratch> scratches(static_cast<std::size_t>(k_eff));
-  std::vector<std::vector<bool>> reorders(static_cast<std::size_t>(k_eff));
+  // One scratch per colony per explore call: chains are rebuilt every round
+  // — their pheromone state is shaped by the round's G+ — but these buffers
+  // persist, so every iteration of every round is allocation-free after
+  // warm-up.  Colony c touches only slot c.
+  std::vector<ColonyScratch> scratches(static_cast<std::size_t>(k_eff));
   // Original node ids represented by each current node.
   std::vector<dfg::NodeSet> origin(block.num_nodes());
   for (dfg::NodeId v = 0; v < block.num_nodes(); ++v) {
@@ -259,9 +269,8 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
     }
 
     const AntWalk walker(gplus, machine_, params_, clock_);
-    const MeritEngine merit(gplus, format_, params_, clock_);
-    const RoundContext ctx{current, walker, merit, sp,
-                           path,    reach,  params_, round};
+    const MeritEngine merit(gplus, format_, params_, reach, clock_);
+    const RoundContext ctx{current, walker, merit, sp, path, params_, round};
 
     // Taken option per node after convergence.
     std::vector<int> taken(current.num_nodes());
@@ -272,7 +281,7 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
       // to the pre-colonies explorer (golden digests pin this).
       AcoChain chain(gplus, params_, current.num_nodes());
       while (chain.iterations < params_.max_iterations) {
-        if (chain.step(ctx, rng, /*colony=*/0, scratches[0], reorders[0]))
+        if (chain.step(ctx, rng, /*colony=*/0, scratches[0]))
           break;
       }
       iterations = chain.iterations;
@@ -318,7 +327,7 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
                 for (int s = 0; s < interval && chain.iterations < budget;
                      ++s) {
                   if (chain.step(ctx, streams[c], static_cast<int>(c),
-                                 scratches[c], reorders[c]))
+                                 scratches[c]))
                     break;
                 }
               };

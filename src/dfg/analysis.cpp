@@ -45,33 +45,34 @@ const NodeSet& Reachability::ancestors(NodeId id) const {
   return anc_[id];
 }
 
+NodeSet convexity_violators(const NodeSet& s, const Reachability& reach) {
+  NodeSet below(s.universe());
+  NodeSet above(s.universe());
+  s.for_each([&](NodeId m) {
+    below |= reach.descendants(m);
+    above |= reach.ancestors(m);
+  });
+  below &= above;
+  below -= s;
+  return below;
+}
+
 bool is_convex(const Graph& graph, const NodeSet& s, const Reachability& reach) {
   ISEX_ASSERT(s.universe() == graph.num_nodes());
-  // S is non-convex iff some member u has a path to member v through an
-  // outside node w: equivalently, an outside node w that is a descendant of
-  // a member and an ancestor of a member.
-  bool convex = true;
-  const std::vector<NodeId> members = s.to_vector();
-  for (NodeId w = 0; w < graph.num_nodes() && convex; ++w) {
-    if (s.contains(w)) continue;
-    bool below_member = false;
-    bool above_member = false;
-    for (const NodeId m : members) {
-      if (reach.reaches(m, w)) below_member = true;
-      if (reach.reaches(w, m)) above_member = true;
-      if (below_member && above_member) {
-        convex = false;
-        break;
-      }
-    }
-  }
-  return convex;
+  return convexity_violators(s, reach).empty();
 }
 
 int count_inputs(const Graph& graph, const NodeSet& s) {
-  ISEX_ASSERT(s.universe() == graph.num_nodes());
-  NodeSet outside_producers(graph.num_nodes());
+  NodeSet producers;
   std::vector<int> extern_ids;
+  return count_inputs(graph, s, producers, extern_ids);
+}
+
+int count_inputs(const Graph& graph, const NodeSet& s, NodeSet& producers,
+                 std::vector<int>& extern_ids) {
+  ISEX_ASSERT(s.universe() == graph.num_nodes());
+  producers.resize(graph.num_nodes());
+  extern_ids.clear();
   s.for_each([&](NodeId v) {
     for (const int value_id : graph.extern_input_ids(v)) {
       if (std::find(extern_ids.begin(), extern_ids.end(), value_id) ==
@@ -79,10 +80,10 @@ int count_inputs(const Graph& graph, const NodeSet& s) {
         extern_ids.push_back(value_id);
     }
     for (const NodeId p : graph.preds(v)) {
-      if (!s.contains(p)) outside_producers.insert(p);
+      if (!s.contains(p)) producers.insert(p);
     }
   });
-  return static_cast<int>(outside_producers.count() + extern_ids.size());
+  return static_cast<int>(producers.count() + extern_ids.size());
 }
 
 int count_outputs(const Graph& graph, const NodeSet& s) {
@@ -169,10 +170,10 @@ std::vector<NodeSet> weakly_connected_components(const Graph& graph,
   return components;
 }
 
-double induced_critical_path(const Graph& graph, const NodeSet& s,
-                             const LatencyFn& latency) {
+double induced_critical_path(const Graph& graph, std::span<const NodeId> topo,
+                             const NodeSet& s, const LatencyFn& latency) {
   ISEX_ASSERT(s.universe() == graph.num_nodes());
-  const std::vector<NodeId> topo = graph.topological_order();
+  ISEX_ASSERT(topo.size() == graph.num_nodes());
   std::vector<double> finish(graph.num_nodes(), 0.0);
   double longest = 0.0;
   for (const NodeId v : topo) {

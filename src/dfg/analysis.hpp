@@ -10,6 +10,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "dfg/graph.hpp"
@@ -35,8 +36,14 @@ class Reachability {
   std::vector<NodeSet> anc_;
 };
 
+/// Nodes outside S that lie on a path between two members:
+/// (∪desc(S) ∩ ∪anc(S)) \ S, built from whole reachability rows with
+/// word-level unions — O(|S|·V/64).
+NodeSet convexity_violators(const NodeSet& s, const Reachability& reach);
+
 /// Convexity (§4.2): S is convex iff no path leaves S and re-enters it, i.e.
-/// for every u, v in S, every intermediate node on any u→…→v path is in S.
+/// for every u, v in S, every intermediate node on any u→…→v path is in S —
+/// equivalently, convexity_violators(S) is empty.
 bool is_convex(const Graph& graph, const NodeSet& s, const Reachability& reach);
 
 /// IN(S): number of input values consumed by S from outside — distinct
@@ -45,6 +52,10 @@ bool is_convex(const Graph& graph, const NodeSet& s, const Reachability& reach);
 /// distinct values; the TAC frontend folds shared variables into shared
 /// producer nodes, so the approximation only affects block-boundary values.)
 int count_inputs(const Graph& graph, const NodeSet& s);
+/// Allocation-free form for hot loops: `producers` and `extern_ids` are
+/// caller-owned scratch whose prior contents are discarded.
+int count_inputs(const Graph& graph, const NodeSet& s, NodeSet& producers,
+                 std::vector<int>& extern_ids);
 
 /// OUT(S): number of members whose value escapes S (an out-edge to a
 /// non-member, or live-out of the block).
@@ -72,8 +83,10 @@ std::vector<NodeSet> weakly_connected_components(const Graph& graph,
                                                  const NodeSet& within);
 
 /// Longest path length (by `latency`) restricted to the induced subgraph of
-/// `s` — the combinational depth of an ISE candidate's datapath.
-double induced_critical_path(const Graph& graph, const NodeSet& s,
-                             const LatencyFn& latency);
+/// `s` — the combinational depth of an ISE candidate's datapath.  `topo` is
+/// a topological order of the graph (hw::GPlus keeps one per round), so
+/// repeated queries over one graph never re-sort it.
+double induced_critical_path(const Graph& graph, std::span<const NodeId> topo,
+                             const NodeSet& s, const LatencyFn& latency);
 
 }  // namespace isex::dfg

@@ -96,6 +96,15 @@ bool NodeSet::is_subset_of(const NodeSet& other) const {
   return true;
 }
 
+NodeId NodeSet::first() const {
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    if (words_[w] != 0)
+      return static_cast<NodeId>(w * 64 + static_cast<std::size_t>(
+                                              count_trailing_zeros(words_[w])));
+  }
+  return kInvalidNode;
+}
+
 std::vector<NodeId> NodeSet::to_vector() const {
   std::vector<NodeId> out;
   out.reserve(count());

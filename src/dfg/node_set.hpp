@@ -52,6 +52,9 @@ class NodeSet {
 
   friend bool operator==(const NodeSet&, const NodeSet&) = default;
 
+  /// Smallest member, or kInvalidNode when the set is empty.
+  NodeId first() const;
+
   /// Ascending list of members.
   std::vector<NodeId> to_vector() const;
 

@@ -62,6 +62,9 @@ dfg::Graph apply_cross_matches(dfg::Graph graph, const IseCatalogEntry& entry,
     if (matches.empty()) return graph;
 
     const int cycles_before = scheduler.cycles(graph);
+    // The graph stays fixed until a match is applied, so one reachability
+    // serves every convexity test of this pass.
+    const dfg::Reachability reach(graph);
     bool applied = false;
     for (const std::vector<dfg::NodeId>& match : matches) {
       dfg::NodeSet members(graph.num_nodes());
@@ -71,7 +74,6 @@ dfg::Graph apply_cross_matches(dfg::Graph graph, const IseCatalogEntry& entry,
         members.insert(t);
       }
       if (!usable) continue;
-      const dfg::Reachability reach(graph);
       if (!dfg::is_convex(graph, members, reach)) continue;
       if (dfg::count_inputs(graph, members) > entry.ise.in_count ||
           dfg::count_outputs(graph, members) > entry.ise.out_count) {

@@ -21,7 +21,7 @@ AsfuEvaluation evaluate_asfu(const GPlus& gplus, const dfg::NodeSet& members,
   });
 
   eval.depth_ns = dfg::induced_critical_path(
-      graph, members, [&](dfg::NodeId v) {
+      graph, gplus.topological_order(), members, [&](dfg::NodeId v) {
         return gplus.table(v).option(static_cast<std::size_t>(chosen_option[v]))
             .delay;
       });

@@ -4,7 +4,8 @@
 
 namespace isex::hw {
 
-GPlus::GPlus(const dfg::Graph& graph, const HwLibrary& library) : graph_(&graph) {
+GPlus::GPlus(const dfg::Graph& graph, const HwLibrary& library)
+    : graph_(&graph), topo_(graph.topological_order()) {
   tables_.reserve(graph.num_nodes());
   for (dfg::NodeId v = 0; v < graph.num_nodes(); ++v) {
     const dfg::Node& n = graph.node(v);

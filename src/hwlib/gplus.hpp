@@ -5,6 +5,7 @@
 // get a software-only table, so the explorer can treat every node uniformly.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "dfg/graph.hpp"
@@ -28,9 +29,14 @@ class GPlus {
   /// ISE supernodes report their committed ASFU latency).
   double software_cycles(dfg::NodeId id) const;
 
+  /// The graph's topological order, computed once at construction so every
+  /// datapath-depth query of the round reuses it.
+  std::span<const dfg::NodeId> topological_order() const { return topo_; }
+
  private:
   const dfg::Graph* graph_;
   std::vector<IoTable> tables_;
+  std::vector<dfg::NodeId> topo_;
 };
 
 }  // namespace isex::hw

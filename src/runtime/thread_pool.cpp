@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <utility>
 
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
@@ -28,10 +29,20 @@ std::vector<double> task_bounds_seconds() {
 
 }  // namespace
 
+struct ThreadPool::TaskSample {
+  int self;
+  bool stolen;
+  std::chrono::steady_clock::time_point start;
+  bool recorded;
+};
+
+thread_local ThreadPool::TaskSample* ThreadPool::running_sample_ = nullptr;
+
 const std::vector<double>& ThreadPool::task_duration_bounds_us() {
   // Log-spaced from 50µs (around the cheapest candidate-eval tasks) to 1s;
   // kTaskBins - 1 bounds plus the implicit +Inf bucket.  Leaked on purpose:
-  // record_profiled_task reads these after the task's completion latch, a
+  // record_profiled_task can read these after a task signalled completion
+  // (a submit() future is ready before run_one records its sample), a
   // window that extends into static destruction for the default pool's
   // final task.
   static const std::vector<double>& bounds = *new std::vector<double>{
@@ -128,14 +139,27 @@ bool ThreadPool::run_one(int self) {
   }
   jobs_run_.fetch_add(1, std::memory_order_relaxed);
   jobs_metric_->inc();
-  if (profiling()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    task();
-    record_profiled_task(self, stolen, elapsed_ns(t0));
-  } else {
-    task();
-  }
+  // The task may record its own sample before it releases a waiter
+  // (record_running_task); whatever it left unrecorded is recorded here.
+  // The sample is installed even when profiling is off, so such a task
+  // never records a sample of the task it runs inside.
+  TaskSample sample{self, stolen, {}, /*recorded=*/!profiling()};
+  if (!sample.recorded) sample.start = std::chrono::steady_clock::now();
+  TaskSample* const outer = std::exchange(running_sample_, &sample);
+  task();
+  running_sample_ = outer;
+  record_task_sample(sample);
   return true;
+}
+
+void ThreadPool::record_running_task() {
+  if (running_sample_ != nullptr) record_task_sample(*running_sample_);
+}
+
+void ThreadPool::record_task_sample(TaskSample& sample) {
+  if (sample.recorded) return;
+  sample.recorded = true;
+  record_profiled_task(sample.self, sample.stolen, elapsed_ns(sample.start));
 }
 
 void ThreadPool::record_profiled_task(int self, bool stolen,
@@ -207,13 +231,15 @@ void ThreadPool::parallel_for(std::size_t n,
   join->remaining.store(n, std::memory_order_relaxed);
 
   for (std::size_t i = 0; i < n; ++i) {
-    enqueue([join, i, &body]() {
+    enqueue([this, join, i, &body]() {
       try {
         body(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(join->mutex);
         if (!join->first_error) join->first_error = std::current_exception();
       }
+      // Before the latch: the caller it releases reads complete counts.
+      record_running_task();
       if (join->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         {
           std::lock_guard<std::mutex> lock(join->mutex);

@@ -80,9 +80,12 @@ class ThreadPool {
   PoolStats stats() const;
 
   /// Occupancy profiling (see pool_profile.hpp).  Off by default: each
-  /// task then costs one extra relaxed load.  When on, a task pays two
-  /// steady_clock reads plus a handful of relaxed atomic adds, and idle
-  /// workers time their waits.  Counters accumulate across toggles.
+  /// task then costs one extra relaxed load and a thread-local pointer
+  /// swap.  When on, a task pays two steady_clock reads plus a handful of
+  /// relaxed atomic adds, and idle workers time their waits.  A
+  /// parallel_for task records its sample before it counts down the latch,
+  /// so the counters are complete when parallel_for returns.  Counters
+  /// accumulate across toggles.
   void set_profiling(bool enabled) {
     profiling_.store(enabled, std::memory_order_relaxed);
   }
@@ -143,6 +146,15 @@ class ThreadPool {
   /// `self` is the caller's worker index, or -1 for external threads.
   bool run_one(int self);
   void worker_loop(int index);
+  /// Profile sample of a running task (defined in thread_pool.cpp).
+  struct TaskSample;
+  /// Innermost running task's sample on this thread.  Samples nest: a
+  /// thread helping a fan-out runs tasks inside the task waiting on it.
+  static thread_local TaskSample* running_sample_;
+  /// Records the calling thread's running task sample now rather than when
+  /// the task returns; no-op when it is unprofiled or already recorded.
+  void record_running_task();
+  void record_task_sample(TaskSample& sample);
   void record_profiled_task(int self, bool stolen, std::uint64_t ns);
 
   std::vector<std::unique_ptr<Worker>> workers_;

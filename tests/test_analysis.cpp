@@ -61,6 +61,40 @@ TEST(Convexity, EmptyAndFullSetsAreConvex) {
   EXPECT_TRUE(is_convex(g, g.all_nodes(), r));
 }
 
+// Property: the word-level test — (∪desc(S) ∩ ∪anc(S)) \ S — agrees with
+// the pairwise definition: w ∉ S breaks convexity iff some u, v in S have
+// u →…→ w →…→ v.  convexity_violators must list exactly those w.
+TEST(Convexity, WordLevelMatchesPairwiseDefinitionOnRandomSets) {
+  Rng rng(77);
+  int convex = 0;
+  int non_convex = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const Graph g = testing::make_random_dag(2 + rng.next_below(90), rng,
+                                             0.3 + 0.6 * rng.next_double());
+    const Reachability r(g);
+    const std::size_t n = g.num_nodes();
+    for (int draw = 0; draw < 10; ++draw) {
+      const double density = 0.4 * rng.next_double();
+      NodeSet s(n);
+      for (NodeId v = 0; v < n; ++v)
+        if (rng.next_double() < density) s.insert(v);
+      const std::vector<NodeId> members = s.to_vector();
+      NodeSet pairwise(n);
+      for (NodeId w = 0; w < n; ++w) {
+        if (s.contains(w)) continue;
+        for (const NodeId u : members)
+          for (const NodeId v : members)
+            if (r.reaches(u, w) && r.reaches(w, v)) pairwise.insert(w);
+      }
+      EXPECT_EQ(convexity_violators(s, r), pairwise) << "trial " << trial;
+      EXPECT_EQ(is_convex(g, s, r), pairwise.empty()) << "trial " << trial;
+      ++(pairwise.empty() ? convex : non_convex);
+    }
+  }
+  EXPECT_GT(convex, 50);
+  EXPECT_GT(non_convex, 50);
+}
+
 TEST(InOutCounts, ChainInterior) {
   Graph g = testing::make_chain(5);
   // Node 0 has 2 extern inputs, node 4 is live-out.
@@ -149,19 +183,19 @@ TEST(ConnectedComponents, EmptyMask) {
 
 TEST(InducedCriticalPath, IgnoresOutsideNodes) {
   const Graph g = testing::make_chain(5);
+  const std::vector<NodeId> topo = g.topological_order();
   const auto latency = [](NodeId) { return 2.0; };
-  EXPECT_DOUBLE_EQ(induced_critical_path(g, NodeSet::of(5, {1, 2, 3}), latency),
-                   6.0);
+  EXPECT_DOUBLE_EQ(
+      induced_critical_path(g, topo, NodeSet::of(5, {1, 2, 3}), latency), 6.0);
   // 1 and 3 only: the connection through 2 is outside, so two length-1 paths.
-  EXPECT_DOUBLE_EQ(induced_critical_path(g, NodeSet::of(5, {1, 3}), latency),
-                   2.0);
+  EXPECT_DOUBLE_EQ(
+      induced_critical_path(g, topo, NodeSet::of(5, {1, 3}), latency), 2.0);
 }
 
 TEST(InducedCriticalPath, EmptySetIsZero) {
   const Graph g = testing::make_chain(3);
-  EXPECT_DOUBLE_EQ(induced_critical_path(g, NodeSet(3), [](NodeId) {
-                     return 1.0;
-                   }),
+  EXPECT_DOUBLE_EQ(induced_critical_path(g, g.topological_order(), NodeSet(3),
+                                         [](NodeId) { return 1.0; }),
                    0.0);
 }
 

@@ -69,6 +69,29 @@ TEST_F(ColonyGoldenTest, ColoniesEightMatchesGolden) {
   EXPECT_EQ(testing::hash_exploration(r), 0x8fd877fe5ff8fd77ULL);
 }
 
+// A 96-node random DAG: four colonies labelling and sharing large hardware
+// components concurrently, each in its own grouping scratch.  Captured from
+// the per-node grouping implementation.
+TEST_F(ColonyGoldenTest, LargeRandomBlockFourColoniesMatchesGolden) {
+  Rng graph_rng(96);
+  const dfg::Graph g = testing::make_random_dag(96, graph_rng);
+  ExplorerParams params;
+  params.colonies = 4;
+  const auto machine = sched::MachineConfig::make(2, {6, 3});
+  isa::IsaFormat format;
+  format.reg_file = machine.reg_file;
+  const MultiIssueExplorer explorer(machine, format,
+                                    hw::HwLibrary::paper_default(), params);
+  Rng rng(17);
+  const ExplorationResult r = explorer.explore(g, rng);
+  EXPECT_EQ(r.base_cycles, 48);
+  EXPECT_EQ(r.final_cycles, 37);
+  EXPECT_EQ(r.rounds, 8);
+  EXPECT_EQ(r.total_iterations, 2016);
+  EXPECT_EQ(r.ises.size(), 7u);
+  EXPECT_EQ(testing::hash_exploration(r), 0x467cdf975bfc881dULL);
+}
+
 TEST_F(ColonyGoldenTest, ExploreIsIdenticalAtEveryJobCountPerColonyCount) {
   // The epoch fan-out runs colony chains concurrently; every cross-colony
   // reduction is index-ordered, so the digest at --jobs 1 and --jobs 8 must

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "test_util.hpp"
 
 namespace isex::core {
@@ -16,8 +20,10 @@ class GroupingTest : public ::testing::Test {
                          const std::vector<int>& prev) {
     hw::GPlus gplus(g, lib_);
     dfg::Reachability reach(g);
-    HardwareGrouping hg(gplus, format_);
-    return hg.group(x, prev, reach);
+    HardwareGrouping hg(gplus, format_, reach);
+    GroupingScratch scratch;
+    hg.label_components(prev, scratch);
+    return hg.group(x, scratch);
   }
 };
 
@@ -71,7 +77,6 @@ TEST_F(GroupingTest, EvaluatesEveryHardwareOptionOfX) {
 TEST_F(GroupingTest, SoftwareReferenceTimes) {
   const dfg::Graph g = testing::make_chain(3, isa::Opcode::kAnd);
   const VirtualCandidate c = group(g, 1, {1, 0, 1});
-  EXPECT_DOUBLE_EQ(c.sw_depth_cycles, 3.0);  // chain of 3 unit ops
   EXPECT_DOUBLE_EQ(c.sw_seq_cycles, 3.0);
 }
 
@@ -84,7 +89,6 @@ TEST_F(GroupingTest, ParallelMembersDepthVsSeq) {
   g.add_edge(p2, x);
   const VirtualCandidate c = group(g, x, {1, 1, 0});
   EXPECT_EQ(c.size(), 3u);
-  EXPECT_DOUBLE_EQ(c.sw_depth_cycles, 2.0);  // parallel front, then x
   EXPECT_DOUBLE_EQ(c.sw_seq_cycles, 3.0);    // sequential machine view
 }
 
@@ -119,6 +123,201 @@ TEST_F(GroupingTest, ConvexViolationFlagged) {
   const VirtualCandidate c = group(g, a, {0, 0, 1});
   EXPECT_TRUE(c.members.contains(b));
   EXPECT_TRUE(c.convex_violation);
+}
+
+// ---------------------------------------------------------------------------
+// Equivalence property: the per-iteration grouping (components labelled and
+// analysed once, vS_x shared or joined word-level) must reproduce a plain
+// per-node search exactly.
+
+/// Per-node reference: BFS from x through hardware-chosen neighbours, then
+/// every figure recomputed from scratch on the member set, with convexity
+/// tested pairwise.
+VirtualCandidate reference_group(const hw::GPlus& gplus,
+                                 const isa::IsaFormat& format,
+                                 const dfg::Reachability& reach,
+                                 dfg::NodeId x, std::span<const int> chosen) {
+  const dfg::Graph& graph = gplus.graph();
+  const std::size_t n = graph.num_nodes();
+  const hw::ClockSpec clock;
+  auto chose_hardware = [&](dfg::NodeId u) {
+    return chosen[u] >= 0 &&
+           gplus.table(u).is_hardware(static_cast<std::size_t>(chosen[u]));
+  };
+  VirtualCandidate cand;
+  cand.members.resize(n);
+  cand.members.insert(x);
+  std::vector<dfg::NodeId> stack{x};
+  while (!stack.empty()) {
+    const dfg::NodeId v = stack.back();
+    stack.pop_back();
+    auto visit = [&](dfg::NodeId u) {
+      if (!cand.members.contains(u) && chose_hardware(u)) {
+        cand.members.insert(u);
+        stack.push_back(u);
+      }
+    };
+    for (const dfg::NodeId u : graph.succs(v)) visit(u);
+    for (const dfg::NodeId u : graph.preds(v)) visit(u);
+  }
+  cand.in_count = dfg::count_inputs(graph, cand.members);
+  cand.out_count = dfg::count_outputs(graph, cand.members);
+  cand.io_violation = cand.in_count > format.max_ise_inputs() ||
+                      cand.out_count > format.max_ise_outputs();
+  const std::vector<dfg::NodeId> members = cand.members.to_vector();
+  for (dfg::NodeId w = 0; w < n; ++w) {
+    if (cand.members.contains(w)) continue;
+    bool below = false;
+    bool above = false;
+    for (const dfg::NodeId m : members) {
+      below = below || reach.reaches(m, w);
+      above = above || reach.reaches(w, m);
+    }
+    cand.convex_violation = cand.convex_violation || (below && above);
+  }
+  for (const dfg::NodeId m : members)
+    cand.sw_seq_cycles += gplus.software_cycles(m);
+
+  const std::vector<dfg::NodeId> topo = graph.topological_order();
+  const hw::IoTable& x_table = gplus.table(x);
+  cand.per_option.resize(x_table.size());
+  int best_cycles = -1;
+  for (std::size_t j = 0; j < x_table.size(); ++j) {
+    if (!x_table.is_hardware(j)) continue;
+    auto option_of = [&](dfg::NodeId v) {
+      return v == x ? j : static_cast<std::size_t>(chosen[v]);
+    };
+    VirtualCandidate::OptionEval& eval = cand.per_option[j];
+    eval.valid = true;
+    eval.depth_ns = dfg::induced_critical_path(
+        graph, topo, cand.members, [&](dfg::NodeId v) {
+          return gplus.table(v).option(option_of(v)).delay;
+        });
+    eval.cycles = clock.cycles_for(eval.depth_ns);
+    for (const dfg::NodeId m : members)
+      eval.area += gplus.table(m).option(option_of(m)).area;
+    if (best_cycles < 0 || eval.cycles < best_cycles)
+      best_cycles = eval.cycles;
+  }
+  cand.timing_violation = format.max_ise_latency_cycles > 0 &&
+                          best_cycles > format.max_ise_latency_cycles;
+  return cand;
+}
+
+/// Random block mixing multi-option, single-option and never-hardware
+/// operations, shared and private live-in values, and live-outs.
+dfg::Graph random_block(std::size_t n, Rng& rng, double edge_prob) {
+  static constexpr isa::Opcode kOps[] = {
+      isa::Opcode::kAddu, isa::Opcode::kXor, isa::Opcode::kAnd,
+      isa::Opcode::kSrl,  isa::Opcode::kLw,  isa::Opcode::kSubu,
+      isa::Opcode::kMult, isa::Opcode::kSltu, isa::Opcode::kOr,
+  };
+  dfg::Graph g;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto op = kOps[rng.next_below(std::uint32_t{std::size(kOps)})];
+    const dfg::NodeId v = g.add_node(op, "r" + std::to_string(i));
+    int preds = 0;
+    for (int k = 0; k < 3 && i > 0; ++k) {
+      if (rng.next_double() >= edge_prob) continue;
+      const auto p = static_cast<dfg::NodeId>(
+          rng.next_below(static_cast<std::uint32_t>(i)));
+      if (!g.has_edge(p, v)) {
+        g.add_edge(p, v);
+        ++preds;
+      }
+    }
+    std::vector<int> ids;
+    for (int k = preds; k < 2; ++k)
+      ids.push_back(static_cast<int>(rng.next_below(6)));  // few shared values
+    g.set_extern_input_ids(v, ids);
+    if (rng.next_double() < 0.1) g.set_live_out(v, true);
+  }
+  return g;
+}
+
+void expect_same(const VirtualCandidate& got, const VirtualCandidate& want,
+                 const std::string& where) {
+  EXPECT_EQ(got.members, want.members) << where;
+  EXPECT_EQ(got.in_count, want.in_count) << where;
+  EXPECT_EQ(got.out_count, want.out_count) << where;
+  EXPECT_EQ(got.io_violation, want.io_violation) << where;
+  EXPECT_EQ(got.convex_violation, want.convex_violation) << where;
+  EXPECT_EQ(got.timing_violation, want.timing_violation) << where;
+  EXPECT_EQ(got.sw_seq_cycles, want.sw_seq_cycles) << where;
+  ASSERT_EQ(got.per_option.size(), want.per_option.size()) << where;
+  for (std::size_t j = 0; j < want.per_option.size(); ++j) {
+    const auto& g = got.per_option[j];
+    const auto& w = want.per_option[j];
+    EXPECT_EQ(g.valid, w.valid) << where << " option " << j;
+    EXPECT_EQ(g.depth_ns, w.depth_ns) << where << " option " << j;
+    EXPECT_EQ(g.cycles, w.cycles) << where << " option " << j;
+    EXPECT_EQ(g.area, w.area) << where << " option " << j;
+  }
+}
+
+TEST(GroupingEquivalence, MatchesPerNodeReferenceOnRandomBlocks) {
+  const hw::HwLibrary lib = hw::HwLibrary::paper_default();
+  // One scratch across every trial: graphs shrink and grow between trials
+  // exactly as between exploration rounds and repeats.
+  GroupingScratch scratch;
+  Rng rng(2024);
+  // How often each branch was exercised; the property is vacuous without.
+  int joined = 0;
+  int io = 0;
+  int convex = 0;
+  int timing = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 1 + rng.next_below(70);
+    const double edge_prob = 0.2 + 0.7 * rng.next_double();
+    const dfg::Graph g = random_block(n, rng, edge_prob);
+    const hw::GPlus gplus(g, lib);
+    const dfg::Reachability reach(g);
+    isa::IsaFormat format;
+    format.reg_file = {static_cast<int>(2 + rng.next_below(6)),
+                       static_cast<int>(1 + rng.next_below(3))};
+    format.max_ise_latency_cycles = static_cast<int>(rng.next_below(3));
+    const HardwareGrouping grouping(gplus, format, reach);
+
+    for (int draw = 0; draw < 4; ++draw) {
+      // Mixed picks: unchosen (-1), software, and random hardware options.
+      const double p_software = 0.6 * rng.next_double();
+      std::vector<int> chosen(n);
+      for (dfg::NodeId v = 0; v < n; ++v) {
+        const hw::IoTable& table = gplus.table(v);
+        const double r = rng.next_double();
+        if (r < 0.1) {
+          chosen[v] = -1;
+        } else if (r < 0.1 + p_software || !table.has_hardware()) {
+          chosen[v] = static_cast<int>(table.first_software());
+        } else {
+          chosen[v] = static_cast<int>(
+              table.num_software() +
+              rng.next_below(static_cast<std::uint32_t>(table.num_hardware())));
+        }
+      }
+      grouping.label_components(chosen, scratch);
+      for (dfg::NodeId x = 0; x < n; ++x) {
+        if (!gplus.hardware_capable(x)) continue;
+        const std::string where = "trial " + std::to_string(trial) +
+                                  " draw " + std::to_string(draw) + " x " +
+                                  std::to_string(x);
+        const VirtualCandidate& got = grouping.group(x, scratch);
+        expect_same(got, reference_group(gplus, format, reach, x, chosen),
+                    where);
+        const int o = chosen[x];
+        const bool x_hardware =
+            o >= 0 && gplus.table(x).is_hardware(static_cast<std::size_t>(o));
+        joined += !x_hardware && got.size() > 1;
+        io += got.io_violation;
+        convex += got.convex_violation;
+        timing += got.timing_violation;
+      }
+    }
+  }
+  EXPECT_GT(joined, 100);
+  EXPECT_GT(io, 100);
+  EXPECT_GT(convex, 100);
+  EXPECT_GT(timing, 100);
 }
 
 }  // namespace

@@ -21,7 +21,8 @@ class MeritTest : public ::testing::Test {
     hw::GPlus gplus(g, lib_);
     dfg::Reachability reach(g);
     PheromoneState state(gplus, params_);
-    MeritEngine engine(gplus, format_, params_);
+    MeritEngine engine(gplus, format_, params_, reach);
+    GroupingScratch scratch;
     const dfg::PathInfo path = dfg::longest_path(
         g, [&](dfg::NodeId v) { return gplus.software_cycles(v); });
     MeritInputs inputs;
@@ -29,7 +30,7 @@ class MeritTest : public ::testing::Test {
     inputs.critical = &critical;
     inputs.path = &path;
     inputs.tet = tet;
-    for (int i = 0; i < iterations; ++i) engine.update(state, inputs, reach);
+    for (int i = 0; i < iterations; ++i) engine.update(state, inputs, scratch);
     return state;
   }
 

@@ -198,6 +198,25 @@ TEST_F(MiExplorerGoldenTest, AdpcmExplorationMatchesGolden) {
   EXPECT_EQ(testing::hash_exploration(r), 0x5d13c6222e1386e5ULL);
 }
 
+// The suite's hottest blocks have at most 43 nodes and small hardware
+// components; a 96-node random DAG grows components of dozens of members,
+// so this digest pins Hardware-Grouping where sharing one component's
+// analysis across its members matters most.  Captured from the per-node
+// grouping implementation.
+TEST_F(MiExplorerGoldenTest, LargeRandomBlockExplorationMatchesGolden) {
+  Rng graph_rng(96);
+  const dfg::Graph g = testing::make_random_dag(96, graph_rng);
+  const auto explorer = make_explorer(2, 6, 3);
+  Rng rng(17);
+  const ExplorationResult r = explorer.explore(g, rng);
+  EXPECT_EQ(r.base_cycles, 48);
+  EXPECT_EQ(r.final_cycles, 38);
+  EXPECT_EQ(r.rounds, 9);
+  EXPECT_EQ(r.total_iterations, 2250);
+  EXPECT_EQ(r.ises.size(), 8u);
+  EXPECT_EQ(testing::hash_exploration(r), 0x123b67925458a45fULL);
+}
+
 TEST_F(MiExplorerGoldenTest, ExploreIsIdenticalAtEveryJobCount) {
   // Candidate evaluations inside one explore() round fan out over the pool;
   // the index-ordered reduction must pick the same winner at any width, so

@@ -152,6 +152,18 @@ TEST(NodeSet, WordsExposeThePackedBits) {
   EXPECT_EQ(words[2], 1ULL << 1);
 }
 
+TEST(NodeSet, FirstIsTheSmallestMemberInAnyWord) {
+  NodeSet s(201);
+  EXPECT_EQ(s.first(), kInvalidNode);
+  s.insert(200);
+  EXPECT_EQ(s.first(), 200u);
+  s.insert(64);
+  EXPECT_EQ(s.first(), 64u);
+  s.insert(3);
+  EXPECT_EQ(s.first(), 3u);
+  EXPECT_EQ(NodeSet().first(), kInvalidNode);
+}
+
 TEST(NodeSet, EmptyAgreesWithCountOnEveryWord) {
   // One membered set per word of a multi-word universe; empty() and
   // count() == 0 must agree no matter which word holds the bit.

@@ -28,25 +28,30 @@ TEST_F(PipestageTest, GroupingFlagsDeepCandidates) {
   const dfg::Graph g = testing::make_chain(4, isa::Opcode::kAddu);
   hw::GPlus gplus(g, lib_);
   dfg::Reachability reach(g);
-  const HardwareGrouping hg(gplus, capped_format(1));
+  const HardwareGrouping hg(gplus, capped_format(1), reach);
   const std::vector<int> prev{1, 1, 1, 1};
-  const VirtualCandidate cand = hg.group(1, prev, reach);
+  GroupingScratch scratch;
+  hg.label_components(prev, scratch);
+  const VirtualCandidate& cand = hg.group(1, scratch);
   ASSERT_EQ(cand.size(), 4u);
   EXPECT_TRUE(cand.timing_violation);
 
   // Cap of 2 cycles admits it (4 × 2.12 = 8.48 ns on HW-2... 1 cycle; even
   // HW-1 mix at 16.16 ns = 2 cycles).
-  const HardwareGrouping relaxed(gplus, capped_format(2));
-  EXPECT_FALSE(relaxed.group(1, prev, reach).timing_violation);
+  const HardwareGrouping relaxed(gplus, capped_format(2), reach);
+  relaxed.label_components(prev, scratch);
+  EXPECT_FALSE(relaxed.group(1, scratch).timing_violation);
 }
 
 TEST_F(PipestageTest, UnboundedFormatNeverFlags) {
   const dfg::Graph g = testing::make_chain(8, isa::Opcode::kAddu);
   hw::GPlus gplus(g, lib_);
   dfg::Reachability reach(g);
-  const HardwareGrouping hg(gplus, capped_format(0));
+  const HardwareGrouping hg(gplus, capped_format(0), reach);
   const std::vector<int> all_hw(8, 1);
-  EXPECT_FALSE(hg.group(0, all_hw, reach).timing_violation);
+  GroupingScratch scratch;
+  hg.label_components(all_hw, scratch);
+  EXPECT_FALSE(hg.group(0, scratch).timing_violation);
 }
 
 TEST_F(PipestageTest, ExtractionTrimsToCap) {
