@@ -19,13 +19,17 @@
 //     manifest must reach ISEX_BENCH_PORTFOLIO_DEDUP_FLOOR (default 20%):
 //     candidate evaluations repeating across repeats, rounds, and programs
 //     are found, not recomputed.
+//   * thread bound — both sides run at jobs=8 on a private pool, so neither
+//     may run a single task on the default pool: the explorations' nested
+//     candidate fan-outs run inline inside the private pool's tasks.
+//     Always enforced; it counts tasks, not time.
 //   * speedup — the portfolio must beat back-to-back flows by
 //     ISEX_BENCH_PORTFOLIO_FLOOR (default 1.3x) at jobs=8.  Enforced only
 //     when the host grants >= 4 cores; smaller hosts stamp the measured
 //     ratio with "scaling_valid": false and do not gate.
 //
 // `--quick` drops to one timing repeat and 2 exploration repeats for CI
-// smoke runs; the identity and dedup checks run either way.
+// smoke runs; the identity, dedup and thread-bound checks run either way.
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -169,6 +173,8 @@ int main(int argc, char** argv) {
   const hw::HwLibrary library = hw::HwLibrary::paper_default();
   const std::vector<flow::PortfolioEntry> entries = make_manifest();
   const flow::FlowConfig base = base_config(quick);
+  const runtime::ThreadPool& default_pool = runtime::ThreadPool::default_pool();
+  const std::uint64_t default_tasks_before = default_pool.stats().jobs_run;
 
   // --- Portfolio runs (cold private cache each time; first run also
   // supplies the identity/dedup artifacts).
@@ -207,6 +213,8 @@ int main(int argc, char** argv) {
     if (r == 0) reference = std::move(results);
   }
   runtime::schedule_cache().clear();
+  const std::uint64_t default_pool_tasks =
+      default_pool.stats().jobs_run - default_tasks_before;
 
   // Gate 1: per-program bit identity against the independent flows.
   bool identity_ok = true;
@@ -234,7 +242,10 @@ int main(int argc, char** argv) {
   const double dedup_floor = dedup_hit_rate_floor();
   const bool dedup_ok = dedup_hit_rate >= dedup_floor;
 
-  // Gate 3: wall-clock vs back-to-back (enforced on >= 4 cores only).
+  // Gate 3: FlowConfig::jobs bounds the threads exploration runs on.
+  const bool default_pool_ok = default_pool_tasks == 0;
+
+  // Gate 4: wall-clock vs back-to-back (enforced on >= 4 cores only).
   const double headline =
       independent_timing.seconds_min() / portfolio_timing.seconds_min();
 
@@ -254,6 +265,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   portfolio_result.eval_cache_stats.misses),
               100.0 * dedup_floor);
+  std::printf("default-pool tasks at jobs=%d: %llu (must be 0)\n", base.jobs,
+              static_cast<unsigned long long>(default_pool_tasks));
   std::printf("jobs: %llu total, %llu deduped; isomorphic: %llu hot blocks, "
               "%llu candidates\n",
               static_cast<unsigned long long>(portfolio_result.total_jobs),
@@ -284,6 +297,8 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"dedup_hit_rate\": %.4f,\n", dedup_hit_rate);
   std::fprintf(json, "  \"dedup_floor\": %.2f,\n", dedup_floor);
   std::fprintf(json, "  \"dedup_ok\": %s,\n", dedup_ok ? "true" : "false");
+  std::fprintf(json, "  \"default_pool_tasks\": %llu,\n",
+               static_cast<unsigned long long>(default_pool_tasks));
   std::fprintf(json, "  \"total_jobs\": %llu,\n",
                static_cast<unsigned long long>(portfolio_result.total_jobs));
   std::fprintf(json, "  \"deduped_jobs\": %llu,\n",
@@ -336,6 +351,14 @@ int main(int argc, char** argv) {
   if (!dedup_ok) {
     std::fprintf(stderr, "DEDUP GATE FAILED: %.1f%% < %.0f%% floor\n",
                  100.0 * dedup_hit_rate, 100.0 * dedup_floor);
+    return 1;
+  }
+  if (!default_pool_ok) {
+    std::fprintf(stderr,
+                 "THREAD-BOUND GATE FAILED: %llu default-pool tasks at "
+                 "jobs=%d\n",
+                 static_cast<unsigned long long>(default_pool_tasks),
+                 base.jobs);
     return 1;
   }
   if (scaling_valid && headline < floor) {

@@ -39,7 +39,12 @@ struct FlowConfig {
   /// Worker threads for the (block × repeat) exploration fan-out.  0 uses
   /// runtime::ThreadPool::default_pool() (hardware_concurrency, or the
   /// --jobs / ISEX_JOBS override); N > 0 runs on a private N-thread pool.
-  /// Results are identical at any value — see docs/RUNTIME.md.
+  /// Either way the explorations' own fan-outs (candidate evaluation,
+  /// colonies) run inline inside the batch's tasks, so N > 0 bounds
+  /// exploration to N workers plus the helping caller and runs no task on
+  /// the default pool.  (A batch of one job runs inline on the caller, and
+  /// that exploration fans out onto the default pool.)  Results are
+  /// identical at any value — see docs/RUNTIME.md.
   int jobs = 0;
   /// Copy the per-hot-block exploration results into FlowResult.  Off by
   /// default (they can be large); the portfolio bit-identity gates compare

@@ -48,9 +48,10 @@ void JobGraph::run(ThreadPool& pool) {
       throw std::logic_error("JobGraph: dependency cycle");
   }
 
-  // Serial fallback: inside a worker, queue-and-wait could deadlock a busy
-  // pool; topological order preserves the parallel path's contract exactly.
-  if (pool.on_worker_thread() || pool.num_threads() == 0) {
+  // Serial fallback inside a task of any pool, by parallel_for's rule:
+  // queue-and-wait from inside a worker could deadlock a busy pool.
+  // Topological order preserves the parallel path's contract exactly.
+  if (ThreadPool::running_task() || pool.num_threads() == 0) {
     std::vector<bool> poisoned(jobs_.size(), false);
     std::exception_ptr first_error;
     for (const JobId id : order) {

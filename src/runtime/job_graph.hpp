@@ -106,8 +106,9 @@ class JobGraph {
   void add_dependency(JobId job, JobId prerequisite);
 
   /// Executes the graph.  Jobs with no unfinished prerequisites run
-  /// concurrently on `pool`; called from inside a worker (or with an empty
-  /// graph/pool) execution falls back to serial topological order.  After
+  /// concurrently on `pool`; called from inside a task of any pool (or with
+  /// an empty graph/pool) execution falls back to serial topological order
+  /// (ThreadPool::running_task(), the rule parallel_for follows).  After
   /// the graph drains, the first failure is rethrown.  Single-shot: a graph
   /// cannot be run twice.
   void run(ThreadPool& pool);

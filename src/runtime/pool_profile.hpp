@@ -36,6 +36,9 @@ class ThreadPool;
 /// PoolProfile::workers is the synthetic "external" slot (threads that are
 /// not pool workers executing tasks while helping in parallel_for); its
 /// idle time is always zero because external threads only borrow the pool.
+/// A thread helps only while it runs no task, so tasks never nest and each
+/// one's time counts once: a helping thread's share of the external busy
+/// time never exceeds the wall time of the parallel_for it helped in.
 struct WorkerOccupancy {
   std::uint64_t tasks = 0;
   std::uint64_t steals = 0;
@@ -59,7 +62,10 @@ struct SectionProfile {
   double serial_seconds = 0.0;
   /// Wall time of the parallel region (submission to join).
   double wall_seconds = 0.0;
-  /// Sum of task body durations — the "work" in the Amdahl sense.
+  /// Sum of task body durations — the "work" in the Amdahl sense.  A body
+  /// runs any fan-out nested in it inline, so its duration is its own work
+  /// and never includes another task (another exploration) picked up while
+  /// it waited.
   double task_seconds = 0.0;
   /// Slowest single task body across every invocation.
   double max_task_seconds = 0.0;

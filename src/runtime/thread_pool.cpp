@@ -10,9 +10,6 @@
 namespace isex::runtime {
 namespace {
 
-/// Set for the duration of a worker loop; lets parallel_for detect nesting.
-thread_local const ThreadPool* tls_current_pool = nullptr;
-
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -141,13 +138,15 @@ bool ThreadPool::run_one(int self) {
   jobs_metric_->inc();
   // The task may record its own sample before it releases a waiter
   // (record_running_task); whatever it left unrecorded is recorded here.
-  // The sample is installed even when profiling is off, so such a task
-  // never records a sample of the task it runs inside.
+  // The sample is installed even when profiling is off: it is also the
+  // marker that makes a parallel_for inside the task run inline.
   TaskSample sample{self, stolen, {}, /*recorded=*/!profiling()};
   if (!sample.recorded) sample.start = std::chrono::steady_clock::now();
-  TaskSample* const outer = std::exchange(running_sample_, &sample);
+  ISEX_ASSERT_MSG(running_sample_ == nullptr,
+                  "pool task started inside another task");
+  running_sample_ = &sample;
   task();
-  running_sample_ = outer;
+  running_sample_ = nullptr;
   record_task_sample(sample);
   return true;
 }
@@ -186,7 +185,6 @@ void ThreadPool::record_profiled_task(int self, bool stolen,
 }
 
 void ThreadPool::worker_loop(int index) {
-  tls_current_pool = this;
   for (;;) {
     if (run_one(index)) continue;
     const bool prof = profiling();
@@ -207,16 +205,16 @@ void ThreadPool::worker_loop(int index) {
         pending_.load(std::memory_order_acquire) == 0)
       break;
   }
-  tls_current_pool = nullptr;
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  // Nested fan-out from one of our own workers runs inline: the worker's
-  // task slot *is* this fan-out's budget, and queue-and-wait from inside a
-  // worker could deadlock a fully busy pool.
-  if (on_worker_thread() || workers_.empty() || n == 1) {
+  // A fan-out nested in a task of any pool runs inline: the task's thread
+  // *is* this fan-out's budget.  Queue-and-wait from inside a worker could
+  // deadlock a fully busy pool, and a helping caller would stack unrelated
+  // queued tasks under the suspended one.
+  if (running_task() || workers_.empty() || n == 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
@@ -250,7 +248,8 @@ void ThreadPool::parallel_for(std::size_t n,
   }
 
   // Help while waiting: drain pool tasks on this thread instead of blocking,
-  // so the caller contributes a core and nested pools cannot starve.
+  // so the caller contributes a core.  It runs no task here, so every task
+  // it picks up runs to completion before it looks at the join again.
   while (join->remaining.load(std::memory_order_acquire) > 0) {
     if (run_one(/*self=*/-1)) continue;
     std::unique_lock<std::mutex> lock(join->mutex);
@@ -294,7 +293,7 @@ std::vector<std::uint64_t> ThreadPool::task_duration_counts() const {
   return counts;
 }
 
-bool ThreadPool::on_worker_thread() const { return tls_current_pool == this; }
+bool ThreadPool::running_task() { return running_sample_ != nullptr; }
 
 namespace {
 

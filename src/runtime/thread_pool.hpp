@@ -7,10 +7,13 @@
 //     std::future; parallel_for() fans one body over [0, n) and blocks, with
 //     the calling thread *helping* (executing queued tasks) while it waits,
 //     so a pool is never idle just because its caller is;
-//   * a parallel_for issued from inside one of this pool's workers runs
-//     inline — nested fan-outs (a sweep harness parallelizing over programs
-//     whose exploration itself fans out) degrade to serial execution inside
-//     the job instead of deadlocking the pool.
+//   * a parallel_for issued while the calling thread runs a task — of any
+//     pool, on a worker or on a caller helping its own fan-out — runs
+//     inline.  Nested fan-outs (a batch of explorations whose candidate
+//     evaluation fans out again) degrade to a serial loop inside the task
+//     instead of deadlocking a busy pool, and a helping caller runs queued
+//     tasks only while it runs none, so it never stacks one exploration
+//     under another that then cannot resume until the stack unwinds.
 //
 // Determinism: the pool itself guarantees nothing about execution *order* —
 // determinism of results is the fan-out layer's job (see job_graph.hpp): it
@@ -71,17 +74,26 @@ class ThreadPool {
     return future;
   }
 
-  /// Runs body(0) … body(n-1), one task per index, and blocks until all
-  /// completed.  The first exception (by completion order) is rethrown.
-  /// Called from a worker of this pool, runs inline serially.
+  /// Runs body(0) … body(n-1) and blocks until all completed.
+  ///   * Queued, when the calling thread runs no task: one task per index,
+  ///     and the caller helps run queued tasks while it waits.  Every index
+  ///     runs even if some throw; the first exception by completion order
+  ///     is rethrown.
+  ///   * Inline, when the calling thread runs a task of any pool (see
+  ///     running_task()) or n == 1: a serial loop in index order that stops
+  ///     at the first throwing index and lets its exception propagate.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
+
+  /// True while the calling thread runs a task of any ThreadPool.  A
+  /// parallel_for or JobGraph::run issued then runs inline.
+  static bool running_task();
 
   PoolStats stats() const;
 
   /// Occupancy profiling (see pool_profile.hpp).  Off by default: each
-  /// task then costs one extra relaxed load and a thread-local pointer
-  /// swap.  When on, a task pays two steady_clock reads plus a handful of
+  /// task then costs one extra relaxed load and two thread-local pointer
+  /// stores.  When on, a task pays two steady_clock reads plus a handful of
   /// relaxed atomic adds, and idle workers time their waits.  A
   /// parallel_for task records its sample before it counts down the latch,
   /// so the counters are complete when parallel_for returns.  Counters
@@ -110,9 +122,6 @@ class ThreadPool {
                prof_task_ns_.load(std::memory_order_relaxed)) *
            1e-9;
   }
-
-  /// True when the calling thread is one of this pool's workers.
-  bool on_worker_thread() const;
 
   /// Process-wide shared pool, created on first use with default_jobs()
   /// threads.
@@ -148,8 +157,9 @@ class ThreadPool {
   void worker_loop(int index);
   /// Profile sample of a running task (defined in thread_pool.cpp).
   struct TaskSample;
-  /// Innermost running task's sample on this thread.  Samples nest: a
-  /// thread helping a fan-out runs tasks inside the task waiting on it.
+  /// The running task's sample on this thread; null outside tasks, and the
+  /// marker running_task() tests.  Samples never nest: run_one is entered
+  /// only by a worker loop or by a parallel_for that runs no task.
   static thread_local TaskSample* running_sample_;
   /// Records the calling thread's running task sample now rather than when
   /// the task returns; no-op when it is unprofiled or already recorded.

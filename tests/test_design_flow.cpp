@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_suite/kernels.hpp"
+#include "runtime/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace isex::flow {
@@ -106,6 +107,28 @@ TEST_F(DesignFlowTest, MiBeatsSiOnAverageAtEqualArea) {
     si_sum += si.reduction();
   }
   EXPECT_GE(mi_sum, si_sum * 0.98);  // MI wins or ties on average
+}
+
+TEST(DesignFlow, PrivatePoolFlowRunsNoDefaultPoolTask) {
+  // FlowConfig::jobs bounds exploration's threads: the explorations' own
+  // candidate fan-outs run inline inside the private pool's tasks (and
+  // inside those its helping caller runs) instead of spilling onto the
+  // default pool.
+  FlowConfig c;
+  c.machine = sched::MachineConfig::make(2, {6, 3});
+  c.repeats = 2;
+  c.seed = 99;
+  c.jobs = 1;
+  runtime::ThreadPool& shared = runtime::ThreadPool::default_pool();
+  const std::uint64_t before = shared.stats().jobs_run;
+  for (const auto benchmark : bench_suite::all_benchmarks()) {
+    const auto program =
+        bench_suite::make_program(benchmark, bench_suite::OptLevel::kO3);
+    const FlowResult r =
+        run_design_flow(program, hw::HwLibrary::paper_default(), c);
+    EXPECT_LE(r.final_time(), r.base_time());
+  }
+  EXPECT_EQ(shared.stats().jobs_run - before, 0u);
 }
 
 // The paper's six machine configurations all complete and never regress.

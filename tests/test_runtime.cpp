@@ -3,9 +3,12 @@
 // parallel pipeline rests on (same seed -> bit-identical FlowResult at any
 // job count).
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,6 +73,70 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
       hits.begin(), hits.end(), 0,
       [](int acc, const std::atomic<int>& h) { return acc + h.load(); });
   EXPECT_EQ(total, 64);
+}
+
+void spin_for(std::chrono::microseconds duration) {
+  const auto end = std::chrono::steady_clock::now() + duration;
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+/// Outer fan-out of 8 ~0.5 ms bodies, each running a nested fan-out of 4
+/// ~0.1 ms bodies: the shape of an exploration batch whose explorations fan
+/// their candidates out again.
+template <typename OuterHook, typename InnerHook>
+void run_nested_fanouts(ThreadPool& pool, OuterHook outer_hook,
+                        InnerHook inner_hook) {
+  pool.parallel_for(8, [&](std::size_t) {
+    outer_hook(+1);
+    spin_for(std::chrono::microseconds(500));
+    const std::thread::id outer_thread = std::this_thread::get_id();
+    pool.parallel_for(4, [&](std::size_t) {
+      spin_for(std::chrono::microseconds(100));
+      inner_hook(outer_thread);
+    });
+    outer_hook(-1);
+  });
+}
+
+TEST(ThreadPool, HelpingCallerRunsNestedFanOutInline) {
+  // The test thread is not a worker; while it helps its outer fan-out it
+  // runs outer bodies itself.  Their nested fan-outs must run inline there
+  // too, never picking up a sibling outer body and suspending this one.
+  ThreadPool pool(1);
+  static thread_local int depth = 0;
+  std::atomic<int> max_depth{0};
+  std::atomic<int> moved{0};
+  run_nested_fanouts(
+      pool,
+      [&](int step) {
+        depth += step;
+        int seen = max_depth.load();
+        while (seen < depth && !max_depth.compare_exchange_weak(seen, depth)) {
+        }
+      },
+      [&](std::thread::id outer_thread) {
+        if (std::this_thread::get_id() != outer_thread) ++moved;
+      });
+  EXPECT_EQ(max_depth.load(), 1);
+  EXPECT_EQ(moved.load(), 0);
+}
+
+TEST(ThreadPool, ExternalSlotBusyNeverExceedsWallTime) {
+  // Every task the helping caller runs lies inside its outer parallel_for
+  // call and none runs inside another, so the external slot's busy time is
+  // bounded by that call's wall time.
+  ThreadPool pool(1);
+  pool.set_profiling(true);
+  const auto start = std::chrono::steady_clock::now();
+  run_nested_fanouts(pool, [](int) {}, [](std::thread::id) {});
+  const auto wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  // Same ns-to-seconds conversion as occupancy(), so the bound is exact.
+  EXPECT_LE(pool.occupancy().back().busy_seconds,
+            static_cast<double>(wall_ns) * 1e-9);
 }
 
 TEST(ThreadPool, ParallelMapPreservesInputOrder) {
