@@ -34,7 +34,6 @@
 #include "flow/design_flow.hpp"
 #include "harness_common.hpp"
 #include "mem/cache_model.hpp"
-#include "runtime/eval_cache.hpp"
 
 namespace {
 
@@ -108,7 +107,8 @@ SuiteRun run_suite(const std::vector<flow::ProfiledProgram>& programs,
   SuiteRun run;
   const auto start = std::chrono::steady_clock::now();
   for (const flow::ProfiledProgram& program : programs) {
-    runtime::schedule_cache().clear();  // cold per program, like the CLI
+    // Each flow memoizes through its own private cache, cold per program
+    // like a CLI invocation.
     const flow::FlowResult result =
         flow::run_design_flow(program, library, config);
     run.digests.push_back(hash_flow(result));
@@ -145,7 +145,6 @@ int main(int argc, char** argv) {
   null_config.repeats = quick ? 2 : 5;
   null_config.seed = 17;
   null_config.jobs = 8;
-  null_config.keep_explorations = true;
 
   flow::FlowConfig cache_config = null_config;
   cache_config.cache =

@@ -3,18 +3,21 @@
 // design flows — the workload a multi-application ASIP commission is.
 // Results land in BENCH_portfolio.json.
 //
-// The reference model is N independent CLI invocations: each program runs
-// run_design_flow in its own cold-cache world (the process cache is cleared
-// between programs), because that is what "explore each program separately"
-// costs in practice.  The portfolio side starts equally cold: one private
-// portfolio-scoped eval cache, empty at launch.
+// Both sides run the same pipeline: run_design_flow is its one-row case.
+// The reference is N one-row runs — N independent CLI invocations — each
+// with its own private eval cache, empty at launch, because that is what
+// "explore each program separately" costs in practice.  The portfolio side
+// is one N-row run with one private eval cache, equally cold.  What the
+// comparison measures is therefore the batch itself: job-level dedup, the
+// shared cache, one flat fan-out, and the per-program stream split that
+// keeps each row's explorations identical to its one-row run.
 //
 // Gates (exit status 1 on failure):
-//   * identity — for every program, the portfolio's per-program exploration
-//     results (hot blocks + every explored ISE) must be bit-identical to an
-//     independent run_design_flow at the same seed.  Always enforced: the
-//     batched schedule and the shared cache are pure plumbing, never allowed
-//     to change a result.
+//   * identity — for every program, the N-row batch's exploration results
+//     (hot blocks + every explored ISE) must be bit-identical to the
+//     program's one-row run at the same seed.  Always enforced: dedup, the
+//     shared cache and the stream split are pure plumbing, never allowed to
+//     change a result.
 //   * dedup — the portfolio-scoped eval-cache hit rate over the 7-kernel
 //     manifest must reach ISEX_BENCH_PORTFOLIO_DEDUP_FLOOR (default 20%):
 //     candidate evaluations repeating across repeats, rounds, and programs
@@ -44,7 +47,6 @@
 #include "bench_suite/kernels.hpp"
 #include "flow/portfolio.hpp"
 #include "harness_common.hpp"
-#include "runtime/eval_cache.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace {
@@ -183,7 +185,6 @@ int main(int argc, char** argv) {
   flow::PortfolioResult portfolio_result;
   TimedRun portfolio_timing;
   for (int r = 0; r < repeats; ++r) {
-    runtime::schedule_cache().clear();  // keep the global cache out of play
     const auto start = std::chrono::steady_clock::now();
     flow::PortfolioResult result =
         flow::run_portfolio_flow(entries, library, portfolio_config);
@@ -193,26 +194,20 @@ int main(int argc, char** argv) {
     if (r == 0) portfolio_result = std::move(result);
   }
 
-  // --- Reference: back-to-back independent flows, cold cache per program
-  // (the N-separate-invocations world the portfolio replaces).
-  flow::FlowConfig independent = base;
-  independent.keep_explorations = true;
+  // --- Reference: back-to-back one-row flows, each with its own cold
+  // private cache (the N-separate-invocations world the portfolio replaces).
   std::vector<flow::FlowResult> reference;
   TimedRun independent_timing;
   for (int r = 0; r < repeats; ++r) {
     std::vector<flow::FlowResult> results;
     const auto start = std::chrono::steady_clock::now();
-    for (const flow::PortfolioEntry& entry : entries) {
-      runtime::schedule_cache().clear();
-      results.push_back(
-          flow::run_design_flow(entry.program, library, independent));
-    }
+    for (const flow::PortfolioEntry& entry : entries)
+      results.push_back(flow::run_design_flow(entry.program, library, base));
     const auto elapsed = std::chrono::steady_clock::now() - start;
     independent_timing.seconds_each.push_back(
         std::chrono::duration<double>(elapsed).count());
     if (r == 0) reference = std::move(results);
   }
-  runtime::schedule_cache().clear();
   const std::uint64_t default_pool_tasks =
       default_pool.stats().jobs_run - default_tasks_before;
 

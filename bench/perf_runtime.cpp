@@ -3,9 +3,9 @@
 // with the schedule-evaluation cache on and off.  Results — including the
 // cross-configuration determinism check — land in BENCH_runtime.json.
 //
-// The sweep itself is expressed as a JobGraph: one explore job per benchmark
-// feeding a single evaluate/reduce job, i.e. exactly the dependency shape
-// the figure harnesses have.
+// The sweep itself is one parallel_map of explore jobs, one per benchmark,
+// followed by a serial evaluate/reduce over their results — exactly the
+// shape the figure harnesses have.
 //
 // Note on reading the numbers: thread scaling is bounded by the cores the
 // host actually grants (recorded as hardware_concurrency); on a 1-core
@@ -26,8 +26,8 @@
 
 #include "harness_common.hpp"
 #include "runtime/eval_cache.hpp"
-#include "runtime/job_graph.hpp"
 #include "runtime/runtime_stats.hpp"
+#include "runtime/thread_pool.hpp"
 #include "trace/metrics.hpp"
 
 namespace {
@@ -87,28 +87,20 @@ void run_sweep_once(SweepRun& run, int jobs, bool cache) {
   constraints.area_budget = 40000.0;
   constraints.max_ises = 32;
 
-  std::vector<benchx::ExploredProgram> explored(benchmarks.size());
   run.reductions.assign(benchmarks.size(), 0.0);
 
   const auto start = std::chrono::steady_clock::now();
   const runtime::StageTimer stage_timer("exploration");
-  runtime::JobGraph graph;
-  std::vector<runtime::JobGraph::JobId> explore_jobs;
-  for (std::size_t i = 0; i < benchmarks.size(); ++i) {
-    explore_jobs.push_back(graph.add(
-        "explore:" + std::string(bench_suite::name(benchmarks[i])), [&, i]() {
-          explored[i] = benchx::explore_program(
-              benchmarks[i], bench_suite::OptLevel::kO3, machine,
-              flow::Algorithm::kMultiIssue, repeats, /*seed=*/17, params);
-        }));
-  }
-  const auto reduce = graph.add("evaluate", [&]() {
-    for (std::size_t i = 0; i < benchmarks.size(); ++i)
-      run.reductions[i] =
-          benchx::evaluate(explored[i], constraints, machine).reduction;
-  });
-  for (const auto job : explore_jobs) graph.add_dependency(reduce, job);
-  graph.run(runtime::ThreadPool::default_pool());
+  const std::vector<benchx::ExploredProgram> explored = runtime::parallel_map(
+      runtime::ThreadPool::default_pool(), benchmarks,
+      [&](const bench_suite::Benchmark benchmark) {
+        return benchx::explore_program(benchmark, bench_suite::OptLevel::kO3,
+                                       machine, flow::Algorithm::kMultiIssue,
+                                       repeats, /*seed=*/17, params);
+      });
+  for (std::size_t i = 0; i < benchmarks.size(); ++i)
+    run.reductions[i] =
+        benchx::evaluate(explored[i], constraints, machine).reduction;
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   run.seconds_each.push_back(std::chrono::duration<double>(elapsed).count());

@@ -98,10 +98,11 @@ struct ExplorerParams {
   bool use_eval_cache = true;
 
   /// Cache instance the memoization above goes through.  Null (the default)
-  /// uses the process-wide runtime::schedule_cache(); a portfolio flow points
-  /// every program's exploration at one scoped cache so cross-program
-  /// candidate dedup is observable (and its stats attributable) per batch.
-  /// The choice of instance never changes results — both are pure memos.
+  /// makes an explorer use the process-wide runtime::schedule_cache().  The
+  /// design flow never passes null down: it resolves a null here to a
+  /// private per-run cache (flow::FlowConfig::params), so its hit rate is
+  /// attributable to the run.  The choice of instance never changes
+  /// results — every cache is a pure memo.
   runtime::EvalCache* eval_cache = nullptr;
 };
 

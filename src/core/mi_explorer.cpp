@@ -26,9 +26,9 @@
 namespace isex::core {
 namespace {
 
-/// Cache instance the params select: an explicitly scoped one (portfolio
-/// flows) or the process-wide schedule cache.  Pure memos either way, so the
-/// choice never changes results.
+/// Cache instance the params select: the one passed in (the design flow
+/// always passes one) or the process-wide schedule cache.  Pure memos either
+/// way, so the choice never changes results.
 runtime::EvalCache& active_cache(const ExplorerParams& params) {
   return params.eval_cache != nullptr ? *params.eval_cache
                                       : runtime::schedule_cache();

@@ -1,14 +1,10 @@
 #include "flow/design_flow.hpp"
 
-#include <iterator>
-#include <memory>
+#include <utility>
 
+#include "flow/portfolio.hpp"
 #include "flow/validate.hpp"
-#include "runtime/job_graph.hpp"
-#include "runtime/runtime_stats.hpp"
 #include "trace/metrics.hpp"
-#include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace isex::flow {
 
@@ -32,44 +28,6 @@ mem::CacheStats annotate_program(ProfiledProgram& program,
   return stats;
 }
 
-namespace {
-
-/// Explores every (hot block × repeat) pair as one flat batch of pool jobs,
-/// then reduces each block's attempts best-of in repeat order.
-///
-/// Determinism: the serial path called explore_best_of per block, which
-/// split `rng` once per repeat — block 0's repeats first, then block 1's,
-/// and so on.  deterministic_fanout derives the flat job list's streams
-/// serially in exactly that order, so every job sees the same stream the
-/// serial code would have fed it, and `rng` ends in the same state.
-template <typename Explorer>
-std::vector<core::ExplorationResult> explore_hot_blocks(
-    const Explorer& explorer, const ProfiledProgram& program,
-    const std::vector<std::size_t>& hot_blocks, int repeats, Rng& rng,
-    runtime::ThreadPool& pool) {
-  ISEX_ASSERT(repeats >= 1);
-  const auto per_block = static_cast<std::size_t>(repeats);
-  std::vector<core::ExplorationResult> attempts = runtime::deterministic_fanout(
-      pool, rng, hot_blocks.size() * per_block,
-      [&](std::size_t job, Rng& child) {
-        const std::size_t bi = hot_blocks[job / per_block];
-        return explorer.explore(program.blocks[bi].graph, child);
-      },
-      /*section=*/"flow.explore_hot_blocks");
-
-  std::vector<core::ExplorationResult> best;
-  best.reserve(hot_blocks.size());
-  for (std::size_t b = 0; b < hot_blocks.size(); ++b) {
-    const auto begin = attempts.begin() + static_cast<std::ptrdiff_t>(b * per_block);
-    best.push_back(core::MultiIssueExplorer::pick_best(
-        {std::make_move_iterator(begin),
-         std::make_move_iterator(begin + static_cast<std::ptrdiff_t>(per_block))}));
-  }
-  return best;
-}
-
-}  // namespace
-
 FlowResult run_design_flow(const ProfiledProgram& program,
                            const hw::HwLibrary& library,
                            const FlowConfig& config) {
@@ -81,88 +39,23 @@ FlowResult run_design_flow(const ProfiledProgram& program,
 Expected<FlowResult> run_design_flow_checked(const ProfiledProgram& program,
                                              const hw::HwLibrary& library,
                                              const FlowConfig& config) {
-  // Input boundary: reject malformed programs and configs before any stage
-  // touches them — a validator-rejected input never reaches the explorer.
-  {
-    const runtime::StageTimer timer("validation");
-    ValidationReport report = validate(config);
-    report.merge(validate(program));
-    if (!report.ok()) return report.first_error();
-  }
-  // Every stage is timed into stage_times() / the metrics registry and,
-  // when the global tracer is enabled, appears as a `stage:<name>` span —
-  // the flow's wall-clock breakdown is first-class output, not printf.
+  // The single-program flow is the portfolio pipeline on one row at
+  // weight 1.0; the program is read in place.
+  Expected<PortfolioResult> batch = run_flow_stages(
+      {ProgramRow{&program, 1.0}}, library, config, [&] {
+        ValidationReport report = validate(config);
+        report.merge(validate(program));
+        return report;
+      });
+  if (!batch) return batch.error();
+  PortfolioProgramResult& only = batch->programs.front();
   FlowResult result;
-
-  // 0. Memory-hierarchy annotation.  Runs before profiling so every stage
-  // downstream — hot-block costs, exploration merit, selection, replacement
-  // — prices the same modeled load/store latencies.  The input program is
-  // never mutated; with no cache model `annotated` stays empty and the
-  // legacy latencies (and digests) are untouched.
-  ProfiledProgram annotated;
-  const ProfiledProgram* active = &program;
-  if (config.cache) {
-    const runtime::StageTimer timer("cache_model");
-    annotated = program;
-    result.cache_stats = annotate_program(annotated, *config.cache);
-    result.cache_modeled = true;
-    active = &annotated;
-  }
-  const ProfiledProgram& prog = *active;
-
-  // 1. Profiling + hot-block selection.
-  {
-    const runtime::StageTimer timer("profiling");
-    const std::vector<BlockCost> costs =
-        profile_blocks(prog, config.machine);
-    result.hot_blocks =
-        select_hot_blocks(costs, config.hot_coverage, config.max_hot_blocks);
-  }
-
-  // 2. Exploration per hot block (best of `repeats`), fanned out over the
-  // runtime as one (block × repeat) batch.
-  isa::IsaFormat format;
-  format.reg_file = config.machine.reg_file;
-  format.max_ises = config.constraints.max_ises;
-
-  std::unique_ptr<runtime::ThreadPool> private_pool;
-  if (config.jobs > 0)
-    private_pool = std::make_unique<runtime::ThreadPool>(config.jobs);
-  runtime::ThreadPool& pool =
-      private_pool ? *private_pool : runtime::ThreadPool::default_pool();
-
-  Rng rng(config.seed);
-  std::vector<core::ExplorationResult> explorations;
-  {
-    const runtime::StageTimer timer("exploration");
-    if (config.algorithm == Algorithm::kMultiIssue) {
-      const core::MultiIssueExplorer explorer(config.machine, format, library,
-                                              config.params);
-      explorations = explore_hot_blocks(explorer, prog, result.hot_blocks,
-                                        config.repeats, rng, pool);
-    } else {
-      const baseline::SingleIssueExplorer explorer(format, library,
-                                                   config.params);
-      explorations = explore_hot_blocks(explorer, prog, result.hot_blocks,
-                                        config.repeats, rng, pool);
-    }
-  }
-
-  // 3. Merging + selection with hardware sharing.
-  {
-    const runtime::StageTimer timer("selection");
-    const std::vector<IseCatalogEntry> catalog =
-        build_catalog(prog, result.hot_blocks, explorations);
-    result.selection = select_ises(catalog, config.constraints);
-  }
-
-  // 4. Replacement and final scheduling.
-  {
-    const runtime::StageTimer timer("replacement");
-    result.replacement = apply_selection(prog, result.selection,
-                                         config.machine, config.replacement);
-  }
-  if (config.keep_explorations) result.explorations = std::move(explorations);
+  result.replacement = std::move(only.replacement);
+  result.selection = std::move(only.selection);
+  result.hot_blocks = std::move(only.hot_blocks);
+  result.explorations = std::move(only.explorations);
+  result.cache_modeled = batch->cache_modeled;
+  result.cache_stats = batch->cache_stats;
   return result;
 }
 

@@ -2,6 +2,11 @@
 // → ISE exploration (MI, the paper's algorithm, or SI, the legality-only
 // baseline) → merging + selection with hardware sharing → replacement and
 // final scheduling.
+//
+// run_design_flow is the portfolio pipeline (portfolio.hpp) on one program
+// at weight 1.0: it runs the shared stages — timed as `validation` (of this
+// program and config), `cache_model`, `profiling`, `exploration`,
+// `selection`, `replacement` — and unpacks the one program's result.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +32,14 @@ enum class Algorithm {
 
 struct FlowConfig {
   sched::MachineConfig machine = sched::MachineConfig::make(2, {4, 2});
+  /// Explorer tunables.  params.eval_cache is the run's one cache knob: set,
+  /// every evaluation memoizes through that cache (the server passes its
+  /// warm-started, persisted runtime::schedule_cache()); null, the run
+  /// memoizes through a private cache that lives for the run only.
   core::ExplorerParams params{};
   SelectionConstraints constraints{};
   ReplacementOptions replacement{};
   Algorithm algorithm = Algorithm::kMultiIssue;
-  /// ISA opcode budget (mirrors constraints.max_ises by default).
   int repeats = 5;  ///< §5.1: best of 5 explorations per block
   std::uint64_t seed = 1;
   double hot_coverage = 0.95;
@@ -46,10 +54,6 @@ struct FlowConfig {
   /// that exploration fans out onto the default pool.)  Results are
   /// identical at any value — see docs/RUNTIME.md.
   int jobs = 0;
-  /// Copy the per-hot-block exploration results into FlowResult.  Off by
-  /// default (they can be large); the portfolio bit-identity gates compare
-  /// them against run_portfolio_flow's per-program explorations.
-  bool keep_explorations = false;
   /// Memory-hierarchy cost model (docs/MEMORY.md).  When set, every block
   /// is annotated with simulated L1/L2 load/store latencies before
   /// profiling, so all downstream stages — exploration merit, selection,
@@ -63,8 +67,8 @@ struct FlowResult {
   SelectionResult selection;
   /// Blocks exploration actually ran on.
   std::vector<std::size_t> hot_blocks;
-  /// Per-hot-block exploration results (parallel to hot_blocks); populated
-  /// only when FlowConfig::keep_explorations is set.
+  /// Best-of-repeats exploration result per hot block (parallel to
+  /// hot_blocks).
   std::vector<core::ExplorationResult> explorations;
   /// True when FlowConfig::cache drove the run; `cache_stats` then holds the
   /// aggregate hit/miss counters of the per-block annotation simulations.

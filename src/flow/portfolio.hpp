@@ -1,36 +1,41 @@
-// Batched portfolio design flow: one ISE set for N programs under a shared
-// area budget (multi-application ASIP mode, Ragel et al. in PAPERS.md).
+// The design flow over a weighted manifest: one ISE set for N programs under
+// a shared area budget (multi-application ASIP mode, Ragel et al. in
+// PAPERS.md).  It is the flow's only pipeline — run_design_flow is the
+// one-row case at weight 1.0 — and runs these stages, each timed as a
+// `stage:<name>` span and stage_times() entry:
 //
-// run_portfolio_flow extends run_design_flow from one program to a weighted
-// manifest.  Three things change, none of them the per-program exploration
-// semantics:
-//
-//   * scheduling — every program's (hot block × repeat) exploration jobs are
-//     flattened into ONE batch on the shared runtime pool, so a program with
-//     a few small blocks no longer serializes the tail behind a big one.
-//     Each program's RNG streams are pre-split serially from Rng(seed) in
-//     exactly the order run_design_flow would derive them, so per-program
-//     exploration results are bit-identical to N independent flows at any
-//     --jobs width.
-//   * dedup — jobs whose (within-program job index, exact block digest) pair
-//     repeats across programs have identical inputs AND identical RNG
-//     streams, so they are explored once and the result is copied; below
-//     that, every program's candidate/schedule evaluations share one
-//     portfolio-scoped EvalCache (ExplorerParams::eval_cache), so identical
-//     candidate evaluations re-surfacing anywhere in the batch hit instead
-//     of re-scheduling.  The portfolio's dedup hit-rate is reported per run.
-//     Canonically isomorphic-but-renumbered blocks/candidates are *detected*
+//   * validation — each entry point's own checks of its inputs
+//     (flow::validate); a rejected input never reaches a later stage;
+//   * cache_model — with FlowConfig::cache set, every program is annotated
+//     with modelled load/store latencies before anything reads it;
+//   * profiling — per program, hot blocks by profiled cost;
+//   * exploration — every program's (hot block × repeat) jobs flattened into
+//     ONE batch on the pool (pool-profile section `flow.explore_hot_blocks`),
+//     so a program with a few small blocks never serializes the tail behind
+//     a big one.  Each program's RNG streams are pre-split from a fresh
+//     Rng(seed), so per-program results are bit-identical to a one-row run
+//     at any --jobs width.  Jobs whose (within-program job index, exact
+//     block digest) pair repeats across programs have identical inputs AND
+//     identical streams, so they are explored once and the result is copied.
+//     Below that, every evaluation memoizes through one EvalCache:
+//     FlowConfig::params.eval_cache when set (the server passes its
+//     warm-started process cache), else a private per-run cache, which keeps
+//     the reported hit-rate attributable to this run.  Canonically
+//     isomorphic-but-renumbered blocks/candidates are *detected*
 //     (canonical_graph_digest telemetry) but never share cached makespans:
 //     the list scheduler breaks ties by node id, so only exact keys may
-//     carry values (docs/PORTFOLIO.md).
-//   * selection — the per-program catalogs merge into one weighted greedy
-//     selection under the shared SelectionConstraints: rank by
-//     benefit × weight, share ASFUs across programs via classify_merge, and
-//     break ties by (weighted benefit desc, area asc, program/block/position
-//     asc) — serial and index-ordered, bit-identical at any thread count.
+//     carry values (docs/PORTFOLIO.md);
+//   * selection — the per-program catalogs merge into the one weighted
+//     greedy (select_greedy, selection.hpp) under the shared constraints:
+//     rank by benefit × weight, share ASFUs across programs via
+//     classify_merge, break ties by (weighted benefit desc, area asc,
+//     program/block/position asc) — serial and index-ordered, bit-identical
+//     at any thread count;
+//   * replacement — per program, under its slice of the shared selection.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "flow/design_flow.hpp"
@@ -47,20 +52,11 @@ struct PortfolioEntry {
 };
 
 struct PortfolioConfig {
-  /// Shared per-program flow settings (machine, explorer params, repeats,
-  /// seed, hot-block policy) and the *shared* selection constraints: the
-  /// area budget / type budget apply to the whole portfolio, not per
-  /// program.  base.keep_explorations is ignored — the portfolio result
-  /// always carries per-program explorations (the identity-gate currency).
+  /// Shared per-program flow settings (machine, explorer params and eval
+  /// cache, repeats, seed, hot-block policy) and the *shared* selection
+  /// constraints: the area budget / type budget apply to the whole
+  /// portfolio, not per program.
   FlowConfig base;
-  /// Entry budget of the portfolio-scoped eval cache (ignored when
-  /// eval_cache is set).
-  std::size_t cache_capacity = 1 << 18;
-  /// External cache override: the server points this at the warm-started
-  /// process cache so portfolio evaluations persist across jobs and
-  /// restarts.  Null (default) creates a private per-run cache, which keeps
-  /// the reported dedup hit-rate attributable to this portfolio alone.
-  runtime::EvalCache* eval_cache = nullptr;
 };
 
 /// One selected ISE in portfolio coordinates.
@@ -87,7 +83,7 @@ struct PortfolioProgramResult {
   double weight = 1.0;
   std::vector<std::size_t> hot_blocks;
   /// Best-of-repeats exploration per hot block — bit-identical to what an
-  /// independent run_design_flow(seed) would produce for this program.
+  /// independent run_design_flow(seed) produces for this program.
   std::vector<core::ExplorationResult> explorations;
   /// This program's slice of the shared selection (type ids stay global).
   SelectionResult selection;
@@ -110,8 +106,8 @@ struct PortfolioResult {
   PortfolioSelection selection;
 
   // --- batch-level telemetry ---
-  /// Candidate/schedule evaluation dedup over the portfolio-scoped cache
-  /// (delta over this run when an external cache was supplied).
+  /// Candidate/schedule evaluation dedup over the run's eval cache (the
+  /// delta over this run when base.params.eval_cache was supplied).
   runtime::CacheStats eval_cache_stats;
   /// (hot block × repeat) jobs in the flat batch, before job-level dedup.
   std::uint64_t total_jobs = 0;
@@ -149,12 +145,29 @@ struct PortfolioCatalogEntry {
   double weighted_benefit = 0.0;
 };
 
-/// Deterministic weighted greedy selection under shared constraints, with
+/// select_greedy (selection.hpp) over a merged weighted catalog, with
 /// cross-program ASFU sharing.  Catalog entries must be grouped per
 /// (program, block) in commit-position order (build order guarantees it).
 PortfolioSelection select_portfolio_ises(
     const std::vector<PortfolioCatalogEntry>& catalog,
     const SelectionConstraints& constraints);
+
+/// A manifest row by reference: the stages read the caller's program in
+/// place.
+struct ProgramRow {
+  const ProfiledProgram* program = nullptr;
+  double weight = 1.0;
+};
+
+/// The flow's stages over `rows`.  The first, `validation`, runs
+/// `validate_inputs` — each entry point checks its own inputs, with its own
+/// messages — and returns its first error before any other stage touches
+/// the rows.  run_design_flow_checked and run_portfolio_flow_checked are
+/// this function with their validators.
+Expected<PortfolioResult> run_flow_stages(
+    const std::vector<ProgramRow>& rows, const hw::HwLibrary& library,
+    const FlowConfig& config,
+    const std::function<ValidationReport()>& validate_inputs);
 
 /// Runs the portfolio flow.  Deterministic in config.base.seed; results are
 /// never a function of the thread count.  Throws isex::ValidationException
@@ -163,7 +176,9 @@ PortfolioResult run_portfolio_flow(const std::vector<PortfolioEntry>& entries,
                                    const hw::HwLibrary& library,
                                    const PortfolioConfig& config);
 
-/// Non-throwing boundary (service and CLI callers).
+/// Non-throwing boundary (service and CLI callers).  The only emitter of the
+/// isex_portfolio_* metrics, so a one-program run_design_flow never bumps
+/// them.
 Expected<PortfolioResult> run_portfolio_flow_checked(
     const std::vector<PortfolioEntry>& entries, const hw::HwLibrary& library,
     const PortfolioConfig& config);

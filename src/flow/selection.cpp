@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "flow/merging.hpp"
 #include "util/assert.hpp"
@@ -40,72 +41,98 @@ std::vector<IseCatalogEntry> build_catalog(
   return catalog;
 }
 
-SelectionResult select_ises(const std::vector<IseCatalogEntry>& catalog,
-                            const SelectionConstraints& constraints) {
-  SelectionResult result;
+GreedySelection select_greedy(const std::vector<RankedCandidate>& candidates,
+                              const SelectionConstraints& constraints) {
+  GreedySelection result;
 
-  // Per-block cursor enforcing prefix order, and a done flag set once a
-  // block's head cannot be afforded (everything after is unreachable).
-  std::map<std::size_t, std::size_t> next_position;
-  std::map<std::size_t, bool> block_done;
-  for (const IseCatalogEntry& e : catalog) {
-    next_position.try_emplace(e.block_index, 0);
-    block_done.try_emplace(e.block_index, false);
+  // Prefix cursor / retirement flag per (program, block): a block's
+  // gain_cycles were measured with its earlier commits in place, so its
+  // candidates stay in commit order; an unaffordable head retires the block
+  // (everything after it is unreachable).
+  using BlockKey = std::pair<std::size_t, std::size_t>;
+  std::map<BlockKey, std::size_t> next_position;
+  std::map<BlockKey, bool> block_done;
+  for (const RankedCandidate& c : candidates) {
+    const BlockKey key{c.program_index, c.entry->block_index};
+    next_position.try_emplace(key, 0);
+    block_done.try_emplace(key, false);
   }
 
   // Representative pattern per selected type for sharing/merging checks.
   std::vector<const dfg::Graph*> type_patterns;
-  std::vector<double> type_area;
 
   for (;;) {
-    // Gather current heads.
-    const IseCatalogEntry* best = nullptr;
-    for (const IseCatalogEntry& e : catalog) {
-      if (block_done[e.block_index]) continue;
-      if (e.position != next_position[e.block_index]) continue;
-      if (e.benefit == 0) continue;
-      if (best == nullptr || e.benefit > best->benefit ||
-          (e.benefit == best->benefit && e.ise.eval.area < best->ise.eval.area)) {
-        best = &e;
+    // Head scan in candidate order, replacing the incumbent only on strict
+    // improvement, so full ties resolve to the earliest candidate.
+    std::size_t best = candidates.size();
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const RankedCandidate& c = candidates[i];
+      const BlockKey key{c.program_index, c.entry->block_index};
+      if (block_done[key]) continue;
+      if (c.entry->position != next_position[key]) continue;
+      if (!(c.weighted_benefit > 0.0)) continue;
+      if (best == candidates.size() ||
+          c.weighted_benefit > candidates[best].weighted_benefit ||
+          (c.weighted_benefit == candidates[best].weighted_benefit &&
+           c.entry->ise.eval.area < candidates[best].entry->ise.eval.area)) {
+        best = i;
       }
     }
-    if (best == nullptr) break;
+    if (best == candidates.size()) break;
+    const IseCatalogEntry& head = *candidates[best].entry;
 
-    // Sharing/merging: find an existing type this pattern folds into.
+    // Sharing/merging: a pattern isomorphic to (or a subgraph of) any
+    // selected type's pattern reuses that ASFU for free, whichever program
+    // first paid for it.
     int share_type = -1;
     for (std::size_t t = 0; t < type_patterns.size() && share_type < 0; ++t) {
-      const MergeRelation rel = classify_merge(best->pattern, *type_patterns[t]);
+      const MergeRelation rel = classify_merge(head.pattern, *type_patterns[t]);
       if (rel == MergeRelation::kEqual || rel == MergeRelation::kIntoOther)
         share_type = static_cast<int>(t);
     }
 
-    const double charge = share_type >= 0 ? 0.0 : best->ise.eval.area;
+    const double charge = share_type >= 0 ? 0.0 : head.ise.eval.area;
     const bool needs_new_type = share_type < 0;
     const bool area_ok = result.total_area + charge <= constraints.area_budget;
     const bool type_ok =
         !needs_new_type || result.num_types < constraints.max_ises;
 
+    const BlockKey key{candidates[best].program_index, head.block_index};
     if (!area_ok || !type_ok) {
-      // The head is unaffordable; later candidates of this block are gated
-      // on it, so retire the whole block.
-      block_done[best->block_index] = true;
+      block_done[key] = true;
       continue;
     }
 
-    SelectedIse sel;
-    sel.entry = *best;
+    GreedyPick pick;
+    pick.candidate = best;
     if (needs_new_type) {
-      sel.type_id = result.num_types++;
-      type_patterns.push_back(&best->pattern);
-      type_area.push_back(best->ise.eval.area);
+      pick.type_id = result.num_types++;
+      type_patterns.push_back(&head.pattern);
       result.total_area += charge;
     } else {
-      sel.type_id = share_type;
-      sel.hardware_shared = true;
+      pick.type_id = share_type;
+      pick.hardware_shared = true;
     }
-    result.selected.push_back(std::move(sel));
-    next_position[best->block_index] += 1;
+    result.picks.push_back(pick);
+    next_position[key] += 1;
   }
+  return result;
+}
+
+SelectionResult select_ises(const std::vector<IseCatalogEntry>& catalog,
+                            const SelectionConstraints& constraints) {
+  std::vector<RankedCandidate> candidates;
+  candidates.reserve(catalog.size());
+  for (const IseCatalogEntry& e : catalog)
+    candidates.push_back({0, &e, static_cast<double>(e.benefit)});
+  const GreedySelection greedy = select_greedy(candidates, constraints);
+
+  SelectionResult result;
+  result.total_area = greedy.total_area;
+  result.num_types = greedy.num_types;
+  for (const GreedyPick& pick : greedy.picks)
+    result.selected.push_back(SelectedIse{*candidates[pick.candidate].entry,
+                                          pick.type_id, pick.hardware_shared});
   return result;
 }
 

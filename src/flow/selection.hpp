@@ -10,6 +10,12 @@
 // Candidates within one block must be selected in commit order — each
 // gain_cycles was measured with the previous ISEs already in place — so
 // selection walks per-block prefixes.
+//
+// There is one greedy, select_greedy, over candidates from any number of
+// programs, each ranked by benefit × its program's weight (the portfolio
+// case, portfolio.hpp).  select_ises is its one-program instance at weight
+// 1.0.  It ranks double(benefit), which orders exactly like the integer
+// benefit while benefits stay below 2^53.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +69,40 @@ std::vector<IseCatalogEntry> build_catalog(
     const std::vector<std::size_t>& block_indices,
     const std::vector<core::ExplorationResult>& results);
 
-/// Greedy selection under `constraints`.
+/// A catalog entry as the greedy ranks it: the program it belongs to and
+/// its benefit scaled by that program's weight.  The entry is borrowed.
+struct RankedCandidate {
+  std::size_t program_index = 0;
+  const IseCatalogEntry* entry = nullptr;
+  double weighted_benefit = 0.0;
+};
+
+/// One selection, in selection order.
+struct GreedyPick {
+  /// Index into the candidate list.
+  std::size_t candidate = 0;
+  /// ASFU equivalence class, shared by every program.
+  int type_id = 0;
+  /// True when this pick reuses an ASFU an earlier pick paid for.
+  bool hardware_shared = false;
+};
+
+struct GreedySelection {
+  std::vector<GreedyPick> picks;
+  double total_area = 0.0;
+  int num_types = 0;
+};
+
+/// The selection greedy under `constraints`.  Candidates must be grouped
+/// per (program, block) in commit-position order, as build_catalog emits
+/// them.  Each step takes the block head with the highest weighted benefit
+/// (ties: the smaller ASFU, then the earlier candidate); a head that cannot
+/// be afforded retires its block instead.  Serial and index-ordered, so the
+/// result never depends on the thread count.
+GreedySelection select_greedy(const std::vector<RankedCandidate>& candidates,
+                              const SelectionConstraints& constraints);
+
+/// select_greedy over one program's catalog at weight 1.0.
 SelectionResult select_ises(const std::vector<IseCatalogEntry>& catalog,
                             const SelectionConstraints& constraints);
 

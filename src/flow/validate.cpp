@@ -92,13 +92,4 @@ ValidationReport validate(const std::vector<PortfolioEntry>& entries) {
   return report;
 }
 
-ValidationReport validate(const PortfolioConfig& config) {
-  ValidationReport report = validate(config.base);
-  if (config.eval_cache == nullptr && config.cache_capacity < 1)
-    report.add(ErrorCode::kFlowParamsInvalid,
-               "portfolio cache_capacity must be >= 1 (or supply an external "
-               "eval_cache)");
-  return report;
-}
-
 }  // namespace isex::flow

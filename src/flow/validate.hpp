@@ -30,10 +30,8 @@ ValidationReport validate(const FlowConfig& config);
 
 /// Portfolio manifest: at least one entry; every program passes
 /// validate(ProfiledProgram) (issues re-reported with the program named);
-/// every weight is finite and > 0.
+/// every weight is finite and > 0.  A portfolio's config is its base
+/// FlowConfig.
 ValidationReport validate(const std::vector<PortfolioEntry>& entries);
-/// Portfolio config: the shared base FlowConfig plus the portfolio-scoped
-/// cache budget.
-ValidationReport validate(const PortfolioConfig& config);
 
 }  // namespace isex::flow

@@ -1,27 +1,24 @@
 // Deterministic job fan-out over a ThreadPool.
 //
-// Two layers:
+// Stochastic jobs are parallelized by (1) deriving one child RNG stream per
+// job *serially on the calling thread*, in exactly the order the serial code
+// would have called rng.split(), then (2) running the jobs concurrently in
+// any order, and (3) collecting results by job index.  Because each job
+// touches only its own pre-derived stream and its own result slot, the
+// output — and the caller's RNG end state — is bit-identical to the serial
+// loop at any thread count.
 //
-//   * deterministic_fanout() — the contract the exploration pipeline relies
-//     on.  Stochastic jobs are parallelized by (1) deriving one child RNG
-//     stream per job *serially on the calling thread*, in exactly the order
-//     the serial code would have called rng.split(), then (2) running the
-//     jobs concurrently in any order, and (3) collecting results by job
-//     index.  Because each job touches only its own pre-derived stream and
-//     its own result slot, the output — and the caller's RNG end state — is
-//     bit-identical to the serial loop at any thread count.
-//
-//   * JobGraph — explicit dependencies between named jobs, executed in
-//     topological waves on a pool.  A job whose prerequisite failed is
-//     skipped; run() rethrows the first failure after the graph drains.
-//     Used by sweep harnesses whose reduce steps consume many explore jobs.
+// deterministic_fanout() does all three from one parent Rng;
+// fanout_streams() runs steps (2) and (3) over streams the caller derived
+// itself (the design flow pre-splits one Rng(seed) per program and dedups
+// identical jobs before the fan-out).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "runtime/pool_profile.hpp"
@@ -30,29 +27,23 @@
 
 namespace isex::runtime {
 
-/// Runs fn(i, stream_i) for i in [0, n) on `pool` and returns the results in
-/// index order.  stream_i is the i-th child of `rng` exactly as n serial
-/// rng.split() calls would produce (and `rng` advances identically).
+/// Runs fn(i, stream) for i in [0, streams.size()) on `pool`, each call on a
+/// private copy of streams[i], and returns the results in index order.
 ///
 /// When `pool` has profiling on, the fan-out is measured as one parallel
-/// section under `section` (serial stream-derivation time vs parallel wall
-/// time vs per-task body durations — the Amdahl attribution in
-/// pool_profile.hpp).  Instrumentation never touches `rng` or the streams,
-/// so results stay bit-identical whether profiling is on or off.
+/// section under `section`: `serial_ns` of setup the caller did on its own
+/// thread before the fan-out, the parallel wall time, and the per-task body
+/// durations (the Amdahl attribution in pool_profile.hpp).  Instrumentation
+/// never touches the streams, so results stay bit-identical whether
+/// profiling is on or off.
 template <typename Fn>
-auto deterministic_fanout(ThreadPool& pool, Rng& rng, std::size_t n, Fn fn,
-                          const char* section = "fanout")
+auto fanout_streams(ThreadPool& pool, const std::vector<Rng>& streams, Fn fn,
+                    const char* section, std::uint64_t serial_ns)
     -> std::vector<std::invoke_result_t<Fn&, std::size_t, Rng&>> {
   using R = std::invoke_result_t<Fn&, std::size_t, Rng&>;
   using Clock = std::chrono::steady_clock;
   const bool profiled = pool.profiling();
-
-  const auto serial_start = Clock::now();
-  std::vector<Rng> streams = rng.split_n(n);
-  const auto serial_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           serial_start)
-          .count());
+  const std::size_t n = streams.size();
 
   std::vector<R> results(n);
   std::atomic<std::uint64_t> task_ns_sum{0};
@@ -88,46 +79,21 @@ auto deterministic_fanout(ThreadPool& pool, Rng& rng, std::size_t n, Fn fn,
   return results;
 }
 
-class JobGraph {
- public:
-  using JobId = std::size_t;
-
-  enum class State : std::uint8_t {
-    kPending,
-    kDone,
-    kFailed,
-    kSkipped,  ///< a prerequisite failed or was itself skipped
-  };
-
-  /// Adds a job; `name` only matters for error reporting.
-  JobId add(std::string name, std::function<void()> fn);
-
-  /// Declares that `job` must not start before `prerequisite` finished.
-  void add_dependency(JobId job, JobId prerequisite);
-
-  /// Executes the graph.  Jobs with no unfinished prerequisites run
-  /// concurrently on `pool`; called from inside a task of any pool (or with
-  /// an empty graph/pool) execution falls back to serial topological order
-  /// (ThreadPool::running_task(), the rule parallel_for follows).  After
-  /// the graph drains, the first failure is rethrown.  Single-shot: a graph
-  /// cannot be run twice.
-  void run(ThreadPool& pool);
-
-  std::size_t size() const { return jobs_.size(); }
-  State state(JobId id) const { return jobs_[id].state; }
-  const std::string& name(JobId id) const { return jobs_[id].name; }
-
- private:
-  struct Job {
-    std::string name;
-    std::function<void()> fn;
-    std::vector<JobId> successors;
-    int prerequisites = 0;
-    State state = State::kPending;
-  };
-
-  std::vector<Job> jobs_;
-  bool ran_ = false;
-};
+/// Runs fn(i, stream_i) for i in [0, n) on `pool` and returns the results in
+/// index order.  stream_i is the i-th child of `rng` exactly as n serial
+/// rng.split() calls would produce (and `rng` advances identically).  The
+/// stream derivation is the section's serial time (fanout_streams).
+template <typename Fn>
+auto deterministic_fanout(ThreadPool& pool, Rng& rng, std::size_t n, Fn fn,
+                          const char* section = "fanout")
+    -> std::vector<std::invoke_result_t<Fn&, std::size_t, Rng&>> {
+  const auto serial_start = std::chrono::steady_clock::now();
+  const std::vector<Rng> streams = rng.split_n(n);
+  const auto serial_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - serial_start)
+          .count());
+  return fanout_streams(pool, streams, std::move(fn), section, serial_ns);
+}
 
 }  // namespace isex::runtime

@@ -11,7 +11,7 @@ namespace isex::runtime {
 namespace {
 
 /// Process-wide parallel-section registry.  Fan-outs are coarse (one entry
-/// per deterministic_fanout invocation, not per task), so a single mutex
+/// per fan-out invocation, not per task), so a single mutex
 /// over a small vector is plenty.
 struct SectionRegistry {
   std::mutex mutex;

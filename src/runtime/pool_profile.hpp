@@ -10,8 +10,8 @@
 //   * a task-duration histogram (fixed log-spaced microsecond buckets) fed
 //     live into MetricsRegistry as `isex_pool_task_seconds` and snapshotted
 //     into the PoolProfile artifact;
-//   * per-parallel-section Amdahl attribution: deterministic_fanout()
-//     measures the serial stream-derivation time, the parallel-region wall
+//   * per-parallel-section Amdahl attribution: the job_graph.hpp fan-outs
+//     measure the serial stream-derivation time, the parallel-region wall
 //     time, and the sum/max of task body durations for each labelled
 //     section, so a report can say "section X is 34% serial" or "section Y
 //     loses 2.1x to load imbalance" from numbers, not guesses.
@@ -111,8 +111,8 @@ struct PoolProfile {
 PoolProfile collect_pool_profile(const ThreadPool& pool);
 
 /// Merges one parallel-section invocation into the process-wide registry
-/// (keyed by name).  Called by deterministic_fanout() when the pool is
-/// profiling; durations in nanoseconds.
+/// (keyed by name).  Called by fanout_streams() (job_graph.hpp) when the
+/// pool is profiling; durations in nanoseconds.
 void record_parallel_section(const char* name, std::uint64_t serial_ns,
                              std::uint64_t wall_ns, std::uint64_t tasks,
                              std::uint64_t task_ns_sum,

@@ -86,7 +86,7 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& body);
 
   /// True while the calling thread runs a task of any ThreadPool.  A
-  /// parallel_for or JobGraph::run issued then runs inline.
+  /// parallel_for issued then runs inline.
   static bool running_task();
 
   PoolStats stats() const;

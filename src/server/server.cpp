@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <sstream>
 #include <utility>
@@ -494,13 +495,30 @@ std::string Server::process_line(const std::string& line) {
   }
   result_misses_->inc();
 
-  // Miss: run the design flow on a worker, result delivered via future.
+  // Miss: run the design flow on a worker.  Evaluations memoize through the
+  // warm-started process cache — and via its persist sink, the disk log.
   flow::ProfiledProgram program;
   program.name = request.id.empty() ? "job" : request.id;
   program.blocks.push_back(
       flow::ProfiledBlock{"kernel", std::move(block->graph), 1});
-  const flow::FlowConfig config = flow_config_for(request);
+  flow::FlowConfig config = flow_config_for(request);
+  config.params.eval_cache = &runtime::schedule_cache();
+  std::string root_span = "job:" + program.name;
+  return run_miss(
+      request, signature, std::move(root_span), timings, received_us,
+      [program = std::move(program), config]() -> Expected<std::string> {
+        Expected<flow::FlowResult> result = flow::run_design_flow_checked(
+            program, hw::HwLibrary::paper_default(), config);
+        if (!result) return result.error();
+        return render_result_fragment(*result);
+      });
+}
 
+std::string Server::run_miss(const JobRequest& request,
+                             const runtime::Key128& signature,
+                             std::string root_span_name, JobTimings timings,
+                             std::uint64_t received_us,
+                             std::function<Expected<std::string>()> compute) {
   // Trace identity: one trace id per job, with a root span covering
   // admission → completion.  Everything recorded while the worker runs the
   // flow (stage spans, fanned-out pool tasks) nests under this root via the
@@ -523,9 +541,10 @@ std::string Server::process_line(const std::string& line) {
   auto worker_times = std::make_shared<std::pair<std::uint64_t, std::uint64_t>>();
   QueuedJob job;
   job.priority = request.priority;
-  job.run = [this, promise, cache, signature, program = std::move(program),
-             config, inflight_key, trace_id, root_span, root_ts_us,
-             enqueued_us, worker_times]() mutable {
+  job.run = [this, promise, cache, signature,
+             root_span_name = std::move(root_span_name),
+             compute = std::move(compute), inflight_key, trace_id, root_span,
+             root_ts_us, enqueued_us, worker_times]() {
     const std::uint64_t popped_us = uptime_us();
     worker_times->first = popped_us - enqueued_us;  // queue wait
     queue_wait_->observe(static_cast<double>(worker_times->first) * 1e-6);
@@ -541,19 +560,13 @@ std::string Server::process_line(const std::string& line) {
     {
       const trace::ContextScope scope(
           trace::TraceContext{trace_id, root_span});
-      Expected<flow::FlowResult> result = flow::run_design_flow_checked(
-          program, hw::HwLibrary::paper_default(), config);
+      Expected<std::string> fragment = compute();
       worker_times->second = uptime_us() - popped_us;  // explore
-      if (!result) {
-        promise->set_value(result.error());
-      } else {
-        std::string fragment = render_result_fragment(*result);
-        cache->put_blob(signature, fragment);
-        promise->set_value(std::move(fragment));
-      }
+      if (fragment) cache->put_blob(signature, *fragment);
+      promise->set_value(std::move(fragment));
     }
     if (trace_id != 0) {
-      tracer.record_span("job:" + program.name, root_ts_us,
+      tracer.record_span(root_span_name, root_ts_us,
                          tracer.now_us() - root_ts_us, trace_id, root_span,
                          /*parent_id=*/0);
     }
@@ -637,91 +650,17 @@ std::string Server::process_portfolio(const JobRequest& request,
 
   flow::PortfolioConfig config = portfolio_config_for(request);
   // Evaluations memoize through the warm-started process cache — and via
-  // its persist sink, the disk log — so a portfolio's schedule evaluations
-  // survive restarts exactly like single-kernel jobs'.
-  config.eval_cache = &runtime::schedule_cache();
-
-  trace::Tracer& tracer = trace::Tracer::global();
-  const bool traced = tracer.enabled();
-  const std::uint64_t trace_id = traced ? trace::mint_trace_id() : 0;
-  const std::uint64_t root_span = traced ? trace::mint_span_id() : 0;
-  const std::uint64_t root_ts_us = traced ? tracer.now_us() : 0;
-
-  const std::uint64_t inflight_key =
-      register_inflight(request.id, request.priority);
-  const std::uint64_t enqueued_us = uptime_us();
-
-  auto promise = std::make_shared<std::promise<Expected<std::string>>>();
-  std::future<Expected<std::string>> future = promise->get_future();
-  runtime::PersistentEvalCache* cache = cache_.get();
-  auto worker_times = std::make_shared<std::pair<std::uint64_t, std::uint64_t>>();
-  QueuedJob job;
-  job.priority = request.priority;
-  job.run = [this, promise, cache, signature, entries = std::move(entries),
-             config, inflight_key, trace_id, root_span, root_ts_us,
-             enqueued_us, worker_times]() mutable {
-    const std::uint64_t popped_us = uptime_us();
-    worker_times->first = popped_us - enqueued_us;  // queue wait
-    queue_wait_->observe(static_cast<double>(worker_times->first) * 1e-6);
-    mark_inflight_exploring(inflight_key);
-    trace::Tracer& tracer = trace::Tracer::global();
-    if (trace_id != 0) {
-      tracer.record_span("job.queue_wait", root_ts_us,
-                         tracer.now_us() - root_ts_us, trace_id,
-                         trace::mint_span_id(), root_span);
-    }
-    {
-      const trace::ContextScope scope(
-          trace::TraceContext{trace_id, root_span});
-      Expected<flow::PortfolioResult> result = flow::run_portfolio_flow_checked(
-          entries, hw::HwLibrary::paper_default(), config);
-      worker_times->second = uptime_us() - popped_us;  // explore
-      if (!result) {
-        promise->set_value(result.error());
-      } else {
-        std::string fragment = render_portfolio_fragment(*result);
-        cache->put_blob(signature, fragment);
-        promise->set_value(std::move(fragment));
-      }
-    }
-    if (trace_id != 0) {
-      tracer.record_span("job:portfolio", root_ts_us,
-                         tracer.now_us() - root_ts_us, trace_id, root_span,
-                         /*parent_id=*/0);
-    }
-  };
-
-  switch (queue_.push(std::move(job))) {
-    case JobQueue::PushResult::kAccepted: break;
-    case JobQueue::PushResult::kFull:
-      unregister_inflight(inflight_key);
-      jobs_rejected_full_->inc();
-      return render_error_response(
-          request.id,
-          Error(ErrorCode::kServerQueueFull,
-                "admission queue is full (" +
-                    std::to_string(queue_.capacity()) + " pending)"));
-    case JobQueue::PushResult::kClosed:
-      unregister_inflight(inflight_key);
-      jobs_rejected_draining_->inc();
-      return render_error_response(
-          request.id, Error(ErrorCode::kServerShuttingDown,
-                            "server is draining; resubmit elsewhere"));
-  }
-  jobs_accepted_->inc();
-
-  Expected<std::string> outcome = future.get();
-  unregister_inflight(inflight_key);
-  timings.queue_wait_us = worker_times->first;
-  timings.explore_us = worker_times->second;
-  timings.total_us = uptime_us() - received_us;
-  job_latency_->observe(static_cast<double>(timings.total_us) * 1e-6);
-  if (!outcome) {
-    jobs_failed_->inc();
-    return render_error_response(request.id, outcome.error());
-  }
-  jobs_completed_->inc();
-  return render_response(request.id, /*cache_hit=*/false, timings, *outcome);
+  // its persist sink, the disk log — exactly like single-kernel jobs'.
+  config.base.params.eval_cache = &runtime::schedule_cache();
+  return run_miss(
+      request, signature, "job:portfolio", timings, received_us,
+      [entries = std::move(entries), config]() -> Expected<std::string> {
+        Expected<flow::PortfolioResult> result =
+            flow::run_portfolio_flow_checked(
+                entries, hw::HwLibrary::paper_default(), config);
+        if (!result) return result.error();
+        return render_portfolio_fragment(*result);
+      });
 }
 
 }  // namespace isex::server

@@ -32,6 +32,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -122,6 +123,17 @@ class Server {
   /// cache (so they persist like single-kernel jobs').
   std::string process_portfolio(const JobRequest& request,
                                 std::uint64_t received_us);
+
+  /// The miss path of both job kinds: registers the job in flight, queues
+  /// `compute` (run the flow, render the result fragment) for a worker
+  /// under a trace root span named `root_span_name`, persists the fragment
+  /// under `signature`, waits for it and renders the response.  `timings`
+  /// carries what the connection thread measured so far.
+  std::string run_miss(const JobRequest& request,
+                       const runtime::Key128& signature,
+                       std::string root_span_name, JobTimings timings,
+                       std::uint64_t received_us,
+                       std::function<Expected<std::string>()> compute);
 
   /// Microseconds since construction (the clock /statusz ages and the
   /// per-job timings are measured on; monotonic, tracer-independent).

@@ -87,12 +87,10 @@ TEST(PortfolioFlowTest, MatchesIndependentFlows) {
       flow::run_portfolio_flow(entries, lib, portfolio_config());
   ASSERT_EQ(portfolio.programs.size(), entries.size());
 
-  flow::FlowConfig independent = base_config();
-  independent.keep_explorations = true;
   for (std::size_t p = 0; p < entries.size(); ++p) {
     SCOPED_TRACE(entries[p].program.name);
     const flow::FlowResult reference =
-        flow::run_design_flow(entries[p].program, lib, independent);
+        flow::run_design_flow(entries[p].program, lib, base_config());
     EXPECT_EQ(portfolio.programs[p].hot_blocks, reference.hot_blocks);
     expect_same_explorations(portfolio.programs[p].explorations,
                              reference.explorations);
@@ -303,17 +301,6 @@ TEST(PortfolioValidationTest, NonFiniteWeightIsRejected) {
   const ValidationReport report = flow::validate(entries);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.first_error().code(), ErrorCode::kFlowParamsInvalid);
-}
-
-TEST(PortfolioValidationTest, ZeroCacheCapacityIsRejected) {
-  std::vector<flow::PortfolioEntry> entries;
-  entries.push_back(entry_for(Benchmark::kCrc32, 1.0));
-  flow::PortfolioConfig config = portfolio_config();
-  config.cache_capacity = 0;
-  const Expected<flow::PortfolioResult> r = flow::run_portfolio_flow_checked(
-      entries, hw::HwLibrary::paper_default(), config);
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code(), ErrorCode::kFlowParamsInvalid);
 }
 
 // ---------------------------------------------------------------------------

@@ -306,73 +306,6 @@ TEST(ThreadPool, PoolProfileJsonHasWorkersHistogramAndSections) {
   reset_parallel_sections();
 }
 
-// -------------------------------------------------------------------- JobGraph
-
-TEST(JobGraph, RespectsDependencies) {
-  ThreadPool pool(4);
-  JobGraph graph;
-  std::atomic<int> step{0};
-  int at_a = -1, at_b = -1, at_c = -1;
-  const auto a = graph.add("a", [&]() { at_a = step++; });
-  const auto b = graph.add("b", [&]() { at_b = step++; });
-  const auto c = graph.add("c", [&]() { at_c = step++; });
-  graph.add_dependency(b, a);  // a -> b -> c
-  graph.add_dependency(c, b);
-  graph.run(pool);
-  EXPECT_LT(at_a, at_b);
-  EXPECT_LT(at_b, at_c);
-  EXPECT_EQ(graph.state(a), JobGraph::State::kDone);
-  EXPECT_EQ(graph.state(c), JobGraph::State::kDone);
-}
-
-TEST(JobGraph, DiamondReduceSeesAllInputs) {
-  ThreadPool pool(4);
-  JobGraph graph;
-  std::vector<int> values(4, 0);
-  int sum = 0;
-  const auto src = graph.add("src", [&]() { values[0] = 1; });
-  const auto left = graph.add("left", [&]() { values[1] = values[0] * 10; });
-  const auto right = graph.add("right", [&]() { values[2] = values[0] * 100; });
-  const auto reduce =
-      graph.add("reduce", [&]() { sum = values[1] + values[2]; });
-  graph.add_dependency(left, src);
-  graph.add_dependency(right, src);
-  graph.add_dependency(reduce, left);
-  graph.add_dependency(reduce, right);
-  graph.run(pool);
-  EXPECT_EQ(sum, 110);
-}
-
-TEST(JobGraph, FailureSkipsDependentsAndRethrows) {
-  ThreadPool pool(2);
-  JobGraph graph;
-  bool downstream_ran = false;
-  bool independent_ran = false;
-  const auto bad =
-      graph.add("bad", []() { throw std::runtime_error("exploded"); });
-  const auto downstream =
-      graph.add("downstream", [&]() { downstream_ran = true; });
-  const auto independent =
-      graph.add("independent", [&]() { independent_ran = true; });
-  graph.add_dependency(downstream, bad);
-  EXPECT_THROW(graph.run(pool), std::runtime_error);
-  EXPECT_FALSE(downstream_ran);
-  EXPECT_TRUE(independent_ran);
-  EXPECT_EQ(graph.state(bad), JobGraph::State::kFailed);
-  EXPECT_EQ(graph.state(downstream), JobGraph::State::kSkipped);
-  EXPECT_EQ(graph.state(independent), JobGraph::State::kDone);
-}
-
-TEST(JobGraph, CycleIsRejected) {
-  ThreadPool pool(2);
-  JobGraph graph;
-  const auto a = graph.add("a", []() {});
-  const auto b = graph.add("b", []() {});
-  graph.add_dependency(a, b);
-  graph.add_dependency(b, a);
-  EXPECT_THROW(graph.run(pool), std::logic_error);
-}
-
 // ------------------------------------------------------------------ EvalCache
 
 TEST(EvalCache, HitAndMissCountersAreExact) {

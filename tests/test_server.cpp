@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include "isa/tac_parser.hpp"
+#include "runtime/eval_cache.hpp"
 #include "server/job_queue.hpp"
 #include "server/protocol.hpp"
 
@@ -332,10 +333,16 @@ TEST(Server, RepeatSubmissionIsABitIdenticalCacheHit) {
   Server server(options);
   ASSERT_TRUE(server.start().has_value());
 
+  // A kernel miss memoizes through the process cache, the one the persist
+  // sink writes through: emptied first, it must gain fresh insertions.
+  runtime::EvalCache& process = runtime::schedule_cache();
+  process.clear();
+  const std::uint64_t insertions_before = process.stats().insertions;
   const std::string first =
       server.process_line(job_line(kBlendKernel, "first"));
   ASSERT_NE(first.find("\"ok\":true"), std::string::npos) << first;
   EXPECT_NE(first.find("\"cache_hit\":false"), std::string::npos);
+  EXPECT_GT(process.stats().insertions, insertions_before);
   const std::string digest = extract_field(first, "result_digest");
   ASSERT_FALSE(digest.empty());
 

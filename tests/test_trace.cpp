@@ -1,7 +1,7 @@
 // Tests for the observability layer: Tracer/Span event semantics and export
 // formats, MetricsRegistry counter/gauge/histogram semantics under
-// concurrency (run under TSan in CI), telemetry CSV/JSONL, and the
-// DesignFlow stage spans.
+// concurrency (run under TSan in CI), telemetry CSV/JSONL, and the stage
+// spans both design-flow entry points share.
 #include "trace/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,9 @@
 
 #include "bench_suite/kernels.hpp"
 #include "flow/design_flow.hpp"
+#include "flow/portfolio.hpp"
+#include "runtime/pool_profile.hpp"
+#include "runtime/thread_pool.hpp"
 #include "trace/metrics.hpp"
 #include "trace/telemetry.hpp"
 
@@ -610,8 +613,21 @@ TEST(TelemetryTest, ConcurrentRecordKeepsEveryPoint) {
 
 // --- integration ----------------------------------------------------------
 
+/// Names of the `stage:*` spans in `events`, in first-seen order.
+std::vector<std::string> stage_spans(const std::vector<TraceEvent>& events) {
+  std::vector<std::string> names;
+  for (const TraceEvent& e : events)
+    if (e.kind == EventKind::kSpan && e.name.rfind("stage:", 0) == 0 &&
+        std::find(names.begin(), names.end(), e.name) == names.end())
+      names.push_back(e.name);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 TEST(DesignFlowTraceTest, StageSpansAppear) {
   Tracer& tracer = Tracer::global();
+  Counter& portfolio_flows =
+      MetricsRegistry::global().counter("isex_portfolio_flows_total");
   tracer.reset();
   tracer.set_enabled(true);
   const auto program = bench_suite::make_program(
@@ -620,7 +636,12 @@ TEST(DesignFlowTraceTest, StageSpansAppear) {
   config.machine = sched::MachineConfig::make(2, {6, 3});
   config.repeats = 2;
   config.seed = 99;
+  runtime::ThreadPool& pool = runtime::ThreadPool::default_pool();
+  pool.set_profiling(true);
+  runtime::reset_parallel_sections();
+  const double flows_before = portfolio_flows.value();
   flow::run_design_flow(program, hw::HwLibrary::paper_default(), config);
+  const double flows_after = portfolio_flows.value();
   tracer.set_enabled(false);
   const auto events = tracer.snapshot();
   tracer.reset();
@@ -630,12 +651,45 @@ TEST(DesignFlowTraceTest, StageSpansAppear) {
       return e.kind == EventKind::kSpan && e.name == name;
     });
   };
+  EXPECT_TRUE(has_span("stage:validation"));
   EXPECT_TRUE(has_span("stage:profiling"));
   EXPECT_TRUE(has_span("stage:exploration"));
   EXPECT_TRUE(has_span("stage:selection"));
   EXPECT_TRUE(has_span("stage:replacement"));
   EXPECT_TRUE(has_span("mi_explore"));
   EXPECT_TRUE(has_span("ant_walk"));
+  // The portfolio metrics belong to run_portfolio_flow alone.
+  EXPECT_EQ(flows_after, flows_before);
+
+  // A two-program portfolio runs the same pipeline: the same stage spans.
+  std::vector<flow::PortfolioEntry> entries(2);
+  entries[0].program = program;
+  entries[1].program = bench_suite::make_program(
+      bench_suite::Benchmark::kFft, bench_suite::OptLevel::kO3);
+  entries[1].weight = 2.0;
+  flow::PortfolioConfig portfolio;
+  portfolio.base = config;
+  tracer.set_enabled(true);
+  flow::run_portfolio_flow(entries, hw::HwLibrary::paper_default(),
+                           portfolio);
+  tracer.set_enabled(false);
+  pool.set_profiling(false);
+  const auto portfolio_events = tracer.snapshot();
+  tracer.reset();
+  EXPECT_EQ(stage_spans(portfolio_events), stage_spans(events));
+  EXPECT_EQ(portfolio_flows.value(), flows_after + 1.0);
+
+  // Both flows record their exploration batch as one pool-profile section.
+  const std::vector<runtime::SectionProfile> sections =
+      runtime::parallel_sections_snapshot();
+  runtime::reset_parallel_sections();
+  const auto batch = std::find_if(
+      sections.begin(), sections.end(),
+      [](const runtime::SectionProfile& s) {
+        return s.name == "flow.explore_hot_blocks";
+      });
+  ASSERT_NE(batch, sections.end());
+  EXPECT_EQ(batch->invocations, 2u);
 }
 
 }  // namespace
