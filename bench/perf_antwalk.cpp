@@ -44,6 +44,11 @@ namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace
 
+// GCC pairs the standard operator new it inlines into a caller with the
+// free() of the replacement delete below and reports a mismatch; both
+// replacements use malloc/free, so the pairing is sound.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size != 0 ? size : 1)) return p;
@@ -73,6 +78,7 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
+#pragma GCC diagnostic pop
 
 namespace {
 

@@ -1,9 +1,10 @@
 // Wall-clock micro-benchmarks (google-benchmark) for the per-iteration
 // stages the complexity analysis (§4.4) covers: one ant walk, one merit
-// update (one Hardware-Grouping component labelling, then a forward pass per
-// hardware option of each operation over its vS_x — O(k²) only when one
-// component spans the block), one list schedule, and a full single-round
-// exploration, swept over DFG size k.
+// update (one Hardware-Grouping component labelling with a single forward
+// pass over the hardware-chosen nodes, then per operation only what differs
+// for it: x's descendants re-run for an option x did not choose, or a
+// software x joined to the components around it), one list schedule, and a
+// full single-round exploration, swept over DFG size k.
 //
 // A custom main injects --benchmark_out=BENCH_explorer.json (JSON format)
 // unless the caller passed their own --benchmark_out, so a bare run always
@@ -131,9 +132,9 @@ void merit_update(benchmark::State& state, Pick pick) {
 }
 
 // Every node on its first hardware option: each weakly-connected piece of
-// the DAG is one component whose analysis all its members share — the
-// cheapest grouping case per member, though each member still evaluates its
-// own options over the whole component.
+// the DAG is one component whose analysis, forward pass and merit terms all
+// its members share.  A member with a second hardware option (add, sub,
+// slt) still re-runs its descendants and sums the component's area for it.
 void BM_MeritUpdate(benchmark::State& state) {
   merit_update(state, [](const hw::IoTable&, Rng&) { return 1; });
 }

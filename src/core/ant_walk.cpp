@@ -67,6 +67,37 @@ int WalkResult::finish_of(dfg::NodeId v) const {
   return finish_[v];
 }
 
+void walk_critical_nodes(const dfg::Graph& graph, const WalkResult& walk,
+                         dfg::NodeSet& critical) {
+  // The closure is a unique least fixpoint, so rule order is free; groups
+  // absorb word-at-a-time (NodeSet::intersects skips untouched groups,
+  // insert_all unions whole words) and the tight-producer rule folds its
+  // contains/insert pair into one test_and_set word access.
+  const std::size_t n = graph.num_nodes();
+  critical.resize(n);
+  for (dfg::NodeId v = 0; v < n; ++v)
+    if (walk.finish_of(v) == walk.tet) critical.insert(v);
+
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const GroupState& group : walk.groups) {
+      if (group.members.intersects(critical) &&
+          critical.insert_all(group.members))
+        changed = true;
+    }
+    // for_each snapshots one word at a time, so members inserted into the
+    // current or an earlier word surface on the next sweep — exactly what
+    // the fixpoint loop is for.
+    critical.for_each([&](dfg::NodeId v) {
+      for (const dfg::NodeId p : graph.preds(v)) {
+        if (walk.finish_of(p) == walk.slot[v] && critical.test_and_set(p))
+          changed = true;
+      }
+    });
+  }
+}
+
 AntWalk::AntWalk(const hw::GPlus& gplus, const sched::MachineConfig& machine,
                  const ExplorerParams& params, hw::ClockSpec clock)
     : gplus_(&gplus),

@@ -91,10 +91,12 @@ struct ExplorerParams {
   bool collect_trace = false;
 
   /// Memoize list-scheduler evaluations (base cycles + candidate collapse
-  /// scoring) in the process-wide runtime::schedule_cache().  Repeats and
-  /// sweeps re-score identical graphs constantly, so this is a large win;
-  /// results are unchanged — the cache is a pure-function memo.  Exposed so
-  /// bench/perf_runtime can A/B it.
+  /// scoring) in the cache `eval_cache` selects below: the one passed in
+  /// (the design flow always passes one, private per run unless its caller
+  /// supplies one) or, when null, the process-wide runtime::schedule_cache().
+  /// Repeats and sweeps re-score identical graphs constantly, so this is a
+  /// large win; results are unchanged — the cache is a pure-function memo.
+  /// Exposed so bench/perf_runtime can A/B it.
   bool use_eval_cache = true;
 
   /// Cache instance the memoization above goes through.  Null (the default)

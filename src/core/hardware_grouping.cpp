@@ -17,10 +17,26 @@ HardwareGrouping::HardwareGrouping(const hw::GPlus& gplus,
                                    const dfg::Reachability& reach,
                                    hw::ClockSpec clock)
     : gplus_(&gplus), format_(format), reach_(&reach), clock_(clock) {
-  const std::span<const dfg::NodeId> topo = gplus.topological_order();
-  topo_rank_.resize(topo.size());
-  for (std::size_t i = 0; i < topo.size(); ++i)
-    topo_rank_[topo[i]] = static_cast<int>(i);
+  const dfg::Graph& graph = gplus.graph();
+  const std::size_t n = graph.num_nodes();
+  std::vector<int> values;
+  for (dfg::NodeId v = 0; v < n; ++v) {
+    const std::span<const int> ids = graph.extern_input_ids(v);
+    values.insert(values.end(), ids.begin(), ids.end());
+  }
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  num_live_ins_ = values.size();
+  live_in_begin_.reserve(n + 1);
+  live_in_begin_.push_back(0);
+  for (dfg::NodeId v = 0; v < n; ++v) {
+    for (const int id : graph.extern_input_ids(v)) {
+      live_in_ids_.push_back(static_cast<dfg::NodeId>(
+          std::lower_bound(values.begin(), values.end(), id) -
+          values.begin()));
+    }
+    live_in_begin_.push_back(static_cast<std::uint32_t>(live_in_ids_.size()));
+  }
 }
 
 void HardwareGrouping::label_components(std::span<const int> chosen,
@@ -30,27 +46,34 @@ void HardwareGrouping::label_components(std::span<const int> chosen,
   ISEX_ASSERT(chosen.size() == n);
 
   scratch.label.assign(n, -1);
+  scratch.option.resize(n);
   scratch.delay.resize(n);
   scratch.area.resize(n);
   scratch.finish.resize(n);
+  scratch.alt_finish.resize(n);
+  scratch.outside_consumers.resize(n);
   for (dfg::NodeId v = 0; v < n; ++v) {
     const int o = chosen[v];
     const hw::IoTable& table = gplus_->table(v);
     if (o < 0 || !table.is_hardware(static_cast<std::size_t>(o))) continue;
     scratch.label[v] = kUnlabelled;
+    scratch.option[v] = o;
     scratch.delay[v] = table.option(static_cast<std::size_t>(o)).delay;
     scratch.area[v] = table.option(static_cast<std::size_t>(o)).area;
   }
 
   // Flood each component from its lowest-id member.
   scratch.num_components = 0;
+  scratch.joined_x = dfg::kInvalidNode;
   for (dfg::NodeId seed = 0; seed < n; ++seed) {
     if (scratch.label[seed] != kUnlabelled) continue;
     const int c = static_cast<int>(scratch.num_components++);
     if (scratch.components.size() < scratch.num_components)
       scratch.components.emplace_back();
-    scratch.components[c].order.clear();
-    dfg::NodeSet& members = scratch.components[c].cand.members;
+    GroupingScratch::Component& comp = scratch.components[c];
+    comp.order.clear();
+    comp.depth = 0.0;
+    dfg::NodeSet& members = comp.cand.members;
     members.resize(n);
     members.insert(seed);
     scratch.label[seed] = c;
@@ -69,10 +92,21 @@ void HardwareGrouping::label_components(std::span<const int> chosen,
     }
   }
 
+  // One max-plus pass over every hardware-chosen node in topological order,
+  // each on its chosen option.  A hardware-chosen predecessor is always in
+  // the node's own component, since no edge joins two.
   for (const dfg::NodeId v : gplus_->topological_order()) {
-    if (scratch.label[v] >= 0)
-      scratch.components[static_cast<std::size_t>(scratch.label[v])]
-          .order.push_back(v);
+    const int c = scratch.label[v];
+    if (c < 0) continue;
+    GroupingScratch::Component& comp =
+        scratch.components[static_cast<std::size_t>(c)];
+    comp.order.push_back(v);
+    double start = 0.0;
+    for (const dfg::NodeId p : graph.preds(v)) {
+      if (scratch.label[p] >= 0) start = std::max(start, scratch.finish[p]);
+    }
+    scratch.finish[v] = start + scratch.delay[v];
+    comp.depth = std::max(comp.depth, scratch.finish[v]);
   }
   for (std::size_t c = 0; c < scratch.num_components; ++c) {
     GroupingScratch::Component& comp = scratch.components[c];
@@ -90,33 +124,62 @@ void HardwareGrouping::analyse(GroupingScratch::Component& comp,
                                GroupingScratch& scratch) const {
   const dfg::Graph& graph = gplus_->graph();
   VirtualCandidate& cand = comp.cand;
-  cand.in_count = dfg::count_inputs(graph, cand.members, scratch.producers,
-                                    scratch.extern_ids);
-  cand.out_count = dfg::count_outputs(graph, cand.members);
+  comp.producers.resize(graph.num_nodes());
+  comp.live_ins.resize(num_live_ins_);
+  cand.out_count = 0;
+  for (const dfg::NodeId v : comp.order) {
+    const int c = scratch.label[v];
+    for (const dfg::NodeId p : graph.preds(v))
+      if (scratch.label[p] != c) comp.producers.insert(p);
+    for (std::uint32_t i = live_in_begin_[v]; i < live_in_begin_[v + 1]; ++i)
+      comp.live_ins.insert(live_in_ids_[i]);
+    int outside = 0;
+    for (const dfg::NodeId s : graph.succs(v)) outside += scratch.label[s] != c;
+    scratch.outside_consumers[v] = outside;
+    cand.out_count += graph.live_out(v) || outside > 0;
+  }
+  cand.in_count =
+      static_cast<int>(comp.producers.count() + comp.live_ins.count());
   cand.io_violation = cand.in_count > format_.max_ise_inputs() ||
                       cand.out_count > format_.max_ise_outputs();
-  // Convex iff (∪desc ∩ ∪anc) \ S is empty; `producers` is free again.
-  dfg::NodeSet& violators = scratch.producers;
+  // Convex iff (∪desc ∩ ∪anc) \ S is empty.  `joined.below` is free here.
+  dfg::NodeSet& violators = scratch.joined.below;
   violators = comp.below;
   violators &= comp.above;
   violators -= cand.members;
   cand.convex_violation = !violators.empty();
   cand.sw_seq_cycles = 0.0;
+  comp.area = 0.0;
   cand.members.for_each([&](dfg::NodeId v) {
     cand.sw_seq_cycles += gplus_->software_cycles(v);
+    comp.area += scratch.area[v];
   });
 }
 
-const VirtualCandidate& HardwareGrouping::group(
-    dfg::NodeId x, GroupingScratch& scratch) const {
+bool HardwareGrouping::isolated(dfg::NodeId x,
+                                const GroupingScratch& scratch) const {
+  ISEX_ASSERT(x < scratch.label.size());
+  const int c = scratch.label[x];
+  if (c >= 0)
+    return scratch.components[static_cast<std::size_t>(c)].order.size() == 1;
+  const dfg::Graph& graph = gplus_->graph();
+  for (const dfg::NodeId u : graph.succs(x))
+    if (scratch.label[u] >= 0) return false;
+  for (const dfg::NodeId u : graph.preds(x))
+    if (scratch.label[u] >= 0) return false;
+  return true;
+}
+
+const VirtualCandidate& HardwareGrouping::join(dfg::NodeId x,
+                                               GroupingScratch& scratch) const {
   const dfg::Graph& graph = gplus_->graph();
   ISEX_ASSERT(x < scratch.label.size());
 
   if (scratch.label[x] >= 0) {
-    GroupingScratch::Component& comp =
-        scratch.components[static_cast<std::size_t>(scratch.label[x])];
-    evaluate_options(x, comp.cand, comp.order, scratch);
-    return comp.cand;
+    VirtualCandidate& cand =
+        scratch.components[static_cast<std::size_t>(scratch.label[x])].cand;
+    cand.timing_violation = false;
+    return cand;
   }
 
   // x chose software (or nothing yet): vS_x is x plus every component it
@@ -131,69 +194,153 @@ const VirtualCandidate& HardwareGrouping::group(
   for (const dfg::NodeId u : graph.succs(x)) touch(u);
   for (const dfg::NodeId u : graph.preds(x)) touch(u);
 
-  GroupingScratch::Component& merged = scratch.merged;
-  merged.cand.members.resize(graph.num_nodes());
-  merged.cand.members.insert(x);
-  merged.below = reach_->descendants(x);
-  merged.above = reach_->ancestors(x);
-  merged.order.assign(1, x);
+  GroupingScratch::Component& joined = scratch.joined;
+  scratch.joined_x = x;
+  VirtualCandidate& cand = joined.cand;
+  cand.members.resize(graph.num_nodes());
+  cand.members.insert(x);
+  joined.below = reach_->descendants(x);
+  joined.above = reach_->ancestors(x);
+  joined.producers.resize(graph.num_nodes());
+  joined.live_ins.resize(num_live_ins_);
+  for (std::uint32_t i = live_in_begin_[x]; i < live_in_begin_[x + 1]; ++i)
+    joined.live_ins.insert(live_in_ids_[i]);
+  cand.out_count = 0;
   for (const int c : scratch.adjacent) {
     const GroupingScratch::Component& comp =
         scratch.components[static_cast<std::size_t>(c)];
-    merged.cand.members |= comp.cand.members;
-    merged.below |= comp.below;
-    merged.above |= comp.above;
-    merged.order.insert(merged.order.end(), comp.order.begin(),
-                        comp.order.end());
+    cand.members |= comp.cand.members;
+    joined.below |= comp.below;
+    joined.above |= comp.above;
+    joined.producers |= comp.producers;
+    joined.live_ins |= comp.live_ins;
+    cand.out_count += comp.cand.out_count;
   }
-  // Sorting the k members by rank, rather than filtering all n nodes of the
-  // topological order, keeps this O(k log k) per software-chosen x.
-  std::sort(merged.order.begin(), merged.order.end(),
-            [&](dfg::NodeId a, dfg::NodeId b) {
-              return topo_rank_[a] < topo_rank_[b];
-            });
-  analyse(merged, scratch);
-  evaluate_options(x, merged.cand, merged.order, scratch);
-  return merged.cand;
+  // The components' producers and outputs change only at x's own edges:
+  // x's software-chosen producers join, x stops being a producer, and a
+  // member whose only consumer outside its component was x stops being an
+  // output.
+  for (const dfg::NodeId p : graph.preds(x)) {
+    if (scratch.label[p] < 0) {
+      joined.producers.insert(p);
+    } else if (!graph.live_out(p) && scratch.outside_consumers[p] == 1) {
+      --cand.out_count;
+    }
+  }
+  joined.producers.erase(x);
+  cand.in_count =
+      static_cast<int>(joined.producers.count() + joined.live_ins.count());
+  bool x_escapes = graph.live_out(x);
+  for (const dfg::NodeId s : graph.succs(x))
+    x_escapes = x_escapes || scratch.label[s] < 0;
+  cand.out_count += x_escapes;
+  cand.io_violation = cand.in_count > format_.max_ise_inputs() ||
+                      cand.out_count > format_.max_ise_outputs();
+  // Convex iff (∪desc ∩ ∪anc) \ S is empty; the unions are not needed after.
+  joined.below &= joined.above;
+  joined.below -= cand.members;
+  cand.convex_violation = !joined.below.empty();
+  cand.timing_violation = false;
+  return cand;
 }
 
-void HardwareGrouping::evaluate_options(dfg::NodeId x, VirtualCandidate& cand,
-                                        std::span<const dfg::NodeId> order,
-                                        GroupingScratch& scratch) const {
+const VirtualCandidate& HardwareGrouping::evaluate(
+    dfg::NodeId x, GroupingScratch& scratch) const {
+  ISEX_ASSERT(x < scratch.label.size());
+  if (scratch.label[x] >= 0) {
+    VirtualCandidate& cand =
+        scratch.components[static_cast<std::size_t>(scratch.label[x])].cand;
+    fill_options(x, cand, std::span<const int>(&scratch.label[x], 1),
+                 scratch);
+    return cand;
+  }
+  ISEX_ASSERT_MSG(scratch.joined_x == x, "evaluate(x) needs join(x) first");
+  VirtualCandidate& cand = scratch.joined.cand;
+  cand.sw_seq_cycles = 0.0;
+  cand.members.for_each([&](dfg::NodeId v) {
+    cand.sw_seq_cycles += gplus_->software_cycles(v);
+  });
+  fill_options(x, cand, scratch.adjacent, scratch);
+  return cand;
+}
+
+const VirtualCandidate& HardwareGrouping::group(
+    dfg::NodeId x, GroupingScratch& scratch) const {
+  join(x, scratch);
+  return evaluate(x, scratch);
+}
+
+void HardwareGrouping::fill_options(dfg::NodeId x, VirtualCandidate& cand,
+                                    std::span<const int> comps,
+                                    GroupingScratch& scratch) const {
   // vS_{x,HW-j}: x on option j, every other member on the hardware option it
-  // chose.  Depth is the induced critical path — a max-plus forward pass in
-  // topological order — and area sums in ascending member order.
-  const dfg::Graph& graph = gplus_->graph();
+  // chose.  At the option x chose, that is its component's base pass; any
+  // other option re-runs x's descendants, and its area sums in ascending
+  // member order.
   const hw::IoTable& x_table = gplus_->table(x);
+  const int x_label = scratch.label[x];
   cand.per_option.assign(x_table.size(), VirtualCandidate::OptionEval{});
   int best_cycles = -1;
   for (std::size_t j = 0; j < x_table.size(); ++j) {
     if (!x_table.is_hardware(j)) continue;
-    const hw::ImplOption& option = x_table.option(j);
-    double depth = 0.0;
-    for (const dfg::NodeId v : order) {
-      double start = 0.0;
-      for (const dfg::NodeId p : graph.preds(v)) {
-        if (cand.members.contains(p))
-          start = std::max(start, scratch.finish[p]);
-      }
-      scratch.finish[v] = start + (v == x ? option.delay : scratch.delay[v]);
-      depth = std::max(depth, scratch.finish[v]);
-    }
-    double area = 0.0;
-    cand.members.for_each([&](dfg::NodeId v) {
-      area += v == x ? option.area : scratch.area[v];
-    });
     VirtualCandidate::OptionEval& eval = cand.per_option[j];
     eval.valid = true;
-    eval.depth_ns = depth;
-    eval.cycles = clock_.cycles_for(depth);
-    eval.area = area;
+    if (x_label >= 0 && scratch.option[x] == static_cast<int>(j)) {
+      const GroupingScratch::Component& comp =
+          scratch.components[static_cast<std::size_t>(x_label)];
+      eval.depth_ns = comp.depth;
+      eval.area = comp.area;
+    } else {
+      const hw::ImplOption& option = x_table.option(j);
+      eval.depth_ns = depth_with(x, option.delay, comps, scratch);
+      cand.members.for_each([&](dfg::NodeId v) {
+        eval.area += v == x ? option.area : scratch.area[v];
+      });
+    }
+    eval.cycles = clock_.cycles_for(eval.depth_ns);
     if (best_cycles < 0 || eval.cycles < best_cycles)
       best_cycles = eval.cycles;
   }
   cand.timing_violation = format_.max_ise_latency_cycles > 0 &&
                           best_cycles > format_.max_ise_latency_cycles;
+}
+
+double HardwareGrouping::depth_with(dfg::NodeId x, double x_delay,
+                                    std::span<const int> comps,
+                                    GroupingScratch& scratch) const {
+  // A member's finish depends on x only when it descends from x; the others
+  // keep their base finish.  Each component's order is topological, and a
+  // member's predecessors inside vS_x are x and its own component's members.
+  const dfg::Graph& graph = gplus_->graph();
+  const dfg::NodeSet& below_x = reach_->descendants(x);
+  double start = 0.0;
+  for (const dfg::NodeId p : graph.preds(x)) {
+    if (scratch.label[p] >= 0) start = std::max(start, scratch.finish[p]);
+  }
+  scratch.alt_finish[x] = start + x_delay;
+  double depth = std::max(0.0, scratch.alt_finish[x]);
+  for (const int c : comps) {
+    for (const dfg::NodeId v :
+         scratch.components[static_cast<std::size_t>(c)].order) {
+      if (v == x) continue;
+      if (!below_x.contains(v)) {
+        depth = std::max(depth, scratch.finish[v]);
+        continue;
+      }
+      double ready = 0.0;
+      for (const dfg::NodeId p : graph.preds(v)) {
+        if (p == x) {
+          ready = std::max(ready, scratch.alt_finish[x]);
+        } else if (scratch.label[p] >= 0) {
+          ready = std::max(ready, below_x.contains(p) ? scratch.alt_finish[p]
+                                                      : scratch.finish[p]);
+        }
+      }
+      scratch.alt_finish[v] = ready + scratch.delay[v];
+      depth = std::max(depth, scratch.alt_finish[v]);
+    }
+  }
+  return depth;
 }
 
 }  // namespace isex::core

@@ -8,21 +8,30 @@
 // merit function consumes (I/O ports, convexity).
 //
 // vS_x depends on x only through which hardware cluster it touches, so the
-// grouping works per iteration, not per node (docs/PERFORMANCE.md, "Anatomy
-// of one merit update"):
+// grouping works per component, and each operation pays only for what
+// differs for it (docs/PERFORMANCE.md, "Anatomy of one merit update"):
 //   * label_components() splits the hardware-chosen nodes into their
-//     weakly-connected components once and analyses each once: members in
-//     topological order, IN/OUT, convexity, software time;
-//   * group(x) for a hardware-chosen x is its component — only x's own
-//     option evaluations are new;
-//   * group(x) for any other x is {x} ∪ the components adjacent to x, built
-//     as word-level unions of the components' member and reachability sets.
-// Each hardware option of x is then one forward max-plus pass over the
-// members in topological order.  Every figure is bit-identical to a per-node
-// search: depths are max/+ over the same paths, and area and software-time
-// sums run in ascending member order.
+//     weakly-connected components and analyses each once: members in
+//     topological order, IN/OUT, convexity, software time, and one forward
+//     max-plus pass over all hardware-chosen nodes, whose per-component
+//     depth and area are the evaluation of every member at its chosen
+//     option;
+//   * for a hardware-chosen x, vS_x is its component; an option x did not
+//     choose re-runs the pass over x and x's descendants only;
+//   * for any other x, vS_x is {x} ∪ the components adjacent to x.  No edge
+//     joins two components, so x's own edges are all that change: members,
+//     reachability unions, producers and live-in values join word-level, IN
+//     and OUT are the components' counts corrected at x, and x's options
+//     re-run the pass over x's descendants only.
+// join() builds vS_x's members and legality; evaluate() adds x's option
+// evaluations and the software time, which the merit function reads only
+// for some candidates.  Every figure is bit-identical to a per-node search:
+// depths are maxima of the same per-node start + delay sums, area and
+// software-time sums run in ascending member order, and IN/OUT and the flags
+// are integers and booleans.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -59,24 +68,40 @@ struct VirtualCandidate {
 };
 
 /// Per-iteration state of HardwareGrouping: component labels, the shared
-/// per-component analyses, and the buffers group() evaluates into.  One per
-/// colony (MultiIssueExplorer keeps it next to the colony's WalkScratch);
-/// buffers keep their high-water capacity across iterations and rounds, so
-/// a warmed-up merit update allocates nothing.
+/// per-component analyses, and the buffers join() and evaluate() fill.  One
+/// per colony (MultiIssueExplorer keeps it next to the colony's
+/// WalkScratch); buffers keep their high-water capacity across iterations
+/// and rounds, so a warmed-up merit update allocates nothing.
 class GroupingScratch {
  private:
   friend class HardwareGrouping;
+  friend class MeritEngine;
 
   /// One weakly-connected component of hardware-chosen nodes.
   struct Component {
     /// Members and shared analysis; per_option and timing_violation are
-    /// rewritten by each group() call for one of its members.
+    /// rewritten by each join() and evaluate() for one of its members.
     VirtualCandidate cand;
     /// Members in topological order.
     std::vector<dfg::NodeId> order;
     /// ∪ descendants and ∪ ancestors of the members.
     dfg::NodeSet below;
     dfg::NodeSet above;
+    /// Producers outside the component feeding a member, and the members'
+    /// live-in values (dense ids): IN = |producers| + |live_ins|.
+    dfg::NodeSet producers;
+    dfg::NodeSet live_ins;
+    /// Every member on its chosen option: the largest finish of the
+    /// forward pass, and the area summed in ascending id order.
+    double depth = 0.0;
+    double area = 0.0;
+    /// MeritEngine's terms for the iteration, rewritten by every update:
+    /// whether a member is on the critical set, and the members' dependence
+    /// window (Max_AEC, Fig 4.3.8).  They live here, not in the engine,
+    /// because colonies share one engine.
+    bool critical = false;
+    double earliest = 0.0;
+    double latest_finish = 0.0;
   };
 
   /// Component index per node; -1 when its option is not hardware.
@@ -84,20 +109,25 @@ class GroupingScratch {
   /// Components [0, num_components) are live; the rest keep their capacity.
   std::vector<Component> components;
   std::size_t num_components = 0;
-  /// Delay and area of each hardware-chosen node's chosen option.
+  /// Option, delay and area each hardware-chosen node chose.
+  std::vector<int> option;
   std::vector<double> delay;
   std::vector<double> area;
-  /// Forward-pass finish times, indexed by node.
+  /// Finish times of the forward pass with every hardware-chosen node on its
+  /// chosen option.  Components are disjoint and no edge joins two, so one
+  /// array serves them all.
   std::vector<double> finish;
+  /// Finish times of x and its descendants with x on another option.
+  std::vector<double> alt_finish;
+  /// Per hardware-chosen node: its consumers outside its component.
+  std::vector<int> outside_consumers;
   std::vector<dfg::NodeId> stack;
-  /// vS_x for x outside every component, with its members in topological
-  /// order and its reachability unions.
-  Component merged;
-  /// Component labels adjacent to x.
+  /// vS_x for the x outside every component that join() last built (only
+  /// its candidate and sets are used), and the labels of the components
+  /// adjacent to it.
+  Component joined;
+  dfg::NodeId joined_x = dfg::kInvalidNode;
   std::vector<int> adjacent;
-  /// count_inputs working sets.
-  dfg::NodeSet producers;
-  std::vector<int> extern_ids;
 };
 
 class HardwareGrouping {
@@ -113,28 +143,50 @@ class HardwareGrouping {
   void label_components(std::span<const int> chosen,
                         GroupingScratch& scratch) const;
 
-  /// Builds and evaluates vS_x for the iteration last labelled into
-  /// `scratch`; x itself is always a member.  The result lives in `scratch`
-  /// and stays valid until its next group() or label_components() call.
+  /// True when vS_x is {x} alone: x chose hardware but no neighbour did, or
+  /// x chose software (or nothing) and touches no hardware-chosen node.
+  bool isolated(dfg::NodeId x, const GroupingScratch& scratch) const;
+
+  /// Builds vS_x for the iteration last labelled into `scratch`: its
+  /// members, IN/OUT and the I/O and convexity flags; x itself is always a
+  /// member.  timing_violation reads false, and per_option and
+  /// sw_seq_cycles are not yet x's, until evaluate(x).  The result lives in
+  /// `scratch` and stays valid until its next join() or label_components().
+  const VirtualCandidate& join(dfg::NodeId x, GroupingScratch& scratch) const;
+
+  /// Completes the candidate join(x) last built: x's per-option depth,
+  /// cycles and area, the timing flag, and the software time.
+  const VirtualCandidate& evaluate(dfg::NodeId x,
+                                   GroupingScratch& scratch) const;
+
+  /// join(x) then evaluate(x).
   const VirtualCandidate& group(dfg::NodeId x, GroupingScratch& scratch) const;
 
  private:
-  /// IN/OUT, convexity and software time of `comp.cand.members`, given its
-  /// reachability unions.
+  /// IN/OUT, convexity, software time and base area of one component,
+  /// given its member order and reachability unions.
   void analyse(GroupingScratch::Component& comp,
                GroupingScratch& scratch) const;
   /// Fills cand.per_option and cand.timing_violation for x's hardware
-  /// options over `order` (the members, topologically sorted).
-  void evaluate_options(dfg::NodeId x, VirtualCandidate& cand,
-                        std::span<const dfg::NodeId> order,
-                        GroupingScratch& scratch) const;
+  /// options, where vS_x spans x and the components `comps`.
+  void fill_options(dfg::NodeId x, VirtualCandidate& cand,
+                    std::span<const int> comps,
+                    GroupingScratch& scratch) const;
+  /// Depth of vS_x with x's delay set to `x_delay`: x and its descendants
+  /// re-run the max-plus pass, and every other member keeps its base finish.
+  double depth_with(dfg::NodeId x, double x_delay, std::span<const int> comps,
+                    GroupingScratch& scratch) const;
 
   const hw::GPlus* gplus_;
   isa::IsaFormat format_;
   const dfg::Reachability* reach_;
   hw::ClockSpec clock_;
-  /// Position of each node in gplus_->topological_order().
-  std::vector<int> topo_rank_;
+  /// Each node's live-in values as dense ids [0, num_live_ins_), CSR style:
+  /// node v's are live_in_ids_[live_in_begin_[v] .. live_in_begin_[v+1]).
+  /// Equal value ids map to one dense id, so a set of them is a bitset.
+  std::vector<std::uint32_t> live_in_begin_;
+  std::vector<dfg::NodeId> live_in_ids_;
+  std::size_t num_live_ins_ = 0;
 };
 
 }  // namespace isex::core

@@ -13,11 +13,19 @@
 //        Max_AEC slack window wins with the smallest area.
 // Finally the node's merits are renormalized (paper step 8).
 //
-// One update groups once per iteration, not once per node: the
-// hardware-chosen nodes are labelled into components and each component is
-// analysed once (HardwareGrouping::label_components); every operation's vS_x
-// is then its component, or its adjacent components joined around it, and
-// only x's own option evaluations are computed per operation.
+// One update does each component's work once and each operation's only
+// what differs for it.  HardwareGrouping::label_components analyses every
+// component of hardware-chosen nodes with one forward pass over all of
+// them; the update then computes each component's critical flag and Max_AEC
+// window once.  Per operation x:
+//   * vS_x = {x} (x touches no other hardware-chosen node): cases 1 and 2
+//     only, with no grouping at all;
+//   * x chose hardware: its component's analysis and terms, plus the depth
+//     and area of any hardware option x did not choose;
+//   * x chose software: its adjacent components joined around x's own
+//     edges, with their terms combined with x's.
+// Case 3 without a pipestage cap reads no option evaluation, so none is
+// made for it.
 #pragma once
 
 #include <span>
@@ -67,6 +75,8 @@ class MeritEngine {
   const hw::GPlus* gplus_;
   const ExplorerParams* params_;
   HardwareGrouping grouping_;
+  /// The ISA caps an ISE's latency, so case 3 can come from timing alone.
+  bool timing_capped_;
 };
 
 }  // namespace isex::core

@@ -60,42 +60,6 @@ CandidateEvalScratch& candidate_scratch() {
   return scratch;
 }
 
-/// Critical operations of an ant-walk schedule: fixpoint over (a) nodes
-/// finishing at the makespan, (b) tight producers (finish == consumer's
-/// start), and (c) whole virtual groups once any member is critical — a
-/// group issues as one instruction.  The closure is a unique least fixpoint,
-/// so rule order is free; groups absorb word-at-a-time (NodeSet::intersects
-/// skips untouched groups, insert_all unions whole words) and the
-/// tight-producer rule folds its contains/insert pair into one
-/// test_and_set word access.
-dfg::NodeSet walk_critical_nodes(const dfg::Graph& graph,
-                                 const WalkResult& walk) {
-  const std::size_t n = graph.num_nodes();
-  dfg::NodeSet critical(n);
-  for (dfg::NodeId v = 0; v < n; ++v)
-    if (walk.finish_of(v) == walk.tet) critical.insert(v);
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const GroupState& group : walk.groups) {
-      if (group.members.intersects(critical) &&
-          critical.insert_all(group.members))
-        changed = true;
-    }
-    // for_each snapshots one word at a time, so members inserted into the
-    // current or an earlier word surface on the next sweep — exactly what
-    // the fixpoint loop is for.
-    critical.for_each([&](dfg::NodeId v) {
-      for (const dfg::NodeId p : graph.preds(v)) {
-        if (walk.finish_of(p) == walk.slot[v] && critical.test_and_set(p))
-          changed = true;
-      }
-    });
-  }
-  return critical;
-}
-
 /// Everything one round's ACO iterations read but never write: the round's
 /// graph and its derived analyses, the walker and merit engine, and the
 /// round index for trace points.  Shared by every colony of the round.
@@ -110,13 +74,15 @@ struct RoundContext {
 };
 
 /// One colony's working storage: the ant walk's buffers, the grouping's
-/// per-iteration state, and the reorder flags of the trail update.  Owned
-/// by explore() rather than by the per-round chains, so the buffers survive
-/// every round and a warmed-up iteration allocates nothing.
+/// per-iteration state, the reorder flags of the trail update, and the
+/// walk's critical set.  Owned by explore() rather than by the per-round
+/// chains, so the buffers survive every round and a warmed-up iteration
+/// allocates nothing.
 struct ColonyScratch {
   WalkScratch walk;
   GroupingScratch grouping;
   std::vector<bool> reordered;
+  dfg::NodeSet critical;
 };
 
 /// One colony's ACO chain: a private pheromone state plus the loop-carried
@@ -164,10 +130,10 @@ struct AcoChain {
 
     pheromone.update_trails(walk.chosen, reordered, improved);
 
-    const dfg::NodeSet critical = walk_critical_nodes(current, walk);
+    walk_critical_nodes(current, walk, scratch.critical);
     MeritInputs inputs;
     inputs.chosen = walk.chosen;
-    inputs.critical = &critical;
+    inputs.critical = &scratch.critical;
     inputs.path = &ctx.path;
     inputs.tet = walk.tet;
     ctx.merit.update(pheromone, inputs, scratch.grouping);

@@ -24,16 +24,6 @@ PheromoneState::PheromoneState(const hw::GPlus& gplus,
   }
 }
 
-double PheromoneState::trail(dfg::NodeId v, std::size_t option) const {
-  ISEX_ASSERT(v < trail_.size() && option < trail_[v].size());
-  return trail_[v][option];
-}
-
-double PheromoneState::merit(dfg::NodeId v, std::size_t option) const {
-  ISEX_ASSERT(v < merit_.size() && option < merit_[v].size());
-  return merit_[v][option];
-}
-
 void PheromoneState::set_trail(dfg::NodeId v, std::size_t option,
                                double value) {
   ISEX_ASSERT(v < trail_.size() && option < trail_[v].size());
@@ -43,13 +33,6 @@ void PheromoneState::set_trail(dfg::NodeId v, std::size_t option,
 void PheromoneState::set_merit(dfg::NodeId v, std::size_t option, double value) {
   ISEX_ASSERT(v < merit_.size() && option < merit_[v].size());
   merit_[v][option] = std::max(value, 0.0);
-}
-
-void PheromoneState::scale_merit(dfg::NodeId v, std::size_t option,
-                                 double factor) {
-  ISEX_ASSERT(v < merit_.size() && option < merit_[v].size());
-  ISEX_ASSERT(factor >= 0.0);
-  merit_[v][option] *= factor;
 }
 
 void PheromoneState::normalize_merit(dfg::NodeId v) {
@@ -88,11 +71,6 @@ void PheromoneState::update_trails(std::span<const int> chosen,
       trail_[v][o] = std::clamp(t, 0.0, p.trail_max);
     }
   }
-}
-
-double PheromoneState::weight(dfg::NodeId v, std::size_t option) const {
-  const ExplorerParams& p = *params_;
-  return p.alpha * trail(v, option) + (1.0 - p.alpha) * merit(v, option);
 }
 
 void PheromoneState::weights_into(dfg::NodeId v, std::span<double> out) const {

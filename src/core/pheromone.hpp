@@ -14,6 +14,7 @@
 #include "core/explorer_params.hpp"
 #include "dfg/node_set.hpp"
 #include "hwlib/gplus.hpp"
+#include "util/assert.hpp"
 
 namespace isex::core {
 
@@ -24,14 +25,24 @@ class PheromoneState {
   std::size_t num_nodes() const { return trail_.size(); }
   std::size_t num_options(dfg::NodeId v) const { return trail_[v].size(); }
 
-  double trail(dfg::NodeId v, std::size_t option) const;
-  double merit(dfg::NodeId v, std::size_t option) const;
+  double trail(dfg::NodeId v, std::size_t option) const {
+    ISEX_ASSERT(v < trail_.size() && option < trail_[v].size());
+    return trail_[v][option];
+  }
+  double merit(dfg::NodeId v, std::size_t option) const {
+    ISEX_ASSERT(v < merit_.size() && option < merit_[v].size());
+    return merit_[v][option];
+  }
 
   /// Overwrites a trail entry, clamped into [0, params.trail_max] like
   /// update_trails does (used by the multi-colony merge reduction).
   void set_trail(dfg::NodeId v, std::size_t option, double value);
   void set_merit(dfg::NodeId v, std::size_t option, double value);
-  void scale_merit(dfg::NodeId v, std::size_t option, double factor);
+  void scale_merit(dfg::NodeId v, std::size_t option, double factor) {
+    ISEX_ASSERT(v < merit_.size() && option < merit_[v].size());
+    ISEX_ASSERT(factor >= 0.0);
+    merit_[v][option] *= factor;
+  }
 
   /// Renormalizes node v's merits so its best option carries
   /// params.merit_scale (paper step 8's normalization); preserves ratios.
@@ -68,7 +79,10 @@ class PheromoneState {
 
   /// Raw chosen-probability numerator (Eq. 1 numerator, without SP):
   /// α·trail + (1−α)·merit.
-  double weight(dfg::NodeId v, std::size_t option) const;
+  double weight(dfg::NodeId v, std::size_t option) const {
+    const ExplorerParams& p = *params_;
+    return p.alpha * trail(v, option) + (1.0 - p.alpha) * merit(v, option);
+  }
 
   /// Writes weight(v, o) for every option o of node v into `out`
   /// (out.size() must equal num_options(v)).  The ant-walk hot path calls

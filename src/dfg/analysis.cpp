@@ -30,21 +30,6 @@ Reachability::Reachability(const Graph& graph) {
   }
 }
 
-bool Reachability::reaches(NodeId from, NodeId to) const {
-  ISEX_ASSERT(from < desc_.size() && to < desc_.size());
-  return desc_[from].contains(to);
-}
-
-const NodeSet& Reachability::descendants(NodeId id) const {
-  ISEX_ASSERT(id < desc_.size());
-  return desc_[id];
-}
-
-const NodeSet& Reachability::ancestors(NodeId id) const {
-  ISEX_ASSERT(id < anc_.size());
-  return anc_[id];
-}
-
 NodeSet convexity_violators(const NodeSet& s, const Reachability& reach) {
   NodeSet below(s.universe());
   NodeSet above(s.universe());
@@ -63,16 +48,9 @@ bool is_convex(const Graph& graph, const NodeSet& s, const Reachability& reach) 
 }
 
 int count_inputs(const Graph& graph, const NodeSet& s) {
-  NodeSet producers;
-  std::vector<int> extern_ids;
-  return count_inputs(graph, s, producers, extern_ids);
-}
-
-int count_inputs(const Graph& graph, const NodeSet& s, NodeSet& producers,
-                 std::vector<int>& extern_ids) {
   ISEX_ASSERT(s.universe() == graph.num_nodes());
-  producers.resize(graph.num_nodes());
-  extern_ids.clear();
+  NodeSet producers(graph.num_nodes());
+  std::vector<int> extern_ids;
   s.for_each([&](NodeId v) {
     for (const int value_id : graph.extern_input_ids(v)) {
       if (std::find(extern_ids.begin(), extern_ids.end(), value_id) ==

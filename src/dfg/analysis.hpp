@@ -15,6 +15,7 @@
 
 #include "dfg/graph.hpp"
 #include "dfg/node_set.hpp"
+#include "util/assert.hpp"
 
 namespace isex::dfg {
 
@@ -24,12 +25,21 @@ class Reachability {
   explicit Reachability(const Graph& graph);
 
   /// True when a non-empty directed path from -> to exists.
-  bool reaches(NodeId from, NodeId to) const;
+  bool reaches(NodeId from, NodeId to) const {
+    ISEX_ASSERT(from < desc_.size() && to < desc_.size());
+    return desc_[from].contains(to);
+  }
 
   /// Strict descendants (excludes the node itself).
-  const NodeSet& descendants(NodeId id) const;
+  const NodeSet& descendants(NodeId id) const {
+    ISEX_ASSERT(id < desc_.size());
+    return desc_[id];
+  }
   /// Strict ancestors (excludes the node itself).
-  const NodeSet& ancestors(NodeId id) const;
+  const NodeSet& ancestors(NodeId id) const {
+    ISEX_ASSERT(id < anc_.size());
+    return anc_[id];
+  }
 
  private:
   std::vector<NodeSet> desc_;
@@ -52,10 +62,6 @@ bool is_convex(const Graph& graph, const NodeSet& s, const Reachability& reach);
 /// distinct values; the TAC frontend folds shared variables into shared
 /// producer nodes, so the approximation only affects block-boundary values.)
 int count_inputs(const Graph& graph, const NodeSet& s);
-/// Allocation-free form for hot loops: `producers` and `extern_ids` are
-/// caller-owned scratch whose prior contents are discarded.
-int count_inputs(const Graph& graph, const NodeSet& s, NodeSet& producers,
-                 std::vector<int>& extern_ids);
 
 /// OUT(S): number of members whose value escapes S (an out-edge to a
 /// non-member, or live-out of the block).

@@ -32,26 +32,6 @@ void Graph::add_edge(NodeId from, NodeId to) {
   ++num_edges_;
 }
 
-const Node& Graph::node(NodeId id) const {
-  ISEX_ASSERT(id < nodes_.size());
-  return nodes_[id];
-}
-
-Node& Graph::node(NodeId id) {
-  ISEX_ASSERT(id < nodes_.size());
-  return nodes_[id];
-}
-
-std::span<const NodeId> Graph::succs(NodeId id) const {
-  ISEX_ASSERT(id < nodes_.size());
-  return succs_[id];
-}
-
-std::span<const NodeId> Graph::preds(NodeId id) const {
-  ISEX_ASSERT(id < nodes_.size());
-  return preds_[id];
-}
-
 void Graph::set_extern_inputs(NodeId id, int count) {
   ISEX_ASSERT(id < nodes_.size());
   ISEX_ASSERT(count >= 0);
@@ -72,19 +52,9 @@ int Graph::extern_inputs(NodeId id) const {
   return static_cast<int>(extern_input_ids_[id].size());
 }
 
-std::span<const int> Graph::extern_input_ids(NodeId id) const {
-  ISEX_ASSERT(id < nodes_.size());
-  return extern_input_ids_[id];
-}
-
 void Graph::set_live_out(NodeId id, bool live) {
   ISEX_ASSERT(id < nodes_.size());
   live_out_[id] = live;
-}
-
-bool Graph::live_out(NodeId id) const {
-  ISEX_ASSERT(id < nodes_.size());
-  return live_out_[id];
 }
 
 bool Graph::has_edge(NodeId from, NodeId to) const {

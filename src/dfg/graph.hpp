@@ -18,6 +18,7 @@
 
 #include "dfg/node_set.hpp"
 #include "isa/opcode.hpp"
+#include "util/assert.hpp"
 
 namespace isex::dfg {
 
@@ -63,11 +64,23 @@ class Graph {
   std::size_t num_edges() const { return num_edges_; }
   bool empty() const { return nodes_.empty(); }
 
-  const Node& node(NodeId id) const;
-  Node& node(NodeId id);
+  const Node& node(NodeId id) const {
+    ISEX_ASSERT(id < nodes_.size());
+    return nodes_[id];
+  }
+  Node& node(NodeId id) {
+    ISEX_ASSERT(id < nodes_.size());
+    return nodes_[id];
+  }
 
-  std::span<const NodeId> succs(NodeId id) const;
-  std::span<const NodeId> preds(NodeId id) const;
+  std::span<const NodeId> succs(NodeId id) const {
+    ISEX_ASSERT(id < nodes_.size());
+    return succs_[id];
+  }
+  std::span<const NodeId> preds(NodeId id) const {
+    ISEX_ASSERT(id < nodes_.size());
+    return preds_[id];
+  }
 
   /// Operands of `id` produced outside the block (live-in values).  Each
   /// live-in operand carries a *value id*: operands with equal ids name the
@@ -78,11 +91,17 @@ class Graph {
   /// shared across its uses).
   void set_extern_input_ids(NodeId id, std::vector<int> value_ids);
   int extern_inputs(NodeId id) const;
-  std::span<const int> extern_input_ids(NodeId id) const;
+  std::span<const int> extern_input_ids(NodeId id) const {
+    ISEX_ASSERT(id < nodes_.size());
+    return extern_input_ids_[id];
+  }
 
   /// Marks the value of `id` as consumed after the block ends.
   void set_live_out(NodeId id, bool live);
-  bool live_out(NodeId id) const;
+  bool live_out(NodeId id) const {
+    ISEX_ASSERT(id < nodes_.size());
+    return live_out_[id];
+  }
 
   bool has_edge(NodeId from, NodeId to) const;
 

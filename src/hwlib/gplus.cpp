@@ -1,7 +1,5 @@
 #include "hwlib/gplus.hpp"
 
-#include "util/assert.hpp"
-
 namespace isex::hw {
 
 GPlus::GPlus(const dfg::Graph& graph, const HwLibrary& library)
@@ -27,15 +25,6 @@ GPlus::GPlus(const dfg::Graph& graph, const HwLibrary& library)
           std::vector<ImplOption>{{ImplKind::kSoftware, "SW-1", sw_cycles, 0.0}});
     }
   }
-}
-
-const IoTable& GPlus::table(dfg::NodeId id) const {
-  ISEX_ASSERT(id < tables_.size());
-  return tables_[id];
-}
-
-double GPlus::software_cycles(dfg::NodeId id) const {
-  return table(id).option(table(id).first_software()).delay;
 }
 
 }  // namespace isex::hw

@@ -11,6 +11,7 @@
 #include "dfg/graph.hpp"
 #include "hwlib/hw_library.hpp"
 #include "hwlib/impl_option.hpp"
+#include "util/assert.hpp"
 
 namespace isex::hw {
 
@@ -19,7 +20,10 @@ class GPlus {
   GPlus(const dfg::Graph& graph, const HwLibrary& library);
 
   const dfg::Graph& graph() const { return *graph_; }
-  const IoTable& table(dfg::NodeId id) const;
+  const IoTable& table(dfg::NodeId id) const {
+    ISEX_ASSERT(id < tables_.size());
+    return tables_[id];
+  }
 
   /// True when node `id` has at least one hardware option, i.e. it may be
   /// drawn into an ISE.
@@ -27,7 +31,9 @@ class GPlus {
 
   /// Software execution cycles of node `id` (its first software option;
   /// ISE supernodes report their committed ASFU latency).
-  double software_cycles(dfg::NodeId id) const;
+  double software_cycles(dfg::NodeId id) const {
+    return table(id).option(table(id).first_software()).delay;
+  }
 
   /// The graph's topological order, computed once at construction so every
   /// datapath-depth query of the round reuses it.

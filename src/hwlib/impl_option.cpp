@@ -1,7 +1,6 @@
 #include "hwlib/impl_option.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/assert.hpp"
 
@@ -19,21 +18,6 @@ IoTable::IoTable(std::vector<ImplOption> options) : options_(std::move(options))
       }));
   ISEX_ASSERT_MSG(num_software_ >= 1,
                   "every operation needs at least one software option");
-}
-
-const ImplOption& IoTable::option(std::size_t index) const {
-  ISEX_ASSERT(index < options_.size());
-  return options_[index];
-}
-
-std::size_t IoTable::first_software() const {
-  return 0;  // software options are partitioned to the front
-}
-
-int ClockSpec::cycles_for(double depth_ns) const {
-  ISEX_ASSERT(period_ns > 0.0);
-  if (depth_ns <= 0.0) return 1;
-  return std::max(1, static_cast<int>(std::ceil(depth_ns / period_ns - 1e-9)));
 }
 
 }  // namespace isex::hw

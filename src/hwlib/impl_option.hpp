@@ -8,9 +8,13 @@
 // G into G+ (Fig 4.1.1).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "util/assert.hpp"
 
 namespace isex::hw {
 
@@ -34,10 +38,14 @@ class IoTable {
   explicit IoTable(std::vector<ImplOption> options);
 
   std::size_t size() const { return options_.size(); }
-  const ImplOption& option(std::size_t index) const;
+  const ImplOption& option(std::size_t index) const {
+    ISEX_ASSERT(index < options_.size());
+    return options_[index];
+  }
 
-  /// Index of the first software option; every IoTable has at least one.
-  std::size_t first_software() const;
+  /// Index of the first software option; every IoTable has at least one,
+  /// and software options are partitioned to the front.
+  std::size_t first_software() const { return 0; }
   std::size_t num_software() const { return num_software_; }
   std::size_t num_hardware() const { return options_.size() - num_software_; }
   bool has_hardware() const { return num_hardware() > 0; }
@@ -59,7 +67,12 @@ struct ClockSpec {
   double period_ns = 10.0;
 
   /// Cycles needed to evaluate a combinational depth (≥ 1).
-  int cycles_for(double depth_ns) const;
+  int cycles_for(double depth_ns) const {
+    ISEX_ASSERT(period_ns > 0.0);
+    if (depth_ns <= 0.0) return 1;
+    return std::max(1,
+                    static_cast<int>(std::ceil(depth_ns / period_ns - 1e-9)));
+  }
 };
 
 }  // namespace isex::hw

@@ -8,9 +8,12 @@
 // human-readable mnemonic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string_view>
+
+#include "util/assert.hpp"
 
 namespace isex::isa {
 
@@ -63,8 +66,69 @@ struct OpcodeTraits {
   bool has_dst = true;
 };
 
+// The traits table is defined in this header so traits() inlines into the
+// scheduler's and the walk's inner loops.
+namespace detail {
+
+constexpr std::array<OpcodeTraits, kOpcodeCount> make_traits_table() {
+  std::array<OpcodeTraits, kOpcodeCount> t{};
+  auto set = [&](Opcode op, std::string_view mn, FuClass fu, OpCategory cat,
+                 std::uint8_t srcs, bool dst) {
+    t[static_cast<std::size_t>(op)] = OpcodeTraits{mn, fu, cat, srcs, dst};
+  };
+  set(Opcode::kAdd, "add", FuClass::kAlu, OpCategory::kArith, 2, true);
+  set(Opcode::kAddi, "addi", FuClass::kAlu, OpCategory::kArith, 1, true);
+  set(Opcode::kAddu, "addu", FuClass::kAlu, OpCategory::kArith, 2, true);
+  set(Opcode::kAddiu, "addiu", FuClass::kAlu, OpCategory::kArith, 1, true);
+  set(Opcode::kSub, "sub", FuClass::kAlu, OpCategory::kArith, 2, true);
+  set(Opcode::kSubu, "subu", FuClass::kAlu, OpCategory::kArith, 2, true);
+  set(Opcode::kMult, "mult", FuClass::kMult, OpCategory::kArith, 2, true);
+  set(Opcode::kMultu, "multu", FuClass::kMult, OpCategory::kArith, 2, true);
+  set(Opcode::kDiv, "div", FuClass::kDiv, OpCategory::kArith, 2, true);
+  set(Opcode::kDivu, "divu", FuClass::kDiv, OpCategory::kArith, 2, true);
+  set(Opcode::kAnd, "and", FuClass::kAlu, OpCategory::kLogic, 2, true);
+  set(Opcode::kAndi, "andi", FuClass::kAlu, OpCategory::kLogic, 1, true);
+  set(Opcode::kOr, "or", FuClass::kAlu, OpCategory::kLogic, 2, true);
+  set(Opcode::kOri, "ori", FuClass::kAlu, OpCategory::kLogic, 1, true);
+  set(Opcode::kXor, "xor", FuClass::kAlu, OpCategory::kLogic, 2, true);
+  set(Opcode::kXori, "xori", FuClass::kAlu, OpCategory::kLogic, 1, true);
+  set(Opcode::kNor, "nor", FuClass::kAlu, OpCategory::kLogic, 2, true);
+  set(Opcode::kSll, "sll", FuClass::kAlu, OpCategory::kShift, 1, true);
+  set(Opcode::kSllv, "sllv", FuClass::kAlu, OpCategory::kShift, 2, true);
+  set(Opcode::kSrl, "srl", FuClass::kAlu, OpCategory::kShift, 1, true);
+  set(Opcode::kSrlv, "srlv", FuClass::kAlu, OpCategory::kShift, 2, true);
+  set(Opcode::kSra, "sra", FuClass::kAlu, OpCategory::kShift, 1, true);
+  set(Opcode::kSrav, "srav", FuClass::kAlu, OpCategory::kShift, 2, true);
+  set(Opcode::kSlt, "slt", FuClass::kAlu, OpCategory::kCompare, 2, true);
+  set(Opcode::kSlti, "slti", FuClass::kAlu, OpCategory::kCompare, 1, true);
+  set(Opcode::kSltu, "sltu", FuClass::kAlu, OpCategory::kCompare, 2, true);
+  set(Opcode::kSltiu, "sltiu", FuClass::kAlu, OpCategory::kCompare, 1, true);
+  set(Opcode::kLui, "lui", FuClass::kAlu, OpCategory::kMove, 0, true);
+  set(Opcode::kMov, "mov", FuClass::kAlu, OpCategory::kMove, 1, true);
+  set(Opcode::kLw, "lw", FuClass::kMem, OpCategory::kLoad, 1, true);
+  set(Opcode::kLh, "lh", FuClass::kMem, OpCategory::kLoad, 1, true);
+  set(Opcode::kLhu, "lhu", FuClass::kMem, OpCategory::kLoad, 1, true);
+  set(Opcode::kLb, "lb", FuClass::kMem, OpCategory::kLoad, 1, true);
+  set(Opcode::kLbu, "lbu", FuClass::kMem, OpCategory::kLoad, 1, true);
+  set(Opcode::kSw, "sw", FuClass::kMem, OpCategory::kStore, 2, false);
+  set(Opcode::kSh, "sh", FuClass::kMem, OpCategory::kStore, 2, false);
+  set(Opcode::kSb, "sb", FuClass::kMem, OpCategory::kStore, 2, false);
+  set(Opcode::kBeq, "beq", FuClass::kBranch, OpCategory::kBranch, 2, false);
+  set(Opcode::kBne, "bne", FuClass::kBranch, OpCategory::kBranch, 2, false);
+  set(Opcode::kNop, "nop", FuClass::kAlu, OpCategory::kNop, 0, false);
+  return t;
+}
+
+inline constexpr auto kTraitsTable = make_traits_table();
+
+}  // namespace detail
+
 /// Static traits lookup; total over all opcodes.
-const OpcodeTraits& traits(Opcode op);
+inline const OpcodeTraits& traits(Opcode op) {
+  const auto idx = static_cast<std::size_t>(op);
+  ISEX_ASSERT(idx < kOpcodeCount);
+  return detail::kTraitsTable[idx];
+}
 
 inline std::string_view mnemonic(Opcode op) { return traits(op).mnemonic; }
 

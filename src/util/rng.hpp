@@ -11,6 +11,8 @@
 #include <span>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace isex {
 
 /// Permuted congruential generator (PCG-XSH-RR 64/32) with distribution
@@ -24,17 +26,46 @@ class Rng {
   void reseed(std::uint64_t seed);
 
   /// Uniform 32-bit value.
-  std::uint32_t next_u32();
+  std::uint32_t next_u32() {
+    const std::uint64_t old = state_;
+    state_ = old * 6364136223846793005ULL + inc_;
+    const auto xorshifted =
+        static_cast<std::uint32_t>(((old >> 18U) ^ old) >> 27U);
+    const auto rot = static_cast<std::uint32_t>(old >> 59U);
+    return (xorshifted >> rot) | (xorshifted << ((32U - rot) & 31U));
+  }
 
   /// Uniform value in [0, bound). bound must be > 0.
   std::uint32_t next_below(std::uint32_t bound);
 
   /// Uniform double in [0, 1).
-  double next_double();
+  double next_double() {
+    // 53 random bits into [0, 1).
+    const std::uint64_t hi = next_u32();
+    const std::uint64_t lo = next_u32();
+    const std::uint64_t bits = ((hi << 32U) | lo) >> 11U;
+    return static_cast<double>(bits) * 0x1.0p-53;
+  }
 
   /// Samples an index according to non-negative weights.  Zero-total weight
   /// falls back to uniform choice.  Empty spans are a precondition violation.
-  std::size_t weighted_pick(std::span<const double> weights);
+  std::size_t weighted_pick(std::span<const double> weights) {
+    ISEX_ASSERT_MSG(!weights.empty(),
+                    "weighted_pick needs at least one weight");
+    double total = 0.0;
+    for (const double w : weights) {
+      ISEX_ASSERT_MSG(w >= 0.0, "weights must be non-negative");
+      total += w;
+    }
+    if (total <= 0.0)
+      return next_below(static_cast<std::uint32_t>(weights.size()));
+    double ticket = next_double() * total;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      ticket -= weights[i];
+      if (ticket < 0.0) return i;
+    }
+    return weights.size() - 1;  // guard against rounding at the top end
+  }
 
   /// Derives an independent child stream (for per-repeat isolation).
   Rng split();

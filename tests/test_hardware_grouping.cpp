@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "grouping_reference.hpp"
 #include "test_util.hpp"
 
 namespace isex::core {
@@ -130,111 +131,6 @@ TEST_F(GroupingTest, ConvexViolationFlagged) {
 // analysed once, vS_x shared or joined word-level) must reproduce a plain
 // per-node search exactly.
 
-/// Per-node reference: BFS from x through hardware-chosen neighbours, then
-/// every figure recomputed from scratch on the member set, with convexity
-/// tested pairwise.
-VirtualCandidate reference_group(const hw::GPlus& gplus,
-                                 const isa::IsaFormat& format,
-                                 const dfg::Reachability& reach,
-                                 dfg::NodeId x, std::span<const int> chosen) {
-  const dfg::Graph& graph = gplus.graph();
-  const std::size_t n = graph.num_nodes();
-  const hw::ClockSpec clock;
-  auto chose_hardware = [&](dfg::NodeId u) {
-    return chosen[u] >= 0 &&
-           gplus.table(u).is_hardware(static_cast<std::size_t>(chosen[u]));
-  };
-  VirtualCandidate cand;
-  cand.members.resize(n);
-  cand.members.insert(x);
-  std::vector<dfg::NodeId> stack{x};
-  while (!stack.empty()) {
-    const dfg::NodeId v = stack.back();
-    stack.pop_back();
-    auto visit = [&](dfg::NodeId u) {
-      if (!cand.members.contains(u) && chose_hardware(u)) {
-        cand.members.insert(u);
-        stack.push_back(u);
-      }
-    };
-    for (const dfg::NodeId u : graph.succs(v)) visit(u);
-    for (const dfg::NodeId u : graph.preds(v)) visit(u);
-  }
-  cand.in_count = dfg::count_inputs(graph, cand.members);
-  cand.out_count = dfg::count_outputs(graph, cand.members);
-  cand.io_violation = cand.in_count > format.max_ise_inputs() ||
-                      cand.out_count > format.max_ise_outputs();
-  const std::vector<dfg::NodeId> members = cand.members.to_vector();
-  for (dfg::NodeId w = 0; w < n; ++w) {
-    if (cand.members.contains(w)) continue;
-    bool below = false;
-    bool above = false;
-    for (const dfg::NodeId m : members) {
-      below = below || reach.reaches(m, w);
-      above = above || reach.reaches(w, m);
-    }
-    cand.convex_violation = cand.convex_violation || (below && above);
-  }
-  for (const dfg::NodeId m : members)
-    cand.sw_seq_cycles += gplus.software_cycles(m);
-
-  const std::vector<dfg::NodeId> topo = graph.topological_order();
-  const hw::IoTable& x_table = gplus.table(x);
-  cand.per_option.resize(x_table.size());
-  int best_cycles = -1;
-  for (std::size_t j = 0; j < x_table.size(); ++j) {
-    if (!x_table.is_hardware(j)) continue;
-    auto option_of = [&](dfg::NodeId v) {
-      return v == x ? j : static_cast<std::size_t>(chosen[v]);
-    };
-    VirtualCandidate::OptionEval& eval = cand.per_option[j];
-    eval.valid = true;
-    eval.depth_ns = dfg::induced_critical_path(
-        graph, topo, cand.members, [&](dfg::NodeId v) {
-          return gplus.table(v).option(option_of(v)).delay;
-        });
-    eval.cycles = clock.cycles_for(eval.depth_ns);
-    for (const dfg::NodeId m : members)
-      eval.area += gplus.table(m).option(option_of(m)).area;
-    if (best_cycles < 0 || eval.cycles < best_cycles)
-      best_cycles = eval.cycles;
-  }
-  cand.timing_violation = format.max_ise_latency_cycles > 0 &&
-                          best_cycles > format.max_ise_latency_cycles;
-  return cand;
-}
-
-/// Random block mixing multi-option, single-option and never-hardware
-/// operations, shared and private live-in values, and live-outs.
-dfg::Graph random_block(std::size_t n, Rng& rng, double edge_prob) {
-  static constexpr isa::Opcode kOps[] = {
-      isa::Opcode::kAddu, isa::Opcode::kXor, isa::Opcode::kAnd,
-      isa::Opcode::kSrl,  isa::Opcode::kLw,  isa::Opcode::kSubu,
-      isa::Opcode::kMult, isa::Opcode::kSltu, isa::Opcode::kOr,
-  };
-  dfg::Graph g;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto op = kOps[rng.next_below(std::uint32_t{std::size(kOps)})];
-    const dfg::NodeId v = g.add_node(op, "r" + std::to_string(i));
-    int preds = 0;
-    for (int k = 0; k < 3 && i > 0; ++k) {
-      if (rng.next_double() >= edge_prob) continue;
-      const auto p = static_cast<dfg::NodeId>(
-          rng.next_below(static_cast<std::uint32_t>(i)));
-      if (!g.has_edge(p, v)) {
-        g.add_edge(p, v);
-        ++preds;
-      }
-    }
-    std::vector<int> ids;
-    for (int k = preds; k < 2; ++k)
-      ids.push_back(static_cast<int>(rng.next_below(6)));  // few shared values
-    g.set_extern_input_ids(v, ids);
-    if (rng.next_double() < 0.1) g.set_live_out(v, true);
-  }
-  return g;
-}
-
 void expect_same(const VirtualCandidate& got, const VirtualCandidate& want,
                  const std::string& where) {
   EXPECT_EQ(got.members, want.members) << where;
@@ -269,7 +165,7 @@ TEST(GroupingEquivalence, MatchesPerNodeReferenceOnRandomBlocks) {
   for (int trial = 0; trial < 60; ++trial) {
     const std::size_t n = 1 + rng.next_below(70);
     const double edge_prob = 0.2 + 0.7 * rng.next_double();
-    const dfg::Graph g = random_block(n, rng, edge_prob);
+    const dfg::Graph g = testing::random_block(n, rng, edge_prob);
     const hw::GPlus gplus(g, lib);
     const dfg::Reachability reach(g);
     isa::IsaFormat format;
@@ -302,7 +198,8 @@ TEST(GroupingEquivalence, MatchesPerNodeReferenceOnRandomBlocks) {
                                   " draw " + std::to_string(draw) + " x " +
                                   std::to_string(x);
         const VirtualCandidate& got = grouping.group(x, scratch);
-        expect_same(got, reference_group(gplus, format, reach, x, chosen),
+        expect_same(got,
+                    testing::reference_group(gplus, format, reach, x, chosen),
                     where);
         const int o = chosen[x];
         const bool x_hardware =
