@@ -1,10 +1,10 @@
 // Ant-walk hot-path microbench: walks/sec and heap allocations per walk of
-// the optimized AntWalk (per-walk weight table, incremental Ready-Matrix,
-// WalkScratch reuse) against a self-contained reference implementation of
-// the pre-optimization walk (per-step Ready-Matrix rebuild, per-entry
-// pheromone weight calls, fresh buffers every walk).  Both consume identical
-// RNG streams, so the bench double-checks that the optimized walk is
-// byte-identical to the reference on every benchmark DFG.
+// the optimized AntWalk (per-round walk plan, per-walk weight table,
+// incremental Ready-Matrix with prefix sums, WalkScratch reuse) against the
+// reference walk of tests/walk_reference.hpp (per-step Ready-Matrix rebuild,
+// per-entry pheromone weight calls, fresh buffers every walk).  Both consume
+// identical RNG streams, so the bench double-checks that the optimized walk
+// is byte-identical to the reference on every benchmark DFG.
 //
 // Results land in BENCH_antwalk.json.  Flags:
 //   --quick       fewer walks (CI smoke)
@@ -14,10 +14,8 @@
 // Exit is also nonzero when the optimized walk diverges from the reference
 // or performs any heap allocation after warm-up.
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,12 +27,10 @@
 #include "bench_suite/kernels.hpp"
 #include "core/ant_walk.hpp"
 #include "core/pheromone.hpp"
-#include "dfg/analysis.hpp"
 #include "hwlib/hw_library.hpp"
-#include "isa/opcode.hpp"
 #include "sched/priority.hpp"
-#include "sched/schedule.hpp"
 #include "util/rng.hpp"
+#include "walk_reference.hpp"
 
 // ---------------------------------------------------------------------------
 // Counting allocation hook: every global operator new bumps one counter, so
@@ -83,241 +79,6 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace {
 
 using namespace isex;
-
-// ---------------------------------------------------------------------------
-// Reference walk: the pre-optimization algorithm, kept verbatim — the
-// Ready-Matrix is rebuilt from scratch every step with per-entry
-// PheromoneState::weight calls, try_join copies the member set and recounts
-// IN/OUT, and every walk allocates fresh buffers.
-// ---------------------------------------------------------------------------
-
-struct RefCycleRes {
-  int issue = 0;
-  int reads = 0;
-  int writes = 0;
-  std::array<int, sched::kNumFuClasses> fu{};
-};
-
-class RefLedger {
- public:
-  explicit RefLedger(const sched::MachineConfig& cfg) : cfg_(&cfg) {}
-
-  RefCycleRes& at(int cycle) {
-    if (static_cast<std::size_t>(cycle) >= rows_.size())
-      rows_.resize(static_cast<std::size_t>(cycle) + 1);
-    return rows_[static_cast<std::size_t>(cycle)];
-  }
-
-  bool fits(int cycle, int issue, int reads, int writes, int fu_class) {
-    const RefCycleRes& r = at(cycle);
-    if (r.issue + issue > cfg_->issue_width) return false;
-    if (r.reads + reads > cfg_->reg_file.read_ports) return false;
-    if (r.writes + writes > cfg_->reg_file.write_ports) return false;
-    if (fu_class >= 0 &&
-        r.fu[static_cast<std::size_t>(fu_class)] + 1 >
-            cfg_->fu_counts[static_cast<std::size_t>(fu_class)])
-      return false;
-    return true;
-  }
-
-  void charge(int cycle, int issue, int reads, int writes, int fu_class) {
-    RefCycleRes& r = at(cycle);
-    r.issue += issue;
-    r.reads += reads;
-    r.writes += writes;
-    if (fu_class >= 0) r.fu[static_cast<std::size_t>(fu_class)] += 1;
-  }
-
- private:
-  const sched::MachineConfig* cfg_;
-  std::vector<RefCycleRes> rows_;
-};
-
-struct RefGroup {
-  dfg::NodeSet members;
-  int start = 0;
-  double depth_ns = 0.0;
-  int cycles = 1;
-  int reads = 0;
-  int writes = 0;
-};
-
-struct RefResult {
-  std::vector<int> chosen;
-  std::vector<int> slot;
-  std::vector<int> order;
-  std::vector<int> group_id;
-  std::vector<int> finish;
-  std::vector<RefGroup> groups;
-  int tet = 0;
-
-  int finish_of(dfg::NodeId v) const {
-    if (group_id[v] >= 0) {
-      const RefGroup& g = groups[static_cast<std::size_t>(group_id[v])];
-      return g.start + g.cycles;
-    }
-    return finish[v];
-  }
-};
-
-int ref_software_cycles(const hw::IoTable& table, std::size_t option) {
-  return std::max(1, static_cast<int>(std::ceil(table.option(option).delay)));
-}
-
-RefResult reference_walk(const hw::GPlus& gplus,
-                         const sched::MachineConfig& machine,
-                         const core::ExplorerParams& params,
-                         const core::PheromoneState& pheromone,
-                         std::span<const double> sp_score, Rng& rng,
-                         hw::ClockSpec clock = {}) {
-  const dfg::Graph& graph = gplus.graph();
-  const std::size_t n = graph.num_nodes();
-
-  RefResult result;
-  result.chosen.assign(n, -1);
-  result.slot.assign(n, -1);
-  result.order.assign(n, -1);
-  result.group_id.assign(n, -1);
-  result.finish.assign(n, 0);
-  if (n == 0) return result;
-
-  RefLedger ledger(machine);
-  std::vector<double> hw_depth(n, 0.0);
-
-  std::vector<int> unresolved(n, 0);
-  for (dfg::NodeId v = 0; v < n; ++v)
-    unresolved[v] = static_cast<int>(graph.preds(v).size());
-  std::vector<dfg::NodeId> ready;
-  for (dfg::NodeId v = 0; v < n; ++v)
-    if (unresolved[v] == 0) ready.push_back(v);
-
-  std::vector<std::pair<dfg::NodeId, int>> entries;
-  std::vector<double> weights;
-
-  auto finish_of = [&](dfg::NodeId v) { return result.finish_of(v); };
-  auto group_io = [&](const dfg::NodeSet& members) {
-    return std::pair<int, int>{dfg::count_inputs(graph, members),
-                               dfg::count_outputs(graph, members)};
-  };
-
-  auto try_join = [&](dfg::NodeId v, std::size_t opt, int gid) -> bool {
-    RefGroup& g = result.groups[static_cast<std::size_t>(gid)];
-    for (const dfg::NodeId p : graph.preds(v)) {
-      if (!g.members.contains(p) && finish_of(p) > g.start) return false;
-    }
-    dfg::NodeSet grown = g.members;
-    grown.insert(v);
-    const auto [reads, writes] = group_io(grown);
-    const int dr = reads - g.reads;
-    const int dw = writes - g.writes;
-    if (!ledger.fits(g.start, 0, dr, dw, -1)) return false;
-
-    ledger.charge(g.start, 0, dr, dw, -1);
-    g.members = std::move(grown);
-    g.reads = reads;
-    g.writes = writes;
-    double depth_in = 0.0;
-    for (const dfg::NodeId p : graph.preds(v)) {
-      if (g.members.contains(p) && p != v)
-        depth_in = std::max(depth_in, hw_depth[p]);
-    }
-    hw_depth[v] = depth_in + gplus.table(v).option(opt).delay;
-    g.depth_ns = std::max(g.depth_ns, hw_depth[v]);
-    g.cycles = clock.cycles_for(g.depth_ns);
-    result.group_id[v] = gid;
-    result.slot[v] = g.start;
-    return true;
-  };
-
-  std::size_t scheduled = 0;
-  int pick_index = 0;
-  while (scheduled < n) {
-    entries.clear();
-    weights.clear();
-    for (const dfg::NodeId v : ready) {
-      const hw::IoTable& table = gplus.table(v);
-      for (std::size_t o = 0; o < table.size(); ++o) {
-        entries.emplace_back(v, static_cast<int>(o));
-        weights.push_back(pheromone.weight(v, o) +
-                          params.lambda * sp_score[v]);
-      }
-    }
-
-    const std::size_t pick = rng.weighted_pick(weights);
-    const auto [v, opt_i] = entries[pick];
-    const auto opt = static_cast<std::size_t>(opt_i);
-    const hw::IoTable& table = gplus.table(v);
-
-    if (table.is_hardware(opt)) {
-      std::vector<std::pair<int, int>> parent_groups;
-      for (const dfg::NodeId p : graph.preds(v)) {
-        const int gid = result.group_id[p];
-        if (gid >= 0) parent_groups.emplace_back(finish_of(p), gid);
-      }
-      std::sort(parent_groups.begin(), parent_groups.end(),
-                [](const auto& a, const auto& b) { return a.first > b.first; });
-      bool placed = false;
-      int last_gid = -1;
-      for (const auto& [fin, gid] : parent_groups) {
-        if (gid == last_gid) continue;
-        last_gid = gid;
-        if (try_join(v, opt, gid)) {
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        int avail = 0;
-        for (const dfg::NodeId p : graph.preds(v))
-          avail = std::max(avail, finish_of(p));
-        dfg::NodeSet solo(n);
-        solo.insert(v);
-        const auto [reads, writes] = group_io(solo);
-        int cts = avail;
-        while (!ledger.fits(cts, 1, reads, writes, -1)) ++cts;
-        ledger.charge(cts, 1, reads, writes, -1);
-        RefGroup g;
-        g.members = std::move(solo);
-        g.start = cts;
-        hw_depth[v] = table.option(opt).delay;
-        g.depth_ns = hw_depth[v];
-        g.cycles = clock.cycles_for(g.depth_ns);
-        g.reads = reads;
-        g.writes = writes;
-        result.group_id[v] = static_cast<int>(result.groups.size());
-        result.slot[v] = cts;
-        result.groups.push_back(std::move(g));
-      }
-    } else {
-      int avail = 0;
-      for (const dfg::NodeId p : graph.preds(v))
-        avail = std::max(avail, finish_of(p));
-      const int reads = sched::read_ports_used(graph, v);
-      const int writes = sched::write_ports_used(graph, v);
-      const dfg::Node& node = graph.node(v);
-      const int fu_class =
-          node.is_ise ? -1 : static_cast<int>(isa::traits(node.opcode).fu);
-      int cts = avail;
-      while (!ledger.fits(cts, 1, reads, writes, fu_class)) ++cts;
-      ledger.charge(cts, 1, reads, writes, fu_class);
-      result.slot[v] = cts;
-      result.finish[v] = cts + ref_software_cycles(table, opt);
-    }
-
-    result.chosen[v] = opt_i;
-    result.order[v] = pick_index++;
-    ++scheduled;
-    ready.erase(std::find(ready.begin(), ready.end(), v));
-    for (const dfg::NodeId s : graph.succs(v)) {
-      if (--unresolved[s] == 0) ready.push_back(s);
-    }
-  }
-
-  int tet = 0;
-  for (dfg::NodeId v = 0; v < n; ++v) tet = std::max(tet, finish_of(v));
-  result.tet = tet;
-  return result;
-}
 
 // ---------------------------------------------------------------------------
 // Harness
@@ -407,8 +168,8 @@ CaseReport run_case(const DfgCase& c, int walks, std::uint64_t seed) {
     const auto start = std::chrono::steady_clock::now();
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (int i = 0; i < walks; ++i) {
-      const RefResult w =
-          reference_walk(gplus, machine, params, pheromone, sp, rng);
+      const testing::RefResult w =
+          testing::reference_walk(gplus, machine, params, pheromone, sp, rng);
       h = digest(w, h);
     }
     const double secs =

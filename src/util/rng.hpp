@@ -50,13 +50,23 @@ class Rng {
   /// Samples an index according to non-negative weights.  Zero-total weight
   /// falls back to uniform choice.  Empty spans are a precondition violation.
   std::size_t weighted_pick(std::span<const double> weights) {
-    ISEX_ASSERT_MSG(!weights.empty(),
-                    "weighted_pick needs at least one weight");
     double total = 0.0;
     for (const double w : weights) {
       ISEX_ASSERT_MSG(w >= 0.0, "weights must be non-negative");
       total += w;
     }
+    return weighted_pick(weights, total);
+  }
+
+  /// weighted_pick with the sum supplied by the caller, who keeps it as a
+  /// running prefix sum.  `total` must be the left-to-right sum 0.0 + w_0 +
+  /// w_1 + … of the (non-negative, caller-checked) weights; the draw and the
+  /// generator's next state then match weighted_pick(weights) bit for bit.
+  /// The scan subtracts weight by weight on purpose: `ticket − S_i` rounds
+  /// differently, so a binary search over the prefix sums would not.
+  std::size_t weighted_pick(std::span<const double> weights, double total) {
+    ISEX_ASSERT_MSG(!weights.empty(),
+                    "weighted_pick needs at least one weight");
     if (total <= 0.0)
       return next_below(static_cast<std::uint32_t>(weights.size()));
     double ticket = next_double() * total;
@@ -76,6 +86,9 @@ class Rng {
   /// jobs in any order — results match the serial loop bit for bit, and the
   /// parent ends in the same state either way.
   std::vector<Rng> split_n(std::size_t n);
+
+  /// Equal generators produce equal streams from here on.
+  bool operator==(const Rng&) const = default;
 
  private:
   std::uint64_t state_ = 0;

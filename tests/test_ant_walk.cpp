@@ -2,9 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "bench_suite/kernels.hpp"
+#include "core/merit.hpp"
+#include "core/mi_explorer.hpp"
+#include "dfg/analysis.hpp"
 #include "golden_hash.hpp"
+#include "grouping_reference.hpp"
+#include "mem/mem_stream.hpp"
+#include "sched/priority.hpp"
 #include "sched/schedule.hpp"
 #include "test_util.hpp"
+#include "walk_reference.hpp"
 
 namespace isex::core {
 namespace {
@@ -210,6 +223,223 @@ TEST_F(AntWalkTest, LongChainWalkStaysLinear) {
   for (dfg::NodeId v = 0; v < g.num_nodes(); ++v)
     max_options = std::max(max_options, gplus.table(v).size());
   EXPECT_LE(scratch.max_entries, max_options);
+}
+
+// ---------------------------------------------------------------------------
+// AntWalkEquivalence: every field of the optimized walk against the reference
+// walk of walk_reference.hpp, from the same generator state, over pheromone
+// states trained by real iterations.
+// ---------------------------------------------------------------------------
+
+::testing::AssertionResult same_walk(const WalkResult& got,
+                                     const testing::RefResult& want) {
+  if (got.chosen != want.chosen)
+    return ::testing::AssertionFailure() << "chosen";
+  if (got.slot != want.slot) return ::testing::AssertionFailure() << "slot";
+  if (got.order != want.order) return ::testing::AssertionFailure() << "order";
+  if (got.group_id != want.group_id)
+    return ::testing::AssertionFailure() << "group_id";
+  for (dfg::NodeId v = 0; v < want.chosen.size(); ++v) {
+    if (got.finish_of(v) != want.finish_of(v))
+      return ::testing::AssertionFailure()
+             << "finish_of(" << v << "): " << got.finish_of(v) << " vs "
+             << want.finish_of(v);
+  }
+  if (got.groups.size() != want.groups.size())
+    return ::testing::AssertionFailure() << "group count";
+  for (std::size_t i = 0; i < want.groups.size(); ++i) {
+    const GroupState& a = got.groups[i];
+    const testing::RefGroup& b = want.groups[i];
+    if (!(a.members == b.members) || a.start != b.start ||
+        a.depth_ns != b.depth_ns || a.cycles != b.cycles ||
+        a.reads != b.reads || a.writes != b.writes)
+      return ::testing::AssertionFailure() << "group " << i;
+  }
+  if (got.tet != want.tet) return ::testing::AssertionFailure() << "tet";
+  return ::testing::AssertionSuccess();
+}
+
+/// What the compared walks exercised, so the test fails if its inputs stop
+/// reaching a path of the walk.
+struct WalkCoverage {
+  int ise_picks = 0;        // ISE supernodes placed
+  int slow_software = 0;    // software placements longer than one cycle
+  int probes = 0;           // software placements the ledger pushed back
+  int joins = 0;            // groups of more than one member
+};
+
+void count_coverage(const dfg::Graph& g, const testing::RefResult& w,
+                    WalkCoverage& cov) {
+  for (dfg::NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.node(v).is_ise) ++cov.ise_picks;
+    if (w.group_id[v] >= 0) continue;
+    if (w.finish[v] - w.slot[v] > 1) ++cov.slow_software;
+    int avail = 0;
+    for (const dfg::NodeId p : g.preds(v))
+      avail = std::max(avail, w.finish_of(p));
+    if (w.slot[v] > avail) ++cov.probes;
+  }
+  for (const testing::RefGroup& grp : w.groups)
+    if (grp.members.count() > 1) ++cov.joins;
+}
+
+/// Trains a pheromone state on `g` by `iterations` real ACO iterations
+/// (walk, trail update, critical set, merit update — AcoChain::step's
+/// order) and checks every walk, plus `extra` walks of the trained state,
+/// against the reference from the same generator state.
+void check_against_reference(const std::string& name, const dfg::Graph& g,
+                             const sched::MachineConfig& machine,
+                             hw::ClockSpec clock, int iterations, int extra,
+                             std::uint64_t seed, WalkCoverage& cov) {
+  const hw::HwLibrary lib = hw::HwLibrary::paper_default();
+  const hw::GPlus gplus(g, lib);
+  const ExplorerParams params;
+  const std::size_t n = g.num_nodes();
+  std::vector<double> sp = sched::compute_priorities(g, params.sp_priority);
+  double sp_max = 0.0;
+  for (const double x : sp) sp_max = std::max(sp_max, x);
+  if (sp_max > 0.0)
+    for (double& x : sp) x = x / sp_max * params.merit_scale;
+
+  isa::IsaFormat format;
+  format.reg_file = machine.reg_file;
+  const dfg::Reachability reach(g);
+  const MeritEngine merit(gplus, format, params, reach, clock);
+  const dfg::PathInfo path = dfg::longest_path(
+      g, [&](dfg::NodeId v) { return gplus.software_cycles(v); });
+  const AntWalk walker(gplus, machine, params, clock);
+
+  PheromoneState pheromone(gplus, params);
+  WalkScratch scratch;
+  GroupingScratch grouping;
+  dfg::NodeSet critical;
+  std::vector<int> prev_order(n, -1);
+  std::vector<bool> reordered(n, false);
+  int tet_old = std::numeric_limits<int>::max();
+  Rng rng(seed);
+  for (int it = 0; it < iterations + extra; ++it) {
+    Rng ref_rng = rng;
+    const WalkResult& walk = walker.run(pheromone, sp, rng, scratch);
+    const testing::RefResult want = testing::reference_walk(
+        gplus, machine, params, pheromone, sp, ref_rng, clock);
+    ASSERT_TRUE(same_walk(walk, want)) << name << " walk " << it;
+    ASSERT_TRUE(rng == ref_rng) << name << " generator after walk " << it;
+    count_coverage(g, want, cov);
+    if (it >= iterations) continue;  // the trained state stays fixed
+
+    const bool improved = walk.tet <= tet_old;
+    for (dfg::NodeId v = 0; v < n; ++v)
+      reordered[v] = prev_order[v] >= 0 && walk.order[v] < prev_order[v];
+    pheromone.update_trails(walk.chosen, reordered, improved);
+    walk_critical_nodes(g, walk, critical);
+    MeritInputs inputs;
+    inputs.chosen = walk.chosen;
+    inputs.critical = &critical;
+    inputs.path = &path;
+    inputs.tet = walk.tet;
+    merit.update(pheromone, inputs, grouping);
+    if (improved) tet_old = walk.tet;
+    prev_order = walk.order;
+  }
+}
+
+/// `block` with the ISEs an exploration committed on it collapsed into
+/// supernodes, as the flow's replacement pass applies them.
+dfg::Graph collapse_explored(const dfg::Graph& block,
+                             const sched::MachineConfig& machine,
+                             std::uint64_t seed) {
+  const hw::HwLibrary lib = hw::HwLibrary::paper_default();
+  isa::IsaFormat format;
+  format.reg_file = machine.reg_file;
+  ExplorerParams params;
+  params.max_iterations = 60;
+  const MultiIssueExplorer explorer(machine, format, lib, params);
+  Rng rng(seed);
+  const ExplorationResult explored = explorer.explore(block, rng);
+  dfg::Graph current = block;
+  std::vector<dfg::NodeId> to_current(block.num_nodes());
+  for (dfg::NodeId v = 0; v < block.num_nodes(); ++v) to_current[v] = v;
+  for (const ExploredIse& ise : explored.ises) {
+    dfg::NodeSet members(current.num_nodes());
+    ise.original_nodes.for_each(
+        [&](dfg::NodeId orig) { members.insert(to_current[orig]); });
+    dfg::IseInfo info;
+    info.latency_cycles = ise.eval.latency_cycles;
+    info.area = ise.eval.area;
+    info.num_inputs = ise.in_count;
+    info.num_outputs = ise.out_count;
+    std::vector<dfg::NodeId> old_to_new;
+    current = current.collapse(members, info, &old_to_new);
+    for (dfg::NodeId& c : to_current) c = old_to_new[c];
+  }
+  return current;
+}
+
+TEST(AntWalkEquivalence, MatchesReferenceWalk) {
+  // The paper's 2-issue 6/3 machine, and a 2-issue 4/2 machine whose ports
+  // bind often enough that the ledger probes past the earliest cycle.
+  const sched::MachineConfig wide = sched::MachineConfig::make(2, {6, 3});
+  const sched::MachineConfig tight = sched::MachineConfig::make(2, {4, 2});
+  const hw::ClockSpec paper_clock;
+  hw::ClockSpec fast_clock;
+  fast_clock.period_ns = 3.0;  // multi-cycle groups
+  WalkCoverage cov;
+  Rng gen(2024);
+
+  // Random DAGs of 8–96 nodes: the test-suite generator, and blocks with
+  // shared live-in values, loads and multiplies.
+  for (int t = 0; t < 24; ++t) {
+    const std::size_t n = 8 + gen.next_below(89);
+    const dfg::Graph g =
+        t % 2 == 0
+            ? testing::make_random_dag(n, gen)
+            : testing::random_block(n, gen, 0.3 + 0.6 * gen.next_double());
+    check_against_reference("random " + std::to_string(t), g,
+                            t % 3 == 0 ? wide : tight,
+                            t % 4 == 1 ? fast_clock : paper_clock, 25, 3,
+                            gen.next_u32(), cov);
+    if (HasFatalFailure()) return;
+  }
+
+  // The 7×{O0, O3} suite blocks, as written, cache-annotated, and with an
+  // exploration's ISEs collapsed into supernodes (ISE port counts, no FU
+  // class).
+  mem::CacheConfig small_cache;
+  small_cache.l1 = {256, 1, 32, 1};
+  int annotated_slow = 0;
+  for (const auto bm : bench_suite::all_benchmarks()) {
+    for (const auto level :
+         {bench_suite::OptLevel::kO0, bench_suite::OptLevel::kO3}) {
+      const flow::ProfiledProgram prog = bench_suite::make_program(bm, level);
+      for (std::size_t b = 0; b < prog.blocks.size(); ++b) {
+        const std::string name = prog.name + "/" + prog.blocks[b].name;
+        const dfg::Graph& block = prog.blocks[b].graph;
+        check_against_reference(name, block, tight, paper_clock, 10, 2,
+                                gen.next_u32(), cov);
+        if (HasFatalFailure()) return;
+
+        dfg::Graph annotated = block;
+        mem::annotate_graph(annotated, small_cache);
+        for (dfg::NodeId v = 0; v < annotated.num_nodes(); ++v)
+          if (annotated.node(v).mem_latency > 1) ++annotated_slow;
+        check_against_reference(name + " cached", annotated, wide,
+                                paper_clock, 10, 2, gen.next_u32(), cov);
+        if (HasFatalFailure()) return;
+
+        const dfg::Graph collapsed =
+            collapse_explored(block, tight, gen.next_u32());
+        check_against_reference(name + " collapsed", collapsed, tight,
+                                paper_clock, 10, 2, gen.next_u32(), cov);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+
+  EXPECT_GT(annotated_slow, 0);
+  EXPECT_GT(cov.ise_picks, 100);
+  EXPECT_GT(cov.slow_software, 100);
+  EXPECT_GT(cov.probes, 1000);
+  EXPECT_GT(cov.joins, 1000);
 }
 
 }  // namespace

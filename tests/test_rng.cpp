@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <vector>
 
 namespace isex {
@@ -89,6 +90,39 @@ TEST(Rng, WeightedPickSingleEntry) {
   Rng rng(8);
   const std::vector<double> weights = {3.5};
   EXPECT_EQ(rng.weighted_pick(weights), 0u);
+}
+
+TEST(Rng, WeightedPickWithTotalMatchesSum) {
+  // Given the left-to-right sum of the weights, the overload draws the same
+  // index and leaves the generator where the summing overload does.
+  Rng gen(12);
+  std::vector<std::vector<double>> cases = {
+      {0.0, 2.0, 0.0, 5.0, 0.0},  // zeros among positive weights
+      {0.0, 0.0, 0.0},            // all zeros: the uniform fallback
+      {4.25},                     // a single entry
+  };
+  for (int t = 0; t < 40; ++t) {
+    // Weights spanning 1e-6 to 1e3, some exactly zero.
+    std::vector<double> w(1 + gen.next_below(40));
+    for (double& x : w)
+      x = gen.next_below(6) == 0
+              ? 0.0
+              : std::pow(10.0, -6.0 + 9.0 * gen.next_double());
+    cases.push_back(std::move(w));
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const std::vector<double>& w = cases[c];
+    double total = 0.0;
+    for (const double x : w) total += x;
+    Rng summing(1000 + c);
+    Rng given(1000 + c);
+    for (int draw = 0; draw < 50; ++draw) {
+      ASSERT_EQ(given.weighted_pick(w, total), summing.weighted_pick(w))
+          << "case " << c << " draw " << draw;
+      ASSERT_TRUE(given == summing) << "case " << c << " draw " << draw;
+      EXPECT_EQ(given.next_u32(), summing.next_u32());
+    }
+  }
 }
 
 TEST(Rng, SplitProducesIndependentStream) {
