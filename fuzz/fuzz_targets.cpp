@@ -1,6 +1,7 @@
 #include "fuzz_targets.hpp"
 
 #include <cstdio>
+#include <string>
 #include <string_view>
 
 #include "dfg/validate.hpp"
@@ -8,6 +9,8 @@
 #include "mem/cache_model.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/machine_config.hpp"
+#include "server/kernel_memo.hpp"
+#include "server/protocol.hpp"
 #include "util/assert.hpp"
 
 namespace isex::fuzz {
@@ -158,6 +161,54 @@ int run_cache_config_input(const std::uint8_t* data, std::size_t size) {
                     "access latency matches no configured level");
   }
   ISEX_ASSERT_MSG(model.stats().accesses >= 5, "simulation lost accesses");
+  return 0;
+}
+
+int run_protocol_input(const std::uint8_t* data, std::size_t size) {
+  const std::string line(as_source(data, size));
+  const Expected<server::JobRequest> request = server::parse_job_request(line);
+  if (!request.has_value()) {
+    const Error& e = request.error();
+    const auto code = static_cast<int>(e.code());
+    ISEX_ASSERT_MSG(e.code() == ErrorCode::kServerProtocol ||
+                        (code >= 701 && code <= 704),
+                    "request rejection outside E0601 and the E07xx block");
+    ISEX_ASSERT_MSG(!e.message().empty(), "rejection without a message");
+    return 0;
+  }
+
+  // Admission must not depend on whether the memo answered it.  Each
+  // kernel gets a fresh memo: a portfolio may list one text twice.
+  const auto admit_twice = [&](const std::string& text) {
+    server::KernelMemo memo;
+    const Expected<server::KernelMemo::Admission> cold = memo.admit(text);
+    const Expected<server::KernelMemo::Admission> warm = memo.admit(text);
+    ISEX_ASSERT_MSG(cold.has_value() == warm.has_value(),
+                    "the memo changed whether a kernel is admitted");
+    if (!cold.has_value()) {
+      ISEX_ASSERT_MSG(cold.error().code() == warm.error().code() &&
+                          cold.error().message() == warm.error().message(),
+                      "an invalid kernel's error changed on resubmission");
+      return;
+    }
+    ISEX_ASSERT_MSG(cold->graph.has_value(),
+                    "a parsed admission lost its graph");
+    ISEX_ASSERT_MSG(warm->graph.has_value() ==
+                        (text.size() > server::KernelMemo::kMaxKernelBytes),
+                    "a storable kernel was not answered from the memo");
+    ISEX_ASSERT_MSG(warm->digest == cold->digest &&
+                        runtime::graph_digest(*cold->graph) == cold->digest,
+                    "the memo's digest differs from the parsed graph's");
+    ISEX_ASSERT_MSG(server::job_signature(warm->digest, *request) ==
+                        server::job_signature(*cold->graph, *request),
+                    "digest- and graph-keyed job signatures differ");
+  };
+  if (request->is_portfolio()) {
+    for (const server::PortfolioProgramSpec& program : request->programs)
+      admit_twice(program.kernel);
+  } else {
+    admit_twice(request->kernel);
+  }
   return 0;
 }
 

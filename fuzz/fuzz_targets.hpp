@@ -1,13 +1,15 @@
 // Shared fuzz-harness entry points.
 //
-// The same two functions drive three consumers, so a crash found by
-// libFuzzer reproduces everywhere:
-//   * fuzz_tac_parser / fuzz_roundtrip (libFuzzer builds, or the standalone
-//     replay driver when the toolchain lacks -fsanitize=fuzzer);
+// The same functions drive every consumer, so a crash found by libFuzzer
+// reproduces everywhere:
+//   * fuzz_tac_parser / fuzz_roundtrip / fuzz_cache_config / fuzz_protocol
+//     (libFuzzer builds, or the standalone replay driver when the toolchain
+//     lacks -fsanitize=fuzzer);
 //   * tests/test_fuzz_regressions.cpp, which replays fuzz/corpus/ and
 //     fuzz/regressions/ as plain GoogleTest cases on every CI run.
 //
-// Each function treats the byte buffer as one TAC source and enforces the
+// The TAC functions treat the byte buffer as one TAC source, the others as
+// one cache-config spec or one job request line; each enforces the
 // input-boundary contracts from docs/ROBUSTNESS.md with ISEX_ASSERT — any
 // violation aborts, which is exactly the signal a fuzzer wants:
 //   * run_tac_parser_input: parse_tac_checked never throws; accepted blocks
@@ -34,5 +36,13 @@ int run_roundtrip_input(const std::uint8_t* data, std::size_t size);
 /// a CacheModel without UB; rejections must carry an E07xx code and a
 /// message.  Returns 0 (libFuzzer ABI).
 int run_cache_config_input(const std::uint8_t* data, std::size_t size);
+
+/// One isex_serve request line (server::parse_job_request): rejections must
+/// carry E0601 (or a cache-config spec's E07xx) and a message.  Every kernel
+/// of an accepted request is admitted twice through a fresh
+/// server::KernelMemo, cold and then from the memo: both give the same
+/// digest, or the same error code and message, and the digest-keyed
+/// job_signature equals the graph-keyed one.  Returns 0 (libFuzzer ABI).
+int run_protocol_input(const std::uint8_t* data, std::size_t size);
 
 }  // namespace isex::fuzz

@@ -448,6 +448,11 @@ flow::PortfolioConfig portfolio_config_for(const JobRequest& request) {
 
 runtime::Key128 job_signature(const dfg::Graph& graph,
                               const JobRequest& request) {
+  return job_signature(runtime::graph_digest(graph), request);
+}
+
+runtime::Key128 job_signature(const runtime::Key128& graph_digest,
+                              const JobRequest& request) {
   // Everything run_design_flow reads must be mixed in; bump when the flow's
   // semantics change so stale persisted results cannot be replayed.
   // v2: multi-colony search (colonies / merge_interval join the signature).
@@ -457,7 +462,6 @@ runtime::Key128 job_signature(const dfg::Graph& graph,
   // across the upgrade; the version constant therefore stays 2
   // (docs/SERVER.md, "Signature compatibility").
   constexpr std::uint64_t kFlowSemanticsVersion = 2;
-  const runtime::Key128 digest = runtime::graph_digest(graph);
   const flow::FlowConfig config = flow_config_for(request);
   const auto mix_request = [&](runtime::Hash64& h, std::uint64_t half,
                                std::uint64_t machine_seed) {
@@ -484,16 +488,26 @@ runtime::Key128 job_signature(const dfg::Graph& graph,
   };
   runtime::Key128 key;
   runtime::Hash64 lo(0xd1b54a32d192ed03ULL);  // domain: job signatures
-  mix_request(lo, digest.lo, 0xaef17502108ef2d9ULL);
+  mix_request(lo, graph_digest.lo, 0xaef17502108ef2d9ULL);
   key.lo = lo.value();
   runtime::Hash64 hi(0x8cb92ba72f3d8dd7ULL);
-  mix_request(hi, digest.hi, 0x94d049bb133111ebULL);
+  mix_request(hi, graph_digest.hi, 0x94d049bb133111ebULL);
   key.hi = hi.value();
   return key;
 }
 
 runtime::Key128 portfolio_signature(
     const std::vector<const dfg::Graph*>& graphs, const JobRequest& request) {
+  std::vector<runtime::Key128> digests;
+  digests.reserve(graphs.size());
+  for (const dfg::Graph* graph : graphs)
+    digests.push_back(runtime::graph_digest(*graph));
+  return portfolio_signature(digests, request);
+}
+
+runtime::Key128 portfolio_signature(
+    const std::vector<runtime::Key128>& graph_digests,
+    const JobRequest& request) {
   // v1 of the portfolio signature scheme.  Each row contributes its
   // program's job_signature (graph × shared parameters, budget included)
   // paired with its weight; rows are mixed in sorted order so manifest row
@@ -505,9 +519,9 @@ runtime::Key128 portfolio_signature(
     double weight;
   };
   std::vector<Row> rows;
-  rows.reserve(graphs.size());
-  for (std::size_t p = 0; p < graphs.size(); ++p)
-    rows.push_back(Row{job_signature(*graphs[p], request),
+  rows.reserve(graph_digests.size());
+  for (std::size_t p = 0; p < graph_digests.size(); ++p)
+    rows.push_back(Row{job_signature(graph_digests[p], request),
                        request.programs[p].weight});
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     if (a.sig.lo != b.sig.lo) return a.sig.lo < b.sig.lo;

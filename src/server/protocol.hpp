@@ -100,6 +100,13 @@ flow::PortfolioConfig portfolio_config_for(const JobRequest& request);
 runtime::Key128 job_signature(const dfg::Graph& graph,
                               const JobRequest& request);
 
+/// job_signature over a graph's runtime::graph_digest, which is all of the
+/// graph the signature reads: the graph overload above returns
+/// job_signature(runtime::graph_digest(graph), request).  The server signs
+/// with this one, so a kernel it has already digested needs no graph.
+runtime::Key128 job_signature(const runtime::Key128& graph_digest,
+                              const JobRequest& request);
+
 /// Canonical signature of a portfolio request: the multiset of per-program
 /// (job signature, weight) pairs — each pair a job_signature over that
 /// program's graph with the shared parameters (machine, repeats, seed,
@@ -109,6 +116,12 @@ runtime::Key128 job_signature(const dfg::Graph& graph,
 /// Domain-separated from job_signature by its own seed constants.
 runtime::Key128 portfolio_signature(
     const std::vector<const dfg::Graph*>& graphs, const JobRequest& request);
+
+/// portfolio_signature over the programs' graph digests (parallel to
+/// request.programs); the graph overload above digests and delegates here.
+runtime::Key128 portfolio_signature(
+    const std::vector<runtime::Key128>& graph_digests,
+    const JobRequest& request);
 
 /// Order-independent digest over every observable field of a FlowResult
 /// (times, per-block outcomes, selected ISEs).  The response carries it so

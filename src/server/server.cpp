@@ -13,9 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "dfg/validate.hpp"
 #include "hwlib/hw_library.hpp"
-#include "isa/tac_parser.hpp"
 #include "runtime/pool_profile.hpp"
 #include "runtime/runtime_stats.hpp"
 #include "runtime/thread_pool.hpp"
@@ -59,6 +57,12 @@ std::vector<double> job_latency_bounds() {
 std::vector<double> queue_wait_bounds() {
   return {0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
           0.05,   0.1,     0.25,   0.5,   1.0,    5.0,   10.0};
+}
+
+/// The TAC text of kernel `k` of a request: its `kernel`, or the k-th
+/// portfolio program's.
+const std::string& kernel_text(const JobRequest& request, std::size_t k) {
+  return request.is_portfolio() ? request.programs[k].kernel : request.kernel;
 }
 
 void append_histogram_json(std::string& out, const trace::Histogram& h) {
@@ -108,6 +112,10 @@ Server::Server(ServerOptions options)
           "isex_server_job_cache_hits_total")),
       result_misses_(&trace::MetricsRegistry::global().counter(
           "isex_server_job_cache_misses_total")),
+      kernel_memo_hits_(&trace::MetricsRegistry::global().counter(
+          "isex_server_kernel_memo_hits_total")),
+      kernel_memo_misses_(&trace::MetricsRegistry::global().counter(
+          "isex_server_kernel_memo_misses_total")),
       warm_start_entries_(&trace::MetricsRegistry::global().gauge(
           "isex_server_warm_start_entries")),
       inflight_gauge_(&trace::MetricsRegistry::global().gauge(
@@ -409,6 +417,13 @@ std::string Server::render_statusz() const {
          ",\"cache_hits\":" + count(result_hits_) +
          ",\"cache_misses\":" + count(result_misses_) + "},";
 
+  const KernelMemo::Stats memo = kernel_memo_.stats();
+  out += "\n\"kernel_memo\":{\"hits\":" + std::to_string(memo.hits) +
+         ",\"misses\":" + std::to_string(memo.misses) +
+         ",\"parses\":" + std::to_string(memo.parses) +
+         ",\"entries\":" + std::to_string(memo.entries) +
+         ",\"bytes\":" + std::to_string(memo.bytes) + "},";
+
   out += "\n\"job_latency\":";
   append_histogram_json(out, *job_latency_);
   out += ",\n\"queue_wait\":";
@@ -464,27 +479,28 @@ std::string Server::process_line(const std::string& line) {
                           "server is draining; resubmit elsewhere"));
   }
 
-  if (request.is_portfolio()) return process_portfolio(request, received_us);
-
-  // Parse + validate the kernel on the connection thread: rejections are
-  // cheap and must not occupy an exploration worker.
+  // Admit every kernel on the connection thread: rejections are cheap and
+  // must not occupy an exploration worker.
   JobTimings timings;
-  Expected<isa::ParsedBlock> block = isa::parse_tac_checked(request.kernel);
-  if (!block) {
+  Expected<std::vector<KernelMemo::Admission>> admitted =
+      admit_kernels(request);
+  if (!admitted) {
     jobs_invalid_->inc();
-    return render_error_response(request.id, block.error());
-  }
-  {
-    const ValidationReport report = dfg::validate(block->graph);
-    if (!report.ok()) {
-      jobs_invalid_->inc();
-      return render_error_response(request.id, report.first_error());
-    }
+    return render_error_response(request.id, admitted.error());
   }
   timings.validate_us = uptime_us() - received_us;
 
   const std::uint64_t cache_start_us = uptime_us();
-  const runtime::Key128 signature = job_signature(block->graph, request);
+  runtime::Key128 signature;
+  if (request.is_portfolio()) {
+    std::vector<runtime::Key128> digests;
+    digests.reserve(admitted->size());
+    for (const KernelMemo::Admission& kernel : *admitted)
+      digests.push_back(kernel.digest);
+    signature = portfolio_signature(digests, request);
+  } else {
+    signature = job_signature(admitted->front().digest, request);
+  }
   std::optional<std::string> cached = cache_->lookup_blob(signature);
   timings.cache_us = uptime_us() - cache_start_us;
   if (cached) {
@@ -495,30 +511,85 @@ std::string Server::process_line(const std::string& line) {
   }
   result_misses_->inc();
 
-  // Miss: run the design flow on a worker.  Evaluations memoize through the
-  // warm-started process cache — and via its persist sink, the disk log.
-  flow::ProfiledProgram program;
-  program.name = request.id.empty() ? "job" : request.id;
-  program.blocks.push_back(
-      flow::ProfiledBlock{"kernel", std::move(block->graph), 1});
-  flow::FlowConfig config = flow_config_for(request);
-  config.params.eval_cache = &runtime::schedule_cache();
-  std::string root_span = "job:" + program.name;
-  return run_miss(
-      request, signature, std::move(root_span), timings, received_us,
-      [program = std::move(program), config]() -> Expected<std::string> {
-        Expected<flow::FlowResult> result = flow::run_design_flow_checked(
-            program, hw::HwLibrary::paper_default(), config);
-        if (!result) return result.error();
-        return render_result_fragment(*result);
-      });
+  // Miss: each kernel's graph — kept from admission, or parsed now when the
+  // memo answered its admission.
+  std::vector<dfg::Graph> graphs;
+  graphs.reserve(admitted->size());
+  for (std::size_t k = 0; k < admitted->size(); ++k) {
+    Expected<dfg::Graph> graph =
+        kernel_memo_.graph(kernel_text(request, k), (*admitted)[k]);
+    if (!graph) {
+      jobs_invalid_->inc();
+      return render_error_response(request.id, graph.error());
+    }
+    graphs.push_back(std::move(*graph));
+  }
+  return run_miss(request, signature, std::move(graphs), timings,
+                  received_us);
+}
+
+Expected<std::vector<KernelMemo::Admission>> Server::admit_kernels(
+    const JobRequest& request) {
+  const std::size_t count =
+      request.is_portfolio() ? request.programs.size() : 1;
+  std::vector<KernelMemo::Admission> admitted;
+  admitted.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    Expected<KernelMemo::Admission> kernel =
+        kernel_memo_.admit(kernel_text(request, k));
+    (kernel && !kernel->graph ? kernel_memo_hits_ : kernel_memo_misses_)
+        ->inc();
+    if (!kernel) return kernel.error();
+    admitted.push_back(std::move(*kernel));
+  }
+  return admitted;
 }
 
 std::string Server::run_miss(const JobRequest& request,
                              const runtime::Key128& signature,
-                             std::string root_span_name, JobTimings timings,
-                             std::uint64_t received_us,
-                             std::function<Expected<std::string>()> compute) {
+                             std::vector<dfg::Graph> graphs,
+                             JobTimings timings, std::uint64_t received_us) {
+  // What the worker runs: the flow over the request's kernels, rendered to
+  // the fragment the result cache stores.  Evaluations memoize through the
+  // warm-started process cache — and via its persist sink, the disk log.
+  flow::FlowConfig config = flow_config_for(request);
+  config.params.eval_cache = &runtime::schedule_cache();
+  std::string root_span_name;
+  std::function<Expected<std::string>()> compute;
+  if (request.is_portfolio()) {
+    std::vector<flow::PortfolioEntry> entries(graphs.size());
+    for (std::size_t p = 0; p < graphs.size(); ++p) {
+      entries[p].program.name = request.programs[p].name;
+      entries[p].program.blocks.push_back(
+          flow::ProfiledBlock{"kernel", std::move(graphs[p]), 1});
+      entries[p].weight = request.programs[p].weight;
+    }
+    root_span_name = "job:portfolio";
+    compute = [entries = std::move(entries),
+               config]() -> Expected<std::string> {
+      flow::PortfolioConfig portfolio;
+      portfolio.base = config;
+      Expected<flow::PortfolioResult> result =
+          flow::run_portfolio_flow_checked(
+              entries, hw::HwLibrary::paper_default(), portfolio);
+      if (!result) return result.error();
+      return render_portfolio_fragment(*result);
+    };
+  } else {
+    flow::ProfiledProgram program;
+    program.name = request.id.empty() ? "job" : request.id;
+    program.blocks.push_back(
+        flow::ProfiledBlock{"kernel", std::move(graphs.front()), 1});
+    root_span_name = "job:" + program.name;
+    compute = [program = std::move(program),
+               config]() -> Expected<std::string> {
+      Expected<flow::FlowResult> result = flow::run_design_flow_checked(
+          program, hw::HwLibrary::paper_default(), config);
+      if (!result) return result.error();
+      return render_result_fragment(*result);
+    };
+  }
+
   // Trace identity: one trace id per job, with a root span covering
   // admission → completion.  Everything recorded while the worker runs the
   // flow (stage spans, fanned-out pool tasks) nests under this root via the
@@ -603,64 +674,6 @@ std::string Server::run_miss(const JobRequest& request,
   }
   jobs_completed_->inc();
   return render_response(request.id, /*cache_hit=*/false, timings, *outcome);
-}
-
-std::string Server::process_portfolio(const JobRequest& request,
-                                      std::uint64_t received_us) {
-  // Parse + validate every manifest kernel on the connection thread, like
-  // the single-kernel path: rejections never occupy an exploration worker.
-  JobTimings timings;
-  std::vector<flow::PortfolioEntry> entries;
-  entries.reserve(request.programs.size());
-  for (const PortfolioProgramSpec& spec : request.programs) {
-    Expected<isa::ParsedBlock> block = isa::parse_tac_checked(spec.kernel);
-    if (!block) {
-      jobs_invalid_->inc();
-      return render_error_response(request.id, block.error());
-    }
-    const ValidationReport report = dfg::validate(block->graph);
-    if (!report.ok()) {
-      jobs_invalid_->inc();
-      return render_error_response(request.id, report.first_error());
-    }
-    flow::PortfolioEntry entry;
-    entry.program.name = spec.name;
-    entry.program.blocks.push_back(
-        flow::ProfiledBlock{"kernel", std::move(block->graph), 1});
-    entry.weight = spec.weight;
-    entries.push_back(std::move(entry));
-  }
-  std::vector<const dfg::Graph*> graphs;
-  graphs.reserve(entries.size());
-  for (const flow::PortfolioEntry& entry : entries)
-    graphs.push_back(&entry.program.blocks.front().graph);
-  timings.validate_us = uptime_us() - received_us;
-
-  const std::uint64_t cache_start_us = uptime_us();
-  const runtime::Key128 signature = portfolio_signature(graphs, request);
-  std::optional<std::string> cached = cache_->lookup_blob(signature);
-  timings.cache_us = uptime_us() - cache_start_us;
-  if (cached) {
-    result_hits_->inc();
-    timings.total_us = uptime_us() - received_us;
-    job_latency_->observe(static_cast<double>(timings.total_us) * 1e-6);
-    return render_response(request.id, /*cache_hit=*/true, timings, *cached);
-  }
-  result_misses_->inc();
-
-  flow::PortfolioConfig config = portfolio_config_for(request);
-  // Evaluations memoize through the warm-started process cache — and via
-  // its persist sink, the disk log — exactly like single-kernel jobs'.
-  config.base.params.eval_cache = &runtime::schedule_cache();
-  return run_miss(
-      request, signature, "job:portfolio", timings, received_us,
-      [entries = std::move(entries), config]() -> Expected<std::string> {
-        Expected<flow::PortfolioResult> result =
-            flow::run_portfolio_flow_checked(
-                entries, hw::HwLibrary::paper_default(), config);
-        if (!result) return result.error();
-        return render_portfolio_fragment(*result);
-      });
 }
 
 }  // namespace isex::server

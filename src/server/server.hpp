@@ -8,10 +8,13 @@
 //   * plain HTTP `GET /metrics` (Prometheus snapshot of the process-wide
 //     registry) and `GET /healthz`.
 //
-// Execution path: connection handlers parse and validate a request on the
-// connection's own thread (cheap, and rejections never occupy a worker),
-// look the canonical job signature up in the result cache, and only on a
-// miss enqueue the exploration into the bounded priority JobQueue.  Worker
+// Execution path: connection handlers parse a request and admit its
+// kernels on the connection's own thread (cheap, and rejections never
+// occupy a worker), look the canonical job signature up in the result
+// cache, and only on a miss enqueue the exploration into the bounded
+// priority JobQueue.  Admission goes through the server's KernelMemo
+// (kernel_memo.hpp): a kernel text this server has already parsed and
+// validated is signed from its remembered graph digest with no parse.  Worker
 // threads pop jobs in priority order and run the existing design flow —
 // run_design_flow_checked fans each job's (block × repeat) exploration over
 // the shared isex_runtime thread pool, so one large job saturates the
@@ -32,7 +35,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "server/job_queue.hpp"
+#include "server/kernel_memo.hpp"
 #include "server/protocol.hpp"
 #include "runtime/persistent_cache.hpp"
 #include "util/error.hpp"
@@ -95,9 +98,14 @@ class Server {
   /// depth; everything else should go through process_line).
   JobQueue& queue() { return queue_; }
 
+  /// This server's kernel memo (tests read its stats; /statusz serves them
+  /// as `kernel_memo`).
+  const KernelMemo& kernel_memo() const { return kernel_memo_; }
+
   /// The /statusz body: a JSON snapshot of live server state — in-flight
-  /// jobs with per-stage ages, queue depth, latency/queue-wait histograms,
-  /// persistent-cache hit/corruption stats, and per-worker pool occupancy.
+  /// jobs with per-stage ages, queue depth, kernel-memo counts,
+  /// latency/queue-wait histograms, persistent-cache hit/corruption stats,
+  /// and per-worker pool occupancy.
   /// Exposed for tests; the HTTP handler serves it verbatim.
   std::string render_statusz() const;
 
@@ -116,24 +124,21 @@ class Server {
   void handle_connection(int fd);
   void handle_http(int fd, const std::string& buffered);
 
-  /// Portfolio-job path of process_line: validates every manifest kernel on
-  /// the connection thread, answers repeats from the blob cache keyed on
-  /// portfolio_signature, and on a miss runs run_portfolio_flow_checked on
-  /// a worker with evaluations routed through the warm-started process
-  /// cache (so they persist like single-kernel jobs').
-  std::string process_portfolio(const JobRequest& request,
-                                std::uint64_t received_us);
+  /// Admits every kernel of `request` (its `kernel`, or each portfolio
+  /// program's) through kernel_memo_, in order; the first invalid kernel's
+  /// error rejects the request.
+  Expected<std::vector<KernelMemo::Admission>> admit_kernels(
+      const JobRequest& request);
 
   /// The miss path of both job kinds: registers the job in flight, queues
-  /// `compute` (run the flow, render the result fragment) for a worker
-  /// under a trace root span named `root_span_name`, persists the fragment
+  /// the flow over `graphs` (one per kernel of the request) for a worker
+  /// under a per-job trace root span, persists the rendered result fragment
   /// under `signature`, waits for it and renders the response.  `timings`
   /// carries what the connection thread measured so far.
   std::string run_miss(const JobRequest& request,
                        const runtime::Key128& signature,
-                       std::string root_span_name, JobTimings timings,
-                       std::uint64_t received_us,
-                       std::function<Expected<std::string>()> compute);
+                       std::vector<dfg::Graph> graphs, JobTimings timings,
+                       std::uint64_t received_us);
 
   /// Microseconds since construction (the clock /statusz ages and the
   /// per-job timings are measured on; monotonic, tracer-independent).
@@ -154,6 +159,7 @@ class Server {
   /// Warm-start outcome kept for /statusz (corrupt_skipped and friends).
   runtime::PersistLoadReport load_report_;
   int worker_count_ = 0;
+  KernelMemo kernel_memo_;
 
   const std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
@@ -176,6 +182,8 @@ class Server {
   trace::Counter* jobs_failed_;
   trace::Counter* result_hits_;
   trace::Counter* result_misses_;
+  trace::Counter* kernel_memo_hits_;
+  trace::Counter* kernel_memo_misses_;
   trace::Gauge* warm_start_entries_;
   trace::Gauge* inflight_gauge_;
   trace::Gauge* queue_capacity_gauge_;

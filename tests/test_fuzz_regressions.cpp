@@ -51,6 +51,12 @@ TEST_P(FuzzReplay, CacheConfigHarnessSurvives) {
   EXPECT_EQ(fuzz::run_cache_config_input(bytes.data(), bytes.size()), 0);
 }
 
+// ... and the request-line harness (kernel admission, cold and memoized).
+TEST_P(FuzzReplay, ProtocolHarnessSurvives) {
+  const std::vector<std::uint8_t> bytes = read_bytes(GetParam());
+  EXPECT_EQ(fuzz::run_protocol_input(bytes.data(), bytes.size()), 0);
+}
+
 std::string test_name(const ::testing::TestParamInfo<fs::path>& info) {
   std::string name = info.param.filename().string();
   for (char& c : name)
@@ -74,6 +80,7 @@ TEST(FuzzReplay, EmptyBuffer) {
   EXPECT_EQ(fuzz::run_tac_parser_input(nullptr, 0), 0);
   EXPECT_EQ(fuzz::run_roundtrip_input(nullptr, 0), 0);
   EXPECT_EQ(fuzz::run_cache_config_input(nullptr, 0), 0);
+  EXPECT_EQ(fuzz::run_protocol_input(nullptr, 0), 0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // isex_serve server subsystem: JobQueue admission control, the wire
 // protocol's parse/signature/render layer, deterministic queue-full and
-// drain semantics through Server::process_line, and socket end-to-end
-// round trips including the warm-cache restart path.
+// drain semantics through Server::process_line, kernel admission through
+// the kernel memo, and socket end-to-end round trips including the
+// warm-cache restart path.
 #include "server/server.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <string>
 #include <thread>
@@ -20,10 +23,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "bench_suite/extended.hpp"
+#include "bench_suite/kernels.hpp"
 #include "isa/tac_parser.hpp"
 #include "runtime/eval_cache.hpp"
+#include "runtime/hash.hpp"
 #include "server/job_queue.hpp"
+#include "server/kernel_memo.hpp"
 #include "server/protocol.hpp"
+#include "trace/metrics.hpp"
 
 namespace isex::server {
 namespace {
@@ -78,6 +86,41 @@ std::string extract_field(const std::string& response, const char* key) {
          response[end] != '}')
     ++end;
   return response.substr(begin, end - begin);
+}
+
+/// Two-program portfolio request over the blend and sigma kernels.
+std::string portfolio_line(const std::string& id,
+                           const std::string& extra = "") {
+  std::string line =
+      "{\"id\":\"" + id + "\",\"programs\":[{\"name\":\"blend\","
+      "\"kernel\":\"" + json_escape(kBlendKernel) +
+      "\",\"weight\":2},{\"name\":\"sigma\",\"kernel\":\"" +
+      json_escape(kSigmaKernel) + "\"}],\"repeats\":2";
+  if (!extra.empty()) line += "," + extra;
+  return line + "}";
+}
+
+/// A response without its per-delivery `"timings":{...},` object.
+std::string without_timings(const std::string& response) {
+  const std::size_t begin = response.find("\"timings\":{");
+  if (begin == std::string::npos) return response;
+  const std::size_t end = response.find("},", begin);
+  return response.substr(0, begin) + response.substr(end + 2);
+}
+
+/// The result fragment of a success response: everything after timings.
+std::string fragment(const std::string& response) {
+  const std::size_t begin = response.find("\"timings\":{");
+  if (begin == std::string::npos) return "";
+  return response.substr(response.find("},", begin) + 2);
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);)
+    if (!line.empty()) lines.push_back(line);
+  return lines;
 }
 
 void wait_for_depth(JobQueue& queue, std::size_t depth) {
@@ -270,6 +313,79 @@ TEST(Protocol, JobSignatureSeparatesEveryResultAffectingParameter) {
   const auto other = isa::parse_tac_checked(kSigmaKernel);
   ASSERT_TRUE(other.has_value());
   EXPECT_NE(job_signature(other->graph, base), key);
+}
+
+// The persisted result cache is keyed on these signatures, so a log written
+// by an older server stays warm only while they hold.  Both constants were
+// captured before job_signature and portfolio_signature gained their
+// graph-digest overloads; the graph overloads now delegate to those.
+TEST(Protocol, SignaturesMatchPinnedValues) {
+  const Expected<JobRequest> job = parse_job_request(
+      "{\"id\":\"pin\",\"kernel\":\"" + json_escape(kBlendKernel) +
+      "\",\"issue\":4,\"read_ports\":10,\"write_ports\":5,\"repeats\":3,"
+      "\"seed\":77,\"colonies\":2,\"merge_interval\":4,\"max_ises\":3,"
+      "\"area_budget\":5000,\"cache_config\":\"l1_size=2k,l1_ways=2\"}");
+  ASSERT_TRUE(job.has_value());
+  const auto blend = isa::parse_tac_checked(kBlendKernel);
+  const auto sigma = isa::parse_tac_checked(kSigmaKernel);
+  ASSERT_TRUE(blend.has_value());
+  ASSERT_TRUE(sigma.has_value());
+  const runtime::Key128 job_key = job_signature(blend->graph, *job);
+  EXPECT_EQ(job_key.lo, 0xdcb2054a49b0894fULL);
+  EXPECT_EQ(job_key.hi, 0x043e71b0925c90c1ULL);
+
+  const Expected<JobRequest> portfolio = parse_job_request(
+      "{\"id\":\"pin\",\"programs\":[{\"kernel\":\"" +
+      json_escape(kBlendKernel) + "\",\"weight\":3},{\"kernel\":\"" +
+      json_escape(kSigmaKernel) + "\",\"weight\":1.5}],\"seed\":9}");
+  ASSERT_TRUE(portfolio.has_value());
+  const std::vector<const dfg::Graph*> graphs{&blend->graph, &sigma->graph};
+  const runtime::Key128 portfolio_key = portfolio_signature(graphs, *portfolio);
+  EXPECT_EQ(portfolio_key.lo, 0x0229dc753f784154ULL);
+  EXPECT_EQ(portfolio_key.hi, 0x0be72943660f1356ULL);
+}
+
+TEST(Protocol, DigestOverloadsMatchGraphOverloadsOnEverySuiteBlock) {
+  namespace bs = bench_suite;
+  std::vector<std::string_view> sources;
+  for (const bs::OptLevel level : {bs::OptLevel::kO0, bs::OptLevel::kO3}) {
+    for (const bs::Benchmark b : bs::all_benchmarks())
+      for (const bs::KernelBlockDef& def : bs::kernel_blocks(b, level))
+        sources.push_back(def.tac);
+    for (const bs::ExtraBenchmark b : bs::all_extra_benchmarks())
+      for (const bs::KernelBlockDef& def : bs::extra_kernel_blocks(b, level))
+        sources.push_back(def.tac);
+  }
+  ASSERT_GT(sources.size(), 40u);
+
+  const Expected<JobRequest> tuned = parse_job_request(
+      "{\"kernel\":\"k\",\"issue\":4,\"repeats\":2,\"seed\":5,"
+      "\"colonies\":3,\"area_budget\":900,\"baseline\":true,"
+      "\"cache_config\":\"l1_size=4k\"}");
+  ASSERT_TRUE(tuned.has_value());
+  JobRequest portfolio = *tuned;
+  std::vector<isa::ParsedBlock> blocks;
+  blocks.reserve(sources.size());
+  std::vector<const dfg::Graph*> graphs;
+  std::vector<runtime::Key128> digests;
+  for (std::size_t k = 0; k < sources.size(); ++k) {
+    Expected<isa::ParsedBlock> block = isa::parse_tac_checked(sources[k]);
+    ASSERT_TRUE(block.has_value()) << sources[k];
+    blocks.push_back(std::move(*block));
+    const dfg::Graph& graph = blocks.back().graph;
+    const runtime::Key128 digest = runtime::graph_digest(graph);
+    for (const JobRequest& request : {JobRequest{}, *tuned})
+      EXPECT_EQ(job_signature(digest, request),
+                job_signature(graph, request))
+          << sources[k];
+    graphs.push_back(&graph);
+    digests.push_back(digest);
+    portfolio.programs.push_back(PortfolioProgramSpec{
+        std::to_string(k), std::string(sources[k]),
+        1.0 + static_cast<double>(k % 3)});
+  }
+  EXPECT_EQ(portfolio_signature(digests, portfolio),
+            portfolio_signature(graphs, portfolio));
 }
 
 TEST(Protocol, ErrorResponseCarriesStableCode) {
@@ -476,6 +592,348 @@ TEST(Server, WarmStartAnswersFromDiskWithZeroReExploration) {
 }
 
 // ---------------------------------------------------------------------------
+// The kernel memo: admission answered from remembered digests.
+
+TEST(ServerKernelMemo, RepeatedTextIsAMemoHitAndAnswersLikeAParsedHit) {
+  const std::string cache_path =
+      ::testing::TempDir() + "isex_server_kernel_memo.cache";
+  std::remove(cache_path.c_str());
+  ServerOptions options;
+  options.cache_path = cache_path;
+
+  // /metrics counts admissions process-wide, by outcome.
+  trace::Counter& memo_hits = trace::MetricsRegistry::global().counter(
+      "isex_server_kernel_memo_hits_total");
+  trace::Counter& memo_misses = trace::MetricsRegistry::global().counter(
+      "isex_server_kernel_memo_misses_total");
+  const double hits_before = memo_hits.value();
+  const double misses_before = memo_misses.value();
+
+  std::string memo_hit;
+  {
+    Server server(options);
+    ASSERT_TRUE(server.start().has_value());
+    const std::string miss =
+        server.process_line(job_line(kBlendKernel, "memo"));
+    ASSERT_NE(miss.find("\"cache_hit\":false"), std::string::npos) << miss;
+    const KernelMemo::Stats before = server.kernel_memo().stats();
+    EXPECT_EQ(before.hits, 0u);
+    EXPECT_EQ(before.misses, 1u);
+    EXPECT_EQ(before.parses, 1u);
+    EXPECT_EQ(before.entries, 1u);
+    EXPECT_EQ(before.bytes, std::strlen(kBlendKernel));
+
+    memo_hit = server.process_line(job_line(kBlendKernel, "memo"));
+    ASSERT_NE(memo_hit.find("\"cache_hit\":true"), std::string::npos)
+        << memo_hit;
+    const KernelMemo::Stats after = server.kernel_memo().stats();
+    EXPECT_EQ(after.hits, 1u);
+    EXPECT_EQ(after.misses, 1u);
+    EXPECT_EQ(after.parses, 1u);  // the hit parsed nothing
+    EXPECT_EQ(fragment(memo_hit), fragment(miss));
+    EXPECT_EQ(memo_hits.value() - hits_before, 1.0);
+    EXPECT_EQ(memo_misses.value() - misses_before, 1.0);
+    server.request_drain();
+    ASSERT_EQ(server.wait(), 0);
+  }
+
+  // A server with an empty memo answers the same line from the warm log
+  // after parsing the kernel: byte for byte the same response.
+  Server fresh(options);
+  ASSERT_TRUE(fresh.start().has_value());
+  const std::string parsed_hit =
+      fresh.process_line(job_line(kBlendKernel, "memo"));
+  ASSERT_NE(parsed_hit.find("\"cache_hit\":true"), std::string::npos)
+      << parsed_hit;
+  EXPECT_EQ(fresh.kernel_memo().stats().hits, 0u);
+  EXPECT_EQ(fresh.kernel_memo().stats().parses, 1u);
+  EXPECT_EQ(without_timings(memo_hit), without_timings(parsed_hit));
+  fresh.request_drain();
+  EXPECT_EQ(fresh.wait(), 0);
+  std::remove(cache_path.c_str());
+}
+
+// tests/data/warm_start.*: a result log written by the server before it
+// had a kernel memo, the request lines it was sent, and its cache-hit
+// answer to each.  Every line must still hit the result cache — parsed the
+// first time, from the memo the second — and answer as that server did,
+// byte for byte apart from timings.
+TEST(ServerKernelMemo, OlderServersLogWarmStartsWithZeroMisses) {
+  const std::string data = ISEX_TEST_DATA_DIR;
+  const std::string cache_path =
+      ::testing::TempDir() + "isex_server_older_log.cache";
+  std::filesystem::copy_file(
+      data + "/warm_start.cache", cache_path,
+      std::filesystem::copy_options::overwrite_existing);
+  const std::vector<std::string> requests =
+      read_lines(data + "/warm_start_requests.jsonl");
+  const std::vector<std::string> answers =
+      read_lines(data + "/warm_start_responses.jsonl");
+  ASSERT_EQ(requests.size(), 4u);
+  ASSERT_EQ(answers.size(), requests.size());
+
+  ServerOptions options;
+  options.cache_path = cache_path;
+  Server server(options);
+  ASSERT_TRUE(server.start().has_value());
+  for (int pass = 0; pass < 2; ++pass)
+    for (std::size_t i = 0; i < requests.size(); ++i)
+      EXPECT_EQ(without_timings(server.process_line(requests[i])),
+                without_timings(answers[i]))
+          << "pass " << pass << ": " << requests[i];
+  // Three distinct texts (the portfolio reuses the first two), each parsed
+  // once.
+  const KernelMemo::Stats stats = server.kernel_memo().stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.hits, 7u);
+  EXPECT_EQ(stats.parses, 3u);
+  server.request_drain();
+  EXPECT_EQ(server.wait(), 0);
+  std::remove(cache_path.c_str());
+}
+
+TEST(ServerKernelMemo, TextVariantMissesTheMemoButHitsTheResultCache) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.start().has_value());
+  const std::string first =
+      server.process_line(job_line(kBlendKernel, "variant"));
+  ASSERT_NE(first.find("\"ok\":true"), std::string::npos) << first;
+  const std::string digest = extract_field(first, "result_digest");
+
+  // Same statements, different bytes: the memo compares texts exactly, so
+  // each variant is parsed, and each reaches the same graph and result.
+  const std::string blend = kBlendKernel;
+  for (const std::string& variant :
+       {"# a leading comment\n" + blend, "  " + blend, blend + "\n\n",
+        blend + "# trailing comment\n"}) {
+    const KernelMemo::Stats before = server.kernel_memo().stats();
+    const std::string response =
+        server.process_line(job_line(variant.c_str(), "variant"));
+    EXPECT_NE(response.find("\"cache_hit\":true"), std::string::npos)
+        << response;
+    EXPECT_EQ(extract_field(response, "result_digest"), digest);
+    EXPECT_EQ(fragment(response), fragment(first));
+    const KernelMemo::Stats after = server.kernel_memo().stats();
+    EXPECT_EQ(after.misses, before.misses + 1) << variant;
+    EXPECT_EQ(after.hits, before.hits) << variant;
+    EXPECT_EQ(after.entries, before.entries + 1) << variant;
+  }
+  server.request_drain();
+  EXPECT_EQ(server.wait(), 0);
+}
+
+TEST(ServerKernelMemo, InvalidKernelGetsItsCodeOnEverySubmission) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.start().has_value());
+  const char* const invalid[] = {"a = bogus b\n", "a = addu a, b\n",
+                                 "t = addu a, b\nlive_out ghost\n"};
+  for (const char* kernel : invalid) {
+    std::string code;
+    for (int submission = 0; submission < 3; ++submission) {
+      const std::string response =
+          server.process_line(job_line(kernel, "bad"));
+      EXPECT_NE(response.find("\"ok\":false"), std::string::npos)
+          << response;
+      const std::string this_code = extract_field(response, "error_code");
+      EXPECT_EQ(this_code.rfind("\"E01", 0), 0u) << response;
+      if (submission == 0) code = this_code;
+      EXPECT_EQ(this_code, code) << kernel;
+    }
+  }
+  // Errors are never memoized: every submission was parsed.
+  const KernelMemo::Stats stats = server.kernel_memo().stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 9u);
+  EXPECT_EQ(stats.parses, 9u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  server.request_drain();
+  EXPECT_EQ(server.wait(), 0);
+}
+
+TEST(ServerKernelMemo, MemoizedKernelUnderANewSeedExploresParsingOnce) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.start().has_value());
+  ASSERT_NE(server.process_line(job_line(kSigmaKernel, "s", "\"seed\":5"))
+                .find("\"cache_hit\":false"),
+            std::string::npos);
+
+  const KernelMemo::Stats before = server.kernel_memo().stats();
+  const std::string reseeded =
+      server.process_line(job_line(kSigmaKernel, "s", "\"seed\":6"));
+  ASSERT_NE(reseeded.find("\"ok\":true"), std::string::npos) << reseeded;
+  EXPECT_NE(reseeded.find("\"cache_hit\":false"), std::string::npos);
+  const KernelMemo::Stats after = server.kernel_memo().stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.parses, before.parses + 1);  // once, for the exploration
+
+  // A server that parses the kernel at admission explores to the same
+  // result.
+  Server cold(ServerOptions{});
+  ASSERT_TRUE(cold.start().has_value());
+  const std::string parsed =
+      cold.process_line(job_line(kSigmaKernel, "s", "\"seed\":6"));
+  EXPECT_EQ(cold.kernel_memo().stats().parses, 1u);
+  EXPECT_EQ(without_timings(reseeded), without_timings(parsed));
+
+  cold.request_drain();
+  EXPECT_EQ(cold.wait(), 0);
+  server.request_drain();
+  EXPECT_EQ(server.wait(), 0);
+}
+
+TEST(ServerKernelMemo, PortfolioRequestRepeatsThroughTheMemo) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.start().has_value());
+  const std::string first = server.process_line(portfolio_line("pf"));
+  ASSERT_NE(first.find("\"ok\":true"), std::string::npos) << first;
+  EXPECT_NE(first.find("\"cache_hit\":false"), std::string::npos);
+  KernelMemo::Stats stats = server.kernel_memo().stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.parses, 2u);
+  EXPECT_EQ(stats.entries, 2u);
+
+  // Both programs' kernels come from the memo, and the result from the
+  // result cache.
+  const std::string repeat = server.process_line(portfolio_line("pf"));
+  EXPECT_NE(repeat.find("\"cache_hit\":true"), std::string::npos) << repeat;
+  EXPECT_EQ(fragment(repeat), fragment(first));
+  stats = server.kernel_memo().stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.parses, 2u);
+
+  // Under a new seed the result misses; each program is parsed once.
+  const std::string reseeded =
+      server.process_line(portfolio_line("pf", "\"seed\":3"));
+  ASSERT_NE(reseeded.find("\"ok\":true"), std::string::npos) << reseeded;
+  EXPECT_NE(reseeded.find("\"cache_hit\":false"), std::string::npos);
+  stats = server.kernel_memo().stats();
+  EXPECT_EQ(stats.hits, 4u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.parses, 4u);
+
+  // A server that parses both kernels at admission computes the same.
+  Server cold(ServerOptions{});
+  ASSERT_TRUE(cold.start().has_value());
+  EXPECT_EQ(without_timings(reseeded),
+            without_timings(cold.process_line(
+                portfolio_line("pf", "\"seed\":3"))));
+  cold.request_drain();
+  EXPECT_EQ(cold.wait(), 0);
+  server.request_drain();
+  EXPECT_EQ(server.wait(), 0);
+}
+
+TEST(ServerKernelMemo, StaysWithinItsBoundsAndAnswersRight) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.start().has_value());
+  const std::string first =
+      server.process_line(job_line(kBlendKernel, "bound"));
+  ASSERT_NE(first.find("\"ok\":true"), std::string::npos) << first;
+  const std::string digest = extract_field(first, "result_digest");
+  // Every text below is a comment variant of the blend kernel: one graph,
+  // so every answer is a result-cache hit with the first answer's digest.
+  const std::string blend = kBlendKernel;
+  const auto expect_right = [&](const std::string& kernel) {
+    const std::string response =
+        server.process_line(job_line(kernel.c_str(), "bound"));
+    EXPECT_NE(response.find("\"cache_hit\":true"), std::string::npos)
+        << response.substr(0, 200);
+    EXPECT_EQ(extract_field(response, "result_digest"), digest);
+    const KernelMemo::Stats stats = server.kernel_memo().stats();
+    EXPECT_LE(stats.entries, KernelMemo::kMaxEntries);
+    EXPECT_LE(stats.bytes, KernelMemo::kMaxBytes);
+  };
+
+  // More distinct texts than the entry bound: the insertion that would
+  // exceed it clears the memo first.
+  const std::size_t extra = 8;
+  for (std::size_t i = 0; i < KernelMemo::kMaxEntries + extra; ++i)
+    expect_right("# entry " + std::to_string(i) + "\n" + blend);
+  KernelMemo::Stats stats = server.kernel_memo().stats();
+  EXPECT_EQ(stats.misses, 1 + KernelMemo::kMaxEntries + extra);
+  EXPECT_EQ(stats.entries, 1 + extra);
+  // The newest text survived the clear.
+  const std::size_t newest = KernelMemo::kMaxEntries + extra - 1;
+  expect_right("# entry " + std::to_string(newest) + "\n" + blend);
+  EXPECT_EQ(server.kernel_memo().stats().hits, stats.hits + 1);
+
+  // More bytes than the byte bound, in texts just under the size bound.
+  const std::string pad(KernelMemo::kMaxKernelBytes - 256, 'x');
+  const std::size_t fit = KernelMemo::kMaxBytes / (pad.size() + blend.size());
+  for (std::size_t i = 0; i < fit + 2; ++i)
+    expect_right("# " + pad + std::to_string(i) + "\n" + blend);
+  stats = server.kernel_memo().stats();
+  EXPECT_LT(stats.entries, fit + 2);
+
+  // A text over the size bound is answered but never stored.
+  const std::string huge =
+      "# " + std::string(KernelMemo::kMaxKernelBytes, 'x') + "\n" + blend;
+  expect_right(huge);
+  expect_right(huge);
+  const KernelMemo::Stats after = server.kernel_memo().stats();
+  EXPECT_EQ(after.misses, stats.misses + 2);
+  EXPECT_EQ(after.hits, stats.hits);
+  EXPECT_EQ(after.entries, stats.entries);
+  EXPECT_EQ(after.bytes, stats.bytes);
+
+  server.request_drain();
+  EXPECT_EQ(server.wait(), 0);
+}
+
+TEST(ServerKernelMemo, ConcurrentSubmissionsShareOneMemo) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.start().has_value());
+  const std::string blend_digest = extract_field(
+      server.process_line(job_line(kBlendKernel, "c")), "result_digest");
+  const std::string sigma_digest = extract_field(
+      server.process_line(job_line(kSigmaKernel, "c")), "result_digest");
+  ASSERT_FALSE(blend_digest.empty());
+  ASSERT_FALSE(sigma_digest.empty());
+
+  constexpr int kRequests = 64;
+  std::atomic<int> wrong{0};
+  const auto client = [&](int thread) {
+    for (int i = 0; i < kRequests; ++i) {
+      // Both threads send the two shared kernels; every fourth pair is a
+      // text only this thread sends.
+      const bool blend = i % 2 == 0;
+      std::string kernel = blend ? kBlendKernel : kSigmaKernel;
+      if (i % 4 >= 2)
+        kernel = "# thread " + std::to_string(thread) + " request " +
+                 std::to_string(i) + "\n" + kernel;
+      const std::string response =
+          server.process_line(job_line(kernel.c_str(), "c"));
+      if (response.find("\"cache_hit\":true") == std::string::npos ||
+          extract_field(response, "result_digest") !=
+              (blend ? blend_digest : sigma_digest))
+        ++wrong;
+    }
+    // One exploration each: a memoized kernel under a seed of its own.
+    const std::string explored = server.process_line(job_line(
+        kSigmaKernel, "c", "\"seed\":" + std::to_string(100 + thread)));
+    if (explored.find("\"cache_hit\":false") == std::string::npos ||
+        explored.find("\"ok\":true") == std::string::npos)
+      ++wrong;
+  };
+  std::thread first(client, 0);
+  std::thread second(client, 1);
+  first.join();
+  second.join();
+  EXPECT_EQ(wrong.load(), 0);
+
+  const KernelMemo::Stats stats = server.kernel_memo().stats();
+  const std::uint64_t own_texts = 2 * kRequests / 2;
+  EXPECT_EQ(stats.misses, 2 + own_texts);
+  EXPECT_EQ(stats.hits + stats.misses, 2 + 2 * (kRequests + 1));
+  EXPECT_EQ(stats.entries, 2 + own_texts);
+  EXPECT_EQ(stats.parses, stats.misses + 2);
+  server.request_drain();
+  EXPECT_EQ(server.wait(), 0);
+}
+
+// ---------------------------------------------------------------------------
 // Socket end-to-end: the wire path (connect, JSON lines, HTTP endpoints).
 
 class Connection {
@@ -558,6 +1016,15 @@ TEST(Server, SocketEndToEndWithMetricsAndHealth) {
               std::string::npos);
     EXPECT_NE(metrics.find("isex_server_connections_total"),
               std::string::npos);
+    // The repeat's kernel came from the memo (the counters are
+    // process-wide, so only a lower bound holds here).
+    const std::size_t memo_hits =
+        metrics.find("\nisex_server_kernel_memo_hits_total ");
+    ASSERT_NE(memo_hits, std::string::npos) << metrics;
+    EXPECT_GE(std::stod(metrics.substr(metrics.find(' ', memo_hits + 1))),
+              1.0);
+    EXPECT_NE(metrics.find("\nisex_server_kernel_memo_misses_total "),
+              std::string::npos);
   }
   {
     Connection health(*port);
@@ -596,8 +1063,9 @@ TEST(Server, StatuszEndpointServesIntrospectionJson) {
     // Shape: every top-level section of the introspection document.
     for (const char* key :
          {"\"uptime_us\"", "\"draining\"", "\"queue\"", "\"inflight\"",
-          "\"jobs\"", "\"job_latency\"", "\"queue_wait\"", "\"cache\"",
-          "\"pool\"", "\"workers\"", "\"task_histogram\""})
+          "\"jobs\"", "\"kernel_memo\"", "\"job_latency\"",
+          "\"queue_wait\"", "\"cache\"", "\"pool\"", "\"workers\"",
+          "\"task_histogram\""})
       EXPECT_NE(body.find(key), std::string::npos) << key << "\n" << body;
     EXPECT_NE(body.find("\"capacity\":64"), std::string::npos) << body;
     const std::string accepted = extract_field(body, "accepted");
