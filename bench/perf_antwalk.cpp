@@ -1,5 +1,5 @@
 // Ant-walk hot-path microbench: walks/sec and heap allocations per walk of
-// the optimized AntWalk (per-round walk plan, per-walk weight table,
+// the optimized AntWalk (flat per-round G+ layout, per-walk weight table,
 // incremental Ready-Matrix with prefix sums, WalkScratch reuse) against the
 // reference walk of tests/walk_reference.hpp (per-step Ready-Matrix rebuild,
 // per-entry pheromone weight calls, fresh buffers every walk).  Both consume

@@ -136,7 +136,7 @@ void merit_update(benchmark::State& state, Pick pick) {
 // its members share.  A member with a second hardware option (add, sub,
 // slt) still re-runs its descendants and sums the component's area for it.
 void BM_MeritUpdate(benchmark::State& state) {
-  merit_update(state, [](const hw::IoTable&, Rng&) { return 1; });
+  merit_update(state, [](hw::IoTableView, Rng&) { return 1; });
 }
 BENCHMARK(BM_MeritUpdate)->Range(16, 256)->Complexity(benchmark::oNSquared);
 
@@ -149,7 +149,7 @@ BENCHMARK(BM_MeritUpdate)->Range(16, 256)->Complexity(benchmark::oNSquared);
 // small components and every software-chosen operation builds its vS_x as
 // the union of the components around it.
 void BM_MeritUpdateMixed(benchmark::State& state) {
-  merit_update(state, [](const hw::IoTable& table, Rng& rng) {
+  merit_update(state, [](hw::IoTableView table, Rng& rng) {
     if (rng.next_double() < 0.67 || !table.has_hardware())
       return static_cast<int>(table.first_software());
     return static_cast<int>(

@@ -30,7 +30,7 @@ std::vector<int> pick_options(const hw::GPlus& gplus,
                               const dfg::NodeSet& members, bool fastest) {
   std::vector<int> option(gplus.graph().num_nodes(), 0);
   members.for_each([&](dfg::NodeId v) {
-    const hw::IoTable& table = gplus.table(v);
+    const hw::IoTableView table = gplus.table(v);
     int best = -1;
     for (std::size_t o = 0; o < table.size(); ++o) {
       if (!table.is_hardware(o)) continue;

@@ -52,8 +52,9 @@ class Ledger {
   std::vector<LedgerRow>* rows_;
 };
 
-int software_cycles(const hw::IoTable& table, std::size_t option) {
-  return std::max(1, static_cast<int>(std::ceil(table.option(option).delay)));
+/// Latency of a software option, max(1, ⌈delay⌉) cycles.
+int software_cycles(const hw::ImplOption& option) {
+  return std::max(1, static_cast<int>(std::ceil(option.delay)));
 }
 
 }  // namespace
@@ -89,39 +90,20 @@ void walk_critical_nodes(const dfg::Graph& graph, const WalkResult& walk,
   }
 }
 
-AntWalk::Plan::Plan(const hw::GPlus& gplus) {
+AntWalk::AntWalk(const hw::GPlus& gplus, const sched::MachineConfig& machine,
+                 const ExplorerParams& params, hw::ClockSpec clock)
+    : gplus_(&gplus),
+      nodes_(gplus.num_nodes()),
+      machine_(machine),
+      params_(&params),
+      clock_(clock),
+      walks_metric_(&trace::MetricsRegistry::global().counter(
+          "isex_ant_walks_total")),
+      tet_metric_(&trace::MetricsRegistry::global().histogram(
+          "isex_ant_walk_tet_cycles", {4, 8, 16, 32, 64, 128, 256, 512})) {
   const dfg::Graph& graph = gplus.graph();
-  const std::size_t n = graph.num_nodes();
-  nodes_.resize(n);
-  pred_begin_.reserve(n + 1);
-  succ_begin_.reserve(n + 1);
-  live_in_begin_.reserve(n + 1);
-  pred_begin_.push_back(0);
-  succ_begin_.push_back(0);
-  live_in_begin_.push_back(0);
-  for (dfg::NodeId v = 0; v < n; ++v) {
-    const hw::IoTable& table = gplus.table(v);
-    Node& node = nodes_[v];
-    node.option_begin = static_cast<std::uint32_t>(options_.size());
-    node.num_options = static_cast<std::uint32_t>(table.size());
-    for (std::size_t o = 0; o < table.size(); ++o) {
-      Option option;
-      option.delay = table.option(o).delay;
-      option.software_cycles = software_cycles(table, o);
-      option.hardware = table.is_hardware(o);
-      options_.push_back(option);
-    }
-
-    const std::span<const dfg::NodeId> preds = graph.preds(v);
-    const std::span<const dfg::NodeId> succs = graph.succs(v);
-    const std::span<const int> ids = graph.extern_input_ids(v);
-    pred_ids_.insert(pred_ids_.end(), preds.begin(), preds.end());
-    succ_ids_.insert(succ_ids_.end(), succs.begin(), succs.end());
-    live_in_ids_.insert(live_in_ids_.end(), ids.begin(), ids.end());
-    pred_begin_.push_back(static_cast<std::uint32_t>(pred_ids_.size()));
-    succ_begin_.push_back(static_cast<std::uint32_t>(succ_ids_.size()));
-    live_in_begin_.push_back(static_cast<std::uint32_t>(live_in_ids_.size()));
-
+  for (dfg::NodeId v = 0; v < nodes_.size(); ++v) {
+    NodeTerms& node = nodes_[v];
     const dfg::Node& gnode = graph.node(v);
     node.sw_reads = sched::read_ports_used(graph, v);
     node.sw_writes = sched::write_ports_used(graph, v);
@@ -130,35 +112,25 @@ AntWalk::Plan::Plan(const hw::GPlus& gplus) {
     node.live_out = graph.live_out(v);
     // IN({v})/OUT({v}) straight from v's edges: every predecessor is an
     // outside producer, plus v's distinct live-in values.
-    node.solo_reads = static_cast<int>(preds.size());
+    const std::span<const std::uint32_t> ids = gplus.live_ins(v);
+    node.solo_reads = static_cast<int>(gplus.preds(v).size());
     for (std::size_t i = 0; i < ids.size(); ++i) {
       if (std::find(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(i),
                     ids[i]) == ids.begin() + static_cast<std::ptrdiff_t>(i))
         ++node.solo_reads;
     }
-    node.solo_writes = (node.live_out || !succs.empty()) ? 1 : 0;
+    node.solo_writes = (node.live_out || !gplus.succs(v).empty()) ? 1 : 0;
   }
 }
-
-AntWalk::AntWalk(const hw::GPlus& gplus, const sched::MachineConfig& machine,
-                 const ExplorerParams& params, hw::ClockSpec clock)
-    : plan_(gplus),
-      machine_(machine),
-      params_(&params),
-      clock_(clock),
-      walks_metric_(&trace::MetricsRegistry::global().counter(
-          "isex_ant_walks_total")),
-      tet_metric_(&trace::MetricsRegistry::global().histogram(
-          "isex_ant_walk_tet_cycles", {4, 8, 16, 32, 64, 128, 256, 512})) {}
 
 const WalkResult& AntWalk::run(const PheromoneState& pheromone,
                                std::span<const double> sp_score, Rng& rng,
                                WalkScratch& s) const {
   const trace::Span span("ant_walk");
-  const Plan& plan = plan_;
-  const std::size_t n = plan.num_nodes();
+  const hw::GPlus& gplus = *gplus_;
+  const std::size_t n = gplus.num_nodes();
   ISEX_ASSERT(sp_score.size() == n);
-  ISEX_ASSERT(pheromone.num_nodes() == n);
+  ISEX_ASSERT(&pheromone.gplus() == &gplus);
 
   WalkResult& result = s.result;
   // Recycle the previous walk's group storage: the NodeSet word buffers move
@@ -183,25 +155,21 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
 
   s.unresolved.resize(n);
   for (dfg::NodeId v = 0; v < n; ++v)
-    s.unresolved[v] = static_cast<int>(plan.preds(v).size());
+    s.unresolved[v] = static_cast<int>(gplus.preds(v).size());
 
   // Per-walk weight table: trail and merit are const for the duration of a
   // walk, so the Eq. 1 numerator + λ·SP of every (node, option) pair is
   // computed once here — O(n × options) — instead of for every ready entry
   // on every step.  Every weight a pick reads is a copy of an entry checked
   // here, so the draw itself checks nothing.
-  ISEX_ASSERT(pheromone.offset(static_cast<dfg::NodeId>(n)) ==
-              plan.num_entries());
-  s.base_weight.resize(plan.num_entries());
+  s.base_weight.resize(gplus.num_entries());
   pheromone.weights_into(s.base_weight);
   for (dfg::NodeId v = 0; v < n; ++v) {
-    const Plan::Node& node = plan.node(v);
-    ISEX_ASSERT(pheromone.offset(v) == node.option_begin);
     const double sp_bias = params_->lambda * sp_score[v];
-    double* const row = s.base_weight.data() + node.option_begin;
-    for (std::size_t o = 0; o < node.num_options; ++o) {
-      row[o] += sp_bias;
-      ISEX_ASSERT_MSG(row[o] >= 0.0, "weights must be non-negative");
+    const std::size_t end = gplus.offset(v + 1);
+    for (std::size_t i = gplus.offset(v); i < end; ++i) {
+      s.base_weight[i] += sp_bias;
+      ISEX_ASSERT_MSG(s.base_weight[i] >= 0.0, "weights must be non-negative");
     }
   }
 
@@ -215,10 +183,10 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
   s.weights.clear();
   s.prefix.clear();
   auto enter_ready = [&](dfg::NodeId v) {
-    const Plan::Node& node = plan.node(v);
-    const double* row = s.base_weight.data() + node.option_begin;
+    const double* row = s.base_weight.data() + gplus.offset(v);
+    const std::size_t options = gplus.num_options(v);
     double sum = s.prefix.empty() ? 0.0 : s.prefix.back();
-    for (std::uint32_t o = 0; o < node.num_options; ++o) {
+    for (std::size_t o = 0; o < options; ++o) {
       s.entries.push_back({v, static_cast<std::int32_t>(o)});
       s.weights.push_back(row[o]);
       sum += row[o];
@@ -230,7 +198,7 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
   // Removes v's entry block, which starts at `pos`; only the prefix sums
   // from `pos` onward change.
   auto leave_ready = [&](dfg::NodeId v, std::size_t pos) {
-    const std::size_t len = plan.node(v).num_options;
+    const std::size_t len = gplus.num_options(v);
     ISEX_ASSERT(pos + len <= s.entries.size() && s.entries[pos].node == v &&
                 s.entries[pos].option == 0);
     const auto first = static_cast<std::ptrdiff_t>(pos);
@@ -249,7 +217,7 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
   for (dfg::NodeId v = 0; v < n; ++v)
     if (s.unresolved[v] == 0) enter_ready(v);
 
-  for (std::vector<int>& ids : s.group_extern_ids) ids.clear();
+  for (std::vector<std::uint32_t>& ids : s.group_extern_ids) ids.clear();
 
   // A grouped node's finish is read live: its group can still grow.
   auto finish_of = [&](dfg::NodeId v) {
@@ -276,7 +244,7 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
     return g;
   };
 
-  auto extern_ids_bucket = [&](int gid) -> std::vector<int>& {
+  auto extern_ids_bucket = [&](int gid) -> std::vector<std::uint32_t>& {
     while (s.group_extern_ids.size() <= static_cast<std::size_t>(gid))
       s.group_extern_ids.emplace_back();
     return s.group_extern_ids[static_cast<std::size_t>(gid)];
@@ -288,18 +256,18 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
   // count_inputs/count_outputs recount over the group.
   auto try_join = [&](dfg::NodeId v, double delay_ns, int gid) -> bool {
     GroupState& g = result.groups[static_cast<std::size_t>(gid)];
-    const std::span<const dfg::NodeId> preds = plan.preds(v);
+    const std::span<const dfg::NodeId> preds = gplus.preds(v);
     // All producers outside the group must be done before the group issues.
     for (const dfg::NodeId p : preds) {
       if (!g.members.contains(p) && finish_of(p) > g.start) return false;
     }
-    std::vector<int>& gext = extern_ids_bucket(gid);
+    std::vector<std::uint32_t>& gext = extern_ids_bucket(gid);
     // ΔIN: predecessors of v that become new outside producers…
     int dr = 0;
     for (const dfg::NodeId p : preds) {
       if (g.members.contains(p)) continue;
       bool already_feeds = false;
-      for (const dfg::NodeId c : plan.succs(p)) {
+      for (const dfg::NodeId c : gplus.succs(p)) {
         if (g.members.contains(c)) {
           already_feeds = true;
           break;
@@ -308,7 +276,7 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
       if (!already_feeds) ++dr;
     }
     // …plus v's live-in values the group does not consume yet…
-    const std::span<const int> ids = plan.live_in_ids(v);
+    const std::span<const std::uint32_t> ids = gplus.live_ins(v);
     for (std::size_t i = 0; i < ids.size(); ++i) {
       if (std::find(gext.begin(), gext.end(), ids[i]) != gext.end()) continue;
       if (std::find(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(i),
@@ -318,7 +286,7 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
       ++dr;
     }
     // …minus v itself if it previously fed the group from outside.
-    const std::span<const dfg::NodeId> succs = plan.succs(v);
+    const std::span<const dfg::NodeId> succs = gplus.succs(v);
     for (const dfg::NodeId c : succs) {
       if (g.members.contains(c)) {
         --dr;
@@ -328,7 +296,7 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
     // ΔOUT: +1 if v's value escapes the grown group; -1 for each member
     // predecessor whose value stops escaping once v is inside.
     int dw = 0;
-    bool v_escapes = plan.node(v).live_out;
+    bool v_escapes = nodes_[v].live_out;
     if (!v_escapes) {
       for (const dfg::NodeId c : succs) {
         if (!g.members.contains(c)) {
@@ -339,9 +307,9 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
     }
     if (v_escapes) ++dw;
     for (const dfg::NodeId p : preds) {
-      if (!g.members.contains(p) || plan.node(p).live_out) continue;
+      if (!g.members.contains(p) || nodes_[p].live_out) continue;
       bool still_escapes = false;
-      for (const dfg::NodeId c : plan.succs(p)) {
+      for (const dfg::NodeId c : gplus.succs(p)) {
         if (c != v && !g.members.contains(c)) {
           still_escapes = true;
           break;
@@ -380,10 +348,10 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
     const std::size_t pick = rng.weighted_pick(s.weights, s.prefix.back());
     const auto [v, opt_i] = s.entries[pick];
     const auto opt = static_cast<std::size_t>(opt_i);
-    const Plan::Node& node = plan.node(v);
-    const Plan::Option& option = plan.option(node.option_begin + opt);
+    const NodeTerms& node = nodes_[v];
+    const hw::ImplOption& option = gplus.entry(gplus.offset(v) + opt);
 
-    if (option.hardware) {
+    if (option.kind == hw::ImplKind::kHardware) {
       // Fig 4.3.4: join the group of the parent scheduled latest (LP).  A
       // join needs every outside producer finished by the group's start,
       // and a group finishes at least one cycle after it starts, so no
@@ -391,7 +359,7 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
       // latest finish, try_join rejects the first for the other's member.
       int latest_gid = -1;
       int latest_finish = 0;
-      for (const dfg::NodeId p : plan.preds(v)) {
+      for (const dfg::NodeId p : gplus.preds(v)) {
         const int gid = result.group_id[p];
         if (gid >= 0 && (latest_gid < 0 || finish_of(p) > latest_finish)) {
           latest_gid = gid;
@@ -401,7 +369,7 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
       if (latest_gid < 0 || !try_join(v, option.delay, latest_gid)) {
         // Open a fresh single-member group at the earliest feasible slot.
         int avail = 0;
-        for (const dfg::NodeId p : plan.preds(v))
+        for (const dfg::NodeId p : gplus.preds(v))
           avail = std::max(avail, finish_of(p));
         int cts = avail;
         while (!ledger.fits(cts, 1, node.solo_reads, node.solo_writes, -1))
@@ -416,8 +384,8 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
         g.cycles = clock_.cycles_for(g.depth_ns);
         g.reads = node.solo_reads;
         g.writes = node.solo_writes;
-        std::vector<int>& gext = extern_ids_bucket(gid);
-        for (const int id : plan.live_in_ids(v)) {
+        std::vector<std::uint32_t>& gext = extern_ids_bucket(gid);
+        for (const std::uint32_t id : gplus.live_ins(v)) {
           if (std::find(gext.begin(), gext.end(), id) == gext.end())
             gext.push_back(id);
         }
@@ -428,7 +396,7 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
     } else {
       // Fig 4.3.3: software list placement.
       int avail = 0;
-      for (const dfg::NodeId p : plan.preds(v))
+      for (const dfg::NodeId p : gplus.preds(v))
         avail = std::max(avail, finish_of(p));
       int cts = avail;
       while (!ledger.fits(cts, 1, node.sw_reads, node.sw_writes,
@@ -436,7 +404,7 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
         ++cts;
       ledger.charge(cts, 1, node.sw_reads, node.sw_writes, node.fu_class);
       result.slot[v] = cts;
-      result.finish_[v] = cts + option.software_cycles;
+      result.finish_[v] = cts + software_cycles(option);
     }
 
     result.chosen[v] = opt_i;
@@ -444,7 +412,7 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
     ++scheduled;
     ++s.steps;
     leave_ready(v, pick - opt);
-    for (const dfg::NodeId su : plan.succs(v)) {
+    for (const dfg::NodeId su : gplus.succs(v)) {
       if (--s.unresolved[su] == 0) enter_ready(su);
     }
   }

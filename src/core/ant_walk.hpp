@@ -13,12 +13,13 @@
 //
 // Hot-path structure (see docs/PERFORMANCE.md): a step pays only for what
 // its own pick changes.
-//  * Per round, AntWalk's constructor flattens what a walk reads of the G+
-//    into a plan (CSR edges and live-in ids, per-option delay and kind,
-//    per-node ports and FU class), so run() reads no Graph, GPlus or IoTable.
+//  * Per round, a walk reads the round's flat G+ layout (hw::GPlus): its
+//    (operation, option) entries, CSR edges and dense live-in ids.  AntWalk's
+//    constructor adds only the per-node terms that belong to the walk:
+//    software ports, FU class, a fresh group's IN/OUT, and live-out.
 //  * Per walk, trail and merit are const, so the Eq. 1 numerator of every
 //    (node, option) pair is built into one flat table up front, indexed by
-//    the pheromone's CSR offsets.
+//    G+'s entry offsets.
 //  * Per step, the Ready-Matrix is maintained incrementally: entries append
 //    when a node becomes ready and the picked node's block, which starts at
 //    pick − option, is compacted out in place, keeping the enumeration order
@@ -140,30 +141,31 @@ class WalkScratch {
   std::vector<double> hw_depth;
   std::vector<int> unresolved;
   // Flattened per-(node, option) Eq. 1 numerator + λ·SP, built once per
-  // walk and indexed by PheromoneState::offset.
+  // walk and indexed by hw::GPlus::offset.
   std::vector<double> base_weight;
   // Flattened Ready-Matrix: live (node, option) entries, their weights, and
   // the left-to-right running sum of those weights.
   std::vector<ReadyEntry> entries;
   std::vector<double> weights;
   std::vector<double> prefix;
-  // Distinct live-in value ids consumed by each open group (for the
-  // incremental IN(S) delta of try_join); index parallels result.groups.
-  std::vector<std::vector<int>> group_extern_ids;
+  // Distinct live-in values (G+'s dense ids) consumed by each open group
+  // (for the incremental IN(S) delta of try_join); index parallels
+  // result.groups.
+  std::vector<std::vector<std::uint32_t>> group_extern_ids;
   // Retired GroupStates whose NodeSet capacity is recycled between walks.
   std::vector<GroupState> group_stash;
 };
 
 class AntWalk {
  public:
+  /// Binds one round's G+, which must outlive the walker.
   AntWalk(const hw::GPlus& gplus, const sched::MachineConfig& machine,
           const ExplorerParams& params, hw::ClockSpec clock = {});
 
   /// Runs one iteration into `scratch` and returns `scratch.result`.
   /// `sp_score[v]` is the scheduling-priority term of Eq. 1, pre-scaled to
-  /// the merit scale.  `pheromone` must be shaped by the same G+ (its node
-  /// and option counts are asserted against the plan).  Allocation-free once
-  /// the scratch is warmed up.
+  /// the merit scale.  `pheromone` must be laid out over the walker's G+.
+  /// Allocation-free once the scratch is warmed up.
   const WalkResult& run(const PheromoneState& pheromone,
                         std::span<const double> sp_score, Rng& rng,
                         WalkScratch& scratch) const;
@@ -173,82 +175,23 @@ class AntWalk {
                  std::span<const double> sp_score, Rng& rng) const;
 
  private:
-  /// What a walk reads of the round's G+, flattened once per round by the
-  /// constructor, so run() reads no Graph, GPlus or IoTable.  Never written
-  /// after construction: every colony of a round walks through one shared
-  /// AntWalk.
-  class Plan {
-   public:
-    /// Per (node, option).
-    struct Option {
-      /// Hardware: combinational delay, ns.  Software: cycles.
-      double delay = 0.0;
-      /// Software latency, max(1, ⌈delay⌉) cycles.
-      int software_cycles = 1;
-      bool hardware = false;
-    };
-    /// Per node.
-    struct Node {
-      /// Flat index of the node's option 0 (run() asserts it equals
-      /// PheromoneState::offset), and its option count.
-      std::uint32_t option_begin = 0;
-      std::uint32_t num_options = 0;
-      /// Register ports of a software issue (sched::read/write_ports_used).
-      int sw_reads = 0;
-      int sw_writes = 0;
-      /// Functional-unit class, -1 for an ISE supernode (no FU limit).
-      int fu_class = -1;
-      /// IN({v}) and OUT({v}) of a fresh single-member group.
-      int solo_reads = 0;
-      int solo_writes = 0;
-      bool live_out = false;
-    };
-
-    explicit Plan(const hw::GPlus& gplus);
-
-    std::size_t num_nodes() const { return nodes_.size(); }
-    /// Number of (node, option) entries.
-    std::size_t num_entries() const { return options_.size(); }
-
-    const Node& node(dfg::NodeId v) const {
-      ISEX_ASSERT(v < nodes_.size());
-      return nodes_[v];
-    }
-    const Option& option(std::size_t entry) const {
-      ISEX_ASSERT(entry < options_.size());
-      return options_[entry];
-    }
-    std::span<const dfg::NodeId> preds(dfg::NodeId v) const {
-      return row(pred_begin_, pred_ids_, v);
-    }
-    std::span<const dfg::NodeId> succs(dfg::NodeId v) const {
-      return row(succ_begin_, succ_ids_, v);
-    }
-    /// Live-in value ids of v's operands, as Graph::extern_input_ids.
-    std::span<const int> live_in_ids(dfg::NodeId v) const {
-      return row(live_in_begin_, live_in_ids_, v);
-    }
-
-   private:
-    template <typename T>
-    std::span<const T> row(const std::vector<std::uint32_t>& begin,
-                           const std::vector<T>& ids, dfg::NodeId v) const {
-      ISEX_ASSERT(v < nodes_.size());
-      return {ids.data() + begin[v], begin[v + 1] - begin[v]};
-    }
-
-    std::vector<Node> nodes_;
-    std::vector<Option> options_;
-    // CSR lists: node v's are [begin[v], begin[v + 1]).
-    std::vector<std::uint32_t> pred_begin_;
-    std::vector<dfg::NodeId> pred_ids_;
-    std::vector<std::uint32_t> succ_begin_;
-    std::vector<dfg::NodeId> succ_ids_;
-    std::vector<std::uint32_t> live_in_begin_;
-    std::vector<int> live_in_ids_;
+  /// What a walk places a node by, beyond G+'s layout.  Derived once per
+  /// round by the constructor and never written after: every colony of a
+  /// round walks through one shared AntWalk.
+  struct NodeTerms {
+    /// Register ports of a software issue (sched::read/write_ports_used).
+    int sw_reads = 0;
+    int sw_writes = 0;
+    /// Functional-unit class, -1 for an ISE supernode (no FU limit).
+    int fu_class = -1;
+    /// IN({v}) and OUT({v}) of a fresh single-member group.
+    int solo_reads = 0;
+    int solo_writes = 0;
+    bool live_out = false;
   };
 
-  Plan plan_;
+  const hw::GPlus* gplus_;
+  std::vector<NodeTerms> nodes_;
   sched::MachineConfig machine_;
   const ExplorerParams* params_;
   hw::ClockSpec clock_;

@@ -16,33 +16,11 @@ HardwareGrouping::HardwareGrouping(const hw::GPlus& gplus,
                                    const isa::IsaFormat& format,
                                    const dfg::Reachability& reach,
                                    hw::ClockSpec clock)
-    : gplus_(&gplus), format_(format), reach_(&reach), clock_(clock) {
-  const dfg::Graph& graph = gplus.graph();
-  const std::size_t n = graph.num_nodes();
-  std::vector<int> values;
-  for (dfg::NodeId v = 0; v < n; ++v) {
-    const std::span<const int> ids = graph.extern_input_ids(v);
-    values.insert(values.end(), ids.begin(), ids.end());
-  }
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  num_live_ins_ = values.size();
-  live_in_begin_.reserve(n + 1);
-  live_in_begin_.push_back(0);
-  for (dfg::NodeId v = 0; v < n; ++v) {
-    for (const int id : graph.extern_input_ids(v)) {
-      live_in_ids_.push_back(static_cast<dfg::NodeId>(
-          std::lower_bound(values.begin(), values.end(), id) -
-          values.begin()));
-    }
-    live_in_begin_.push_back(static_cast<std::uint32_t>(live_in_ids_.size()));
-  }
-}
+    : gplus_(&gplus), format_(format), reach_(&reach), clock_(clock) {}
 
 void HardwareGrouping::label_components(std::span<const int> chosen,
                                         GroupingScratch& scratch) const {
-  const dfg::Graph& graph = gplus_->graph();
-  const std::size_t n = graph.num_nodes();
+  const std::size_t n = gplus_->num_nodes();
   ISEX_ASSERT(chosen.size() == n);
 
   scratch.label.assign(n, -1);
@@ -54,7 +32,7 @@ void HardwareGrouping::label_components(std::span<const int> chosen,
   scratch.outside_consumers.resize(n);
   for (dfg::NodeId v = 0; v < n; ++v) {
     const int o = chosen[v];
-    const hw::IoTable& table = gplus_->table(v);
+    const hw::IoTableView table = gplus_->table(v);
     if (o < 0 || !table.is_hardware(static_cast<std::size_t>(o))) continue;
     scratch.label[v] = kUnlabelled;
     scratch.option[v] = o;
@@ -87,8 +65,8 @@ void HardwareGrouping::label_components(std::span<const int> chosen,
         members.insert(u);
         scratch.stack.push_back(u);
       };
-      for (const dfg::NodeId u : graph.succs(v)) visit(u);
-      for (const dfg::NodeId u : graph.preds(v)) visit(u);
+      for (const dfg::NodeId u : gplus_->succs(v)) visit(u);
+      for (const dfg::NodeId u : gplus_->preds(v)) visit(u);
     }
   }
 
@@ -102,7 +80,7 @@ void HardwareGrouping::label_components(std::span<const int> chosen,
         scratch.components[static_cast<std::size_t>(c)];
     comp.order.push_back(v);
     double start = 0.0;
-    for (const dfg::NodeId p : graph.preds(v)) {
+    for (const dfg::NodeId p : gplus_->preds(v)) {
       if (scratch.label[p] >= 0) start = std::max(start, scratch.finish[p]);
     }
     scratch.finish[v] = start + scratch.delay[v];
@@ -125,16 +103,16 @@ void HardwareGrouping::analyse(GroupingScratch::Component& comp,
   const dfg::Graph& graph = gplus_->graph();
   VirtualCandidate& cand = comp.cand;
   comp.producers.resize(graph.num_nodes());
-  comp.live_ins.resize(num_live_ins_);
+  comp.live_ins.resize(gplus_->num_live_ins());
   cand.out_count = 0;
   for (const dfg::NodeId v : comp.order) {
     const int c = scratch.label[v];
-    for (const dfg::NodeId p : graph.preds(v))
+    for (const dfg::NodeId p : gplus_->preds(v))
       if (scratch.label[p] != c) comp.producers.insert(p);
-    for (std::uint32_t i = live_in_begin_[v]; i < live_in_begin_[v + 1]; ++i)
-      comp.live_ins.insert(live_in_ids_[i]);
+    for (const std::uint32_t id : gplus_->live_ins(v)) comp.live_ins.insert(id);
     int outside = 0;
-    for (const dfg::NodeId s : graph.succs(v)) outside += scratch.label[s] != c;
+    for (const dfg::NodeId s : gplus_->succs(v))
+      outside += scratch.label[s] != c;
     scratch.outside_consumers[v] = outside;
     cand.out_count += graph.live_out(v) || outside > 0;
   }
@@ -162,10 +140,9 @@ bool HardwareGrouping::isolated(dfg::NodeId x,
   const int c = scratch.label[x];
   if (c >= 0)
     return scratch.components[static_cast<std::size_t>(c)].order.size() == 1;
-  const dfg::Graph& graph = gplus_->graph();
-  for (const dfg::NodeId u : graph.succs(x))
+  for (const dfg::NodeId u : gplus_->succs(x))
     if (scratch.label[u] >= 0) return false;
-  for (const dfg::NodeId u : graph.preds(x))
+  for (const dfg::NodeId u : gplus_->preds(x))
     if (scratch.label[u] >= 0) return false;
   return true;
 }
@@ -191,8 +168,8 @@ const VirtualCandidate& HardwareGrouping::join(dfg::NodeId x,
                             c) == scratch.adjacent.end())
       scratch.adjacent.push_back(c);
   };
-  for (const dfg::NodeId u : graph.succs(x)) touch(u);
-  for (const dfg::NodeId u : graph.preds(x)) touch(u);
+  for (const dfg::NodeId u : gplus_->succs(x)) touch(u);
+  for (const dfg::NodeId u : gplus_->preds(x)) touch(u);
 
   GroupingScratch::Component& joined = scratch.joined;
   scratch.joined_x = x;
@@ -202,9 +179,8 @@ const VirtualCandidate& HardwareGrouping::join(dfg::NodeId x,
   joined.below = reach_->descendants(x);
   joined.above = reach_->ancestors(x);
   joined.producers.resize(graph.num_nodes());
-  joined.live_ins.resize(num_live_ins_);
-  for (std::uint32_t i = live_in_begin_[x]; i < live_in_begin_[x + 1]; ++i)
-    joined.live_ins.insert(live_in_ids_[i]);
+  joined.live_ins.resize(gplus_->num_live_ins());
+  for (const std::uint32_t id : gplus_->live_ins(x)) joined.live_ins.insert(id);
   cand.out_count = 0;
   for (const int c : scratch.adjacent) {
     const GroupingScratch::Component& comp =
@@ -220,7 +196,7 @@ const VirtualCandidate& HardwareGrouping::join(dfg::NodeId x,
   // x's software-chosen producers join, x stops being a producer, and a
   // member whose only consumer outside its component was x stops being an
   // output.
-  for (const dfg::NodeId p : graph.preds(x)) {
+  for (const dfg::NodeId p : gplus_->preds(x)) {
     if (scratch.label[p] < 0) {
       joined.producers.insert(p);
     } else if (!graph.live_out(p) && scratch.outside_consumers[p] == 1) {
@@ -231,7 +207,7 @@ const VirtualCandidate& HardwareGrouping::join(dfg::NodeId x,
   cand.in_count =
       static_cast<int>(joined.producers.count() + joined.live_ins.count());
   bool x_escapes = graph.live_out(x);
-  for (const dfg::NodeId s : graph.succs(x))
+  for (const dfg::NodeId s : gplus_->succs(x))
     x_escapes = x_escapes || scratch.label[s] < 0;
   cand.out_count += x_escapes;
   cand.io_violation = cand.in_count > format_.max_ise_inputs() ||
@@ -277,7 +253,7 @@ void HardwareGrouping::fill_options(dfg::NodeId x, VirtualCandidate& cand,
   // chose.  At the option x chose, that is its component's base pass; any
   // other option re-runs x's descendants, and its area sums in ascending
   // member order.
-  const hw::IoTable& x_table = gplus_->table(x);
+  const hw::IoTableView x_table = gplus_->table(x);
   const int x_label = scratch.label[x];
   cand.per_option.assign(x_table.size(), VirtualCandidate::OptionEval{});
   int best_cycles = -1;
@@ -311,10 +287,9 @@ double HardwareGrouping::depth_with(dfg::NodeId x, double x_delay,
   // A member's finish depends on x only when it descends from x; the others
   // keep their base finish.  Each component's order is topological, and a
   // member's predecessors inside vS_x are x and its own component's members.
-  const dfg::Graph& graph = gplus_->graph();
   const dfg::NodeSet& below_x = reach_->descendants(x);
   double start = 0.0;
-  for (const dfg::NodeId p : graph.preds(x)) {
+  for (const dfg::NodeId p : gplus_->preds(x)) {
     if (scratch.label[p] >= 0) start = std::max(start, scratch.finish[p]);
   }
   scratch.alt_finish[x] = start + x_delay;
@@ -328,7 +303,7 @@ double HardwareGrouping::depth_with(dfg::NodeId x, double x_delay,
         continue;
       }
       double ready = 0.0;
-      for (const dfg::NodeId p : graph.preds(v)) {
+      for (const dfg::NodeId p : gplus_->preds(v)) {
         if (p == x) {
           ready = std::max(ready, scratch.alt_finish[x]);
         } else if (scratch.label[p] >= 0) {

@@ -25,13 +25,14 @@
 //     re-run the pass over x's descendants only.
 // join() builds vS_x's members and legality; evaluate() adds x's option
 // evaluations and the software time, which the merit function reads only
-// for some candidates.  Every figure is bit-identical to a per-node search:
+// for some candidates.  Edges, option entries and live-in values are read
+// from the round's flat G+ layout (hw::GPlus), whose dense live-in ids make
+// a component's live-in set a bitset.  Every figure is bit-identical to a per-node search:
 // depths are maxima of the same per-node start + delay sums, area and
 // software-time sums run in ascending member order, and IN/OUT and the flags
 // are integers and booleans.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -132,8 +133,8 @@ class GroupingScratch {
 
 class HardwareGrouping {
  public:
-  /// Binds one round: G+ (whose graph and topological order it uses) and the
-  /// graph's reachability, both of which must outlive the grouping.
+  /// Binds one round: G+ (whose layout and topological order it uses) and
+  /// the graph's reachability, both of which must outlive the grouping.
   HardwareGrouping(const hw::GPlus& gplus, const isa::IsaFormat& format,
                    const dfg::Reachability& reach, hw::ClockSpec clock = {});
 
@@ -181,12 +182,6 @@ class HardwareGrouping {
   isa::IsaFormat format_;
   const dfg::Reachability* reach_;
   hw::ClockSpec clock_;
-  /// Each node's live-in values as dense ids [0, num_live_ins_), CSR style:
-  /// node v's are live_in_ids_[live_in_begin_[v] .. live_in_begin_[v+1]).
-  /// Equal value ids map to one dense id, so a set of them is a bitset.
-  std::vector<std::uint32_t> live_in_begin_;
-  std::vector<dfg::NodeId> live_in_ids_;
-  std::size_t num_live_ins_ = 0;
 };
 
 }  // namespace isex::core

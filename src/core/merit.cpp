@@ -75,7 +75,7 @@ void MeritEngine::update(PheromoneState& pheromone, const MeritInputs& inputs,
   }
 
   for (dfg::NodeId x = 0; x < n; ++x) {
-    const hw::IoTable& table = gplus_->table(x);
+    const hw::IoTableView table = gplus_->table(x);
 
     // Software part: merit ×= execution time of the option.
     for (std::size_t o = 0; o < table.size(); ++o) {

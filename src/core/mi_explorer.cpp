@@ -1,9 +1,9 @@
 #include "core/mi_explorer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <limits>
+#include <optional>
 
 #include "core/ant_walk.hpp"
 #include "core/candidate.hpp"
@@ -267,7 +267,6 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
       // like the seed, bit-identical at any thread count.
       using Clock = std::chrono::steady_clock;
       runtime::ThreadPool& pool = runtime::ThreadPool::default_pool();
-      const bool profiled = pool.profiling();
       const int budget = (params_.max_iterations + k_eff - 1) / k_eff;
       const int interval = std::max(1, params_.merge_interval);
 
@@ -283,43 +282,18 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
         // (bounded by its budget share), breaking early once its own
         // pheromone state converges.  Colony c touches only its own chain,
         // stream, and scratch — nothing is shared until the barrier.
-        std::atomic<std::uint64_t> task_ns_sum{0};
-        std::atomic<std::uint64_t> task_ns_max{0};
-        const auto wall_start = Clock::now();
-        pool.parallel_for(
-            static_cast<std::size_t>(k_eff), [&](std::size_t c) {
-              const auto run_epoch = [&] {
-                AcoChain& chain = chains[c];
-                for (int s = 0; s < interval && chain.iterations < budget;
-                     ++s) {
-                  if (chain.step(ctx, streams[c], static_cast<int>(c),
-                                 scratches[c]))
-                    break;
-                }
-              };
-              if (profiled) {
-                const auto t0 = Clock::now();
-                run_epoch();
-                const auto ns = static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        Clock::now() - t0)
-                        .count());
-                task_ns_sum.fetch_add(ns, std::memory_order_relaxed);
-                std::uint64_t seen =
-                    task_ns_max.load(std::memory_order_relaxed);
-                while (seen < ns &&
-                       !task_ns_max.compare_exchange_weak(
-                           seen, ns, std::memory_order_relaxed)) {
-                }
-              } else {
-                run_epoch();
-              }
-            });
-        const auto merge_start = Clock::now();
-        const auto wall_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(merge_start -
-                                                                 wall_start)
-                .count());
+        const std::optional<runtime::ParallelTiming> timing =
+            runtime::timed_parallel_for(
+                pool, static_cast<std::size_t>(k_eff), [&](std::size_t c) {
+                  AcoChain& chain = chains[c];
+                  for (int s = 0; s < interval && chain.iterations < budget;
+                       ++s) {
+                    if (chain.step(ctx, streams[c], static_cast<int>(c),
+                                   scratches[c]))
+                      break;
+                  }
+                });
+        const auto merge_start = timing ? Clock::now() : Clock::time_point{};
 
         // Barrier: index-ordered merge, broadcast, convergence test on the
         // merged state.  The merge is the section's serial cost.
@@ -333,16 +307,15 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
           chain.pheromone = merged;
           exhausted = exhausted && chain.iterations >= budget;
         }
-        if (profiled) {
+        if (timing) {
           const auto merge_ns = static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   Clock::now() - merge_start)
                   .count());
           runtime::record_parallel_section(
-              "explore.colonies", merge_ns, wall_ns,
-              static_cast<std::uint64_t>(k_eff),
-              task_ns_sum.load(std::memory_order_relaxed),
-              task_ns_max.load(std::memory_order_relaxed));
+              "explore.colonies", merge_ns, timing->wall_ns,
+              static_cast<std::uint64_t>(k_eff), timing->task_ns_sum,
+              timing->task_ns_max);
         }
         if (merged.converged() || exhausted) break;
       }

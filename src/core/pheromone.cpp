@@ -9,18 +9,14 @@ namespace isex::core {
 
 PheromoneState::PheromoneState(const hw::GPlus& gplus,
                                const ExplorerParams& params)
-    : params_(&params) {
-  const std::size_t n = gplus.graph().num_nodes();
-  offset_.reserve(n + 1);
-  offset_.push_back(0);
-  for (dfg::NodeId v = 0; v < n; ++v) {
-    const hw::IoTable& table = gplus.table(v);
-    for (std::size_t o = 0; o < table.size(); ++o) {
-      trail_.push_back(params.initial_trail);
-      merit_.push_back(table.is_hardware(o) ? params.initial_merit_hardware
-                                            : params.initial_merit_software);
-    }
-    offset_.push_back(static_cast<std::uint32_t>(trail_.size()));
+    : gplus_(&gplus),
+      params_(&params),
+      trail_(gplus.num_entries(), params.initial_trail) {
+  merit_.reserve(gplus.num_entries());
+  for (std::size_t i = 0; i < gplus.num_entries(); ++i) {
+    merit_.push_back(gplus.entry(i).kind == hw::ImplKind::kHardware
+                         ? params.initial_merit_hardware
+                         : params.initial_merit_software);
   }
 }
 
@@ -34,9 +30,8 @@ void PheromoneState::set_merit(dfg::NodeId v, std::size_t option, double value) 
 }
 
 void PheromoneState::normalize_merit(dfg::NodeId v) {
-  ISEX_ASSERT(v < num_nodes());
-  double* const first = merit_.data() + offset_[v];
-  double* const last = merit_.data() + offset_[v + 1];
+  double* const first = merit_.data() + gplus_->offset(v);
+  double* const last = first + num_options(v);
   double best = 0.0;
   for (const double* m = first; m != last; ++m) best = std::max(best, *m);
   if (best <= 0.0) {
@@ -60,8 +55,8 @@ void PheromoneState::update_trails(std::span<const int> chosen,
   ISEX_ASSERT(reordered.size() == n);
   const ExplorerParams& p = *params_;
   for (dfg::NodeId v = 0; v < n; ++v) {
-    double* const row = trail_.data() + offset_[v];
-    const std::size_t options = offset_[v + 1] - offset_[v];
+    double* const row = trail_.data() + gplus_->offset(v);
+    const std::size_t options = num_options(v);
     for (std::size_t o = 0; o < options; ++o) {
       double t = row[o];
       const bool was_chosen = chosen[v] == static_cast<int>(o);
@@ -163,6 +158,8 @@ std::size_t PheromoneMerger::winner() const {
 }
 
 void PheromoneMerger::finalize_into(PheromoneState& out) const {
+  for (const Slot& slot : slots_)
+    ISEX_ASSERT(slot.state != nullptr && &slot.state->gplus() == &out.gplus());
   const ExplorerParams& p = *params_;
   const std::size_t k = slots_.size();
   const double inv_k = 1.0 / static_cast<double>(k);

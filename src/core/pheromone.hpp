@@ -7,13 +7,13 @@
 // selected probability sp (Eq. 3) mixes the two per operation; convergence
 // is "every operation has an option with sp > P_END".
 //
-// Storage is CSR: one offset table over the nodes and one flat trail and
-// one flat merit array, so node v's option o lives at offset(v) + o.  The
-// ant walk builds its whole weight table in one flat pass over them
+// Storage follows the G+ layout: one flat trail and one flat merit array
+// over G+'s (operation, option) entries, so node v's option o lives at
+// gplus.offset(v) + o.  The state refers to its G+, which must outlive it.
+// The ant walk builds its whole weight table in one flat pass over them
 // (weights_into(out)) and indexes it by the same offsets.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -28,16 +28,11 @@ class PheromoneState {
  public:
   PheromoneState(const hw::GPlus& gplus, const ExplorerParams& params);
 
-  std::size_t num_nodes() const { return offset_.size() - 1; }
+  /// The G+ whose (operation, option) entries the state is laid out over.
+  const hw::GPlus& gplus() const { return *gplus_; }
+  std::size_t num_nodes() const { return gplus_->num_nodes(); }
   std::size_t num_options(dfg::NodeId v) const {
-    ISEX_ASSERT(v < num_nodes());
-    return offset_[v + 1] - offset_[v];
-  }
-  /// Flat index of (v, option 0); offset(num_nodes()) is the number of
-  /// (node, option) entries.
-  std::size_t offset(dfg::NodeId v) const {
-    ISEX_ASSERT(v <= num_nodes());
-    return offset_[v];
+    return gplus_->num_options(v);
   }
 
   double trail(dfg::NodeId v, std::size_t option) const {
@@ -97,20 +92,21 @@ class PheromoneState {
   }
 
   /// Writes the whole weight table into `out` in one flat pass: weight(v, o)
-  /// lands at out[offset(v) + o] (out.size() must equal offset(num_nodes())).
+  /// lands at out[gplus().offset(v) + o] (out.size() must equal
+  /// gplus().num_entries()).
   /// The ant walk builds its per-walk table with this — trail and merit are
   /// const during a walk — instead of calling weight() per ready entry.
   void weights_into(std::span<double> out) const;
 
  private:
   std::size_t index(dfg::NodeId v, std::size_t option) const {
-    ISEX_ASSERT(v < num_nodes() && option < offset_[v + 1] - offset_[v]);
-    return offset_[v] + option;
+    const std::size_t first = gplus_->offset(v);
+    ISEX_ASSERT(first + option < gplus_->offset(v + 1));
+    return first + option;
   }
 
+  const hw::GPlus* gplus_;
   const ExplorerParams* params_;
-  /// CSR over the nodes: node v's options are [offset_[v], offset_[v + 1]).
-  std::vector<std::uint32_t> offset_;
   std::vector<double> trail_;
   std::vector<double> merit_;
 };
@@ -142,7 +138,8 @@ class PheromoneMerger {
   /// Colony index winning the best-ant deposit.  All slots must be filled.
   std::size_t winner() const;
 
-  /// Index-ordered reduction into `out` (shape must match the sources).
+  /// Index-ordered reduction into `out`, which must be laid out over the
+  /// sources' G+.
   void finalize_into(PheromoneState& out) const;
 
  private:

@@ -13,7 +13,7 @@ AsfuEvaluation evaluate_asfu(const GPlus& gplus, const dfg::NodeSet& members,
 
   AsfuEvaluation eval;
   members.for_each([&](dfg::NodeId v) {
-    const IoTable& table = gplus.table(v);
+    const IoTableView table = gplus.table(v);
     const auto idx = static_cast<std::size_t>(chosen_option[v]);
     ISEX_ASSERT_MSG(table.is_hardware(idx),
                     "ISE member must use a hardware option");

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,44 @@ class IoTable {
  private:
   std::vector<ImplOption> options_;
   std::size_t num_software_ = 0;
+};
+
+/// One operation's options as hw::GPlus lays them out: a read-only view of
+/// the run an IoTable built (software first), with IoTable's queries.
+class IoTableView {
+ public:
+  explicit IoTableView(std::span<const ImplOption> options)
+      : options_(options) {
+    ISEX_ASSERT(!options.empty() &&
+                options.front().kind == ImplKind::kSoftware);
+  }
+
+  std::size_t size() const { return options_.size(); }
+  const ImplOption& option(std::size_t index) const {
+    ISEX_ASSERT(index < options_.size());
+    return options_[index];
+  }
+
+  std::size_t first_software() const { return 0; }
+  std::size_t num_software() const {
+    return static_cast<std::size_t>(std::count_if(
+        options_.begin(), options_.end(),
+        [](const ImplOption& o) { return o.kind == ImplKind::kSoftware; }));
+  }
+  std::size_t num_hardware() const { return size() - num_software(); }
+  /// Software options come first, so the last is hardware iff any is.
+  bool has_hardware() const {
+    return options_.back().kind == ImplKind::kHardware;
+  }
+
+  bool is_hardware(std::size_t index) const {
+    return option(index).kind == ImplKind::kHardware;
+  }
+
+  std::span<const ImplOption> options() const { return options_; }
+
+ private:
+  std::span<const ImplOption> options_;
 };
 
 /// Core clock: the paper's machine runs at 100 MHz in 0.13 µm, so one cycle

@@ -1,6 +1,7 @@
 #include "runtime/runtime_stats.hpp"
 
 #include <ostream>
+#include <string_view>
 
 #include "trace/trace.hpp"
 
@@ -98,7 +99,17 @@ StageTimer::~StageTimer() {
 RuntimeStats collect_runtime_stats(const ThreadPool& pool) {
   RuntimeStats stats;
   stats.pool = pool.stats();
-  stats.schedule_cache = schedule_cache().stats();
+  // Every EvalCache, the process cache and each flow's private one alike,
+  // feeds these counters, so the report covers all of them.
+  trace::MetricsRegistry& registry = trace::MetricsRegistry::global();
+  const auto total = [&](std::string_view name) {
+    return static_cast<std::uint64_t>(registry.counter(name).value());
+  };
+  stats.schedule_cache.hits = total("isex_schedule_cache_hits_total");
+  stats.schedule_cache.misses = total("isex_schedule_cache_misses_total");
+  stats.schedule_cache.insertions =
+      total("isex_schedule_cache_insertions_total");
+  stats.schedule_cache.evictions = total("isex_schedule_cache_evictions_total");
   stats.stages = stage_times().snapshot();
   return stats;
 }

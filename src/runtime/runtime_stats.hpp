@@ -75,7 +75,8 @@ class StageTimer {
   bool traced_ = false;
 };
 
-/// Snapshot of `pool` + the global schedule cache + global stage times.
+/// Snapshot of `pool`, the isex_schedule_cache_*_total counters every
+/// EvalCache feeds, and the global stage times.
 RuntimeStats collect_runtime_stats(const ThreadPool& pool);
 
 }  // namespace isex::runtime

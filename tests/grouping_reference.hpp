@@ -63,7 +63,7 @@ inline core::VirtualCandidate reference_group(
     cand.sw_seq_cycles += gplus.software_cycles(m);
 
   const std::vector<dfg::NodeId> topo = graph.topological_order();
-  const hw::IoTable& x_table = gplus.table(x);
+  const hw::IoTableView x_table = gplus.table(x);
   cand.per_option.resize(x_table.size());
   int best_cycles = -1;
   for (std::size_t j = 0; j < x_table.size(); ++j) {

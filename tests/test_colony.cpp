@@ -19,6 +19,7 @@
 #include "core/mi_explorer.hpp"
 #include "core/pheromone.hpp"
 #include "golden_hash.hpp"
+#include "runtime/pool_profile.hpp"
 #include "runtime/thread_pool.hpp"
 #include "test_util.hpp"
 
@@ -174,6 +175,32 @@ TEST_F(ColonyGoldenTest, TraceRowsCarryColonyIdsInIndexOrder) {
   }
   EXPECT_NE(std::find(colonies_seen.begin(), colonies_seen.end(), 3),
             colonies_seen.end());
+}
+
+TEST_F(ColonyGoldenTest, ProfiledColonyEpochsRecordTheirSection) {
+  // A profiled pool times each epoch as one explore.colonies invocation with
+  // one task per colony, and profiling never changes what colonies compute.
+  const std::uint64_t plain = testing::hash_exploration(
+      explore_hottest_block(bench_suite::Benchmark::kAdpcm, /*colonies=*/4));
+  runtime::ThreadPool& pool = runtime::ThreadPool::default_pool();
+  runtime::reset_parallel_sections();
+  pool.set_profiling(true);
+  const std::uint64_t profiled = testing::hash_exploration(
+      explore_hottest_block(bench_suite::Benchmark::kAdpcm, /*colonies=*/4));
+  pool.set_profiling(false);
+  const std::vector<runtime::SectionProfile> sections =
+      runtime::parallel_sections_snapshot();
+  runtime::reset_parallel_sections();
+
+  EXPECT_EQ(profiled, plain);
+  const auto colonies =
+      std::find_if(sections.begin(), sections.end(),
+                   [](const runtime::SectionProfile& section) {
+                     return section.name == "explore.colonies";
+                   });
+  ASSERT_NE(colonies, sections.end());
+  EXPECT_GT(colonies->invocations, 0u);
+  EXPECT_EQ(colonies->tasks, 4 * colonies->invocations);
 }
 
 // --- merge barrier --------------------------------------------------------

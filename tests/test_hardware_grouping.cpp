@@ -179,7 +179,7 @@ TEST(GroupingEquivalence, MatchesPerNodeReferenceOnRandomBlocks) {
       const double p_software = 0.6 * rng.next_double();
       std::vector<int> chosen(n);
       for (dfg::NodeId v = 0; v < n; ++v) {
-        const hw::IoTable& table = gplus.table(v);
+        const hw::IoTableView table = gplus.table(v);
         const double r = rng.next_double();
         if (r < 0.1) {
           chosen[v] = -1;

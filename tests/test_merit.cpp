@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <limits>
 #include <string>
 #include <vector>
@@ -18,13 +19,14 @@ class MeritTest : public ::testing::Test {
   MeritTest() : lib_(hw::HwLibrary::paper_default()) {}
 
   /// Runs `iterations` merit updates over `g` given previous choices and a
-  /// critical set; returns the post-update state.  (A single decay never
-  /// flips the initial 200:100 hardware:software ratio — the algorithm
-  /// relies on repeated evaporation, so several tests iterate.)
+  /// critical set; returns the post-update state, whose G+ the fixture
+  /// keeps alive.  (A single decay never flips the initial 200:100
+  /// hardware:software ratio — the algorithm relies on repeated
+  /// evaporation, so several tests iterate.)
   PheromoneState run_update(const dfg::Graph& g, const std::vector<int>& chosen,
                             const dfg::NodeSet& critical, int tet,
                             int iterations = 1) {
-    hw::GPlus gplus(g, lib_);
+    const hw::GPlus& gplus = gplus_.emplace_back(g, lib_);
     dfg::Reachability reach(g);
     PheromoneState state(gplus, params_);
     MeritEngine engine(gplus, format_, params_, reach);
@@ -43,6 +45,8 @@ class MeritTest : public ::testing::Test {
   hw::HwLibrary lib_;
   isa::IsaFormat format_;
   ExplorerParams params_;
+  /// One G+ per run_update call; a deque keeps earlier ones in place.
+  std::deque<hw::GPlus> gplus_;
 };
 
 TEST_F(MeritTest, SingletonCandidateDecaysHardwareMerit) {
@@ -229,7 +233,7 @@ void reference_update(PheromoneState& pheromone, const hw::GPlus& gplus,
         [&](dfg::NodeId v) { label[v] = static_cast<int>(c); });
 
   for (dfg::NodeId x = 0; x < n; ++x) {
-    const hw::IoTable& table = gplus.table(x);
+    const hw::IoTableView table = gplus.table(x);
     for (std::size_t o = 0; o < table.size(); ++o) {
       if (!table.is_hardware(o))
         pheromone.scale_merit(x, o, table.option(o).delay);
@@ -360,7 +364,7 @@ TEST(MeritEquivalence, MatchesPerNodeReferenceOnRandomBlocks) {
       const double p_software = 0.6 * rng.next_double();
       std::vector<int> chosen(n);
       for (dfg::NodeId v = 0; v < n; ++v) {
-        const hw::IoTable& table = gplus.table(v);
+        const hw::IoTableView table = gplus.table(v);
         const double r = rng.next_double();
         if (r < 0.1) {
           chosen[v] = -1;

@@ -142,19 +142,18 @@ TEST_F(PheromoneTest, WeightMixesTrailAndMerit) {
 
 TEST_F(PheromoneTest, FlatWeightsMatchPerNode) {
   // The whole-table weights_into must equal weight(v, o) bit for bit, at
-  // offset(v) + o — after trained updates and after a colony merge.
+  // the G+ offset(v) + o — after trained updates and after a colony merge.
   Rng rng(21);
   const dfg::Graph g = testing::make_random_dag(40, rng);
   const hw::GPlus gplus(g, lib_);
   PheromoneState a(gplus, params_);
   PheromoneState b(gplus, params_);
   const auto expect_flat_matches = [&](const PheromoneState& state) {
-    std::vector<double> flat(state.offset(
-        static_cast<dfg::NodeId>(state.num_nodes())));
+    std::vector<double> flat(state.gplus().num_entries());
     state.weights_into(flat);
     for (dfg::NodeId v = 0; v < state.num_nodes(); ++v) {
       for (std::size_t o = 0; o < state.num_options(v); ++o) {
-        const double w = flat[state.offset(v) + o];
+        const double w = flat[state.gplus().offset(v) + o];
         EXPECT_EQ(std::bit_cast<std::uint64_t>(w),
                   std::bit_cast<std::uint64_t>(state.weight(v, o)))
             << "v=" << v << " o=" << o;

@@ -15,6 +15,7 @@
 
 #include "bench_suite/kernels.hpp"
 #include "flow/design_flow.hpp"
+#include "flow/portfolio.hpp"
 #include "runtime/eval_cache.hpp"
 #include "runtime/hash.hpp"
 #include "runtime/job_graph.hpp"
@@ -540,6 +541,33 @@ TEST(RuntimeStats, CollectsPoolCacheAndStageData) {
   std::ostringstream out;
   stats.print(out);
   EXPECT_NE(out.str().find("schedule cache"), std::string::npos);
+}
+
+TEST(RuntimeStats, CacheGaugesMirrorEveryEvalCache) {
+  // A portfolio flow probes its own private cache, never the process one,
+  // yet the published gauges must agree with the counters both feed.
+  schedule_cache().reset_stats();
+  flow::PortfolioConfig config;
+  config.base.machine = sched::MachineConfig::make(2, {6, 3});
+  config.base.repeats = 2;
+  config.base.seed = 7;
+  std::vector<flow::PortfolioEntry> entries(2);
+  entries[0].program = bench_suite::make_program(bench_suite::Benchmark::kCrc32,
+                                                 bench_suite::OptLevel::kO3);
+  entries[1].program = bench_suite::make_program(
+      bench_suite::Benchmark::kBitcount, bench_suite::OptLevel::kO3);
+  flow::run_portfolio_flow(entries, hw::HwLibrary::paper_default(), config);
+
+  trace::MetricsRegistry& registry = trace::MetricsRegistry::global();
+  collect_runtime_stats(ThreadPool::default_pool()).publish(registry);
+  const double hits =
+      registry.counter("isex_schedule_cache_hits_total").value();
+  const double probes =
+      hits + registry.counter("isex_schedule_cache_misses_total").value();
+  ASSERT_GT(probes, 0.0);
+  EXPECT_EQ(registry.gauge("isex_schedule_cache_probes").value(), probes);
+  EXPECT_DOUBLE_EQ(registry.gauge("isex_schedule_cache_hit_rate").value(),
+                   hits / probes);
 }
 
 }  // namespace

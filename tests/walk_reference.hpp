@@ -100,7 +100,7 @@ struct RefResult {
   }
 };
 
-inline int ref_software_cycles(const hw::IoTable& table, std::size_t option) {
+inline int ref_software_cycles(hw::IoTableView table, std::size_t option) {
   return std::max(1, static_cast<int>(std::ceil(table.option(option).delay)));
 }
 
@@ -175,7 +175,7 @@ inline RefResult reference_walk(const hw::GPlus& gplus,
     entries.clear();
     weights.clear();
     for (const dfg::NodeId v : ready) {
-      const hw::IoTable& table = gplus.table(v);
+      const hw::IoTableView table = gplus.table(v);
       for (std::size_t o = 0; o < table.size(); ++o) {
         entries.emplace_back(v, static_cast<int>(o));
         weights.push_back(pheromone.weight(v, o) +
@@ -186,7 +186,7 @@ inline RefResult reference_walk(const hw::GPlus& gplus,
     const std::size_t pick = rng.weighted_pick(weights);
     const auto [v, opt_i] = entries[pick];
     const auto opt = static_cast<std::size_t>(opt_i);
-    const hw::IoTable& table = gplus.table(v);
+    const hw::IoTableView table = gplus.table(v);
 
     if (table.is_hardware(opt)) {
       std::vector<std::pair<int, int>> parent_groups;
