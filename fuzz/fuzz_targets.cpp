@@ -1,12 +1,18 @@
 #include "fuzz_targets.hpp"
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "dfg/validate.hpp"
 #include "isa/tac_parser.hpp"
 #include "mem/cache_model.hpp"
+#include "persist_reference.hpp"
+#include "runtime/persistent_cache.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/machine_config.hpp"
 #include "server/kernel_memo.hpp"
@@ -209,6 +215,84 @@ int run_protocol_input(const std::uint8_t* data, std::size_t size) {
   } else {
     admit_twice(request->kernel);
   }
+  return 0;
+}
+
+int run_persist_log_input(const std::uint8_t* data, std::size_t size) {
+  // A megabyte holds tens of thousands of records, several load windows.
+  constexpr std::size_t kMaxLogBytes = std::size_t{1} << 20;
+  if (size > kMaxLogBytes) size = kMaxLogBytes;
+  // Room for every record a capped input can hold, so nothing is evicted.
+  constexpr std::size_t kCacheEntries = kMaxLogBytes / 29 + 2;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("isex_fuzz_persist_" + std::to_string(::getpid()) + ".log"))
+          .string();
+  {
+    std::FILE* out = std::fopen(path.c_str(), "wb");
+    ISEX_ASSERT_MSG(out != nullptr, "cannot write the scratch log");
+    if (size > 0) std::fwrite(data, 1, size, out);
+    std::fclose(out);
+  }
+
+  runtime::EvalCache want_warm(kCacheEntries, 1);
+  const testing::ReferenceLoad want = testing::reference_load(path, &want_warm);
+  const runtime::Key128 sched_key{0x5eed5eed5eed5eedULL, size};
+  const runtime::Key128 blob_key{0xb10bb10bb10bb10bULL, size};
+  const std::string blob = "appended after load";
+  std::uint64_t first_corrupt = 0;
+  {
+    runtime::EvalCache warmed(kCacheEntries, 1);
+    runtime::PersistentEvalCache cache(path);
+    const runtime::PersistLoadReport got = cache.load(&warmed);
+    const std::string diff =
+        testing::diff_against_reference(got, cache, warmed, want, want_warm);
+    if (!diff.empty())
+      contract_violation(("load differs from the serial reference: " + diff)
+                             .c_str(),
+                         &got.report);
+    first_corrupt = got.corrupt_skipped;
+    cache.put_schedule_eval(sched_key, 7);
+    cache.put_blob(blob_key, blob);
+    cache.flush();
+  }
+
+  // Load -> append -> load: nothing the first load kept is lost, and the
+  // appended records come back.  Only a torn tail, which the append cut
+  // off, leaves the corrupt count.
+  runtime::EvalCache rewarmed(kCacheEntries, 1);
+  runtime::PersistentEvalCache again(path);
+  const runtime::PersistLoadReport second = again.load(&rewarmed);
+  const bool sched_new = want.schedule_keys.count(sched_key) == 0;
+  const bool blob_new = want.blobs.count(blob_key) == 0;
+  ISEX_ASSERT_MSG(!second.version_mismatch, "an append left a foreign header");
+  ISEX_ASSERT_MSG(second.schedule_entries ==
+                      want.report.schedule_entries + (sched_new ? 1 : 0),
+                  "schedule records lost across load -> append -> load");
+  ISEX_ASSERT_MSG(second.blob_entries == want.report.blob_entries + 1,
+                  "blob records lost across load -> append -> load");
+  ISEX_ASSERT_MSG(second.corrupt_skipped <= first_corrupt &&
+                      second.corrupt_skipped + 1 >= first_corrupt,
+                  "an append changed the corrupt records before it");
+  for (const auto& [key, value] : want.schedule)
+    ISEX_ASSERT_MSG(rewarmed.lookup(key) == want_warm.lookup(key),
+                    "a kept schedule record changed value");
+  ISEX_ASSERT_MSG(rewarmed.lookup(sched_key) ==
+                      (sched_new ? std::optional<int>(7)
+                                 : want_warm.lookup(sched_key)),
+                  "the appended schedule record did not come back");
+  for (const auto& [key, payload] : want.blobs)
+    if (key != blob_key)
+      ISEX_ASSERT_MSG(again.lookup_blob(key) == payload,
+                      "a kept blob changed or vanished");
+  ISEX_ASSERT_MSG(again.lookup_blob(blob_key) == blob,
+                  "the appended blob did not come back");
+  ISEX_ASSERT_MSG(
+      again.schedule_entry_count() ==
+              want.schedule_keys.size() + (sched_new ? 1 : 0) &&
+          again.blob_entry_count() == want.blobs.size() + (blob_new ? 1 : 0),
+      "the reloaded index holds keys no load or append wrote");
+  std::remove(path.c_str());
   return 0;
 }
 

@@ -2,16 +2,17 @@
 //
 // The same functions drive every consumer, so a crash found by libFuzzer
 // reproduces everywhere:
-//   * fuzz_tac_parser / fuzz_roundtrip / fuzz_cache_config / fuzz_protocol
-//     (libFuzzer builds, or the standalone replay driver when the toolchain
-//     lacks -fsanitize=fuzzer);
+//   * fuzz_tac_parser / fuzz_roundtrip / fuzz_cache_config / fuzz_protocol /
+//     fuzz_persist_log (libFuzzer builds, or the standalone replay driver
+//     when the toolchain lacks -fsanitize=fuzzer);
 //   * tests/test_fuzz_regressions.cpp, which replays fuzz/corpus/ and
 //     fuzz/regressions/ as plain GoogleTest cases on every CI run.
 //
 // The TAC functions treat the byte buffer as one TAC source, the others as
-// one cache-config spec or one job request line; each enforces the
-// input-boundary contracts from docs/ROBUSTNESS.md with ISEX_ASSERT — any
-// violation aborts, which is exactly the signal a fuzzer wants:
+// one cache-config spec, one job request line or one persistent cache log;
+// each enforces the input-boundary contracts from docs/ROBUSTNESS.md with
+// ISEX_ASSERT — any violation aborts, which is exactly the signal a fuzzer
+// wants:
 //   * run_tac_parser_input: parse_tac_checked never throws; accepted blocks
 //     always pass dfg::validate; rejected inputs carry a structured code
 //     and location; the permissive parse_tac throws nothing but ParseError.
@@ -44,5 +45,13 @@ int run_cache_config_input(const std::uint8_t* data, std::size_t size);
 /// digest, or the same error code and message, and the digest-keyed
 /// job_signature equals the graph-keyed one.  Returns 0 (libFuzzer ABI).
 int run_protocol_input(const std::uint8_t* data, std::size_t size);
+
+/// The bytes as an isex_serve persistent cache log
+/// (runtime::PersistentEvalCache): the load never crashes and agrees with
+/// the serial reference loader (tests/persist_reference.hpp) on the report,
+/// the warmed EvalCache and the blob index; after one schedule record and
+/// one blob are appended, the next load keeps every record the first kept,
+/// plus the two.  Returns 0 (libFuzzer ABI).
+int run_persist_log_input(const std::uint8_t* data, std::size_t size);
 
 }  // namespace isex::fuzz

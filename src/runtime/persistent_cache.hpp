@@ -24,7 +24,9 @@
 // Every record carries a checksum.  On load, a record that is truncated,
 // oversized, or fails its checksum is *skipped and counted* — never a
 // crash, never a partial entry — and a header from a different format
-// version ignores the whole file (the next append starts it fresh).
+// version ignores the whole file (the next append starts it fresh).  When
+// the scan stops at a torn record, the first append cuts the file back to
+// the last whole record, so what it writes survives the next load.
 // Appends are serialized by a mutex, so concurrent workers interleave whole
 // records, never bytes.
 #pragma once
@@ -123,7 +125,9 @@ class PersistentEvalCache {
   /// control of flush/close; guarded by mutex_.
   std::FILE* out_ = nullptr;
   bool rewrite_on_open_ = false;  ///< version mismatch: truncate on append
-  bool load_ran_ = false;
+  /// load() stopped at a torn record here: the first append cuts the file
+  /// back to this offset, the end of the last whole record.
+  std::optional<std::uint64_t> cut_before_append_;
   std::unordered_set<Key128, Key128Hash> persisted_sched_;
   std::unordered_map<Key128, std::string, Key128Hash> blobs_;
   PersistStats stats_;

@@ -57,6 +57,12 @@ TEST_P(FuzzReplay, ProtocolHarnessSurvives) {
   EXPECT_EQ(fuzz::run_protocol_input(bytes.data(), bytes.size()), 0);
 }
 
+// ... and the persistent cache log harness (load, reference, append).
+TEST_P(FuzzReplay, PersistLogHarnessSurvives) {
+  const std::vector<std::uint8_t> bytes = read_bytes(GetParam());
+  EXPECT_EQ(fuzz::run_persist_log_input(bytes.data(), bytes.size()), 0);
+}
+
 std::string test_name(const ::testing::TestParamInfo<fs::path>& info) {
   std::string name = info.param.filename().string();
   for (char& c : name)
@@ -81,6 +87,7 @@ TEST(FuzzReplay, EmptyBuffer) {
   EXPECT_EQ(fuzz::run_roundtrip_input(nullptr, 0), 0);
   EXPECT_EQ(fuzz::run_cache_config_input(nullptr, 0), 0);
   EXPECT_EQ(fuzz::run_protocol_input(nullptr, 0), 0);
+  EXPECT_EQ(fuzz::run_persist_log_input(nullptr, 0), 0);
 }
 
 }  // namespace
