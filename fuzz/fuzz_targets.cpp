@@ -17,6 +17,7 @@
 #include "sched/machine_config.hpp"
 #include "server/kernel_memo.hpp"
 #include "server/protocol.hpp"
+#include "tac_reference.hpp"
 #include "util/assert.hpp"
 
 namespace isex::fuzz {
@@ -69,13 +70,25 @@ int run_tac_parser_input(const std::uint8_t* data, std::size_t size) {
 
   // Permissive boundary: the only exception type that may escape is
   // ParseError; anything else (bad_alloc aside) is a harness catch.
-  try {
-    const isa::ParsedBlock block = isa::parse_tac(source);
-    if (!block.graph.is_acyclic())
-      contract_violation("permissive parser produced a cyclic DFG", nullptr);
-  } catch (const isa::ParseError&) {
-    // expected rejection path
-  }
+  const Expected<isa::ParsedBlock> permissive = testing::parse_tac_caught(source);
+  if (permissive.has_value() && !permissive->graph.is_acyclic())
+    contract_violation("permissive parser produced a cyclic DFG", nullptr);
+
+  // Both outcomes agree with the reference parser, to the error message
+  // and to every node and statement.
+  const std::string strict_diff =
+      testing::diff_parses(checked, testing::reference_parse_tac(source));
+  if (!strict_diff.empty())
+    contract_violation(("strict parse disagrees with the reference: " +
+                        strict_diff).c_str(),
+                       nullptr);
+  const std::string permissive_diff = testing::diff_parses(
+      permissive,
+      testing::reference_parse_tac(source, testing::ref_permissive_options()));
+  if (!permissive_diff.empty())
+    contract_violation(("parse_tac disagrees with the reference: " +
+                        permissive_diff).c_str(),
+                       nullptr);
   return 0;
 }
 

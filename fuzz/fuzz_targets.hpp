@@ -15,7 +15,9 @@
 // wants:
 //   * run_tac_parser_input: parse_tac_checked never throws; accepted blocks
 //     always pass dfg::validate; rejected inputs carry a structured code
-//     and location; the permissive parse_tac throws nothing but ParseError.
+//     and location; the permissive parse_tac throws nothing but ParseError;
+//     both agree with the reference parser (tests/tac_reference.hpp) on
+//     acceptance, the error, every node and every statement.
 //   * run_roundtrip_input: every parser-accepted, validator-accepted graph
 //     schedules on paper-sweep machines without UB — all nodes placed,
 //     dependences respected, makespan within structural bounds.
@@ -26,7 +28,8 @@
 
 namespace isex::fuzz {
 
-/// Parse (strict + permissive) and validate; returns 0 (libFuzzer ABI).
+/// Parse (strict + permissive), validate, and compare with the reference
+/// parser; returns 0 (libFuzzer ABI).
 int run_tac_parser_input(const std::uint8_t* data, std::size_t size);
 
 /// Parse → validate → schedule round-trip; returns 0 (libFuzzer ABI).

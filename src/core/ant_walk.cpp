@@ -60,33 +60,33 @@ int software_cycles(const hw::ImplOption& option) {
 }  // namespace
 
 void walk_critical_nodes(const dfg::Graph& graph, const WalkResult& walk,
-                         dfg::NodeSet& critical) {
-  // The closure is a unique least fixpoint, so rule order is free; groups
-  // absorb word-at-a-time (NodeSet::intersects skips untouched groups,
-  // insert_all unions whole words) and the tight-producer rule folds its
-  // contains/insert pair into one test_and_set word access.
+                         dfg::NodeSet& critical,
+                         std::vector<dfg::NodeId>& worklist) {
+  // The closure is a unique least fixpoint, so it is computed as a worklist
+  // reachability: every node enters the set, and the worklist, once, and is
+  // expanded once.  A node's first entry brings its whole group in with it
+  // (a group issues as one instruction), so each group is walked once.
   const std::size_t n = graph.num_nodes();
   critical.resize(n);
+  worklist.clear();
+  const auto add = [&](dfg::NodeId v) {
+    if (!critical.test_and_set(v)) return;
+    worklist.push_back(v);
+    const int gid = walk.group_id[v];
+    if (gid < 0) return;
+    walk.groups[static_cast<std::size_t>(gid)].members.for_each(
+        [&](dfg::NodeId m) {
+          if (critical.test_and_set(m)) worklist.push_back(m);
+        });
+  };
   for (dfg::NodeId v = 0; v < n; ++v)
-    if (walk.finish_of(v) == walk.tet) critical.insert(v);
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const GroupState& group : walk.groups) {
-      if (group.members.intersects(critical) &&
-          critical.insert_all(group.members))
-        changed = true;
-    }
-    // for_each snapshots one word at a time, so members inserted into the
-    // current or an earlier word surface on the next sweep — exactly what
-    // the fixpoint loop is for.
-    critical.for_each([&](dfg::NodeId v) {
-      for (const dfg::NodeId p : graph.preds(v)) {
-        if (walk.finish_of(p) == walk.slot[v] && critical.test_and_set(p))
-          changed = true;
-      }
-    });
+    if (walk.finish_of(v) == walk.tet) add(v);
+  // Tight producers: a predecessor finishing exactly when v starts.
+  while (!worklist.empty()) {
+    const dfg::NodeId v = worklist.back();
+    worklist.pop_back();
+    for (const dfg::NodeId p : graph.preds(v))
+      if (walk.finish_of(p) == walk.slot[v]) add(p);
   }
 }
 

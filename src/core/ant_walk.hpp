@@ -85,13 +85,15 @@ struct WalkResult {
 };
 
 /// Critical operations of an ant-walk schedule, written into `critical`
-/// (resized to the graph): fixpoint over (a) nodes finishing at the
+/// (resized to the graph): least fixpoint over (a) nodes finishing at the
 /// makespan, (b) tight producers (finish == consumer's start), and (c) whole
 /// virtual groups once any member is critical — a group issues as one
-/// instruction.  Filled in place, so a set reused across iterations
+/// instruction.  One pass: each node is expanded once, from `worklist`.
+/// Both buffers are filled in place, so reusing them across iterations
 /// allocates nothing once warmed up.
 void walk_critical_nodes(const dfg::Graph& graph, const WalkResult& walk,
-                         dfg::NodeSet& critical);
+                         dfg::NodeSet& critical,
+                         std::vector<dfg::NodeId>& worklist);
 
 /// One per-cycle resource row of the walk's scheduling ledger.
 struct LedgerRow {

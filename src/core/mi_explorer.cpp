@@ -75,14 +75,15 @@ struct RoundContext {
 
 /// One colony's working storage: the ant walk's buffers, the grouping's
 /// per-iteration state, the reorder flags of the trail update, and the
-/// walk's critical set.  Owned by explore() rather than by the per-round
-/// chains, so the buffers survive every round and a warmed-up iteration
-/// allocates nothing.
+/// walk's critical set with its worklist.  Owned by explore() rather than
+/// by the per-round chains, so the buffers survive every round and a
+/// warmed-up iteration allocates nothing.
 struct ColonyScratch {
   WalkScratch walk;
   GroupingScratch grouping;
   std::vector<bool> reordered;
   dfg::NodeSet critical;
+  std::vector<dfg::NodeId> critical_worklist;
 };
 
 /// One colony's ACO chain: a private pheromone state plus the loop-carried
@@ -130,7 +131,8 @@ struct AcoChain {
 
     pheromone.update_trails(walk.chosen, reordered, improved);
 
-    walk_critical_nodes(current, walk, scratch.critical);
+    walk_critical_nodes(current, walk, scratch.critical,
+                        scratch.critical_worklist);
     MeritInputs inputs;
     inputs.chosen = walk.chosen;
     inputs.critical = &scratch.critical;

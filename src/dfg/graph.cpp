@@ -23,6 +23,14 @@ NodeId Graph::add_ise_node(IseInfo info, std::string label) {
   return id;
 }
 
+void Graph::reserve(std::size_t n) {
+  nodes_.reserve(n);
+  succs_.reserve(n);
+  preds_.reserve(n);
+  extern_input_ids_.reserve(n);
+  live_out_.reserve(n);
+}
+
 void Graph::add_edge(NodeId from, NodeId to) {
   ISEX_ASSERT(from < nodes_.size() && to < nodes_.size());
   ISEX_ASSERT_MSG(from != to, "self-edges are not allowed in a DFG");

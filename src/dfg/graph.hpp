@@ -54,6 +54,9 @@ class Graph {
  public:
   NodeId add_node(isa::Opcode opcode, std::string label = {});
   NodeId add_ise_node(IseInfo info, std::string label = {});
+  /// Reserves room for `n` nodes, so building a graph of known size does
+  /// not regrow the per-node arrays.
+  void reserve(std::size_t n);
 
   /// Adds a data edge u -> v.  Duplicate edges are ignored (one producer
   /// feeding the same consumer twice carries one value).  Self-edges are a

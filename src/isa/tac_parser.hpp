@@ -12,8 +12,11 @@
 //   STORE [addr], value                    e.g.  sw [p], t2
 //   live_out var [, var ...]               marks block outputs
 //
-// Operands are identifiers or integer literals.  Literals are immediates
-// (encoded in the instruction; they create no edge and no live-in value).
+// Operands are identifiers or integer literals.  A literal is decimal or 0x
+// followed by at least one hex digit, with an optional leading '-'; a leading
+// zero does not make it octal ("010" is ten), and it must fit the 32-bit
+// datapath.  Literals are immediates (encoded in the instruction; they
+// create no edge and no live-in value).
 // An identifier with no in-block definition is a live-in value and counts
 // toward the defining node's extern-input tally.  A defined variable with no
 // in-block consumer is implicitly live-out.
@@ -22,7 +25,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "dfg/graph.hpp"
 #include "util/error.hpp"
@@ -83,9 +86,8 @@ struct TacStatement {
 
 struct ParsedBlock {
   dfg::Graph graph;
-  /// Variable name -> defining node.
-  std::unordered_map<std::string, dfg::NodeId> defs;
-  /// Statements in program order (executable form).
+  /// Statements in program order (executable form).  A statement's `dest`
+  /// and `node` map each defined variable to its node.
   std::vector<TacStatement> statements;
 };
 
@@ -106,7 +108,8 @@ struct ParseOptions {
 };
 
 /// Parses a whole basic block.  Throws ParseError on malformed input,
-/// unknown mnemonics, or variable redefinition.
+/// unknown mnemonics, or variable redefinition.  The parse reads `source`
+/// in place; the returned block owns copies of every name it keeps.
 ParsedBlock parse_tac(std::string_view source);
 
 /// Non-throwing strict boundary: parses and returns either the block or the

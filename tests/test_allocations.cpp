@@ -1,7 +1,8 @@
-// Zero-allocation gates.  A counting global operator new makes "allocations
-// per warmed-up iteration" an exact count, not an estimate; each test runs a
-// hot loop through the library's own functions after a warm-up and requires
-// that it allocated nothing.
+// Allocation gates.  A counting global operator new makes "allocations per
+// warmed-up iteration" an exact count, not an estimate; each ZeroAllocation
+// test runs a hot loop through the library's own functions after a warm-up
+// and requires that it allocated nothing, and ParseAllocations holds the TAC
+// frontend to a budget per DFG node.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,13 +10,16 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <string_view>
 #include <vector>
 
+#include "bench_suite/kernels.hpp"
 #include "core/ant_walk.hpp"
 #include "core/merit.hpp"
 #include "core/pheromone.hpp"
 #include "dfg/analysis.hpp"
 #include "hwlib/hw_library.hpp"
+#include "isa/tac_parser.hpp"
 #include "sched/priority.hpp"
 #include "test_util.hpp"
 
@@ -122,6 +126,7 @@ TEST(ZeroAllocation, WarmedUpAcoIterationAllocatesNothing) {
   GroupingScratch grouping;
   std::vector<bool> reordered;
   dfg::NodeSet critical;
+  std::vector<dfg::NodeId> worklist;
   std::vector<int> prev_order(n, -1);
   int tet_old = std::numeric_limits<int>::max();
   // Iterations whose picks put two adjacent nodes on hardware, i.e. formed
@@ -136,7 +141,7 @@ TEST(ZeroAllocation, WarmedUpAcoIterationAllocatesNothing) {
     for (dfg::NodeId v = 0; v < n; ++v)
       reordered[v] = prev_order[v] >= 0 && walk.order[v] < prev_order[v];
     pheromone.update_trails(walk.chosen, reordered, improved);
-    walk_critical_nodes(g, walk, critical);
+    walk_critical_nodes(g, walk, critical, worklist);
     MeritInputs inputs;
     inputs.chosen = walk.chosen;
     inputs.critical = &critical;
@@ -187,3 +192,41 @@ TEST(ZeroAllocation, WarmedUpAcoIterationAllocatesNothing) {
 
 }  // namespace
 }  // namespace isex::core
+
+namespace isex::isa {
+namespace {
+
+// Parsing the 47 paper-suite kernels (the seven programs at O0 and O3)
+// allocates at most 6.5 times per DFG node, the outputs' own storage
+// included: the graph's per-node adjacency and live-in vectors, each
+// statement's operand vector, and a handful of buffers per parse.  Tokens
+// are views into the source and names resolve through one flat table, so
+// nothing is allocated per token.
+TEST(ParseAllocations, SuiteStaysWithinBudget) {
+  std::vector<std::string_view> sources;
+  for (const auto bm : bench_suite::all_benchmarks())
+    for (const auto level :
+         {bench_suite::OptLevel::kO0, bench_suite::OptLevel::kO3})
+      for (const auto& def : bench_suite::kernel_blocks(bm, level))
+        sources.push_back(def.tac);
+  ASSERT_EQ(sources.size(), 47u);
+
+  std::size_t nodes = 0;
+  bool all_parsed = true;
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (const std::string_view source : sources) {
+    const Expected<ParsedBlock> parsed = parse_tac_checked(source);
+    all_parsed = all_parsed && parsed.has_value();
+    if (parsed.has_value()) nodes += parsed->graph.num_nodes();
+  }
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  ASSERT_TRUE(all_parsed);
+  EXPECT_LE(2 * allocs, 13 * nodes)
+      << allocs << " allocations for " << nodes << " nodes ("
+      << static_cast<double>(allocs) / static_cast<double>(nodes)
+      << " per node)";
+}
+
+}  // namespace
+}  // namespace isex::isa

@@ -313,6 +313,7 @@ void check_against_reference(const std::string& name, const dfg::Graph& g,
   WalkScratch scratch;
   GroupingScratch grouping;
   dfg::NodeSet critical;
+  std::vector<dfg::NodeId> worklist;
   std::vector<int> prev_order(n, -1);
   std::vector<bool> reordered(n, false);
   int tet_old = std::numeric_limits<int>::max();
@@ -331,7 +332,7 @@ void check_against_reference(const std::string& name, const dfg::Graph& g,
     for (dfg::NodeId v = 0; v < n; ++v)
       reordered[v] = prev_order[v] >= 0 && walk.order[v] < prev_order[v];
     pheromone.update_trails(walk.chosen, reordered, improved);
-    walk_critical_nodes(g, walk, critical);
+    walk_critical_nodes(g, walk, critical, worklist);
     MeritInputs inputs;
     inputs.chosen = walk.chosen;
     inputs.critical = &critical;
@@ -440,6 +441,140 @@ TEST(AntWalkEquivalence, MatchesReferenceWalk) {
   EXPECT_GT(cov.slow_software, 100);
   EXPECT_GT(cov.probes, 1000);
   EXPECT_GT(cov.joins, 1000);
+}
+
+/// What the critical-set comparison exercised: sets compared, sets the
+/// closure grew past the makespan finishers, sets that absorbed a group of
+/// two or more members, and sets that needed a tight-producer chain of two
+/// or more hops.
+struct CriticalCoverage {
+  int compared = 0;
+  int grown = 0;
+  int group_absorbed = 0;
+  int long_chains = 0;
+};
+
+/// Runs `iterations` ACO iterations on `g` in AcoChain::step's order (walk,
+/// trail update, critical set, merit update) and checks every walk's
+/// one-pass critical set against the sweep reference.
+void check_critical_sets(const std::string& name, const dfg::Graph& g,
+                         const sched::MachineConfig& machine,
+                         hw::ClockSpec clock, int iterations,
+                         std::uint64_t seed, CriticalCoverage& cov) {
+  const hw::HwLibrary lib = hw::HwLibrary::paper_default();
+  const hw::GPlus gplus(g, lib);
+  const ExplorerParams params;
+  const std::size_t n = g.num_nodes();
+  std::vector<double> sp = sched::compute_priorities(g, params.sp_priority);
+  double sp_max = 0.0;
+  for (const double x : sp) sp_max = std::max(sp_max, x);
+  if (sp_max > 0.0)
+    for (double& x : sp) x = x / sp_max * params.merit_scale;
+  isa::IsaFormat format;
+  format.reg_file = machine.reg_file;
+  const dfg::Reachability reach(g);
+  const MeritEngine merit(gplus, format, params, reach, clock);
+  const dfg::PathInfo path = dfg::longest_path(
+      g, [&](dfg::NodeId v) { return gplus.software_cycles(v); });
+  const AntWalk walker(gplus, machine, params, clock);
+
+  PheromoneState pheromone(gplus, params);
+  WalkScratch scratch;
+  GroupingScratch grouping;
+  dfg::NodeSet critical;
+  dfg::NodeSet want;
+  std::vector<dfg::NodeId> worklist;
+  std::vector<int> prev_order(n, -1);
+  std::vector<bool> reordered(n, false);
+  int tet_old = std::numeric_limits<int>::max();
+  Rng rng(seed);
+  for (int it = 0; it < iterations; ++it) {
+    const WalkResult& walk = walker.run(pheromone, sp, rng, scratch);
+    const bool improved = walk.tet <= tet_old;
+    for (dfg::NodeId v = 0; v < n; ++v)
+      reordered[v] = prev_order[v] >= 0 && walk.order[v] < prev_order[v];
+    pheromone.update_trails(walk.chosen, reordered, improved);
+    walk_critical_nodes(g, walk, critical, worklist);
+    testing::reference_critical_nodes(g, walk, want);
+    ASSERT_TRUE(critical == want) << name << " iteration " << it;
+
+    ++cov.compared;
+    std::size_t finishers = 0;
+    for (dfg::NodeId v = 0; v < n; ++v)
+      finishers += walk.finish_of(v) == walk.tet ? 1 : 0;
+    cov.grown += critical.count() > finishers ? 1 : 0;
+    bool absorbed = false;
+    for (const GroupState& group : walk.groups)
+      absorbed = absorbed ||
+                 (group.members.count() > 1 && group.members.intersects(want));
+    cov.group_absorbed += absorbed ? 1 : 0;
+    // A tight producer of a tight producer of a critical node.
+    bool chain = false;
+    want.for_each([&](dfg::NodeId v) {
+      for (const dfg::NodeId p : g.preds(v)) {
+        if (walk.finish_of(p) != walk.slot[v]) continue;
+        for (const dfg::NodeId q : g.preds(p))
+          chain = chain || walk.finish_of(q) == walk.slot[p];
+      }
+    });
+    cov.long_chains += chain ? 1 : 0;
+
+    MeritInputs inputs;
+    inputs.chosen = walk.chosen;
+    inputs.critical = &critical;
+    inputs.path = &path;
+    inputs.tet = walk.tet;
+    merit.update(pheromone, inputs, grouping);
+    if (improved) tet_old = walk.tet;
+    prev_order = walk.order;
+  }
+}
+
+TEST(AntWalkEquivalence, CriticalSetMatchesSweepReference) {
+  const sched::MachineConfig wide = sched::MachineConfig::make(2, {6, 3});
+  const sched::MachineConfig tight = sched::MachineConfig::make(2, {4, 2});
+  const hw::ClockSpec paper_clock;
+  hw::ClockSpec fast_clock;
+  fast_clock.period_ns = 3.0;  // multi-cycle groups
+  CriticalCoverage cov;
+  Rng gen(4242);
+
+  for (int t = 0; t < 16; ++t) {
+    const std::size_t n = 8 + gen.next_below(89);
+    const dfg::Graph g =
+        t % 2 == 0
+            ? testing::make_random_dag(n, gen)
+            : testing::random_block(n, gen, 0.3 + 0.6 * gen.next_double());
+    check_critical_sets("random " + std::to_string(t), g,
+                        t % 3 == 0 ? wide : tight,
+                        t % 4 == 1 ? fast_clock : paper_clock, 60,
+                        gen.next_u32(), cov);
+    if (HasFatalFailure()) return;
+  }
+  // The 7×{O0, O3} suite blocks, as written and with an exploration's ISEs
+  // collapsed into supernodes.
+  for (const auto bm : bench_suite::all_benchmarks()) {
+    for (const auto level :
+         {bench_suite::OptLevel::kO0, bench_suite::OptLevel::kO3}) {
+      const flow::ProfiledProgram prog = bench_suite::make_program(bm, level);
+      for (const flow::ProfiledBlock& block : prog.blocks) {
+        const std::string name = prog.name + "/" + block.name;
+        check_critical_sets(name, block.graph, tight, paper_clock, 40,
+                            gen.next_u32(), cov);
+        if (HasFatalFailure()) return;
+        check_critical_sets(name + " collapsed",
+                            collapse_explored(block.graph, tight,
+                                              gen.next_u32()),
+                            wide, paper_clock, 20, gen.next_u32(), cov);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+
+  EXPECT_GT(cov.compared, 3000);
+  EXPECT_GT(cov.grown, 1000);
+  EXPECT_GT(cov.group_absorbed, 500);
+  EXPECT_GT(cov.long_chains, 500);
 }
 
 }  // namespace

@@ -120,7 +120,7 @@ TEST(Evaluator, StatementsRecordProgramOrder) {
   ASSERT_EQ(block.statements.size(), 2u);
   EXPECT_EQ(block.statements[0].dest, "a");
   EXPECT_EQ(block.statements[1].dest, "b");
-  EXPECT_EQ(block.statements[0].node, block.defs.at("a"));
+  EXPECT_EQ(block.graph.node(block.statements[0].node).label, "a");
   EXPECT_EQ(block.statements[1].line, 3);
 }
 

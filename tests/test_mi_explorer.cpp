@@ -110,7 +110,7 @@ TEST_F(MiExplorerTest, NoMemoryOpsInsideIse) {
   const auto explorer = make_explorer(2, 6, 3);
   Rng rng(3);
   const ExplorationResult r = explorer.explore_best_of(block.graph, 5, rng);
-  const dfg::NodeId load = block.defs.at("v");
+  const dfg::NodeId load = testing::defined_node(block, "v");
   for (const auto& ise : r.ises)
     EXPECT_FALSE(ise.original_nodes.contains(load));
 }

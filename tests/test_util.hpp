@@ -2,13 +2,24 @@
 // diamond, fork) and a seeded random-DAG generator for property tests.
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "dfg/graph.hpp"
 #include "isa/opcode.hpp"
+#include "isa/tac_parser.hpp"
 #include "util/rng.hpp"
 
 namespace isex::testing {
+
+/// The node of the statement that defines `name` in a parsed block, or
+/// kInvalidNode when no statement does.
+inline dfg::NodeId defined_node(const isa::ParsedBlock& block,
+                                std::string_view name) {
+  for (const isa::TacStatement& s : block.statements)
+    if (s.dest == name) return s.node;
+  return dfg::kInvalidNode;
+}
 
 /// Linear chain v0 -> v1 -> ... of `length` nodes, all `op`.
 inline dfg::Graph make_chain(std::size_t length,

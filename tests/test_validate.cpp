@@ -9,6 +9,7 @@
 #include "flow/validate.hpp"
 #include "hwlib/hw_library.hpp"
 #include "isa/tac_parser.hpp"
+#include "test_util.hpp"
 
 namespace isex {
 namespace {
@@ -119,8 +120,8 @@ TEST(DfgValidate, AcceptsLegitimateCollapsedGraph) {
     live_out t2
   )");
   dfg::NodeSet members(block.graph.num_nodes());
-  members.insert(block.defs.at("t0"));
-  members.insert(block.defs.at("t1"));
+  members.insert(testing::defined_node(block, "t0"));
+  members.insert(testing::defined_node(block, "t1"));
   dfg::IseInfo info;
   info.latency_cycles = 1;
   info.num_inputs = 3;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.hpp"
+
 namespace isex::rtl {
 namespace {
 
@@ -52,8 +54,8 @@ TEST(Verilog, PartialCandidateTurnsBoundaryIntoPorts) {
   const auto block = crc_like();
   // Only {t1, m0}: t0 and poly become inputs; m0 escapes to crc2.
   dfg::NodeSet members(block.graph.num_nodes());
-  members.insert(block.defs.at("t1"));
-  members.insert(block.defs.at("m0"));
+  members.insert(testing::defined_node(block, "t1"));
+  members.insert(testing::defined_node(block, "m0"));
   const std::string v = emit_asfu(block, members);
   EXPECT_NE(v.find("input  wire [31:0] in_t0"), std::string::npos);
   EXPECT_NE(v.find("input  wire [31:0] in_poly"), std::string::npos);

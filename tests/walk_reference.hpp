@@ -10,6 +10,10 @@
 // are ordered with std::stable_sort (finish descending, ties in
 // predecessor order), the order Fig 4.3.4's latest-parent rule is defined
 // by.
+//
+// reference_critical_nodes keeps the sweep form of the walk's critical set
+// (AntWalkEquivalence.CriticalSetMatchesSweepReference checks the one-pass
+// core::walk_critical_nodes against it).
 #pragma once
 
 #include <algorithm>
@@ -19,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/ant_walk.hpp"
 #include "core/explorer_params.hpp"
 #include "core/pheromone.hpp"
 #include "dfg/analysis.hpp"
@@ -258,6 +263,36 @@ inline RefResult reference_walk(const hw::GPlus& gplus,
   for (dfg::NodeId v = 0; v < n; ++v) tet = std::max(tet, finish_of(v));
   result.tet = tet;
   return result;
+}
+
+/// The critical set of an ant walk by repeated sweeps: seed with the nodes
+/// finishing at the makespan, then absorb every group that touches the set
+/// and add every tight producer (finish == consumer's start) of every
+/// member, until a whole sweep changes nothing.  Each sweep rescans the
+/// set, so a chain of k tight producers costs k sweeps.
+inline void reference_critical_nodes(const dfg::Graph& graph,
+                                     const core::WalkResult& walk,
+                                     dfg::NodeSet& critical) {
+  const std::size_t n = graph.num_nodes();
+  critical.resize(n);
+  for (dfg::NodeId v = 0; v < n; ++v)
+    if (walk.finish_of(v) == walk.tet) critical.insert(v);
+
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const core::GroupState& group : walk.groups) {
+      if (group.members.intersects(critical) &&
+          critical.insert_all(group.members))
+        changed = true;
+    }
+    critical.for_each([&](dfg::NodeId v) {
+      for (const dfg::NodeId p : graph.preds(v)) {
+        if (walk.finish_of(p) == walk.slot[v] && critical.test_and_set(p))
+          changed = true;
+      }
+    });
+  }
 }
 
 }  // namespace isex::testing
