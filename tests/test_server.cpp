@@ -692,6 +692,40 @@ TEST(ServerKernelMemo, OlderServersLogWarmStartsWithZeroMisses) {
   std::remove(cache_path.c_str());
 }
 
+// The same four requests answered cold by a server with no log: exploring
+// afresh must render what the older server stored, byte for byte apart
+// from the per-delivery `timings` and `cache_hit`.
+TEST(ServerKernelMemo, ColdAnswersMatchOlderServersBytes) {
+  const std::string data = ISEX_TEST_DATA_DIR;
+  const std::vector<std::string> requests =
+      read_lines(data + "/warm_start_requests.jsonl");
+  const std::vector<std::string> answers =
+      read_lines(data + "/warm_start_responses.jsonl");
+  ASSERT_EQ(requests.size(), 4u);
+  ASSERT_EQ(answers.size(), requests.size());
+  const auto delivery_free = [](const std::string& response) {
+    std::string out = without_timings(response);
+    for (const char* hit : {"\"cache_hit\":true,", "\"cache_hit\":false,"}) {
+      const std::size_t at = out.find(hit);
+      if (at != std::string::npos) out.erase(at, std::strlen(hit));
+    }
+    return out;
+  };
+
+  // The portfolio fragment's eval_hits count the process-wide schedule
+  // cache, which earlier tests in this process may have filled: start it
+  // empty, as a fresh isex_serve's is.
+  runtime::schedule_cache().clear();
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.start().has_value());
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    EXPECT_EQ(delivery_free(server.process_line(requests[i])),
+              delivery_free(answers[i]))
+        << requests[i];
+  server.request_drain();
+  EXPECT_EQ(server.wait(), 0);
+}
+
 TEST(ServerKernelMemo, TextVariantMissesTheMemoButHitsTheResultCache) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.start().has_value());
