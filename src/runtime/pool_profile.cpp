@@ -5,7 +5,7 @@
 #include <ostream>
 
 #include "runtime/thread_pool.hpp"
-#include "trace/trace.hpp"
+#include "trace/json.hpp"
 
 namespace isex::runtime {
 namespace {
@@ -80,45 +80,49 @@ PoolProfile collect_pool_profile(const ThreadPool& pool) {
 }
 
 void PoolProfile::write_json(std::ostream& out) const {
-  out << "{\n\"pool\":{\"threads\":" << threads
-      << ",\"profiled\":" << (profiled ? "true" : "false")
-      << ",\"task_count\":" << task_count
-      << ",\"task_seconds_total\":" << task_seconds_total << "},\n";
-  out << "\"workers\":[";
+  std::string text;
+  trace::JsonWriter json(text);
+  json.begin_object().newline().key("pool").begin_object()
+      .key("threads").integer(threads)
+      .key("profiled").boolean(profiled)
+      .key("task_count").integer(task_count)
+      .key("task_seconds_total").number(task_seconds_total)
+      .end_object();
+  json.newline().key("workers").begin_array();
   for (std::size_t i = 0; i < workers.size(); ++i) {
     const WorkerOccupancy& w = workers[i];
-    if (i != 0) out << ",";
-    out << "\n{\"worker\":\""
-        << trace::json_escape(worker_label(i, workers.size()))
-        << "\",\"tasks\":" << w.tasks << ",\"steals\":" << w.steals
-        << ",\"busy_seconds\":" << w.busy_seconds
-        << ",\"idle_seconds\":" << w.idle_seconds
-        << ",\"occupancy\":" << w.occupancy() << "}";
+    json.newline().begin_object()
+        .key("worker").string(worker_label(i, workers.size()))
+        .key("tasks").integer(w.tasks)
+        .key("steals").integer(w.steals)
+        .key("busy_seconds").number(w.busy_seconds)
+        .key("idle_seconds").number(w.idle_seconds)
+        .key("occupancy").number(w.occupancy())
+        .end_object();
   }
-  out << "\n],\n\"task_histogram\":{\"bounds_us\":[";
-  for (std::size_t i = 0; i < task_bounds_us.size(); ++i) {
-    if (i != 0) out << ",";
-    out << task_bounds_us[i];
+  json.newline().end_array();
+  json.newline().key("task_histogram").begin_object()
+      .key("bounds_us").begin_array();
+  for (const double bound : task_bounds_us) json.number(bound);
+  json.end_array().key("counts").begin_array();
+  for (const std::uint64_t count : task_counts) json.integer(count);
+  json.end_array().end_object();
+  json.newline().key("sections").begin_array();
+  for (const SectionProfile& s : sections) {
+    json.newline().begin_object()
+        .key("name").string(s.name)
+        .key("invocations").integer(s.invocations)
+        .key("tasks").integer(s.tasks)
+        .key("serial_seconds").number(s.serial_seconds)
+        .key("wall_seconds").number(s.wall_seconds)
+        .key("task_seconds").number(s.task_seconds)
+        .key("max_task_seconds").number(s.max_task_seconds)
+        .key("serial_fraction").number(s.serial_fraction())
+        .key("imbalance").number(s.imbalance())
+        .end_object();
   }
-  out << "],\"counts\":[";
-  for (std::size_t i = 0; i < task_counts.size(); ++i) {
-    if (i != 0) out << ",";
-    out << task_counts[i];
-  }
-  out << "]},\n\"sections\":[";
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    const SectionProfile& s = sections[i];
-    if (i != 0) out << ",";
-    out << "\n{\"name\":\"" << trace::json_escape(s.name)
-        << "\",\"invocations\":" << s.invocations << ",\"tasks\":" << s.tasks
-        << ",\"serial_seconds\":" << s.serial_seconds
-        << ",\"wall_seconds\":" << s.wall_seconds
-        << ",\"task_seconds\":" << s.task_seconds
-        << ",\"max_task_seconds\":" << s.max_task_seconds
-        << ",\"serial_fraction\":" << s.serial_fraction()
-        << ",\"imbalance\":" << s.imbalance() << "}";
-  }
-  out << "\n]}\n";
+  json.newline().end_array().end_object().newline();
+  out << text;
 }
 
 void PoolProfile::publish(trace::MetricsRegistry& registry) const {

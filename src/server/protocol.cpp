@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 #include <vector>
 
-#include "trace/trace.hpp"  // json_escape
+#include "trace/json.hpp"
 
 namespace isex::server {
 namespace {
@@ -589,78 +588,74 @@ std::uint64_t flow_result_digest(const flow::FlowResult& result) {
   return h.value();
 }
 
+namespace {
+
+/// A result digest as responses carry it: "0x" and 16 lowercase hex digits.
+std::string hex_digest(std::uint64_t digest) {
+  std::string text = "0x0000000000000000";
+  for (std::size_t i = text.size(); digest != 0; digest >>= 4)
+    text[--i] = "0123456789abcdef"[digest & 0xf];
+  return text;
+}
+
+/// The `cache` member of a cache-modeled result.  Rendered only for
+/// cache-modeled runs, so cache-less fragments stay byte-identical to
+/// those stored before the cache model existed.
+void write_cache_stats(trace::JsonWriter& json, const mem::CacheStats& stats) {
+  json.key("cache").begin_object()
+      .key("accesses").integer(stats.accesses)
+      .key("l1_hits").integer(stats.l1_hits)
+      .key("l2_hits").integer(stats.l2_hits)
+      .key("mem_accesses").integer(stats.mem_accesses)
+      .key("l1_hit_rate").fixed(stats.l1_hit_rate(), 6)
+      .end_object();
+}
+
+void write_timings(trace::JsonWriter& json, const JobTimings& timings) {
+  json.key("timings").begin_object()
+      .key("queue_wait_us").integer(timings.queue_wait_us)
+      .key("validate_us").integer(timings.validate_us)
+      .key("explore_us").integer(timings.explore_us)
+      .key("cache_us").integer(timings.cache_us)
+      .key("total_us").integer(timings.total_us)
+      .end_object();
+}
+
+}  // namespace
+
 std::string render_result_fragment(const flow::FlowResult& result) {
-  char buf[64];
   std::string out;
-  const auto num = [&](const char* fmt, auto value) {
-    std::snprintf(buf, sizeof buf, fmt, value);
-    out += buf;
-  };
-  out += "\"base_time\":";
-  num("%llu", static_cast<unsigned long long>(result.base_time()));
-  out += ",\"final_time\":";
-  num("%llu", static_cast<unsigned long long>(result.final_time()));
-  out += ",\"reduction\":";
-  num("%.6f", result.reduction());
-  out += ",\"num_ises\":";
-  num("%zu", result.selection.selected.size());
-  out += ",\"num_types\":";
-  num("%d", result.num_ise_types());
-  out += ",\"total_area\":";
-  num("%.3f", result.total_area());
-  out += ",\"result_digest\":\"";
-  num("0x%016llx",
-      static_cast<unsigned long long>(flow_result_digest(result)));
-  out += "\",\"ises\":[";
-  bool first = true;
+  trace::JsonWriter json(out);
+  json.key("base_time").integer(result.base_time())
+      .key("final_time").integer(result.final_time())
+      .key("reduction").fixed(result.reduction(), 6)
+      .key("num_ises").integer(result.selection.selected.size())
+      .key("num_types").integer(result.num_ise_types())
+      .key("total_area").fixed(result.total_area(), 3)
+      .key("result_digest").string(hex_digest(flow_result_digest(result)))
+      .key("ises").begin_array();
   for (const flow::SelectedIse& sel : result.selection.selected) {
-    if (!first) out += ',';
-    first = false;
     const core::ExploredIse& ise = sel.entry.ise;
-    out += "{\"block\":";
-    num("%zu", sel.entry.block_index);
-    out += ",\"type\":";
-    num("%d", sel.type_id);
-    out += ",\"shared\":";
-    out += sel.hardware_shared ? "true" : "false";
-    out += ",\"ops\":";
-    num("%zu", ise.original_nodes.count());
-    out += ",\"latency\":";
-    num("%d", ise.eval.latency_cycles);
-    out += ",\"area\":";
-    num("%.3f", ise.eval.area);
-    out += ",\"in\":";
-    num("%d", ise.in_count);
-    out += ",\"out\":";
-    num("%d", ise.out_count);
-    out += ",\"gain\":";
-    num("%d", ise.gain_cycles);
-    out += ",\"members\":\"";
     std::string members;
     for (const std::string& label : ise.member_labels) {
       if (!members.empty()) members += ' ';
       members += label;
     }
-    out += trace::json_escape(members);
-    out += "\"}";
+    json.begin_object()
+        .key("block").integer(sel.entry.block_index)
+        .key("type").integer(sel.type_id)
+        .key("shared").boolean(sel.hardware_shared)
+        .key("ops").integer(ise.original_nodes.count())
+        .key("latency").integer(ise.eval.latency_cycles)
+        .key("area").fixed(ise.eval.area, 3)
+        .key("in").integer(ise.in_count)
+        .key("out").integer(ise.out_count)
+        .key("gain").integer(ise.gain_cycles)
+        .key("members").string(members)
+        .end_object();
   }
-  out += ']';
-  // Per-flow hit/miss telemetry; rendered only for cache-modeled runs so
-  // cache-less fragments stay byte-identical across the upgrade.
-  if (result.cache_modeled) {
-    out += ",\"cache\":{\"accesses\":";
-    num("%llu", static_cast<unsigned long long>(result.cache_stats.accesses));
-    out += ",\"l1_hits\":";
-    num("%llu", static_cast<unsigned long long>(result.cache_stats.l1_hits));
-    out += ",\"l2_hits\":";
-    num("%llu", static_cast<unsigned long long>(result.cache_stats.l2_hits));
-    out += ",\"mem_accesses\":";
-    num("%llu",
-        static_cast<unsigned long long>(result.cache_stats.mem_accesses));
-    out += ",\"l1_hit_rate\":";
-    num("%.6f", result.cache_stats.l1_hit_rate());
-    out += '}';
-  }
+  json.end_array();
+  if (result.cache_modeled) write_cache_stats(json, result.cache_stats);
   return out;
 }
 
@@ -705,129 +700,74 @@ std::uint64_t portfolio_result_digest(const flow::PortfolioResult& result) {
 }
 
 std::string render_portfolio_fragment(const flow::PortfolioResult& result) {
-  char buf[64];
   std::string out;
-  const auto num = [&](const char* fmt, auto value) {
-    std::snprintf(buf, sizeof buf, fmt, value);
-    out += buf;
-  };
-  out += "\"portfolio\":true,\"num_programs\":";
-  num("%zu", result.programs.size());
-  out += ",\"total_weighted_benefit\":";
-  num("%.6f", result.total_weighted_benefit());
-  out += ",\"total_area\":";
-  num("%.3f", result.total_area());
-  out += ",\"num_types\":";
-  num("%d", result.num_ise_types());
-  out += ",\"num_ises\":";
-  num("%zu", result.selection.selected.size());
-  out += ",\"total_jobs\":";
-  num("%llu", static_cast<unsigned long long>(result.total_jobs));
-  out += ",\"deduped_jobs\":";
-  num("%llu", static_cast<unsigned long long>(result.deduped_jobs));
-  out += ",\"eval_hits\":";
-  num("%llu",
-      static_cast<unsigned long long>(result.eval_cache_stats.hits));
-  out += ",\"eval_misses\":";
-  num("%llu",
-      static_cast<unsigned long long>(result.eval_cache_stats.misses));
-  out += ",\"dedup_hit_rate\":";
-  num("%.6f", result.eval_cache_stats.hit_rate());
-  out += ",\"isomorphic_hot_blocks\":";
-  num("%llu",
-      static_cast<unsigned long long>(result.isomorphic_hot_blocks));
-  out += ",\"isomorphic_candidates\":";
-  num("%llu",
-      static_cast<unsigned long long>(result.isomorphic_candidates));
-  out += ",\"result_digest\":\"";
-  num("0x%016llx",
-      static_cast<unsigned long long>(portfolio_result_digest(result)));
-  out += "\",\"programs\":[";
-  bool first = true;
+  trace::JsonWriter json(out);
+  json.key("portfolio").boolean(true)
+      .key("num_programs").integer(result.programs.size())
+      .key("total_weighted_benefit").fixed(result.total_weighted_benefit(), 6)
+      .key("total_area").fixed(result.total_area(), 3)
+      .key("num_types").integer(result.num_ise_types())
+      .key("num_ises").integer(result.selection.selected.size())
+      .key("total_jobs").integer(result.total_jobs)
+      .key("deduped_jobs").integer(result.deduped_jobs)
+      .key("eval_hits").integer(result.eval_cache_stats.hits)
+      .key("eval_misses").integer(result.eval_cache_stats.misses)
+      .key("dedup_hit_rate").fixed(result.eval_cache_stats.hit_rate(), 6)
+      .key("isomorphic_hot_blocks").integer(result.isomorphic_hot_blocks)
+      .key("isomorphic_candidates").integer(result.isomorphic_candidates)
+      .key("result_digest").string(hex_digest(portfolio_result_digest(result)))
+      .key("programs").begin_array();
   for (const flow::PortfolioProgramResult& prog : result.programs) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"" + trace::json_escape(prog.name) + "\",\"weight\":";
-    num("%.6f", prog.weight);
-    out += ",\"base_time\":";
-    num("%llu", static_cast<unsigned long long>(prog.base_time()));
-    out += ",\"final_time\":";
-    num("%llu", static_cast<unsigned long long>(prog.final_time()));
-    out += ",\"reduction\":";
-    num("%.6f", prog.reduction());
-    out += ",\"num_ises\":";
-    num("%zu", prog.selection.selected.size());
-    out += ",\"cycles_saved\":";
-    num("%llu", static_cast<unsigned long long>(prog.cycles_saved()));
-    out += ",\"weighted_benefit\":";
-    num("%.6f", prog.weighted_benefit());
-    out += '}';
+    json.begin_object()
+        .key("name").string(prog.name)
+        .key("weight").fixed(prog.weight, 6)
+        .key("base_time").integer(prog.base_time())
+        .key("final_time").integer(prog.final_time())
+        .key("reduction").fixed(prog.reduction(), 6)
+        .key("num_ises").integer(prog.selection.selected.size())
+        .key("cycles_saved").integer(prog.cycles_saved())
+        .key("weighted_benefit").fixed(prog.weighted_benefit(), 6)
+        .end_object();
   }
-  out += "],\"ises\":[";
-  first = true;
+  json.end_array().key("ises").begin_array();
   for (const flow::PortfolioSelectedIse& sel : result.selection.selected) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"program\":";
-    num("%zu", sel.program_index);
-    out += ",\"block\":";
-    num("%zu", sel.entry.block_index);
-    out += ",\"type\":";
-    num("%d", sel.type_id);
-    out += ",\"shared\":";
-    out += sel.hardware_shared ? "true" : "false";
-    out += ",\"area\":";
-    num("%.3f", sel.entry.ise.eval.area);
-    out += ",\"gain\":";
-    num("%d", sel.entry.ise.gain_cycles);
-    out += ",\"weighted_benefit\":";
-    num("%.6f", sel.weighted_benefit);
-    out += '}';
+    json.begin_object()
+        .key("program").integer(sel.program_index)
+        .key("block").integer(sel.entry.block_index)
+        .key("type").integer(sel.type_id)
+        .key("shared").boolean(sel.hardware_shared)
+        .key("area").fixed(sel.entry.ise.eval.area, 3)
+        .key("gain").integer(sel.entry.ise.gain_cycles)
+        .key("weighted_benefit").fixed(sel.weighted_benefit, 6)
+        .end_object();
   }
-  out += ']';
-  if (result.cache_modeled) {
-    out += ",\"cache\":{\"accesses\":";
-    num("%llu", static_cast<unsigned long long>(result.cache_stats.accesses));
-    out += ",\"l1_hits\":";
-    num("%llu", static_cast<unsigned long long>(result.cache_stats.l1_hits));
-    out += ",\"l2_hits\":";
-    num("%llu", static_cast<unsigned long long>(result.cache_stats.l2_hits));
-    out += ",\"mem_accesses\":";
-    num("%llu",
-        static_cast<unsigned long long>(result.cache_stats.mem_accesses));
-    out += ",\"l1_hit_rate\":";
-    num("%.6f", result.cache_stats.l1_hit_rate());
-    out += '}';
-  }
+  json.end_array();
+  if (result.cache_modeled) write_cache_stats(json, result.cache_stats);
   return out;
 }
 
 std::string render_timings(const JobTimings& timings) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "\"timings\":{\"queue_wait_us\":%llu,\"validate_us\":%llu,"
-                "\"explore_us\":%llu,\"cache_us\":%llu,\"total_us\":%llu}",
-                static_cast<unsigned long long>(timings.queue_wait_us),
-                static_cast<unsigned long long>(timings.validate_us),
-                static_cast<unsigned long long>(timings.explore_us),
-                static_cast<unsigned long long>(timings.cache_us),
-                static_cast<unsigned long long>(timings.total_us));
-  return buf;
+  std::string out;
+  trace::JsonWriter json(out);
+  write_timings(json, timings);
+  return out;
 }
 
 std::string render_response(const std::string& id, bool cache_hit,
                             const JobTimings& timings,
                             const std::string& result_fragment) {
-  std::string out = "{\"id\":\"" + trace::json_escape(id) +
-                    "\",\"ok\":true,\"cache_hit\":";
-  out += cache_hit ? "true" : "false";
-  out += ',';
+  // Every served hit renders here: one buffer, sized once.
+  std::string out;
+  out.reserve(result_fragment.size() + id.size() + 192);
+  trace::JsonWriter json(out);
+  json.begin_object()
+      .key("id").string(id)
+      .key("ok").boolean(true)
+      .key("cache_hit").boolean(cache_hit);
   // Per-delivery before the fragment: the cached fragment (base_time ...
   // result_digest ... ises) replays byte-identically on every delivery.
-  out += render_timings(timings);
-  out += ',';
-  out += result_fragment;
-  out += '}';
+  write_timings(json, timings);
+  json.raw(result_fragment).end_object();
   return out;
 }
 
@@ -837,15 +777,15 @@ std::string render_response(const std::string& id, bool cache_hit,
 }
 
 std::string render_error_response(const std::string& id, const Error& error) {
-  char code[8];
-  std::snprintf(code, sizeof code, "E%04d",
-                static_cast<int>(error.code()));
-  std::string out = "{\"id\":\"" + trace::json_escape(id) +
-                    "\",\"ok\":false,\"error_code\":\"" + code +
-                    "\",\"error_name\":\"" +
-                    std::string(error_code_name(error.code())) +
-                    "\",\"error\":\"" + trace::json_escape(error.message()) +
-                    "\"}";
+  std::string out;
+  trace::JsonWriter json(out);
+  json.begin_object()
+      .key("id").string(id)
+      .key("ok").boolean(false)
+      .key("error_code").string(error_code_label(error.code()))
+      .key("error_name").string(error_code_name(error.code()))
+      .key("error").string(error.message())
+      .end_object();
   return out;
 }
 

@@ -17,6 +17,7 @@
 #include "runtime/pool_profile.hpp"
 #include "runtime/runtime_stats.hpp"
 #include "runtime/thread_pool.hpp"
+#include "trace/json.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
@@ -65,26 +66,15 @@ const std::string& kernel_text(const JobRequest& request, std::size_t k) {
   return request.is_portfolio() ? request.programs[k].kernel : request.kernel;
 }
 
-void append_histogram_json(std::string& out, const trace::Histogram& h) {
-  char buf[32];
-  out += "{\"bounds_s\":[";
-  const std::vector<double>& bounds = h.bounds();
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    if (i != 0) out += ',';
-    std::snprintf(buf, sizeof buf, "%g", bounds[i]);
-    out += buf;
-  }
-  out += "],\"counts\":[";
-  const std::vector<std::uint64_t> counts = h.bin_counts();
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (i != 0) out += ',';
-    out += std::to_string(counts[i]);
-  }
-  out += "],\"count\":" + std::to_string(h.count());
-  std::snprintf(buf, sizeof buf, "%.6f", h.sum());
-  out += ",\"sum_s\":";
-  out += buf;
-  out += '}';
+void write_histogram(trace::JsonWriter& json, const trace::Histogram& h) {
+  json.begin_object().key("bounds_s").begin_array();
+  for (const double bound : h.bounds()) json.number(bound);
+  json.end_array().key("counts").begin_array();
+  for (const std::uint64_t count : h.bin_counts()) json.integer(count);
+  json.end_array()
+      .key("count").integer(h.count())
+      .key("sum_s").fixed(h.sum(), 6)
+      .end_object();
 }
 
 }  // namespace
@@ -377,89 +367,90 @@ void Server::handle_http(int fd, const std::string& buffered) {
 
 std::string Server::render_statusz() const {
   const auto count = [](const trace::Counter* c) {
-    return std::to_string(static_cast<std::uint64_t>(c->value()));
+    return static_cast<std::uint64_t>(c->value());
   };
-  std::string out = "{\"uptime_us\":" + std::to_string(uptime_us()) +
-                    ",\"draining\":";
-  out += draining() ? "true" : "false";
-  out += ",\n\"queue\":{\"depth\":" + std::to_string(queue_.depth()) +
-         ",\"capacity\":" + std::to_string(queue_.capacity()) +
-         ",\"workers\":" + std::to_string(worker_count_) + "},";
+  std::string out;
+  trace::JsonWriter json(out);
+  json.begin_object()
+      .key("uptime_us").integer(uptime_us())
+      .key("draining").boolean(draining());
+  json.newline().key("queue").begin_object()
+      .key("depth").integer(queue_.depth())
+      .key("capacity").integer(queue_.capacity())
+      .key("workers").integer(worker_count_)
+      .end_object();
 
-  out += "\n\"inflight\":[";
+  json.newline().key("inflight").begin_array();
   {
     const std::uint64_t now_us = uptime_us();
     std::lock_guard<std::mutex> lock(inflight_mutex_);
-    bool first = true;
     for (const auto& [key, job] : inflight_) {
-      if (!first) out += ',';
-      first = false;
       // queue_wait: admission → worker pop for running jobs, admission →
       // now for jobs still queued.
       const std::uint64_t wait_end =
           job.started_us != 0 ? job.started_us : now_us;
-      out += "\n{\"id\":\"" + trace::json_escape(job.id) +
-             "\",\"priority\":" + std::to_string(job.priority) +
-             ",\"stage\":\"" + job.stage +
-             "\",\"age_us\":" + std::to_string(now_us - job.accepted_us) +
-             ",\"queue_wait_us\":" +
-             std::to_string(wait_end - job.accepted_us) + "}";
+      json.newline().begin_object()
+          .key("id").string(job.id)
+          .key("priority").integer(job.priority)
+          .key("stage").string(job.stage)
+          .key("age_us").integer(now_us - job.accepted_us)
+          .key("queue_wait_us").integer(wait_end - job.accepted_us)
+          .end_object();
     }
   }
-  out += "],";
+  json.end_array();
 
-  out += "\n\"jobs\":{\"accepted\":" + count(jobs_accepted_) +
-         ",\"completed\":" + count(jobs_completed_) +
-         ",\"failed\":" + count(jobs_failed_) +
-         ",\"invalid\":" + count(jobs_invalid_) +
-         ",\"rejected_queue_full\":" + count(jobs_rejected_full_) +
-         ",\"rejected_draining\":" + count(jobs_rejected_draining_) +
-         ",\"cache_hits\":" + count(result_hits_) +
-         ",\"cache_misses\":" + count(result_misses_) + "},";
+  json.newline().key("jobs").begin_object()
+      .key("accepted").integer(count(jobs_accepted_))
+      .key("completed").integer(count(jobs_completed_))
+      .key("failed").integer(count(jobs_failed_))
+      .key("invalid").integer(count(jobs_invalid_))
+      .key("rejected_queue_full").integer(count(jobs_rejected_full_))
+      .key("rejected_draining").integer(count(jobs_rejected_draining_))
+      .key("cache_hits").integer(count(result_hits_))
+      .key("cache_misses").integer(count(result_misses_))
+      .end_object();
 
   const KernelMemo::Stats memo = kernel_memo_.stats();
-  out += "\n\"kernel_memo\":{\"hits\":" + std::to_string(memo.hits) +
-         ",\"misses\":" + std::to_string(memo.misses) +
-         ",\"parses\":" + std::to_string(memo.parses) +
-         ",\"entries\":" + std::to_string(memo.entries) +
-         ",\"bytes\":" + std::to_string(memo.bytes) + "},";
+  json.newline().key("kernel_memo").begin_object()
+      .key("hits").integer(memo.hits)
+      .key("misses").integer(memo.misses)
+      .key("parses").integer(memo.parses)
+      .key("entries").integer(memo.entries)
+      .key("bytes").integer(memo.bytes)
+      .end_object();
 
-  out += "\n\"job_latency\":";
-  append_histogram_json(out, *job_latency_);
-  out += ",\n\"queue_wait\":";
-  append_histogram_json(out, *queue_wait_);
-  out += ',';
+  json.newline().key("job_latency");
+  write_histogram(json, *job_latency_);
+  json.newline().key("queue_wait");
+  write_histogram(json, *queue_wait_);
 
   const runtime::PersistStats persist =
       cache_ != nullptr ? cache_->stats() : runtime::PersistStats{};
-  out += "\n\"cache\":{\"warm_start_schedule_entries\":" +
-         std::to_string(load_report_.schedule_entries) +
-         ",\"warm_start_blob_entries\":" +
-         std::to_string(load_report_.blob_entries) +
-         ",\"corrupt_skipped\":" +
-         std::to_string(load_report_.corrupt_skipped) +
-         ",\"version_mismatch\":" +
-         std::to_string(load_report_.version_mismatch) +
-         ",\"appends\":" + std::to_string(persist.appends) +
-         ",\"append_failures\":" + std::to_string(persist.append_failures) +
-         ",\"blob_hits\":" + std::to_string(persist.blob_hits) +
-         ",\"blob_misses\":" + std::to_string(persist.blob_misses) +
-         ",\"schedule_entries\":" +
-         std::to_string(cache_ != nullptr ? cache_->schedule_entry_count()
-                                          : 0) +
-         ",\"blob_entries\":" +
-         std::to_string(cache_ != nullptr ? cache_->blob_entry_count() : 0) +
-         ",\"log_size_bytes\":" +
-         std::to_string(cache_ != nullptr ? cache_->log_size_bytes() : 0) +
-         "},";
+  json.newline().key("cache").begin_object()
+      .key("warm_start_schedule_entries").integer(load_report_.schedule_entries)
+      .key("warm_start_blob_entries").integer(load_report_.blob_entries)
+      .key("corrupt_skipped").integer(load_report_.corrupt_skipped)
+      .key("version_mismatch")
+      .integer(static_cast<int>(load_report_.version_mismatch))
+      .key("appends").integer(persist.appends)
+      .key("append_failures").integer(persist.append_failures)
+      .key("blob_hits").integer(persist.blob_hits)
+      .key("blob_misses").integer(persist.blob_misses)
+      .key("schedule_entries")
+      .integer(cache_ != nullptr ? cache_->schedule_entry_count() : 0)
+      .key("blob_entries")
+      .integer(cache_ != nullptr ? cache_->blob_entry_count() : 0)
+      .key("log_size_bytes")
+      .integer(cache_ != nullptr ? cache_->log_size_bytes() : 0)
+      .end_object();
 
   // The shared exploration pool's occupancy + section profile, embedded as
   // the same object write_json produces for the PoolProfile artifact.
   std::ostringstream pool;
   runtime::collect_pool_profile(runtime::ThreadPool::default_pool())
       .write_json(pool);
-  out += "\n\"pool\":" + pool.str();
-  out += "}\n";
+  json.newline().key("pool").raw(pool.str()).end_object().newline();
   return out;
 }
 

@@ -1,6 +1,9 @@
 #include "trace/telemetry.hpp"
 
 #include <ostream>
+#include <string>
+
+#include "trace/json.hpp"
 
 namespace isex::trace {
 
@@ -50,17 +53,27 @@ void ExplorationTelemetry::write_csv(std::ostream& out,
 
 void ExplorationTelemetry::write_jsonl(
     std::ostream& out, std::span<const ConvergencePoint> points) {
+  std::string text;
+  JsonWriter json(text);
   for (const ConvergencePoint& p : points) {
-    out << "{\"round\":" << p.round << ",\"colony\":" << p.colony
-        << ",\"iteration\":" << p.iteration
-        << ",\"tet\":" << p.tet << ",\"best_tet\":" << p.best_tet
-        << ",\"worst_tet\":" << p.worst_tet << ",\"mean_tet\":" << p.mean_tet
-        << ",\"converged_fraction\":" << p.converged_fraction
-        << ",\"entropy\":" << p.entropy
-        << ",\"max_option_probability\":" << p.max_option_probability
-        << ",\"p_end\":" << p.p_end << ",\"ants\":" << p.ants
-        << ",\"cache_hit_rate\":" << p.cache_hit_rate << "}\n";
+    json.begin_object()
+        .key("round").integer(p.round)
+        .key("colony").integer(p.colony)
+        .key("iteration").integer(p.iteration)
+        .key("tet").integer(p.tet)
+        .key("best_tet").integer(p.best_tet)
+        .key("worst_tet").integer(p.worst_tet)
+        .key("mean_tet").number(p.mean_tet)
+        .key("converged_fraction").number(p.converged_fraction)
+        .key("entropy").number(p.entropy)
+        .key("max_option_probability").number(p.max_option_probability)
+        .key("p_end").number(p.p_end)
+        .key("ants").integer(p.ants)
+        .key("cache_hit_rate").number(p.cache_hit_rate)
+        .end_object()
+        .newline();
   }
+  out << text;
 }
 
 void ExplorationTelemetry::write_csv(std::ostream& out) const {

@@ -1,7 +1,8 @@
 #include "trace/trace.hpp"
 
-#include <cstdio>
 #include <ostream>
+
+#include "trace/json.hpp"
 
 namespace isex::trace {
 namespace {
@@ -191,82 +192,65 @@ Tracer& Tracer::global() {
   return tracer;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_chrome_trace(std::ostream& out,
                         std::span<const TraceEvent> events) {
-  out << "{\"traceEvents\":[";
-  bool first = true;
+  std::string text;
+  JsonWriter json(text);
+  json.begin_object().key("traceEvents").begin_array();
   for (const TraceEvent& e : events) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n{\"name\":\"" << json_escape(e.name) << "\",\"pid\":1,\"tid\":"
-        << e.tid << ",\"ts\":" << e.ts_us;
+    json.newline()
+        .begin_object()
+        .key("name").string(e.name)
+        .key("pid").integer(1)
+        .key("tid").integer(e.tid)
+        .key("ts").integer(e.ts_us);
     switch (e.kind) {
       case EventKind::kSpan:
-        out << ",\"ph\":\"X\",\"dur\":" << e.dur_us;
+        json.key("ph").string("X").key("dur").integer(e.dur_us);
         if (e.span_id != 0) {
-          out << ",\"args\":{\"trace_id\":" << e.trace_id
-              << ",\"span_id\":" << e.span_id
-              << ",\"parent_span_id\":" << e.parent_id << "}";
+          json.key("args")
+              .begin_object()
+              .key("trace_id").integer(e.trace_id)
+              .key("span_id").integer(e.span_id)
+              .key("parent_span_id").integer(e.parent_id)
+              .end_object();
         }
         break;
       case EventKind::kInstant:
-        out << ",\"ph\":\"i\",\"s\":\"t\"";
+        json.key("ph").string("i").key("s").string("t");
         break;
       case EventKind::kCounter:
-        out << ",\"ph\":\"C\",\"args\":{\"value\":" << e.value << "}";
+        json.key("ph").string("C").key("args").begin_object()
+            .key("value").number(e.value)
+            .end_object();
         break;
     }
-    out << "}";
+    json.end_object();
   }
-  out << "\n],\"displayTimeUnit\":\"ms\"}\n";
+  json.newline().end_array().key("displayTimeUnit").string("ms").end_object();
+  json.newline();
+  out << text;
 }
 
 void write_jsonl(std::ostream& out, std::span<const TraceEvent> events) {
+  std::string text;
+  JsonWriter json(text);
   for (const TraceEvent& e : events) {
-    out << "{\"name\":\"" << json_escape(e.name) << "\",\"kind\":\""
-        << kind_name(e.kind) << "\",\"ts_us\":" << e.ts_us
-        << ",\"dur_us\":" << e.dur_us << ",\"tid\":" << e.tid
-        << ",\"value\":" << e.value;
+    json.begin_object()
+        .key("name").string(e.name)
+        .key("kind").string(kind_name(e.kind))
+        .key("ts_us").integer(e.ts_us)
+        .key("dur_us").integer(e.dur_us)
+        .key("tid").integer(e.tid)
+        .key("value").number(e.value);
     if (e.span_id != 0) {
-      out << ",\"trace_id\":" << e.trace_id << ",\"span_id\":" << e.span_id
-          << ",\"parent_span_id\":" << e.parent_id;
+      json.key("trace_id").integer(e.trace_id)
+          .key("span_id").integer(e.span_id)
+          .key("parent_span_id").integer(e.parent_id);
     }
-    out << "}\n";
+    json.end_object().newline();
   }
+  out << text;
 }
 
 }  // namespace isex::trace

@@ -52,13 +52,16 @@ std::string_view error_code_name(ErrorCode code) {
   return "unknown";
 }
 
+std::string error_code_label(ErrorCode code) {
+  char buf[8];
+  std::snprintf(buf, sizeof(buf), "E%04u", static_cast<unsigned>(code));
+  return buf;
+}
+
 std::string Error::to_string() const {
-  char code_buf[8];
-  std::snprintf(code_buf, sizeof(code_buf), "E%04u",
-                static_cast<unsigned>(code_));
   std::string out =
       severity_ == Severity::kWarning ? "warning " : "error ";
-  out += code_buf;
+  out += error_code_label(code_);
   out += " [";
   out += error_code_name(code_);
   out += "]: ";

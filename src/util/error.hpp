@@ -93,6 +93,9 @@ enum class ErrorCode : std::uint16_t {
 /// Short stable identifier, e.g. "parse-immediate-range".
 std::string_view error_code_name(ErrorCode code);
 
+/// The code as diagnostics and server responses print it, e.g. "E0105".
+std::string error_code_label(ErrorCode code);
+
 enum class Severity : std::uint8_t {
   kWarning,  ///< suspicious but processable (e.g. ports outside the sweep)
   kError,    ///< input rejected

@@ -1,7 +1,8 @@
-// Byte-for-byte pins of every JSON document the program renders: the
-// server's result and portfolio fragments, its response envelope, timings
-// and error responses, the PoolProfile artifact, the Chrome trace and span
-// JSONL, the telemetry JSONL and /statusz.
+// Byte-for-byte pins of every JSON document the program renders
+// (JsonGolden.*): the server's result and portfolio fragments, its response
+// envelope, timings and error responses, the PoolProfile artifact, the
+// Chrome trace and span JSONL, the telemetry JSONL and /statusz.  Then the
+// rules of trace::JsonWriter, which renders them all (JsonWriter.*).
 //
 // The expected strings were captured from the renderers as they stood
 // before they shared one writer.  Result fragments are the blobs the
@@ -13,9 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <future>
 #include <limits>
+#include <random>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -28,6 +33,7 @@
 #include "runtime/thread_pool.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
+#include "trace/json.hpp"
 #include "trace/telemetry.hpp"
 #include "trace/trace.hpp"
 
@@ -498,6 +504,126 @@ TEST(JsonGolden, StatuszWithOneQueuedJob) {
 
   EXPECT_TRUE(testing::JsonChecker(statusz).valid()) << statusz;
   expect_golden(mask_numbers(statusz), kStatuszMasked);
+}
+
+// --- the writer ------------------------------------------------------------
+
+TEST(JsonWriter, PlacesEveryComma) {
+  std::string out;
+  trace::JsonWriter json(out);
+  json.begin_object()
+      .key("a").integer(1)
+      .key("b").begin_array().end_array()
+      .key("c").begin_object().end_object()
+      .key("d").begin_array()
+      .integer(-2).string("x").boolean(false)
+      .begin_object().key("e").raw("null").end_object()
+      .begin_array().begin_array().end_array().end_array()
+      .end_array()
+      .end_object();
+  EXPECT_EQ(out,
+            R"({"a":1,"b":[],"c":{},"d":[-2,"x",false,{"e":null},[[]]]})");
+  EXPECT_TRUE(testing::JsonChecker(out).valid());
+}
+
+TEST(JsonWriter, TopLevelMembersAreAFragmentThatRawEmbeds) {
+  std::string fragment;
+  trace::JsonWriter(fragment).key("x").integer(1).key("y").string("z");
+  EXPECT_EQ(fragment, R"("x":1,"y":"z")");
+
+  std::string out;
+  trace::JsonWriter(out)
+      .begin_object()
+      .key("id").string("i")
+      .raw(fragment)
+      .end_object();
+  EXPECT_EQ(out, R"({"id":"i","x":1,"y":"z"})");
+}
+
+TEST(JsonWriter, NewlineGoesAfterTheCommaAndEndsTopLevelDocuments) {
+  std::string out;
+  trace::JsonWriter json(out);
+  json.begin_object().newline().key("a").begin_array();
+  json.newline().integer(1).newline().integer(2).newline().end_array();
+  json.newline().key("b").integer(3).end_object().newline();
+  EXPECT_EQ(out, "{\n\"a\":[\n1,\n2\n],\n\"b\":3}\n");
+
+  // One writer, several JSONL documents: no comma between lines.
+  std::string lines;
+  trace::JsonWriter jsonl(lines);
+  jsonl.begin_object().end_object().newline();
+  jsonl.begin_object().key("k").integer(1).end_object().newline();
+  EXPECT_EQ(lines, "{}\n{\"k\":1}\n");
+}
+
+TEST(JsonWriter, EscapesEveryByteAsJsonEscapeDoes) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string text = std::string("a") + static_cast<char>(b) + "z";
+    std::string out;
+    trace::JsonWriter(out).begin_object().key(text).string(text).end_object();
+    const std::string quoted = "\"" + trace::json_escape(text) + "\"";
+    EXPECT_EQ(out, "{" + quoted + ":" + quoted + "}") << "byte " << b;
+    EXPECT_TRUE(testing::JsonChecker(out).valid()) << "byte " << b;
+  }
+  EXPECT_EQ(trace::json_escape("\x1f\x7f\r\"\\"), "\\u001f\x7f\\r\\\"\\\\");
+}
+
+TEST(JsonWriter, NumbersMatchPrintfAndOstream) {
+  const auto written = [](auto write) {
+    std::string out;
+    trace::JsonWriter json(out);
+    write(json);
+    return out;
+  };
+  const auto printed = [](const char* format, double x) {
+    char buf[400];
+    std::snprintf(buf, sizeof buf, format, x);
+    return std::string(buf);
+  };
+  std::mt19937_64 rng(20080101);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-12, 15);
+  for (int i = 0; i < 50000; ++i) {
+    // Half arbitrary bit patterns, half values of the magnitudes the
+    // documents carry (areas, rates, seconds).
+    double x = unit(rng) * std::pow(10.0, exponent(rng));
+    if (i % 2 == 0) {
+      const std::uint64_t bits = rng();
+      std::memcpy(&x, &bits, sizeof x);
+      if (!std::isfinite(x)) continue;
+    }
+    std::ostringstream stream;
+    stream << x;
+    const std::string g =
+        written([x](trace::JsonWriter& json) { json.number(x); });
+    ASSERT_EQ(g, printed("%g", x));
+    ASSERT_EQ(g, stream.str());
+    for (const int digits : {3, 4, 6}) {
+      const std::string format = "%." + std::to_string(digits) + "f";
+      ASSERT_EQ(written([&](trace::JsonWriter& json) { json.fixed(x, digits); }),
+                printed(format.c_str(), x))
+          << digits;
+    }
+  }
+  EXPECT_EQ(written([](trace::JsonWriter& json) {
+              json.begin_array()
+                  .integer(std::numeric_limits<int>::min())
+                  .integer(std::numeric_limits<std::int64_t>::min())
+                  .integer(kMax)
+                  .integer(std::size_t{0})
+                  .end_array();
+            }),
+            "[" + std::to_string(std::numeric_limits<int>::min()) + "," +
+                std::to_string(std::numeric_limits<std::int64_t>::min()) +
+                "," + std::to_string(kMax) + ",0]");
+}
+
+TEST(JsonWriter, TimingsAtUint64MaxStayWhole) {
+  const std::string max = std::to_string(kMax);
+  EXPECT_EQ(server::render_timings({kMax, kMax, kMax, kMax, kMax}),
+            "\"timings\":{\"queue_wait_us\":" + max + ",\"validate_us\":" +
+                max + ",\"explore_us\":" + max + ",\"cache_us\":" + max +
+                ",\"total_us\":" + max + "}");
 }
 
 }  // namespace

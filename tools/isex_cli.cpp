@@ -78,6 +78,7 @@
 #include "runtime/thread_pool.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/machine_config.hpp"
+#include "trace/json.hpp"
 #include "trace/metrics.hpp"
 #include "trace/telemetry.hpp"
 #include "trace/trace.hpp"
@@ -493,30 +494,32 @@ int cmd_sweep(const CliOptions& opt, const isa::ParsedBlock& block) {
     std::fprintf(stderr, "error: cannot write %s\n", opt.sweep_out.c_str());
     return 1;
   }
-  out << "{\n  \"bench\": \"cache_sweep\",\n";
-  out << "  \"kernel\": \"" << opt.input_path << "\",\n";
-  out << "  \"machine\": \"" << machine.label() << "\",\n";
-  out << "  \"seed\": " << opt.seed << ",\n";
-  out << "  \"repeats\": " << opt.repeats << ",\n";
-  out << "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    char rate[32];
-    std::snprintf(rate, sizeof(rate), "%.4f", row.stats.l1_hit_rate());
-    out << "    {\"l1_size\": " << row.config.l1.size_bytes
-        << ", \"l1_ways\": " << row.config.l1.ways
-        << ", \"l1_line\": " << row.config.l1.line_bytes
-        << ", \"accesses\": " << row.stats.accesses
-        << ", \"l1_hits\": " << row.stats.l1_hits
-        << ", \"l2_hits\": " << row.stats.l2_hits
-        << ", \"mem_accesses\": " << row.stats.mem_accesses
-        << ", \"l1_hit_rate\": " << rate
-        << ", \"base_cycles\": " << row.base_cycles
-        << ", \"final_cycles\": " << row.final_cycles
-        << ", \"ises\": " << row.num_ises << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+  std::string doc;
+  trace::JsonWriter json(doc);
+  json.begin_object()
+      .key("bench").string("cache_sweep")
+      .key("kernel").string(opt.input_path)
+      .key("machine").string(machine.label())
+      .key("seed").integer(opt.seed)
+      .key("repeats").integer(opt.repeats)
+      .key("rows").begin_array();
+  for (const Row& row : rows) {
+    json.newline().begin_object()
+        .key("l1_size").integer(row.config.l1.size_bytes)
+        .key("l1_ways").integer(row.config.l1.ways)
+        .key("l1_line").integer(row.config.l1.line_bytes)
+        .key("accesses").integer(row.stats.accesses)
+        .key("l1_hits").integer(row.stats.l1_hits)
+        .key("l2_hits").integer(row.stats.l2_hits)
+        .key("mem_accesses").integer(row.stats.mem_accesses)
+        .key("l1_hit_rate").fixed(row.stats.l1_hit_rate(), 4)
+        .key("base_cycles").integer(row.base_cycles)
+        .key("final_cycles").integer(row.final_cycles)
+        .key("ises").integer(row.num_ises)
+        .end_object();
   }
-  out << "  ]\n}\n";
+  json.newline().end_array().end_object().newline();
+  out << doc;
   std::fprintf(stderr, "sweep: wrote %s (%zu rows)\n", opt.sweep_out.c_str(),
                rows.size());
   return 0;
