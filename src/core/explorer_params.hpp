@@ -1,4 +1,5 @@
-// Tunables of the ACO ISE exploration (§5.1 lists the paper's values).
+// Parameters of the ACO ISE exploration (§5.1 lists the paper's values):
+// the paper's fixed constants, then the settings a caller chooses.
 #pragma once
 
 #include <cstdint>
@@ -12,34 +13,47 @@ class EvalCache;
 namespace isex::core {
 
 struct ExplorerParams {
+  // The paper's constants.  No caller sets them, so they are not settings;
+  // `params.rho1` and the like still read them.
+
   // --- probability mixing (Eqs. 1 and 3) ---
   /// Relative influence of trail vs merit: p ∝ α·trail + (1−α)·merit + λ·SP.
-  double alpha = 0.25;
+  static constexpr double alpha = 0.25;
   /// Relative influence of the scheduling priority (SP) term.  The paper
   /// lists λ as a parameter without publishing its value; 0.3 with SP
   /// normalized to [0, merit_scale] reproduces the reported behaviour.
-  double lambda = 0.3;
+  static constexpr double lambda = 0.3;
 
   // --- trail update (Fig 4.3.5 evaporating factors) ---
-  double rho1 = 4.0;  ///< reward for the chosen option on improvement
-  double rho2 = 2.0;  ///< decay for unchosen options on improvement
-  double rho3 = 2.0;  ///< penalty for the chosen option on regression
-  double rho4 = 2.0;  ///< reward for unchosen options on regression
-  double rho5 = 0.4;  ///< extra penalty for reordered operations on regression
+  /// Reward for the chosen option on improvement.
+  static constexpr double rho1 = 4.0;
+  /// Decay for unchosen options on improvement.
+  static constexpr double rho2 = 2.0;
+  /// Penalty for the chosen option on regression.
+  static constexpr double rho3 = 2.0;
+  /// Reward for unchosen options on regression.
+  static constexpr double rho4 = 2.0;
+  /// Extra penalty for reordered operations on regression.
+  static constexpr double rho5 = 0.4;
 
   // --- merit function constants (Fig 4.3.7) ---
-  double beta_cp = 0.9;      ///< critical-path boost divisor (case 1)
-  double beta_size = 0.7;    ///< singleton-candidate decay (case 2)
-  double beta_io = 0.8;      ///< I/O-constraint-violation decay (case 3)
-  double beta_convex = 0.4;  ///< convexity-violation decay (case 3)
-  double beta_timing = 0.6;  ///< pipestage-timing-violation decay (case 3)
+  /// Critical-path boost divisor (case 1).
+  static constexpr double beta_cp = 0.9;
+  /// Singleton-candidate decay (case 2).
+  static constexpr double beta_size = 0.7;
+  /// I/O-constraint-violation decay (case 3).
+  static constexpr double beta_io = 0.8;
+  /// Convexity-violation decay (case 3).
+  static constexpr double beta_convex = 0.4;
+  /// Pipestage-timing-violation decay (case 3).
+  static constexpr double beta_timing = 0.6;
 
   // --- initial values / scales ---
-  double initial_merit_software = 100.0;
-  double initial_merit_hardware = 200.0;
+  static constexpr double initial_merit_software = 100.0;
+  static constexpr double initial_merit_hardware = 200.0;
   /// Per-node merits are renormalized so the best option carries this value.
-  double merit_scale = 200.0;
-  double initial_trail = 0.0;
+  static constexpr double merit_scale = 200.0;
+  static constexpr double initial_trail = 0.0;
   /// Trail values are clamped into [0, trail_max].
   double trail_max = 1000.0;
 
@@ -72,7 +86,7 @@ struct ExplorerParams {
   /// Fraction of the merged (mean) trail evaporated at each barrier before
   /// the best-ant deposit lands; the deposit quantum is rho1.  Inert when
   /// colonies == 1.
-  double merge_evaporation = 0.1;
+  static constexpr double merge_evaporation = 0.1;
 
   /// When false, the merit function treats every operation as if it were on
   /// the critical path and skips the Max_AEC area-saving branch — this is

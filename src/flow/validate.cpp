@@ -63,9 +63,6 @@ ValidationReport validate(const FlowConfig& config) {
   if (p.merge_interval < 1)
     param_error("merge_interval " + std::to_string(p.merge_interval) +
                 " is invalid (must be >= 1)");
-  if (!(p.merge_evaporation >= 0.0) || p.merge_evaporation > 1.0)
-    param_error("merge_evaporation " + std::to_string(p.merge_evaporation) +
-                " is outside [0, 1]");
   if (config.cache) report.merge(mem::validate(*config.cache));
   return report;
 }
