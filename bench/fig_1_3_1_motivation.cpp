@@ -42,24 +42,9 @@ int deploy_cycles(const isex::dfg::Graph& block,
                   const isex::sched::MachineConfig& machine) {
   using namespace isex;
   // Collapse the explored ISEs into the block and schedule on `machine`.
-  dfg::Graph current = block;
-  std::vector<dfg::NodeId> to_current(block.num_nodes());
-  for (dfg::NodeId v = 0; v < block.num_nodes(); ++v) to_current[v] = v;
-  for (const auto& ise : explored.ises) {
-    dfg::NodeSet members(current.num_nodes());
-    ise.original_nodes.for_each(
-        [&](dfg::NodeId v) { members.insert(to_current[v]); });
-    dfg::IseInfo info;
-    info.latency_cycles = ise.eval.latency_cycles;
-    info.area = ise.eval.area;
-    info.num_inputs = ise.in_count;
-    info.num_outputs = ise.out_count;
-    std::vector<dfg::NodeId> remap;
-    current = current.collapse(members, info, &remap);
-    for (dfg::NodeId v = 0; v < block.num_nodes(); ++v)
-      to_current[v] = remap[to_current[v]];
-  }
-  return sched::ListScheduler(machine).cycles(current);
+  core::CommitOrderCollapse deployed(block);
+  for (const auto& ise : explored.ises) deployed.collapse(ise);
+  return sched::ListScheduler(machine).cycles(deployed.graph());
 }
 
 }  // namespace

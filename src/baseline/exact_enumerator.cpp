@@ -180,12 +180,8 @@ core::ExplorationResult ExactExplorer::explore(const dfg::Graph& block) const {
     const EnumeratedCandidate* best = nullptr;
     int best_cycles_after = current_cycles;
     for (const EnumeratedCandidate& cand : enumerated.candidates) {
-      dfg::IseInfo info;
-      info.latency_cycles = cand.eval.latency_cycles;
-      info.area = cand.eval.area;
-      info.num_inputs = cand.in_count;
-      info.num_outputs = cand.out_count;
-      const dfg::Graph collapsed = current.collapse(cand.members, info);
+      const dfg::Graph collapsed =
+          current.collapse(cand.members, core::ise_info(cand));
       const int cycles_after = scheduler.cycles(collapsed);
       const int gain = current_cycles - cycles_after;
       if (gain > best_gain ||
@@ -212,13 +208,9 @@ core::ExplorationResult ExactExplorer::explore(const dfg::Graph& block) const {
     record.gain_cycles = best_gain;
     result.ises.push_back(std::move(record));
 
-    dfg::IseInfo info;
-    info.latency_cycles = best->eval.latency_cycles;
-    info.area = best->eval.area;
-    info.num_inputs = best->in_count;
-    info.num_outputs = best->out_count;
     std::vector<dfg::NodeId> old_to_new;
-    dfg::Graph next = current.collapse(best->members, info, &old_to_new);
+    dfg::Graph next =
+        current.collapse(best->members, core::ise_info(*best), &old_to_new);
     std::vector<dfg::NodeSet> next_origin(next.num_nodes());
     for (auto& s : next_origin) s.resize(block.num_nodes());
     for (dfg::NodeId v = 0; v < current.num_nodes(); ++v)

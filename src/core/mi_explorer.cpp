@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <numeric>
 #include <optional>
 
 #include "core/ant_walk.hpp"
@@ -366,11 +367,7 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
       runtime::ThreadPool::default_pool().parallel_for(
           candidates.size(), [&](std::size_t c) {
             const IseCandidate& cand = candidates[c];
-            dfg::IseInfo info;
-            info.latency_cycles = cand.eval.latency_cycles;
-            info.area = cand.eval.area;
-            info.num_inputs = cand.in_count;
-            info.num_outputs = cand.out_count;
+            const dfg::IseInfo info = ise_info(cand);
             const auto schedule_view = [&]() {
               CandidateEvalScratch& s = candidate_scratch();
               s.view.assign(current, cand.members, info);
@@ -427,12 +424,8 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
 
     // Re-derive the collapse with the origin mapping and advance the round.
     std::vector<dfg::NodeId> old_to_new;
-    dfg::IseInfo info;
-    info.latency_cycles = winner.eval.latency_cycles;
-    info.area = winner.eval.area;
-    info.num_inputs = winner.in_count;
-    info.num_outputs = winner.out_count;
-    dfg::Graph next = current.collapse(winner.members, info, &old_to_new);
+    dfg::Graph next =
+        current.collapse(winner.members, ise_info(winner), &old_to_new);
 
     std::vector<dfg::NodeSet> next_origin(next.num_nodes());
     for (auto& s : next_origin) s.resize(block.num_nodes());
@@ -446,6 +439,20 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
 
   result.final_cycles = current_cycles;
   return result;
+}
+
+CommitOrderCollapse::CommitOrderCollapse(const dfg::Graph& block)
+    : graph_(block), to_current_(block.num_nodes()) {
+  std::iota(to_current_.begin(), to_current_.end(), dfg::NodeId{0});
+}
+
+void CommitOrderCollapse::collapse(const ExploredIse& ise) {
+  dfg::NodeSet members(graph_.num_nodes());
+  ise.original_nodes.for_each(
+      [&](dfg::NodeId v) { members.insert(to_current_[v]); });
+  std::vector<dfg::NodeId> old_to_new;
+  graph_ = graph_.collapse(members, ise_info(ise), &old_to_new);
+  for (dfg::NodeId& v : to_current_) v = old_to_new[v];
 }
 
 ExplorationResult MultiIssueExplorer::explore_best_of(const dfg::Graph& block,

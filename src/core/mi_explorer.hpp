@@ -14,6 +14,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/explorer_params.hpp"
@@ -39,6 +40,40 @@ struct ExploredIse {
   /// ISEs committed before it).
   int gain_cycles = 0;
   std::vector<std::string> member_labels;
+};
+
+/// The supernode payload collapsing an ISE carries: its ASFU latency and
+/// area and its IN/OUT port counts.  `Ise` is any ISE record with `eval`,
+/// `in_count` and `out_count`: ExploredIse, IseCandidate or the exact
+/// enumerator's candidates.
+template <class Ise>
+dfg::IseInfo ise_info(const Ise& ise) {
+  dfg::IseInfo info;
+  info.latency_cycles = ise.eval.latency_cycles;
+  info.area = ise.eval.area;
+  info.num_inputs = ise.in_count;
+  info.num_outputs = ise.out_count;
+  return info;
+}
+
+/// Rewrites a block by collapsing ISEs one after another in commit order.
+/// Each ISE names its members in the coordinates of the block as explored;
+/// they are translated through the node ids the earlier collapses produced.
+/// After the ISEs of an ExplorationResult, in order, graph() is the block
+/// whose schedule `final_cycles` reports.
+class CommitOrderCollapse {
+ public:
+  explicit CommitOrderCollapse(const dfg::Graph& block);
+
+  void collapse(const ExploredIse& ise);
+
+  const dfg::Graph& graph() const { return graph_; }
+  dfg::Graph take() { return std::move(graph_); }
+
+ private:
+  dfg::Graph graph_;
+  /// Original node id -> its node (or supernode) in graph_.
+  std::vector<dfg::NodeId> to_current_;
 };
 
 /// One ACO iteration's vital signs (collected when

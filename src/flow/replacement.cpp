@@ -10,17 +10,7 @@
 namespace isex::flow {
 namespace {
 
-dfg::IseInfo info_from(const core::ExploredIse& ise) {
-  dfg::IseInfo info;
-  info.latency_cycles = ise.eval.latency_cycles;
-  info.area = ise.eval.area;
-  info.num_inputs = ise.in_count;
-  info.num_outputs = ise.out_count;
-  return info;
-}
-
-/// Collapses the home-block candidates of `block_index`, translating each
-/// original-coordinate member set through the accumulated id remapping.
+/// Collapses the home-block candidates of `block_index` in commit order.
 dfg::Graph apply_home_ises(const ProfiledBlock& block, std::size_t block_index,
                            const SelectionResult& selection, int& uses) {
   // Selected entries of this block, in commit order.
@@ -32,22 +22,12 @@ dfg::Graph apply_home_ises(const ProfiledBlock& block, std::size_t block_index,
     return a->entry.position < b->entry.position;
   });
 
-  dfg::Graph current = block.graph;
-  // original node id -> current node id
-  std::vector<dfg::NodeId> to_current(block.graph.num_nodes());
-  for (dfg::NodeId v = 0; v < block.graph.num_nodes(); ++v) to_current[v] = v;
-
+  core::CommitOrderCollapse rewrite(block.graph);
   for (const SelectedIse* s : own) {
-    dfg::NodeSet members(current.num_nodes());
-    s->entry.ise.original_nodes.for_each(
-        [&](dfg::NodeId orig) { members.insert(to_current[orig]); });
-    std::vector<dfg::NodeId> old_to_new;
-    current = current.collapse(members, info_from(s->entry.ise), &old_to_new);
-    for (dfg::NodeId v = 0; v < block.graph.num_nodes(); ++v)
-      to_current[v] = old_to_new[to_current[v]];
+    rewrite.collapse(s->entry.ise);
     ++uses;
   }
-  return current;
+  return rewrite.take();
 }
 
 /// Tries to instantiate `pattern` matches inside `graph`; keeps a collapse
@@ -80,7 +60,7 @@ dfg::Graph apply_cross_matches(dfg::Graph graph, const IseCatalogEntry& entry,
         // The occurrence needs more ports than the ASFU interface provides.
         continue;
       }
-      dfg::Graph collapsed = graph.collapse(members, info_from(entry.ise));
+      dfg::Graph collapsed = graph.collapse(members, core::ise_info(entry.ise));
       if (scheduler.cycles(collapsed) < cycles_before) {
         graph = std::move(collapsed);
         ++uses;

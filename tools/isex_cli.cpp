@@ -400,28 +400,13 @@ int cmd_listing(const CliOptions& opt, const isa::ParsedBlock& block) {
   const auto result = explore(opt, block.graph);
 
   // Re-apply the committed ISEs to obtain the rewritten block.
-  dfg::Graph rewritten = block.graph;
-  std::vector<dfg::NodeId> to_current(block.graph.num_nodes());
-  for (dfg::NodeId v = 0; v < block.graph.num_nodes(); ++v) to_current[v] = v;
-  for (const auto& ise : result.ises) {
-    dfg::NodeSet members(rewritten.num_nodes());
-    ise.original_nodes.for_each(
-        [&](dfg::NodeId v) { members.insert(to_current[v]); });
-    dfg::IseInfo info;
-    info.latency_cycles = ise.eval.latency_cycles;
-    info.area = ise.eval.area;
-    info.num_inputs = ise.in_count;
-    info.num_outputs = ise.out_count;
-    std::vector<dfg::NodeId> remap;
-    rewritten = rewritten.collapse(members, info, &remap);
-    for (dfg::NodeId v = 0; v < block.graph.num_nodes(); ++v)
-      to_current[v] = remap[to_current[v]];
-  }
+  core::CommitOrderCollapse rewritten(block.graph);
+  for (const auto& ise : result.ises) rewritten.collapse(ise);
 
   std::cout << "--- without ISEs\n";
   flow::write_listing(std::cout, block.graph, machine);
   std::cout << "--- with " << result.ises.size() << " ISE(s)\n";
-  flow::write_listing(std::cout, rewritten, machine);
+  flow::write_listing(std::cout, rewritten.graph(), machine);
   return 0;
 }
 
