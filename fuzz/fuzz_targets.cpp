@@ -10,6 +10,7 @@
 
 #include "dfg/validate.hpp"
 #include "isa/tac_parser.hpp"
+#include "json_checker.hpp"
 #include "mem/cache_model.hpp"
 #include "persist_reference.hpp"
 #include "runtime/persistent_cache.hpp"
@@ -18,6 +19,7 @@
 #include "server/kernel_memo.hpp"
 #include "server/protocol.hpp"
 #include "tac_reference.hpp"
+#include "trace/json.hpp"
 #include "util/assert.hpp"
 
 namespace isex::fuzz {
@@ -193,8 +195,49 @@ int run_protocol_input(const std::uint8_t* data, std::size_t size) {
                         (code >= 701 && code <= 704),
                     "request rejection outside E0601 and the E07xx block");
     ISEX_ASSERT_MSG(!e.message().empty(), "rejection without a message");
+    // The input bytes as the id: every byte goes through the escaper.
+    ISEX_ASSERT_MSG(
+        testing::JsonChecker(server::render_error_response(line, e)).valid(),
+        "an error response is not JSON");
     return 0;
   }
+
+  // What the writer escapes, the wire parser reads back: the request's
+  // strings, written into a new request line, parse to the same strings.
+  std::string echo;
+  trace::JsonWriter json(echo);
+  json.begin_object().key("id").string(request->id);
+  if (request->is_portfolio()) {
+    json.key("programs").begin_array();
+    for (const server::PortfolioProgramSpec& program : request->programs) {
+      json.begin_object()
+          .key("name").string(program.name)
+          .key("kernel").string(program.kernel)
+          .end_object();
+    }
+    json.end_array();
+  } else {
+    json.key("kernel").string(request->kernel);
+  }
+  json.end_object();
+  const Expected<server::JobRequest> reread = server::parse_job_request(echo);
+  ISEX_ASSERT_MSG(reread.has_value(), "a re-written request was rejected");
+  ISEX_ASSERT_MSG(reread->id == request->id &&
+                      reread->kernel == request->kernel &&
+                      reread->programs.size() == request->programs.size(),
+                  "a re-written request read back different strings");
+  for (std::size_t p = 0; p < request->programs.size(); ++p) {
+    ISEX_ASSERT_MSG(reread->programs[p].name == request->programs[p].name &&
+                        reread->programs[p].kernel ==
+                            request->programs[p].kernel,
+                    "a re-written program read back different strings");
+  }
+  static const std::string kFragment =
+      server::render_result_fragment(flow::FlowResult{});
+  ISEX_ASSERT_MSG(testing::JsonChecker(server::render_response(
+                                           request->id, true, kFragment))
+                      .valid(),
+                  "a response is not JSON");
 
   // Admission must not depend on whether the memo answered it.  Each
   // kernel gets a fresh memo: a portfolio may list one text twice.

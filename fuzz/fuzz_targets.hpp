@@ -42,11 +42,15 @@ int run_roundtrip_input(const std::uint8_t* data, std::size_t size);
 int run_cache_config_input(const std::uint8_t* data, std::size_t size);
 
 /// One isex_serve request line (server::parse_job_request): rejections must
-/// carry E0601 (or a cache-config spec's E07xx) and a message.  Every kernel
-/// of an accepted request is admitted twice through a fresh
-/// server::KernelMemo, cold and then from the memo: both give the same
-/// digest, or the same error code and message, and the digest-keyed
-/// job_signature equals the graph-keyed one.  Returns 0 (libFuzzer ABI).
+/// carry E0601 (or a cache-config spec's E07xx) and a message, and their
+/// error response must be JSON (tests/json_checker.hpp).  An accepted
+/// request's id, kernel and program names and kernels, written into a new
+/// line by trace::JsonWriter, must parse back to the same strings, and its
+/// response must be JSON.  Every kernel of an accepted request is admitted
+/// twice through a fresh server::KernelMemo, cold and then from the memo:
+/// both give the same digest, or the same error code and message, and the
+/// digest-keyed job_signature equals the graph-keyed one.  Returns 0
+/// (libFuzzer ABI).
 int run_protocol_input(const std::uint8_t* data, std::size_t size);
 
 /// The bytes as an isex_serve persistent cache log
