@@ -42,7 +42,7 @@ int deploy_cycles(const isex::dfg::Graph& block,
                   const isex::sched::MachineConfig& machine) {
   using namespace isex;
   // Collapse the explored ISEs into the block and schedule on `machine`.
-  core::CommitOrderCollapse deployed(block);
+  core::RewrittenBlock deployed(block);
   for (const auto& ise : explored.ises) deployed.collapse(ise);
   return sched::ListScheduler(machine).cycles(deployed.graph());
 }

@@ -158,12 +158,8 @@ core::ExplorationResult ExactExplorer::explore(const dfg::Graph& block) const {
   const sched::ListScheduler scheduler(machine_);
   if (block.empty()) return result;
 
-  dfg::Graph current = block;
-  std::vector<dfg::NodeSet> origin(block.num_nodes());
-  for (dfg::NodeId v = 0; v < block.num_nodes(); ++v) {
-    origin[v].resize(block.num_nodes());
-    origin[v].insert(v);
-  }
+  core::RewrittenBlock rewritten(block);
+  const dfg::Graph& current = rewritten.graph();
   result.base_cycles = scheduler.cycles(current);
   int current_cycles = result.base_cycles;
 
@@ -194,29 +190,7 @@ core::ExplorationResult ExactExplorer::explore(const dfg::Graph& block) const {
     }
     if (best == nullptr || best_gain <= 0) break;
 
-    core::ExploredIse record;
-    record.original_nodes.resize(block.num_nodes());
-    best->members.for_each([&](dfg::NodeId m) {
-      record.original_nodes |= origin[m];
-      const dfg::Node& n = current.node(m);
-      record.member_labels.push_back(
-          n.label.empty() ? std::string(isa::mnemonic(n.opcode)) : n.label);
-    });
-    record.eval = best->eval;
-    record.in_count = best->in_count;
-    record.out_count = best->out_count;
-    record.gain_cycles = best_gain;
-    result.ises.push_back(std::move(record));
-
-    std::vector<dfg::NodeId> old_to_new;
-    dfg::Graph next =
-        current.collapse(best->members, core::ise_info(*best), &old_to_new);
-    std::vector<dfg::NodeSet> next_origin(next.num_nodes());
-    for (auto& s : next_origin) s.resize(block.num_nodes());
-    for (dfg::NodeId v = 0; v < current.num_nodes(); ++v)
-      next_origin[old_to_new[v]] |= origin[v];
-    current = std::move(next);
-    origin = std::move(next_origin);
+    result.ises.push_back(rewritten.commit(*best, best_gain));
     current_cycles = best_cycles_after;
   }
 

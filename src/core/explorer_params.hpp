@@ -1,5 +1,4 @@
-// Parameters of the ACO ISE exploration (§5.1 lists the paper's values):
-// the paper's fixed constants, then the settings a caller chooses.
+// Parameters of the ACO ISE exploration (§5.1 lists the paper's values).
 #pragma once
 
 #include <cstdint>
@@ -13,9 +12,7 @@ class EvalCache;
 namespace isex::core {
 
 struct ExplorerParams {
-  // The paper's constants.  No caller sets them, so they are not settings;
-  // `params.rho1` and the like still read them.
-
+  // The paper's constants first: no caller sets them.
   // --- probability mixing (Eqs. 1 and 3) ---
   /// Relative influence of trail vs merit: p ∝ α·trail + (1−α)·merit + λ·SP.
   static constexpr double alpha = 0.25;
@@ -25,28 +22,18 @@ struct ExplorerParams {
   static constexpr double lambda = 0.3;
 
   // --- trail update (Fig 4.3.5 evaporating factors) ---
-  /// Reward for the chosen option on improvement.
-  static constexpr double rho1 = 4.0;
-  /// Decay for unchosen options on improvement.
-  static constexpr double rho2 = 2.0;
-  /// Penalty for the chosen option on regression.
-  static constexpr double rho3 = 2.0;
-  /// Reward for unchosen options on regression.
-  static constexpr double rho4 = 2.0;
-  /// Extra penalty for reordered operations on regression.
-  static constexpr double rho5 = 0.4;
+  static constexpr double rho1 = 4.0;  ///< chosen option's reward, improved
+  static constexpr double rho2 = 2.0;  ///< other options' decay, improved
+  static constexpr double rho3 = 2.0;  ///< chosen option's penalty, regressed
+  static constexpr double rho4 = 2.0;  ///< other options' reward, regressed
+  static constexpr double rho5 = 0.4;  ///< extra penalty, reordered, regressed
 
   // --- merit function constants (Fig 4.3.7) ---
-  /// Critical-path boost divisor (case 1).
-  static constexpr double beta_cp = 0.9;
-  /// Singleton-candidate decay (case 2).
-  static constexpr double beta_size = 0.7;
-  /// I/O-constraint-violation decay (case 3).
-  static constexpr double beta_io = 0.8;
-  /// Convexity-violation decay (case 3).
-  static constexpr double beta_convex = 0.4;
-  /// Pipestage-timing-violation decay (case 3).
-  static constexpr double beta_timing = 0.6;
+  static constexpr double beta_cp = 0.9;  ///< critical-path divisor (case 1)
+  static constexpr double beta_size = 0.7;  ///< singleton decay (case 2)
+  static constexpr double beta_io = 0.8;  ///< I/O-violation decay (case 3)
+  static constexpr double beta_convex = 0.4;  ///< convexity decay (case 3)
+  static constexpr double beta_timing = 0.6;  ///< pipestage decay (case 3)
 
   // --- initial values / scales ---
   static constexpr double initial_merit_software = 100.0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <numeric>
 #include <optional>
 
 #include "core/ant_walk.hpp"
@@ -194,7 +193,8 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
   const sched::ListScheduler scheduler(machine_);
   if (block.empty()) return result;
 
-  dfg::Graph current = block;
+  RewrittenBlock rewritten(block);
+  const dfg::Graph& current = rewritten.graph();
   // Effective colony count: min(colonies, max_iterations) so every colony
   // walks at least once; 1 is the paper's serial loop.
   const int k_eff =
@@ -204,12 +204,6 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
   // persist, so every iteration of every round is allocation-free after
   // warm-up.  Colony c touches only slot c.
   std::vector<ColonyScratch> scratches(static_cast<std::size_t>(k_eff));
-  // Original node ids represented by each current node.
-  std::vector<dfg::NodeSet> origin(block.num_nodes());
-  for (dfg::NodeId v = 0; v < block.num_nodes(); ++v) {
-    origin[v].resize(block.num_nodes());
-    origin[v].insert(v);
-  }
 
   result.base_cycles = evaluate_cycles(scheduler, current, params_);
   int current_cycles = result.base_cycles;
@@ -352,7 +346,7 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
     // Score every candidate concurrently on the runtime pool.  Each job
     // schedules a copy-free dfg::CollapsedView overlay of (current, members,
     // IseInfo) into per-thread scratch — no collapsed Graph is materialized
-    // (the winner alone is collapsed below, for the origin remap) — and
+    // (the winner alone is committed below) — and
     // memoizes the makespan under the candidate's canonical signature, so a
     // candidate re-surfacing in a later round or repeat skips the schedule
     // entirely.  Jobs are pure functions of their index; only the
@@ -407,33 +401,8 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
     }
     if (best_index < 0) break;  // no valid operation left (§4.0 step 3)
 
-    const IseCandidate& winner = candidates[static_cast<std::size_t>(best_index)];
-    ExploredIse record;
-    record.original_nodes.resize(block.num_nodes());
-    winner.members.for_each([&](dfg::NodeId m) {
-      record.original_nodes |= origin[m];
-      const dfg::Node& n = current.node(m);
-      record.member_labels.push_back(
-          n.label.empty() ? std::string(isa::mnemonic(n.opcode)) : n.label);
-    });
-    record.eval = winner.eval;
-    record.in_count = winner.in_count;
-    record.out_count = winner.out_count;
-    record.gain_cycles = best_gain;
-    result.ises.push_back(std::move(record));
-
-    // Re-derive the collapse with the origin mapping and advance the round.
-    std::vector<dfg::NodeId> old_to_new;
-    dfg::Graph next =
-        current.collapse(winner.members, ise_info(winner), &old_to_new);
-
-    std::vector<dfg::NodeSet> next_origin(next.num_nodes());
-    for (auto& s : next_origin) s.resize(block.num_nodes());
-    for (dfg::NodeId v = 0; v < current.num_nodes(); ++v)
-      next_origin[old_to_new[v]] |= origin[v];
-
-    current = std::move(next);
-    origin = std::move(next_origin);
+    result.ises.push_back(rewritten.commit(
+        candidates[static_cast<std::size_t>(best_index)], best_gain));
     current_cycles = best_cycles_after;
   }
 
@@ -441,18 +410,32 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
   return result;
 }
 
-CommitOrderCollapse::CommitOrderCollapse(const dfg::Graph& block)
-    : graph_(block), to_current_(block.num_nodes()) {
-  std::iota(to_current_.begin(), to_current_.end(), dfg::NodeId{0});
+RewrittenBlock::RewrittenBlock(const dfg::Graph& block)
+    : graph_(block),
+      block_nodes_(block.num_nodes()),
+      origin_(block_nodes_) {
+  for (dfg::NodeId v = 0; v < block_nodes_; ++v)
+    origin_[v] = dfg::NodeSet::of(block_nodes_, {v});
 }
 
-void CommitOrderCollapse::collapse(const ExploredIse& ise) {
+void RewrittenBlock::collapse(const ExploredIse& ise) {
   dfg::NodeSet members(graph_.num_nodes());
-  ise.original_nodes.for_each(
-      [&](dfg::NodeId v) { members.insert(to_current_[v]); });
+  for (dfg::NodeId v = 0; v < graph_.num_nodes(); ++v)
+    if (origin_[v].intersects(ise.original_nodes)) members.insert(v);
+  apply(members, ise_info(ise));
+}
+
+dfg::NodeId RewrittenBlock::apply(const dfg::NodeSet& members,
+                                  const dfg::IseInfo& info) {
   std::vector<dfg::NodeId> old_to_new;
-  graph_ = graph_.collapse(members, ise_info(ise), &old_to_new);
-  for (dfg::NodeId& v : to_current_) v = old_to_new[v];
+  dfg::Graph next = graph_.collapse(members, info, &old_to_new);
+  std::vector<dfg::NodeSet> next_origin(next.num_nodes(),
+                                        dfg::NodeSet(block_nodes_));
+  for (dfg::NodeId v = 0; v < graph_.num_nodes(); ++v)
+    next_origin[old_to_new[v]] |= origin_[v];
+  graph_ = std::move(next);
+  origin_ = std::move(next_origin);
+  return old_to_new[members.first()];
 }
 
 ExplorationResult MultiIssueExplorer::explore_best_of(const dfg::Graph& block,

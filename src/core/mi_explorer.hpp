@@ -42,38 +42,44 @@ struct ExploredIse {
   std::vector<std::string> member_labels;
 };
 
-/// The supernode payload collapsing an ISE carries: its ASFU latency and
-/// area and its IN/OUT port counts.  `Ise` is any ISE record with `eval`,
-/// `in_count` and `out_count`: ExploredIse, IseCandidate or the exact
-/// enumerator's candidates.
+/// The supernode payload of an ISE: ASFU latency and area, IN/OUT ports.
+/// `Ise` is any record with `eval`, `in_count` and `out_count`.
 template <class Ise>
 dfg::IseInfo ise_info(const Ise& ise) {
-  dfg::IseInfo info;
-  info.latency_cycles = ise.eval.latency_cycles;
-  info.area = ise.eval.area;
-  info.num_inputs = ise.in_count;
-  info.num_outputs = ise.out_count;
-  return info;
+  return {ise.eval.latency_cycles, ise.eval.area, ise.in_count, ise.out_count,
+          {}};
 }
 
-/// Rewrites a block by collapsing ISEs one after another in commit order.
-/// Each ISE names its members in the coordinates of the block as explored;
-/// they are translated through the node ids the earlier collapses produced.
-/// After the ISEs of an ExplorationResult, in order, graph() is the block
-/// whose schedule `final_cycles` reports.
-class CommitOrderCollapse {
+/// A block with ISEs collapsed into it one after another, in commit order,
+/// and per node of graph() the original nodes it stands for.  Explorers
+/// commit() candidates named in graph()'s coordinates; replays collapse()
+/// ExploredIses named in the original block's.  After the ISEs of an
+/// ExplorationResult, graph() is the block `final_cycles` was scheduled on.
+class RewrittenBlock {
  public:
-  explicit CommitOrderCollapse(const dfg::Graph& block);
-
-  void collapse(const ExploredIse& ise);
+  explicit RewrittenBlock(const dfg::Graph& block);
 
   const dfg::Graph& graph() const { return graph_; }
   dfg::Graph take() { return std::move(graph_); }
 
+  /// Collapses `cand` (an IseCandidate or an exact candidate) and returns
+  /// it as an ExploredIse in the original block's coordinates.
+  template <class Candidate>
+  ExploredIse commit(const Candidate& cand, int gain_cycles) {
+    const dfg::NodeId super = apply(cand.members, ise_info(cand));
+    return ExploredIse{origin_[super], cand.eval, cand.in_count,
+                       cand.out_count, gain_cycles,
+                       graph_.node(super).ise.member_labels};
+  }
+  void collapse(const ExploredIse& ise);
+
  private:
+  /// Collapses `members` of graph_; returns the supernode.
+  dfg::NodeId apply(const dfg::NodeSet& members, const dfg::IseInfo& info);
+
   dfg::Graph graph_;
-  /// Original node id -> its node (or supernode) in graph_.
-  std::vector<dfg::NodeId> to_current_;
+  std::size_t block_nodes_;
+  std::vector<dfg::NodeSet> origin_;  ///< per node of graph_
 };
 
 /// One ACO iteration's vital signs (collected when

@@ -22,11 +22,9 @@ dfg::Graph apply_home_ises(const ProfiledBlock& block, std::size_t block_index,
     return a->entry.position < b->entry.position;
   });
 
-  core::CommitOrderCollapse rewrite(block.graph);
-  for (const SelectedIse* s : own) {
-    rewrite.collapse(s->entry.ise);
-    ++uses;
-  }
+  core::RewrittenBlock rewrite(block.graph);
+  for (const SelectedIse* s : own) rewrite.collapse(s->entry.ise);
+  uses += static_cast<int>(own.size());
   return rewrite.take();
 }
 

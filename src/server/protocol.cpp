@@ -545,6 +545,48 @@ runtime::Key128 portfolio_signature(
   return key;
 }
 
+namespace {
+
+/// Per-flow hit/miss counters; mixed only for cache-modeled runs, so
+/// cache-less digests stay stable.
+void mix_cache_stats(runtime::Hash64& h, const mem::CacheStats& stats) {
+  h.mix(0x6361636865636667ULL);
+  h.mix(stats.accesses);
+  h.mix(stats.l1_hits);
+  h.mix(stats.l2_hits);
+  h.mix(stats.mem_accesses);
+}
+
+/// A result digest as responses carry it: "0x" and 16 lowercase hex digits.
+std::string hex_digest(std::uint64_t digest) {
+  std::string text = "0x0000000000000000";
+  for (std::size_t i = text.size(); digest != 0; digest >>= 4)
+    text[--i] = "0123456789abcdef"[digest & 0xf];
+  return text;
+}
+
+/// The `cache` member of a cache-modeled result.  Rendered only for
+/// cache-modeled runs, so cache-less fragments stay byte-identical to
+/// those stored before the cache model existed.
+void write_cache_stats(trace::JsonWriter& json, const mem::CacheStats& stats) {
+  json.key("cache").begin_object().key("accesses").integer(stats.accesses)
+      .key("l1_hits").integer(stats.l1_hits)
+      .key("l2_hits").integer(stats.l2_hits)
+      .key("mem_accesses").integer(stats.mem_accesses)
+      .key("l1_hit_rate").fixed(stats.l1_hit_rate(), 6).end_object();
+}
+
+void write_timings(trace::JsonWriter& json, const JobTimings& timings) {
+  json.key("timings").begin_object()
+      .key("queue_wait_us").integer(timings.queue_wait_us)
+      .key("validate_us").integer(timings.validate_us)
+      .key("explore_us").integer(timings.explore_us)
+      .key("cache_us").integer(timings.cache_us)
+      .key("total_us").integer(timings.total_us).end_object();
+}
+
+}  // namespace
+
 std::uint64_t flow_result_digest(const flow::FlowResult& result) {
   runtime::Hash64 h(0x9e3779b97f4a7c15ULL);
   h.mix(result.base_time());
@@ -577,51 +619,9 @@ std::uint64_t flow_result_digest(const flow::FlowResult& result) {
     h.mix(static_cast<std::uint64_t>(block.final_cycles));
     h.mix(static_cast<std::uint64_t>(block.ise_uses));
   }
-  // Mixed only for cache-modeled runs so cache-less digests stay stable.
-  if (result.cache_modeled) {
-    h.mix(0x6361636865636667ULL);
-    h.mix(result.cache_stats.accesses);
-    h.mix(result.cache_stats.l1_hits);
-    h.mix(result.cache_stats.l2_hits);
-    h.mix(result.cache_stats.mem_accesses);
-  }
+  if (result.cache_modeled) mix_cache_stats(h, result.cache_stats);
   return h.value();
 }
-
-namespace {
-
-/// A result digest as responses carry it: "0x" and 16 lowercase hex digits.
-std::string hex_digest(std::uint64_t digest) {
-  std::string text = "0x0000000000000000";
-  for (std::size_t i = text.size(); digest != 0; digest >>= 4)
-    text[--i] = "0123456789abcdef"[digest & 0xf];
-  return text;
-}
-
-/// The `cache` member of a cache-modeled result.  Rendered only for
-/// cache-modeled runs, so cache-less fragments stay byte-identical to
-/// those stored before the cache model existed.
-void write_cache_stats(trace::JsonWriter& json, const mem::CacheStats& stats) {
-  json.key("cache").begin_object()
-      .key("accesses").integer(stats.accesses)
-      .key("l1_hits").integer(stats.l1_hits)
-      .key("l2_hits").integer(stats.l2_hits)
-      .key("mem_accesses").integer(stats.mem_accesses)
-      .key("l1_hit_rate").fixed(stats.l1_hit_rate(), 6)
-      .end_object();
-}
-
-void write_timings(trace::JsonWriter& json, const JobTimings& timings) {
-  json.key("timings").begin_object()
-      .key("queue_wait_us").integer(timings.queue_wait_us)
-      .key("validate_us").integer(timings.validate_us)
-      .key("explore_us").integer(timings.explore_us)
-      .key("cache_us").integer(timings.cache_us)
-      .key("total_us").integer(timings.total_us)
-      .end_object();
-}
-
-}  // namespace
 
 std::string render_result_fragment(const flow::FlowResult& result) {
   std::string out;
@@ -641,18 +641,15 @@ std::string render_result_fragment(const flow::FlowResult& result) {
       if (!members.empty()) members += ' ';
       members += label;
     }
-    json.begin_object()
-        .key("block").integer(sel.entry.block_index)
+    json.begin_object().key("block").integer(sel.entry.block_index)
         .key("type").integer(sel.type_id)
         .key("shared").boolean(sel.hardware_shared)
         .key("ops").integer(ise.original_nodes.count())
         .key("latency").integer(ise.eval.latency_cycles)
         .key("area").fixed(ise.eval.area, 3)
-        .key("in").integer(ise.in_count)
-        .key("out").integer(ise.out_count)
+        .key("in").integer(ise.in_count).key("out").integer(ise.out_count)
         .key("gain").integer(ise.gain_cycles)
-        .key("members").string(members)
-        .end_object();
+        .key("members").string(members).end_object();
   }
   json.end_array();
   if (result.cache_modeled) write_cache_stats(json, result.cache_stats);
@@ -689,13 +686,7 @@ std::uint64_t portfolio_result_digest(const flow::PortfolioResult& result) {
   h.mix(static_cast<std::uint64_t>(result.selection.num_types));
   h.mix(result.total_jobs);
   h.mix(result.deduped_jobs);
-  if (result.cache_modeled) {
-    h.mix(0x6361636865636667ULL);
-    h.mix(result.cache_stats.accesses);
-    h.mix(result.cache_stats.l1_hits);
-    h.mix(result.cache_stats.l2_hits);
-    h.mix(result.cache_stats.mem_accesses);
-  }
+  if (result.cache_modeled) mix_cache_stats(h, result.cache_stats);
   return h.value();
 }
 
@@ -718,28 +709,24 @@ std::string render_portfolio_fragment(const flow::PortfolioResult& result) {
       .key("result_digest").string(hex_digest(portfolio_result_digest(result)))
       .key("programs").begin_array();
   for (const flow::PortfolioProgramResult& prog : result.programs) {
-    json.begin_object()
-        .key("name").string(prog.name)
+    json.begin_object().key("name").string(prog.name)
         .key("weight").fixed(prog.weight, 6)
         .key("base_time").integer(prog.base_time())
         .key("final_time").integer(prog.final_time())
         .key("reduction").fixed(prog.reduction(), 6)
         .key("num_ises").integer(prog.selection.selected.size())
         .key("cycles_saved").integer(prog.cycles_saved())
-        .key("weighted_benefit").fixed(prog.weighted_benefit(), 6)
-        .end_object();
+        .key("weighted_benefit").fixed(prog.weighted_benefit(), 6).end_object();
   }
   json.end_array().key("ises").begin_array();
   for (const flow::PortfolioSelectedIse& sel : result.selection.selected) {
-    json.begin_object()
-        .key("program").integer(sel.program_index)
+    json.begin_object().key("program").integer(sel.program_index)
         .key("block").integer(sel.entry.block_index)
         .key("type").integer(sel.type_id)
         .key("shared").boolean(sel.hardware_shared)
         .key("area").fixed(sel.entry.ise.eval.area, 3)
         .key("gain").integer(sel.entry.ise.gain_cycles)
-        .key("weighted_benefit").fixed(sel.weighted_benefit, 6)
-        .end_object();
+        .key("weighted_benefit").fixed(sel.weighted_benefit, 6).end_object();
   }
   json.end_array();
   if (result.cache_modeled) write_cache_stats(json, result.cache_stats);
@@ -760,9 +747,7 @@ std::string render_response(const std::string& id, bool cache_hit,
   std::string out;
   out.reserve(result_fragment.size() + id.size() + 192);
   trace::JsonWriter json(out);
-  json.begin_object()
-      .key("id").string(id)
-      .key("ok").boolean(true)
+  json.begin_object().key("id").string(id).key("ok").boolean(true)
       .key("cache_hit").boolean(cache_hit);
   // Per-delivery before the fragment: the cached fragment (base_time ...
   // result_digest ... ises) replays byte-identically on every delivery.
@@ -779,13 +764,10 @@ std::string render_response(const std::string& id, bool cache_hit,
 std::string render_error_response(const std::string& id, const Error& error) {
   std::string out;
   trace::JsonWriter json(out);
-  json.begin_object()
-      .key("id").string(id)
-      .key("ok").boolean(false)
+  json.begin_object().key("id").string(id).key("ok").boolean(false)
       .key("error_code").string(error_code_label(error.code()))
       .key("error_name").string(error_code_name(error.code()))
-      .key("error").string(error.message())
-      .end_object();
+      .key("error").string(error.message()).end_object();
   return out;
 }
 

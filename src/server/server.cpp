@@ -66,15 +66,15 @@ const std::string& kernel_text(const JobRequest& request, std::size_t k) {
   return request.is_portfolio() ? request.programs[k].kernel : request.kernel;
 }
 
-void write_histogram(trace::JsonWriter& json, const trace::Histogram& h) {
-  json.begin_object().key("bounds_s").begin_array();
+void write_histogram(trace::JsonWriter& json, std::string_view key,
+                     const trace::Histogram& h) {
+  json.newline().key(key).begin_object().key("bounds_s").begin_array();
   for (const double bound : h.bounds()) json.number(bound);
   json.end_array().key("counts").begin_array();
   for (const std::uint64_t count : h.bin_counts()) json.integer(count);
   json.end_array()
       .key("count").integer(h.count())
-      .key("sum_s").fixed(h.sum(), 6)
-      .end_object();
+      .key("sum_s").fixed(h.sum(), 6).end_object();
 }
 
 }  // namespace
@@ -371,14 +371,12 @@ std::string Server::render_statusz() const {
   };
   std::string out;
   trace::JsonWriter json(out);
-  json.begin_object()
-      .key("uptime_us").integer(uptime_us())
+  json.begin_object().key("uptime_us").integer(uptime_us())
       .key("draining").boolean(draining());
   json.newline().key("queue").begin_object()
       .key("depth").integer(queue_.depth())
       .key("capacity").integer(queue_.capacity())
-      .key("workers").integer(worker_count_)
-      .end_object();
+      .key("workers").integer(worker_count_).end_object();
 
   json.newline().key("inflight").begin_array();
   {
@@ -389,10 +387,8 @@ std::string Server::render_statusz() const {
       // now for jobs still queued.
       const std::uint64_t wait_end =
           job.started_us != 0 ? job.started_us : now_us;
-      json.newline().begin_object()
-          .key("id").string(job.id)
-          .key("priority").integer(job.priority)
-          .key("stage").string(job.stage)
+      json.newline().begin_object().key("id").string(job.id)
+          .key("priority").integer(job.priority).key("stage").string(job.stage)
           .key("age_us").integer(now_us - job.accepted_us)
           .key("queue_wait_us").integer(wait_end - job.accepted_us)
           .end_object();
@@ -408,22 +404,16 @@ std::string Server::render_statusz() const {
       .key("rejected_queue_full").integer(count(jobs_rejected_full_))
       .key("rejected_draining").integer(count(jobs_rejected_draining_))
       .key("cache_hits").integer(count(result_hits_))
-      .key("cache_misses").integer(count(result_misses_))
-      .end_object();
+      .key("cache_misses").integer(count(result_misses_)).end_object();
 
   const KernelMemo::Stats memo = kernel_memo_.stats();
   json.newline().key("kernel_memo").begin_object()
-      .key("hits").integer(memo.hits)
-      .key("misses").integer(memo.misses)
-      .key("parses").integer(memo.parses)
-      .key("entries").integer(memo.entries)
-      .key("bytes").integer(memo.bytes)
-      .end_object();
+      .key("hits").integer(memo.hits).key("misses").integer(memo.misses)
+      .key("parses").integer(memo.parses).key("entries").integer(memo.entries)
+      .key("bytes").integer(memo.bytes).end_object();
 
-  json.newline().key("job_latency");
-  write_histogram(json, *job_latency_);
-  json.newline().key("queue_wait");
-  write_histogram(json, *queue_wait_);
+  write_histogram(json, "job_latency", *job_latency_);
+  write_histogram(json, "queue_wait", *queue_wait_);
 
   const runtime::PersistStats persist =
       cache_ != nullptr ? cache_->stats() : runtime::PersistStats{};

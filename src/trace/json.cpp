@@ -7,10 +7,9 @@ namespace isex::trace {
 namespace {
 
 /// Appends `s` with `"`, `\` and every control character escaped — the one
-/// escaping rule every JSON string of the program follows.  Other bytes,
+/// escaping rule of every JSON string the program writes.  Other bytes,
 /// UTF-8 included, pass through; unescaped runs are appended whole.
 void append_escaped(std::string& out, std::string_view s) {
-  constexpr char kHex[] = "0123456789abcdef";
   std::size_t run = 0;  // start of the pending unescaped run
   for (std::size_t i = 0; i < s.size(); ++i) {
     const auto c = static_cast<unsigned char>(s[i]);
@@ -18,25 +17,15 @@ void append_escaped(std::string& out, std::string_view s) {
     out.append(s.data() + run, i - run);
     run = i + 1;
     switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
       default:
         out += "\\u00";
-        out += kHex[c >> 4];
-        out += kHex[c & 0xf];
+        out += "0123456789abcdef"[c >> 4];
+        out += "0123456789abcdef"[c & 0xf];
     }
   }
   out.append(s.data() + run, s.size() - run);
@@ -52,37 +41,40 @@ std::string json_escape(std::string_view s) {
 }
 
 JsonWriter& JsonWriter::key(std::string_view name) {
-  separate();
-  out_ += '"';
-  append_escaped(out_, name);
-  out_ += "\":";
+  string(name);
+  out_ += ':';
   comma_ = false;
   return *this;
 }
 
 JsonWriter& JsonWriter::string(std::string_view text) {
-  separate();
-  out_ += '"';
+  raw("\"");
   append_escaped(out_, text);
   out_ += '"';
-  comma_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::fixed(double value, int digits) {
-  // Room for any finite double: up to 309 integer digits, a sign, a point.
-  char buf[360];
+  char buf[360];  // any finite double: up to 309 integer digits
   const std::to_chars_result r = std::to_chars(
       buf, buf + sizeof buf, value, std::chars_format::fixed, digits);
   ISEX_ASSERT_MSG(r.ec == std::errc{}, "fixed() precision out of range");
-  return scalar(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+  return raw({buf, r.ptr});
 }
 
 JsonWriter& JsonWriter::number(double value) {
   char buf[32];
-  const std::to_chars_result r = std::to_chars(
-      buf, buf + sizeof buf, value, std::chars_format::general, 6);
-  return scalar(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+  return raw({buf, std::to_chars(buf, buf + sizeof buf, value,
+                                 std::chars_format::general, 6).ptr});
+}
+
+JsonWriter& JsonWriter::raw(std::string_view json) {
+  if (comma_) out_ += ',';  // a previous sibling's
+  if (newline_) out_ += '\n';
+  newline_ = false;
+  out_ += json;
+  comma_ = true;
+  return *this;
 }
 
 JsonWriter& JsonWriter::newline() {
@@ -96,8 +88,7 @@ JsonWriter& JsonWriter::newline() {
 }
 
 JsonWriter& JsonWriter::open(char bracket) {
-  separate();
-  out_ += bracket;
+  raw({&bracket, 1});
   ++depth_;
   comma_ = false;
   return *this;

@@ -1,30 +1,11 @@
-// JsonWriter — the one writer every JSON document of the program goes
-// through: server responses and result fragments, /statusz, the pool
-// profile, the Chrome trace, span and telemetry JSONL, and the sweep file.
-//
-// It appends compact JSON to a caller's std::string.  It places every comma
-// itself, escapes every key and string with json_escape's rules
-// (trace.hpp), and formats every number with std::to_chars, so no producer
-// knows JSON syntax.  The number formats are the ones the documents have
-// always carried:
-//
-//   integer(v)        decimal, as %d / %zu / %llu;
-//   fixed(x, digits)  as printf's %.<digits>f;
-//   number(x)         as printf's %g, which is also ostream's default.
-//
-// Two calls place text the writer did not produce: raw() puts JSON that is
-// already rendered (a cached result fragment, an embedded pool profile)
-// where a value would go, and newline() puts a line break before the next
-// token, after that token's comma.  At the top level, outside every object
-// and array, newline() writes the break at once and the next value starts
-// a new document — one writer renders a whole JSONL file.
-//
-// Keys and values written at the top level without an enclosing object are
-// an object's members: that is how a result fragment is rendered.
-//
-// There is no indentation or other style setting: the bytes of a document
-// are fixed by the calls that build it.  The writer checks no nesting; a
-// mismatched end_object() renders mismatched JSON.
+// JsonWriter — the one writer of every JSON document the program emits
+// (docs/OBSERVABILITY.md lists them and their formats).  It appends compact
+// JSON to a caller's string, places every comma, escapes keys and strings
+// by json_escape's rule and formats numbers with std::to_chars.  newline()
+// puts a line break before the next token, after its comma; at the top
+// level it ends a document, so one writer renders a JSONL file.  Keys
+// written outside any object are an object's members (a fragment).  There
+// is no style setting, and nesting is not checked.
 #pragma once
 
 #include <charconv>
@@ -42,45 +23,26 @@ class JsonWriter {
   JsonWriter& end_object() { return close('}'); }
   JsonWriter& begin_array() { return open('['); }
   JsonWriter& end_array() { return close(']'); }
-
   /// An object member's key; the next call writes its value.
   JsonWriter& key(std::string_view name);
 
   JsonWriter& string(std::string_view text);
-  JsonWriter& boolean(bool value) {
-    return scalar(value ? std::string_view("true") : std::string_view("false"));
-  }
+  JsonWriter& boolean(bool value) { return raw(value ? "true" : "false"); }
   template <std::integral T>
     requires(!std::same_as<T, bool>)
   JsonWriter& integer(T value) {
     char buf[24];
-    const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, value);
-    return scalar(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+    return raw({buf, std::to_chars(buf, buf + sizeof buf, value).ptr});
   }
+  /// As printf's %.<digits>f.
   JsonWriter& fixed(double value, int digits);
+  /// As printf's %g, which is also ostream's default.
   JsonWriter& number(double value);
-
-  /// Already-rendered JSON, placed (and comma-separated) like a value.  Its
-  /// bytes are appended as they are.
-  JsonWriter& raw(std::string_view json) { return scalar(json); }
-
-  /// A line break before the next token, after its comma; see above.
+  /// Already-rendered JSON, comma-separated like a value, appended as is.
+  JsonWriter& raw(std::string_view json);
   JsonWriter& newline();
 
  private:
-  /// Starts a token: the comma owed to the previous sibling, then a
-  /// pending line break.
-  void separate() {
-    if (comma_) out_ += ',';
-    if (newline_) out_ += '\n';
-    newline_ = false;
-  }
-  JsonWriter& scalar(std::string_view text) {
-    separate();
-    out_ += text;
-    comma_ = true;
-    return *this;
-  }
   JsonWriter& open(char bracket);
   JsonWriter& close(char bracket);
 

@@ -1,7 +1,6 @@
 #include "trace/telemetry.hpp"
 
 #include <ostream>
-#include <string>
 
 #include "trace/json.hpp"
 
@@ -56,22 +55,17 @@ void ExplorationTelemetry::write_jsonl(
   std::string text;
   JsonWriter json(text);
   for (const ConvergencePoint& p : points) {
-    json.begin_object()
-        .key("round").integer(p.round)
-        .key("colony").integer(p.colony)
-        .key("iteration").integer(p.iteration)
-        .key("tet").integer(p.tet)
-        .key("best_tet").integer(p.best_tet)
+    json.begin_object().key("round").integer(p.round)
+        .key("colony").integer(p.colony).key("iteration").integer(p.iteration)
+        .key("tet").integer(p.tet).key("best_tet").integer(p.best_tet)
         .key("worst_tet").integer(p.worst_tet)
         .key("mean_tet").number(p.mean_tet)
         .key("converged_fraction").number(p.converged_fraction)
         .key("entropy").number(p.entropy)
         .key("max_option_probability").number(p.max_option_probability)
-        .key("p_end").number(p.p_end)
-        .key("ants").integer(p.ants)
+        .key("p_end").number(p.p_end).key("ants").integer(p.ants)
         .key("cache_hit_rate").number(p.cache_hit_rate)
-        .end_object()
-        .newline();
+        .end_object().newline();
   }
   out << text;
 }
@@ -79,11 +73,6 @@ void ExplorationTelemetry::write_jsonl(
 void ExplorationTelemetry::write_csv(std::ostream& out) const {
   const std::vector<ConvergencePoint> points = snapshot();
   write_csv(out, points);
-}
-
-void ExplorationTelemetry::write_jsonl(std::ostream& out) const {
-  const std::vector<ConvergencePoint> points = snapshot();
-  write_jsonl(out, points);
 }
 
 }  // namespace isex::trace

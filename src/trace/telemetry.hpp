@@ -69,7 +69,6 @@ class ExplorationTelemetry {
                           std::span<const ConvergencePoint> points);
 
   void write_csv(std::ostream& out) const;
-  void write_jsonl(std::ostream& out) const;
 
  private:
   mutable std::mutex mutex_;

@@ -198,22 +198,17 @@ void write_chrome_trace(std::ostream& out,
   JsonWriter json(text);
   json.begin_object().key("traceEvents").begin_array();
   for (const TraceEvent& e : events) {
-    json.newline()
-        .begin_object()
-        .key("name").string(e.name)
-        .key("pid").integer(1)
-        .key("tid").integer(e.tid)
+    json.newline().begin_object().key("name").string(e.name)
+        .key("pid").integer(1).key("tid").integer(e.tid)
         .key("ts").integer(e.ts_us);
     switch (e.kind) {
       case EventKind::kSpan:
         json.key("ph").string("X").key("dur").integer(e.dur_us);
         if (e.span_id != 0) {
-          json.key("args")
-              .begin_object()
+          json.key("args").begin_object()
               .key("trace_id").integer(e.trace_id)
               .key("span_id").integer(e.span_id)
-              .key("parent_span_id").integer(e.parent_id)
-              .end_object();
+              .key("parent_span_id").integer(e.parent_id).end_object();
         }
         break;
       case EventKind::kInstant:
@@ -221,14 +216,13 @@ void write_chrome_trace(std::ostream& out,
         break;
       case EventKind::kCounter:
         json.key("ph").string("C").key("args").begin_object()
-            .key("value").number(e.value)
-            .end_object();
+            .key("value").number(e.value).end_object();
         break;
     }
     json.end_object();
   }
-  json.newline().end_array().key("displayTimeUnit").string("ms").end_object();
-  json.newline();
+  json.newline().end_array().key("displayTimeUnit").string("ms").end_object()
+      .newline();
   out << text;
 }
 
@@ -236,13 +230,10 @@ void write_jsonl(std::ostream& out, std::span<const TraceEvent> events) {
   std::string text;
   JsonWriter json(text);
   for (const TraceEvent& e : events) {
-    json.begin_object()
-        .key("name").string(e.name)
+    json.begin_object().key("name").string(e.name)
         .key("kind").string(kind_name(e.kind))
-        .key("ts_us").integer(e.ts_us)
-        .key("dur_us").integer(e.dur_us)
-        .key("tid").integer(e.tid)
-        .key("value").number(e.value);
+        .key("ts_us").integer(e.ts_us).key("dur_us").integer(e.dur_us)
+        .key("tid").integer(e.tid).key("value").number(e.value);
     if (e.span_id != 0) {
       json.key("trace_id").integer(e.trace_id)
           .key("span_id").integer(e.span_id)

@@ -400,7 +400,7 @@ int cmd_listing(const CliOptions& opt, const isa::ParsedBlock& block) {
   const auto result = explore(opt, block.graph);
 
   // Re-apply the committed ISEs to obtain the rewritten block.
-  core::CommitOrderCollapse rewritten(block.graph);
+  core::RewrittenBlock rewritten(block.graph);
   for (const auto& ise : result.ises) rewritten.collapse(ise);
 
   std::cout << "--- without ISEs\n";
@@ -481,12 +481,10 @@ int cmd_sweep(const CliOptions& opt, const isa::ParsedBlock& block) {
   }
   std::string doc;
   trace::JsonWriter json(doc);
-  json.begin_object()
-      .key("bench").string("cache_sweep")
+  json.begin_object().key("bench").string("cache_sweep")
       .key("kernel").string(opt.input_path)
       .key("machine").string(machine.label())
-      .key("seed").integer(opt.seed)
-      .key("repeats").integer(opt.repeats)
+      .key("seed").integer(opt.seed).key("repeats").integer(opt.repeats)
       .key("rows").begin_array();
   for (const Row& row : rows) {
     json.newline().begin_object()
@@ -500,8 +498,7 @@ int cmd_sweep(const CliOptions& opt, const isa::ParsedBlock& block) {
         .key("l1_hit_rate").fixed(row.stats.l1_hit_rate(), 4)
         .key("base_cycles").integer(row.base_cycles)
         .key("final_cycles").integer(row.final_cycles)
-        .key("ises").integer(row.num_ises)
-        .end_object();
+        .key("ises").integer(row.num_ises).end_object();
   }
   json.newline().end_array().end_object().newline();
   out << doc;
