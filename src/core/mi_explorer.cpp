@@ -346,9 +346,9 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
     // Score every candidate concurrently on the runtime pool.  Each job
     // schedules a copy-free dfg::CollapsedView overlay of (current, members,
     // IseInfo) into per-thread scratch — no collapsed Graph is materialized
-    // (the winner alone is committed below) — and
-    // memoizes the makespan under the candidate's canonical signature, so a
-    // candidate re-surfacing in a later round or repeat skips the schedule
+    // (the winner alone is committed below) — and memoizes the makespan
+    // under the candidate's canonical signature, so a candidate
+    // re-surfacing in a later round or repeat skips the schedule
     // entirely.  Jobs are pure functions of their index; only the
     // index-ordered reduction below picks the winner, so the result is
     // identical at any --jobs width.
