@@ -32,7 +32,6 @@
 
 #include "bench_suite/kernels.hpp"
 #include "flow/design_flow.hpp"
-#include "harness_common.hpp"
 #include "mem/cache_model.hpp"
 
 namespace {

@@ -30,8 +30,8 @@
 #include <thread>
 #include <vector>
 
+#include "bench_suite/kernels.hpp"
 #include "core/mi_explorer.hpp"
-#include "harness_common.hpp"
 #include "runtime/eval_cache.hpp"
 #include "runtime/thread_pool.hpp"
 

@@ -46,7 +46,6 @@
 
 #include "bench_suite/kernels.hpp"
 #include "flow/portfolio.hpp"
-#include "harness_common.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace {

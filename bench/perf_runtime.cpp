@@ -3,9 +3,11 @@
 // with the schedule-evaluation cache on and off.  Results — including the
 // cross-configuration determinism check — land in BENCH_runtime.json.
 //
-// The sweep itself is one parallel_map of explore jobs, one per benchmark,
-// followed by a serial evaluate/reduce over their results — exactly the
-// shape the figure harnesses have.
+// The sweep is one suite batch (paper::SuiteExploration: one
+// run_portfolio_flow over the seven programs) followed by a serial replay of
+// selection and replacement per benchmark — the shape of every Fig 5.2
+// point in bench/paper.  It explores through the process-wide
+// runtime::schedule_cache(), so the cache columns read that cache.
 //
 // Note on reading the numbers: thread scaling is bounded by the cores the
 // host actually grants (recorded as hardware_concurrency); on a 1-core
@@ -24,7 +26,7 @@
 #include <thread>
 #include <vector>
 
-#include "harness_common.hpp"
+#include "paper_figures.hpp"
 #include "runtime/eval_cache.hpp"
 #include "runtime/runtime_stats.hpp"
 #include "runtime/thread_pool.hpp"
@@ -76,31 +78,22 @@ void run_sweep_once(SweepRun& run, int jobs, bool cache) {
   runtime::schedule_cache().clear();
   runtime::schedule_cache().reset_stats();
 
-  const auto machine = sched::MachineConfig::make(2, {6, 3});
-  const std::vector<bench_suite::Benchmark> benchmarks =
-      bench_suite::all_benchmarks();
-  const int repeats = sweep_repeats();
-  core::ExplorerParams params;
-  params.use_eval_cache = cache;
+  flow::FlowConfig config;
+  config.machine = sched::MachineConfig::make(2, {6, 3});
+  config.repeats = sweep_repeats();
+  config.seed = 17;
+  config.params.use_eval_cache = cache;
+  config.params.eval_cache = &runtime::schedule_cache();
 
   flow::SelectionConstraints constraints;
   constraints.area_budget = 40000.0;
   constraints.max_ises = 32;
 
-  run.reductions.assign(benchmarks.size(), 0.0);
-
   const auto start = std::chrono::steady_clock::now();
-  const runtime::StageTimer stage_timer("exploration");
-  const std::vector<benchx::ExploredProgram> explored = runtime::parallel_map(
-      runtime::ThreadPool::default_pool(), benchmarks,
-      [&](const bench_suite::Benchmark benchmark) {
-        return benchx::explore_program(benchmark, bench_suite::OptLevel::kO3,
-                                       machine, flow::Algorithm::kMultiIssue,
-                                       repeats, /*seed=*/17, params);
-      });
-  for (std::size_t i = 0; i < benchmarks.size(); ++i)
-    run.reductions[i] =
-        benchx::evaluate(explored[i], constraints, machine).reduction;
+  const paper::SuiteExploration suite(bench_suite::OptLevel::kO3, config);
+  run.reductions.clear();
+  for (std::size_t i = 0; i < suite.size(); ++i)
+    run.reductions.push_back(suite.replay(i, constraints).reduction);
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   run.seconds_each.push_back(std::chrono::duration<double>(elapsed).count());

@@ -35,6 +35,40 @@ std::string_view as_source(const std::uint8_t* data, std::size_t size) {
   return {reinterpret_cast<const char*>(data), size};
 }
 
+/// Well-formed UTF-8 (RFC 3629): no overlong form, no surrogate, nothing
+/// above U+10FFFF.
+bool valid_utf8(std::string_view text) {
+  std::size_t i = 0;
+  while (i < text.size()) {
+    const auto lead = static_cast<unsigned char>(text[i]);
+    std::size_t length = 1;
+    unsigned code = lead;
+    if (lead >= 0xf0 && lead <= 0xf4) {
+      length = 4;
+      code = lead & 0x07u;
+    } else if (lead >= 0xe0 && lead <= 0xef) {
+      length = 3;
+      code = lead & 0x0fu;
+    } else if (lead >= 0xc2 && lead <= 0xdf) {
+      length = 2;
+      code = lead & 0x1fu;
+    } else if (lead >= 0x80) {
+      return false;  // a continuation byte, 0xc0, 0xc1 or above 0xf4
+    }
+    if (i + length > text.size()) return false;
+    for (std::size_t k = 1; k < length; ++k) {
+      const auto next = static_cast<unsigned char>(text[i + k]);
+      if ((next & 0xc0u) != 0x80u) return false;
+      code = (code << 6) | (next & 0x3fu);
+    }
+    if ((length == 3 && (code < 0x800 || (code >= 0xd800 && code <= 0xdfff))) ||
+        (length == 4 && (code < 0x10000 || code > 0x10ffff)))
+      return false;
+    i += length;
+  }
+  return true;
+}
+
 [[noreturn]] void contract_violation(const char* what,
                                      const ValidationReport* report) {
   std::fprintf(stderr, "fuzz contract violation: %s\n", what);
@@ -200,6 +234,19 @@ int run_protocol_input(const std::uint8_t* data, std::size_t size) {
         testing::JsonChecker(server::render_error_response(line, e)).valid(),
         "an error response is not JSON");
     return 0;
+  }
+
+  // A UTF-8 line gives UTF-8 strings: escapes decode to whole characters,
+  // and a surrogate pair to one.
+  if (valid_utf8(line)) {
+    bool strings_valid = valid_utf8(request->id) &&
+                         valid_utf8(request->kernel) &&
+                         valid_utf8(request->cache_config);
+    for (const server::PortfolioProgramSpec& program : request->programs)
+      strings_valid = strings_valid && valid_utf8(program.name) &&
+                      valid_utf8(program.kernel);
+    ISEX_ASSERT_MSG(strings_valid,
+                    "a UTF-8 request line gave a string that is not UTF-8");
   }
 
   // What the writer escapes, the wire parser reads back: the request's

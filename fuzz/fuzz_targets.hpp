@@ -43,7 +43,8 @@ int run_cache_config_input(const std::uint8_t* data, std::size_t size);
 
 /// One isex_serve request line (server::parse_job_request): rejections must
 /// carry E0601 (or a cache-config spec's E07xx) and a message, and their
-/// error response must be JSON (tests/json_checker.hpp).  An accepted
+/// error response must be JSON (tests/json_checker.hpp).  When the line is
+/// valid UTF-8, every string of an accepted request is too.  An accepted
 /// request's id, kernel and program names and kernels, written into a new
 /// line by trace::JsonWriter, must parse back to the same strings, and its
 /// response must be JSON.  Every kernel of an accepted request is admitted

@@ -192,16 +192,4 @@ class ThreadPool {
   std::atomic<std::uint64_t> prof_task_ns_{0};
 };
 
-/// results[i] = fn(items[i]) with every call running as its own pool task;
-/// the output order matches the input order regardless of scheduling.
-template <typename T, typename Fn>
-auto parallel_map(ThreadPool& pool, const std::vector<T>& items, Fn fn)
-    -> std::vector<std::invoke_result_t<Fn&, const T&>> {
-  using R = std::invoke_result_t<Fn&, const T&>;
-  std::vector<R> results(items.size());
-  pool.parallel_for(items.size(),
-                    [&](std::size_t i) { results[i] = fn(items[i]); });
-  return results;
-}
-
 }  // namespace isex::runtime

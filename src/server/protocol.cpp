@@ -201,35 +201,27 @@ class JsonParser {
           case 'r': out.push_back('\r'); break;
           case 't': out.push_back('\t'); break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              fail("truncated \\u escape");
+            // RFC 8259: a character outside the BMP is escaped as a UTF-16
+            // surrogate pair, which becomes one 4-byte UTF-8 sequence.  An
+            // unpaired surrogate encodes no character, so it is rejected at
+            // its escape's offset; ids are echoed unchanged, never patched.
+            const std::size_t escape = pos_ - 2;
+            unsigned code = 0;
+            if (!hex4(code)) return false;
+            if (code >= 0xd800 && code <= 0xdbff &&
+                text_.compare(pos_, 2, "\\u") == 0) {
+              pos_ += 2;
+              unsigned low = 0;
+              if (!hex4(low)) return false;
+              if (low >= 0xdc00 && low <= 0xdfff)
+                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+            }
+            if (code >= 0xd800 && code <= 0xdfff) {
+              pos_ = escape;
+              fail("unpaired surrogate in \\u escape");
               return false;
             }
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_ + static_cast<std::size_t>(i)];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else {
-                fail("bad \\u escape");
-                return false;
-              }
-            }
-            pos_ += 4;
-            // UTF-8 encode the BMP code point (surrogate pairs are not
-            // needed for TAC text; a lone surrogate encodes as-is).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xc0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-            } else {
-              out.push_back(static_cast<char>(0xe0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-            }
+            append_utf8(out, code);
             break;
           }
           default:
@@ -243,6 +235,47 @@ class JsonParser {
     }
     fail("unterminated string");
     return false;
+  }
+
+  /// Four hex digits at pos_, consumed into `code`.
+  bool hex4(unsigned& code) {
+    if (pos_ + 4 > text_.size()) {
+      fail("truncated \\u escape");
+      return false;
+    }
+    code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_ + static_cast<std::size_t>(i)];
+      code <<= 4;
+      if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+      else {
+        fail("bad \\u escape");
+        return false;
+      }
+    }
+    pos_ += 4;
+    return true;
+  }
+
+  /// UTF-8 of the code point `code` (not a surrogate).
+  static void append_utf8(std::string& out, unsigned code) {
+    if (code < 0x80) {
+      out.push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out.push_back(static_cast<char>(0xc0 | (code >> 6)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+    } else if (code < 0x10000) {
+      out.push_back(static_cast<char>(0xe0 | (code >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+    } else {
+      out.push_back(static_cast<char>(0xf0 | (code >> 18)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3f)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+    }
   }
 
   bool parse_number(JsonValue& out) {

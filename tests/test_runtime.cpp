@@ -140,17 +140,6 @@ TEST(ThreadPool, ExternalSlotBusyNeverExceedsWallTime) {
             static_cast<double>(wall_ns) * 1e-9);
 }
 
-TEST(ThreadPool, ParallelMapPreservesInputOrder) {
-  ThreadPool pool(4);
-  std::vector<int> items(257);
-  std::iota(items.begin(), items.end(), 0);
-  const std::vector<int> doubled =
-      parallel_map(pool, items, [](const int x) { return 2 * x; });
-  ASSERT_EQ(doubled.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i)
-    EXPECT_EQ(doubled[i], 2 * static_cast<int>(i));
-}
-
 TEST(ThreadPool, DefaultJobsIsPositive) {
   EXPECT_GE(ThreadPool::default_jobs(), 1);
 }

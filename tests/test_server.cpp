@@ -261,6 +261,63 @@ TEST(Protocol, ParseRejectsUnknownFieldAndBadJson) {
   }
 }
 
+// A request whose id is `escaped_id` (JSON escapes, as sent on the wire).
+Expected<JobRequest> request_with_id(const std::string& escaped_id) {
+  return parse_job_request("{\"id\":\"" + escaped_id +
+                           "\",\"kernel\":\"k\"}");
+}
+
+/// The request is rejected with E0601 for an unpaired surrogate whose
+/// escape starts at `offset` in the line.
+void expect_unpaired_surrogate(const std::string& escaped_id,
+                               std::size_t offset) {
+  const auto request = request_with_id(escaped_id);
+  ASSERT_FALSE(request.has_value()) << escaped_id;
+  EXPECT_EQ(request.error().code(), ErrorCode::kServerProtocol);
+  EXPECT_EQ(request.error().message(),
+            "unpaired surrogate in \\u escape at offset " +
+                std::to_string(offset))
+      << escaped_id;
+}
+
+// `{"id":"` is 7 bytes, so an id's first escape starts at offset 7.
+TEST(Protocol, SurrogatePairBecomesOneUtf8Character) {
+  const auto request = request_with_id("emoji \\ud83d\\ude00!");
+  ASSERT_TRUE(request.has_value());
+  EXPECT_EQ(request->id, "emoji \xf0\x9f\x98\x80!");  // U+1F600
+  const auto lowest = request_with_id("\\uD800\\uDC00");
+  ASSERT_TRUE(lowest.has_value());
+  EXPECT_EQ(lowest->id, "\xf0\x90\x80\x80");  // U+10000
+  const auto highest = request_with_id("\\udbff\\udfff");
+  ASSERT_TRUE(highest.has_value());
+  EXPECT_EQ(highest->id, "\xf4\x8f\xbf\xbf");  // U+10FFFF
+}
+
+TEST(Protocol, LoneHighSurrogateIsRejected) {
+  expect_unpaired_surrogate("ab\\ud83d cd", 9);
+}
+
+TEST(Protocol, LoneLowSurrogateIsRejected) {
+  expect_unpaired_surrogate("\\ude00", 7);
+  // A low surrogate before a high one is not a pair either.
+  expect_unpaired_surrogate("\\ude00\\ud83d", 7);
+}
+
+TEST(Protocol, HighSurrogateBeforeANonLowEscapeIsRejected) {
+  expect_unpaired_surrogate("\\ud83dA", 7);
+  expect_unpaired_surrogate("\\ud83d\\u0041", 7);
+  expect_unpaired_surrogate("x\\ud83d\\ud83d\\ude00", 8);
+}
+
+TEST(Protocol, HighSurrogateAtTheEndOfAStringIsRejected) {
+  expect_unpaired_surrogate("end \\ud83d", 11);
+  // Kernels and program names go through the same parser.
+  const auto kernel = parse_job_request("{\"kernel\":\"t\\ud800\"}");
+  ASSERT_FALSE(kernel.has_value());
+  EXPECT_EQ(kernel.error().message(),
+            "unpaired surrogate in \\u escape at offset 12");
+}
+
 TEST(Protocol, JobSignatureSeparatesEveryResultAffectingParameter) {
   const auto block = isa::parse_tac_checked(kBlendKernel);
   ASSERT_TRUE(block.has_value());
