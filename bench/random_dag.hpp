@@ -2,6 +2,9 @@
 // without depending on the test tree).
 #pragma once
 
+#include <string>
+#include <utility>
+
 #include "dfg/graph.hpp"
 #include "util/rng.hpp"
 
@@ -15,7 +18,10 @@ inline dfg::Graph random_dag(std::size_t n, Rng& rng, double edge_prob = 0.6) {
   };
   dfg::Graph g;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto v = g.add_node(kOps[i % std::size(kOps)], "r" + std::to_string(i));
+    // Appended: GCC 12 misreports "r" + std::to_string(i) (-Wrestrict).
+    std::string label = "r";
+    label += std::to_string(i);
+    const auto v = g.add_node(kOps[i % std::size(kOps)], std::move(label));
     int preds = 0;
     if (i > 0) {
       for (int k = 0; k < 2; ++k) {

@@ -96,11 +96,7 @@ AntWalk::AntWalk(const hw::GPlus& gplus, const sched::MachineConfig& machine,
       nodes_(gplus.num_nodes()),
       machine_(machine),
       params_(&params),
-      clock_(clock),
-      walks_metric_(&trace::MetricsRegistry::global().counter(
-          "isex_ant_walks_total")),
-      tet_metric_(&trace::MetricsRegistry::global().histogram(
-          "isex_ant_walk_tet_cycles", {4, 8, 16, 32, 64, 128, 256, 512})) {
+      clock_(clock) {
   const dfg::Graph& graph = gplus.graph();
   for (dfg::NodeId v = 0; v < nodes_.size(); ++v) {
     NodeTerms& node = nodes_[v];
@@ -424,8 +420,6 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
     tet = std::max(tet, result.finish_[v]);
   }
   result.tet = tet;
-  walks_metric_->inc();
-  tet_metric_->observe(tet);
   return result;
 }
 

@@ -42,7 +42,6 @@
 #include "dfg/node_set.hpp"
 #include "hwlib/gplus.hpp"
 #include "sched/machine_config.hpp"
-#include "trace/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -197,10 +196,6 @@ class AntWalk {
   sched::MachineConfig machine_;
   const ExplorerParams* params_;
   hw::ClockSpec clock_;
-  /// Resolved once per round (the walker's lifetime) so each walk pays one
-  /// atomic add + histogram observe, not a registry lookup.
-  trace::Counter* walks_metric_;
-  trace::Histogram* tet_metric_;
 };
 
 }  // namespace isex::core

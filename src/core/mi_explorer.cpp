@@ -1,6 +1,7 @@
 #include "core/mi_explorer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <limits>
 #include <optional>
@@ -60,6 +61,35 @@ CandidateEvalScratch& candidate_scratch() {
   return scratch;
 }
 
+/// Bucket bounds of `isex_ant_walk_tet_cycles`, in cycles.
+constexpr std::array<double, 8> kWalkTetBounds = {4,  8,   16,  32,
+                                                  64, 128, 256, 512};
+
+/// The registry series each round publishes at its end, resolved once per
+/// process: the round's ant walks, their schedule lengths and its
+/// iteration count.
+struct RoundMetrics {
+  trace::Counter& walks;
+  trace::Histogram& walk_tet;
+  trace::Histogram& iterations;
+};
+
+const RoundMetrics& round_metrics() {
+  static const RoundMetrics metrics = [] {
+    trace::MetricsRegistry& registry = trace::MetricsRegistry::global();
+    return RoundMetrics{
+        registry.counter("isex_ant_walks_total"),
+        registry.histogram("isex_ant_walk_tet_cycles",
+                           {kWalkTetBounds.begin(), kWalkTetBounds.end()}),
+        registry.histogram("isex_aco_iterations_per_round",
+                           {5, 10, 25, 50, 100, 150, 200, 250})};
+  }();
+  return metrics;
+}
+
+/// A round's walk TETs per `isex_ant_walk_tet_cycles` bucket (+Inf last).
+using TetBins = std::array<std::uint64_t, kWalkTetBounds.size() + 1>;
+
 /// Everything one round's ACO iterations read but never write: the round's
 /// graph and its derived analyses, the walker and merit engine, and the
 /// round index for trace points.  Shared by every colony of the round.
@@ -105,6 +135,9 @@ struct AcoChain {
   int tet_old = std::numeric_limits<int>::max();
   int worst_tet = 0;
   long long sum_tet = 0;
+  /// This round's walk TETs per metric bucket; published at round end
+  /// with `iterations` and `sum_tet`, so a walk touches no shared line.
+  TetBins tet_bins{};
   /// Iterations completed (== ants walked) this round.
   int iterations = 0;
   /// Per-colony trace points, drained into ExplorationResult::trace in
@@ -124,6 +157,10 @@ struct AcoChain {
     const bool improved = walk.tet <= tet_old;
     worst_tet = std::max(worst_tet, walk.tet);
     sum_tet += walk.tet;
+    ++tet_bins[static_cast<std::size_t>(
+        std::lower_bound(kWalkTetBounds.begin(), kWalkTetBounds.end(),
+                         walk.tet) -
+        kWalkTetBounds.begin())];
 
     reordered.assign(current.num_nodes(), false);
     for (dfg::NodeId v = 0; v < current.num_nodes(); ++v)
@@ -235,9 +272,18 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
     const MeritEngine merit(gplus, format_, params_, reach, clock_);
     const RoundContext ctx{current, walker, merit, sp, path, params_, round};
 
-    // Taken option per node after convergence.
+    // Taken option per node after convergence, and the round's walks
+    // summed over its chains.
     std::vector<int> taken(current.num_nodes());
     int iterations = 0;
+    long long sum_tet = 0;
+    TetBins tet_bins{};
+    const auto tally = [&](const AcoChain& chain) {
+      iterations += chain.iterations;
+      sum_tet += chain.sum_tet;
+      for (std::size_t b = 0; b < tet_bins.size(); ++b)
+        tet_bins[b] += chain.tet_bins[b];
+    };
 
     if (k_eff == 1) {
       // Serial chain with the caller's Rng — the paper's loop, byte-identical
@@ -247,7 +293,7 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
         if (chain.step(ctx, rng, /*colony=*/0, scratches[0]))
           break;
       }
-      iterations = chain.iterations;
+      tally(chain);
       if (params_.collect_trace)
         result.trace.insert(result.trace.end(), chain.trace.begin(),
                             chain.trace.end());
@@ -317,7 +363,7 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
         if (merged.converged() || exhausted) break;
       }
 
-      for (const AcoChain& chain : chains) iterations += chain.iterations;
+      for (const AcoChain& chain : chains) tally(chain);
       if (params_.collect_trace) {
         for (const AcoChain& chain : chains)
           result.trace.insert(result.trace.end(), chain.trace.begin(),
@@ -329,10 +375,10 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
 
     result.total_iterations += iterations;
     ++result.rounds;
-    trace::MetricsRegistry::global()
-        .histogram("isex_aco_iterations_per_round",
-                   {5, 10, 25, 50, 100, 150, 200, 250})
-        .observe(iterations);
+    const RoundMetrics& metrics = round_metrics();
+    metrics.walks.inc(iterations);
+    metrics.walk_tet.observe_binned(tet_bins, static_cast<double>(sum_tet));
+    metrics.iterations.observe(iterations);
     trace::Tracer::global().record_counter("aco.iterations", iterations);
 
     std::vector<IseCandidate> candidates;

@@ -8,7 +8,9 @@ namespace isex::dfg {
 
 NodeId Graph::add_node(isa::Opcode opcode, std::string label) {
   const auto id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(Node{opcode, std::move(label), false, {}});
+  Node& node = nodes_.emplace_back();
+  node.opcode = opcode;
+  node.label = std::move(label);
   succs_.emplace_back();
   preds_.emplace_back();
   extern_input_ids_.emplace_back();

@@ -49,10 +49,10 @@ struct FlowConfig {
   /// --jobs / ISEX_JOBS override); N > 0 runs on a private N-thread pool.
   /// Either way the explorations' own fan-outs (candidate evaluation,
   /// colonies) run inline inside the batch's tasks, so N > 0 bounds
-  /// exploration to N workers plus the helping caller and runs no task on
-  /// the default pool.  (A batch of one job runs inline on the caller, and
-  /// that exploration fans out onto the default pool.)  Results are
-  /// identical at any value — see docs/RUNTIME.md.
+  /// exploration to N workers plus the caller, which claims batch indices
+  /// too, and runs no task on the default pool.  (A batch of one job runs
+  /// inline on the caller, and that exploration fans out onto the default
+  /// pool.)  Results are identical at any value — see docs/RUNTIME.md.
   int jobs = 0;
   /// Memory-hierarchy cost model (docs/MEMORY.md).  When set, every block
   /// is annotated with simulated L1/L2 load/store latencies before

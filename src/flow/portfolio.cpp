@@ -1,9 +1,11 @@
 #include "flow/portfolio.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -19,7 +21,7 @@ namespace isex::flow {
 namespace {
 
 /// The flat exploration batch after job-level dedup: one block and one
-/// serially pre-derived RNG stream per unique job.
+/// serially pre-derived RNG stream per unique job, largest block first.
 struct UniqueJobs {
   std::vector<const dfg::Graph*> graphs;
   std::vector<Rng> streams;
@@ -80,6 +82,17 @@ PortfolioSelection portfolio_selection(
 }
 
 }  // namespace
+
+std::vector<std::size_t> largest_first(
+    const std::vector<const dfg::Graph*>& jobs) {
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return jobs[a]->num_nodes() > jobs[b]->num_nodes();
+                   });
+  return order;
+}
 
 PortfolioSelection select_portfolio_ises(
     const std::vector<PortfolioCatalogEntry>& catalog,
@@ -200,6 +213,23 @@ Expected<PortfolioResult> run_flow_stages(
         job_of[p][j] = it->second;
       }
       result.total_jobs += streams.size();
+    }
+    // Largest block first: the pool claims indices in order, so the longest
+    // explorations start first.  Results are reduced through job_of.
+    {
+      const std::vector<std::size_t> order = largest_first(unique.graphs);
+      std::vector<std::size_t> position(order.size());
+      UniqueJobs sorted;
+      sorted.graphs.reserve(order.size());
+      sorted.streams.reserve(order.size());
+      for (std::size_t k = 0; k < order.size(); ++k) {
+        position[order[k]] = k;
+        sorted.graphs.push_back(unique.graphs[order[k]]);
+        sorted.streams.push_back(unique.streams[order[k]]);
+      }
+      unique = std::move(sorted);
+      for (std::vector<std::size_t>& jobs : job_of)
+        for (std::size_t& u : jobs) u = position[u];
     }
     const auto serial_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(

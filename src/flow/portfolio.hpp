@@ -11,8 +11,8 @@
 //   * profiling — per program, hot blocks by profiled cost;
 //   * exploration — every program's (hot block × repeat) jobs flattened into
 //     ONE batch on the pool (pool-profile section `flow.explore_hot_blocks`),
-//     so a program with a few small blocks never serializes the tail behind
-//     a big one.  Each program's RNG streams are pre-split from a fresh
+//     dispatched largest block first (largest_first), so a program with a
+//     few small blocks never serializes the tail behind a big one.  Each program's RNG streams are pre-split from a fresh
 //     Rng(seed), so per-program results are bit-identical to a one-row run
 //     at any --jobs width.  Jobs whose (within-program job index, exact
 //     block digest) pair repeats across programs have identical inputs AND
@@ -151,6 +151,13 @@ struct PortfolioCatalogEntry {
 PortfolioSelection select_portfolio_ises(
     const std::vector<PortfolioCatalogEntry>& catalog,
     const SelectionConstraints& constraints);
+
+/// Dispatch order of an exploration batch: the indices of `jobs` by block
+/// node count, largest first, equal sizes in index (first-seen) order.  The
+/// pool claims a batch's indices in ascending order, so run in this order
+/// the longest explorations start first and the batch ends on short ones.
+std::vector<std::size_t> largest_first(
+    const std::vector<const dfg::Graph*>& jobs);
 
 /// A manifest row by reference: the stages read the caller's program in
 /// place.

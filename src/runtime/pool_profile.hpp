@@ -5,8 +5,8 @@
 // pool pays one relaxed atomic load per task):
 //
 //   * per-worker occupancy: busy/idle time, task and steal counts for every
-//     pool worker plus one synthetic "external" slot for threads helping
-//     inside parallel_for;
+//     pool worker plus one synthetic "external" slot for threads claiming
+//     the indices of their own parallel_for;
 //   * a task-duration histogram (fixed log-spaced microsecond buckets) fed
 //     live into MetricsRegistry as `isex_pool_task_seconds` and snapshotted
 //     into the PoolProfile artifact;
@@ -34,11 +34,11 @@ class ThreadPool;
 
 /// One worker's lifetime accounting.  The last entry of
 /// PoolProfile::workers is the synthetic "external" slot (threads that are
-/// not pool workers executing tasks while helping in parallel_for); its
+/// not pool workers claiming the indices of their own parallel_for); its
 /// idle time is always zero because external threads only borrow the pool.
-/// A thread helps only while it runs no task, so tasks never nest and each
-/// one's time counts once: a helping thread's share of the external busy
-/// time never exceeds the wall time of the parallel_for it helped in.
+/// A caller claims only while it runs no task, so tasks never nest and each
+/// one's time counts once: a caller's share of the external busy time never
+/// exceeds the wall time of its parallel_for.
 struct WorkerOccupancy {
   std::uint64_t tasks = 0;
   std::uint64_t steals = 0;

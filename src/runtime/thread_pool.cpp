@@ -1,5 +1,6 @@
 #include "runtime/thread_pool.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <utility>
@@ -26,20 +27,29 @@ std::vector<double> task_bounds_seconds() {
 
 }  // namespace
 
-struct ThreadPool::TaskSample {
-  int self;
-  bool stolen;
-  std::chrono::steady_clock::time_point start;
-  bool recorded;
+struct ThreadPool::Group {
+  Group(std::size_t count, const std::function<void(std::size_t)>& fn)
+      : n(count), body(&fn), remaining(count) {}
+
+  const std::size_t n;
+  /// The caller's body; read only after a successful claim, which implies
+  /// the caller still waits in parallel_for.  A claimer that runs after the
+  /// group finished claims nothing and never touches it.
+  const std::function<void(std::size_t)>* body;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> remaining;
+  std::mutex mutex;
+  std::condition_variable done;
+  std::exception_ptr first_error;
 };
 
-thread_local ThreadPool::TaskSample* ThreadPool::running_sample_ = nullptr;
+thread_local bool ThreadPool::in_task_ = false;
 
 const std::vector<double>& ThreadPool::task_duration_bounds_us() {
   // Log-spaced from 50µs (around the cheapest candidate-eval tasks) to 1s;
   // kTaskBins - 1 bounds plus the implicit +Inf bucket.  Leaked on purpose:
   // record_profiled_task can read these after a task signalled completion
-  // (a submit() future is ready before run_one records its sample), a
+  // (a submit() future is ready before run_task records its sample), a
   // window that extends into static destruction for the default pool's
   // final task.
   static const std::vector<double>& bounds = *new std::vector<double>{
@@ -79,7 +89,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::enqueue(std::function<void()> task) {
+void ThreadPool::enqueue(Task task) {
   ISEX_ASSERT(!workers_.empty());
   // Trace-context propagation: carry the submitter's ambient context across
   // the thread hop so spans recorded inside the task parent under the span
@@ -87,9 +97,9 @@ void ThreadPool::enqueue(std::function<void()> task) {
   if (trace::Tracer::global().enabled()) {
     const trace::TraceContext ctx = trace::current_context();
     if (ctx.active()) {
-      task = [ctx, inner = std::move(task)]() {
+      task = [ctx, inner = std::move(task)](int self, bool stolen) {
         const trace::ContextScope scope(ctx);
-        inner();
+        inner(self, stolen);
       };
     }
   }
@@ -108,18 +118,16 @@ void ThreadPool::enqueue(std::function<void()> task) {
 
 bool ThreadPool::run_one(int self) {
   const std::size_t n = workers_.size();
-  std::function<void()> task;
+  Task task;
   bool stolen = false;
   // Own deque first (back = LIFO, cache-warm), then sweep the others from
   // the front (FIFO) — classic work stealing.
-  const std::size_t start = self >= 0 ? static_cast<std::size_t>(self) : 0;
   for (std::size_t k = 0; k < n && !task; ++k) {
-    const std::size_t w = (start + k) % n;
+    const std::size_t w = (static_cast<std::size_t>(self) + k) % n;
     Worker& worker = *workers_[w];
     std::lock_guard<std::mutex> lock(worker.mutex);
     if (worker.queue.empty()) continue;
-    const bool own = self >= 0 && w == static_cast<std::size_t>(self);
-    if (own) {
+    if (k == 0) {
       task = std::move(worker.queue.back());
       worker.queue.pop_back();
     } else {
@@ -130,35 +138,48 @@ bool ThreadPool::run_one(int self) {
   }
   if (!task) return false;
   pending_.fetch_sub(1, std::memory_order_acq_rel);
+  task(self, stolen);
+  return true;
+}
+
+void ThreadPool::run_task(int self, bool stolen,
+                          const std::function<void()>& fn) {
   if (stolen) {
     steals_.fetch_add(1, std::memory_order_relaxed);
     steals_metric_->inc();
   }
   jobs_run_.fetch_add(1, std::memory_order_relaxed);
   jobs_metric_->inc();
-  // The task may record its own sample before it releases a waiter
-  // (record_running_task); whatever it left unrecorded is recorded here.
-  // The sample is installed even when profiling is off: it is also the
-  // marker that makes a parallel_for inside the task run inline.
-  TaskSample sample{self, stolen, {}, /*recorded=*/!profiling()};
-  if (!sample.recorded) sample.start = std::chrono::steady_clock::now();
-  ISEX_ASSERT_MSG(running_sample_ == nullptr,
-                  "pool task started inside another task");
-  running_sample_ = &sample;
-  task();
-  running_sample_ = nullptr;
-  record_task_sample(sample);
-  return true;
+  const bool profiled = profiling();
+  const auto start = profiled ? std::chrono::steady_clock::now()
+                              : std::chrono::steady_clock::time_point{};
+  // The marker is set even when profiling is off: it makes a parallel_for
+  // inside the task run inline.
+  ISEX_ASSERT_MSG(!in_task_, "pool task started inside another task");
+  in_task_ = true;
+  fn();
+  in_task_ = false;
+  if (profiled) record_profiled_task(self, stolen, elapsed_ns(start));
 }
 
-void ThreadPool::record_running_task() {
-  if (running_sample_ != nullptr) record_task_sample(*running_sample_);
-}
-
-void ThreadPool::record_task_sample(TaskSample& sample) {
-  if (sample.recorded) return;
-  sample.recorded = true;
-  record_profiled_task(sample.self, sample.stolen, elapsed_ns(sample.start));
+void ThreadPool::claim_indices(Group& group, int self, bool stolen) {
+  for (;;) {
+    const std::size_t i = group.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= group.n) return;
+    run_task(self, stolen, [&group, i]() {
+      try {
+        (*group.body)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(group.mutex);
+        if (!group.first_error) group.first_error = std::current_exception();
+      }
+    });
+    // After the sample: the caller this releases reads complete counts.
+    if (group.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::lock_guard<std::mutex> lock(group.mutex);
+      group.done.notify_all();
+    }
+  }
 }
 
 void ThreadPool::record_profiled_task(int self, bool stolen,
@@ -212,52 +233,30 @@ void ThreadPool::parallel_for(std::size_t n,
   if (n == 0) return;
   // A fan-out nested in a task of any pool runs inline: the task's thread
   // *is* this fan-out's budget.  Queue-and-wait from inside a worker could
-  // deadlock a fully busy pool, and a helping caller would stack unrelated
-  // queued tasks under the suspended one.
+  // deadlock a fully busy pool.
   if (running_task() || workers_.empty() || n == 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
-  struct Join {
-    std::atomic<std::size_t> remaining;
-    std::mutex mutex;
-    std::condition_variable done;
-    std::exception_ptr first_error;
-  };
-  auto join = std::make_shared<Join>();
-  join->remaining.store(n, std::memory_order_relaxed);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    enqueue([this, join, i, &body]() {
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(join->mutex);
-        if (!join->first_error) join->first_error = std::current_exception();
-      }
-      // Before the latch: the caller it releases reads complete counts.
-      record_running_task();
-      if (join->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        {
-          std::lock_guard<std::mutex> lock(join->mutex);
-        }
-        join->done.notify_all();
-      }
+  // One ordered group: claimers for the workers, then the caller claims
+  // too.  The caller can always finish every unclaimed index itself, so it
+  // waits only for indices that already run.
+  auto group = std::make_shared<Group>(n, body);
+  const std::size_t claimers = std::min(n - 1, workers_.size());
+  for (std::size_t k = 0; k < claimers; ++k) {
+    enqueue([this, group](int self, bool stolen) {
+      claim_indices(*group, self, stolen);
     });
   }
-
-  // Help while waiting: drain pool tasks on this thread instead of blocking,
-  // so the caller contributes a core.  It runs no task here, so every task
-  // it picks up runs to completion before it looks at the join again.
-  while (join->remaining.load(std::memory_order_acquire) > 0) {
-    if (run_one(/*self=*/-1)) continue;
-    std::unique_lock<std::mutex> lock(join->mutex);
-    join->done.wait_for(lock, std::chrono::milliseconds(1), [&]() {
-      return join->remaining.load(std::memory_order_acquire) == 0;
+  claim_indices(*group, /*self=*/-1, /*stolen=*/false);
+  {
+    std::unique_lock<std::mutex> lock(group->mutex);
+    group->done.wait(lock, [&]() {
+      return group->remaining.load(std::memory_order_acquire) == 0;
     });
   }
-  if (join->first_error) std::rethrow_exception(join->first_error);
+  if (group->first_error) std::rethrow_exception(group->first_error);
 }
 
 PoolStats ThreadPool::stats() const {
@@ -293,7 +292,7 @@ std::vector<std::uint64_t> ThreadPool::task_duration_counts() const {
   return counts;
 }
 
-bool ThreadPool::running_task() { return running_sample_ != nullptr; }
+bool ThreadPool::running_task() { return in_task_; }
 
 namespace {
 

@@ -2,23 +2,31 @@
 //
 // Design:
 //   * one mutex-guarded deque per worker; owners pop LIFO (cache-warm),
-//     thieves and helping external threads steal FIFO from the front;
+//     idle workers steal FIFO from the front of the others' deques;
 //   * submit() round-robins tasks across worker deques and returns a
-//     std::future; parallel_for() fans one body over [0, n) and blocks, with
-//     the calling thread *helping* (executing queued tasks) while it waits,
-//     so a pool is never idle just because its caller is;
+//     std::future;
+//   * parallel_for() fans one body over [0, n) as one ordered task group:
+//     every index is claimed from one shared cursor in ascending order, by
+//     up to num_threads() claimer tasks posted to the workers and by the
+//     calling thread itself.  A batch listed largest first therefore starts
+//     its longest items first, whichever threads are free.  Once the cursor
+//     is exhausted the caller blocks until its in-flight indices finish; it
+//     never runs a task of another group or a submit() task, so concurrent
+//     callers (server workers) never run each other's work;
+//   * each claimed index is one task in every count (stats().jobs_run, the
+//     per-worker occupancy, the task-duration histogram); a claimer task
+//     itself counts nothing;
 //   * a parallel_for issued while the calling thread runs a task — of any
-//     pool, on a worker or on a caller helping its own fan-out — runs
+//     pool, on a worker or on a caller claiming its own group — runs
 //     inline.  Nested fan-outs (a batch of explorations whose candidate
 //     evaluation fans out again) degrade to a serial loop inside the task
-//     instead of deadlocking a busy pool, and a helping caller runs queued
-//     tasks only while it runs none, so it never stacks one exploration
-//     under another that then cannot resume until the stack unwinds.
+//     instead of deadlocking a busy pool.
 //
-// Determinism: the pool itself guarantees nothing about execution *order* —
-// determinism of results is the fan-out layer's job (see job_graph.hpp): it
-// derives per-job RNG streams serially before submission and reduces results
-// by index, so any interleaving yields bit-identical output.
+// Determinism: the pool itself guarantees nothing about which thread runs
+// an index or when — determinism of results is the fan-out layer's job (see
+// job_graph.hpp): it derives per-job RNG streams serially before submission
+// and reduces results by index, so any interleaving yields bit-identical
+// output.
 //
 // Sizing: ThreadPool(0) and the process-wide default_pool() use
 // default_jobs(): the ISEX_JOBS environment variable if set, else
@@ -45,8 +53,9 @@ namespace isex::runtime {
 /// Counters a pool accumulates over its lifetime (see RuntimeStats).
 struct PoolStats {
   std::uint64_t jobs_run = 0;
-  /// Tasks taken from a deque the executing thread does not own (worker
-  /// steals plus external threads helping inside parallel_for).
+  /// Tasks a worker ran from another worker's deque: stolen submit() tasks
+  /// plus the indices claimed through a stolen parallel_for claimer.  A
+  /// caller claiming its own group never steals.
   std::uint64_t steals = 0;
   int threads = 0;
 };
@@ -70,15 +79,18 @@ class ThreadPool {
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
     std::future<R> future = task->get_future();
-    enqueue([task]() { (*task)(); });
+    enqueue([this, task](int self, bool stolen) {
+      run_task(self, stolen, [&task]() { (*task)(); });
+    });
     return future;
   }
 
   /// Runs body(0) … body(n-1) and blocks until all completed.
-  ///   * Queued, when the calling thread runs no task: one task per index,
-  ///     and the caller helps run queued tasks while it waits.  Every index
-  ///     runs even if some throw; the first exception by completion order
-  ///     is rethrown.
+  ///   * Queued, when the calling thread runs no task: one ordered group.
+  ///     min(n - 1, num_threads()) claimer tasks and the caller claim the
+  ///     indices in ascending order; the caller then waits for the indices
+  ///     others still run.  Every index runs even if some throw; the first
+  ///     exception by completion order is rethrown.
   ///   * Inline, when the calling thread runs a task of any pool (see
   ///     running_task()) or n == 1: a serial loop in index order that stops
   ///     at the first throwing index and lets its exception propagate.
@@ -92,12 +104,12 @@ class ThreadPool {
   PoolStats stats() const;
 
   /// Occupancy profiling (see pool_profile.hpp).  Off by default: each
-  /// task then costs one extra relaxed load and two thread-local pointer
-  /// stores.  When on, a task pays two steady_clock reads plus a handful of
-  /// relaxed atomic adds, and idle workers time their waits.  A
-  /// parallel_for task records its sample before it counts down the latch,
-  /// so the counters are complete when parallel_for returns.  Counters
-  /// accumulate across toggles.
+  /// task then costs one extra relaxed load and two thread-local stores.
+  /// When on, a task pays two steady_clock reads plus a handful of relaxed
+  /// atomic adds, and idle workers time their waits.  A parallel_for index
+  /// records its sample before it counts its group down, so the counters
+  /// are complete when parallel_for returns.  Counters accumulate across
+  /// toggles.
   void set_profiling(bool enabled) {
     profiling_.store(enabled, std::memory_order_relaxed);
   }
@@ -106,7 +118,8 @@ class ThreadPool {
   }
 
   /// Per-worker occupancy snapshot: num_threads() + 1 entries, the last
-  /// being the synthetic slot for external threads helping in parallel_for.
+  /// being the synthetic slot for external threads claiming the indices of
+  /// their own parallel_for.
   std::vector<WorkerOccupancy> occupancy() const;
 
   /// Task-duration histogram bucket bounds, microseconds (shared by every
@@ -135,14 +148,19 @@ class ThreadPool {
   static int default_jobs();
 
  private:
+  /// A queued unit of work — a submit() task or a parallel_for claimer —
+  /// called with the running worker's index and whether it came from
+  /// another worker's deque.
+  using Task = std::function<void(int self, bool stolen)>;
+
   struct Worker {
-    std::deque<std::function<void()>> queue;
+    std::deque<Task> queue;
     std::mutex mutex;
   };
 
   /// One worker's profiling accounting; heap-allocated so the atomics sit
   /// on their own cache lines relative to the deque mutexes.  The slot at
-  /// index num_threads() aggregates external helping threads.
+  /// index num_threads() aggregates external threads.
   struct ProfSlot {
     std::atomic<std::uint64_t> tasks{0};
     std::atomic<std::uint64_t> steals{0};
@@ -150,22 +168,24 @@ class ThreadPool {
     std::atomic<std::uint64_t> idle_ns{0};
   };
 
-  void enqueue(std::function<void()> task);
+  /// One queued parallel_for's cursor and join (defined in thread_pool.cpp).
+  struct Group;
+
+  void enqueue(Task task);
   /// Pops one queued task and runs it; false when every deque was empty.
-  /// `self` is the caller's worker index, or -1 for external threads.
+  /// `self` is the running worker's index.
   bool run_one(int self);
   void worker_loop(int index);
-  /// Profile sample of a running task (defined in thread_pool.cpp).
-  struct TaskSample;
-  /// The running task's sample on this thread; null outside tasks, and the
-  /// marker running_task() tests.  Samples never nest: run_one is entered
-  /// only by a worker loop or by a parallel_for that runs no task.
-  static thread_local TaskSample* running_sample_;
-  /// Records the calling thread's running task sample now rather than when
-  /// the task returns; no-op when it is unprofiled or already recorded.
-  void record_running_task();
-  void record_task_sample(TaskSample& sample);
+  /// Runs `fn` as one counted task: jobs and steals, the running-task
+  /// marker, and the profile sample when profiling.
+  void run_task(int self, bool stolen, const std::function<void()>& fn);
+  /// Claims and runs `group`'s indices until its cursor is exhausted.
+  void claim_indices(Group& group, int self, bool stolen);
   void record_profiled_task(int self, bool stolen, std::uint64_t ns);
+  /// True on a thread while it runs a task; the marker running_task()
+  /// tests.  Tasks never nest: run_task is entered only by a worker loop or
+  /// by a parallel_for that runs no task.
+  static thread_local bool in_task_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;

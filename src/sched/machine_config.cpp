@@ -15,7 +15,12 @@ MachineConfig MachineConfig::make(int issue_width,
 }
 
 std::string MachineConfig::label() const {
-  return "(" + reg_file.label() + ", " + std::to_string(issue_width) + "IS)";
+  std::string text = "(";
+  text += reg_file.label();
+  text += ", ";
+  text += std::to_string(issue_width);
+  text += "IS)";
+  return text;
 }
 
 ValidationReport validate(const MachineConfig& config) {

@@ -70,6 +70,20 @@ void Histogram::observe(double value) {
   detail::atomic_add(sum_, value);
 }
 
+void Histogram::observe_binned(std::span<const std::uint64_t> bins,
+                               double sum) {
+  ISEX_ASSERT(bins.size() == bounds_.size() + 1);
+  std::uint64_t count = 0;
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    if (bins[i] == 0) continue;
+    bins_[i].fetch_add(bins[i], std::memory_order_relaxed);
+    count += bins[i];
+  }
+  if (count == 0) return;
+  count_.fetch_add(count, std::memory_order_relaxed);
+  detail::atomic_add(sum_, sum);
+}
+
 std::vector<std::uint64_t> Histogram::bin_counts() const {
   std::vector<std::uint64_t> counts(bounds_.size() + 1);
   for (std::size_t i = 0; i < counts.size(); ++i)

@@ -19,6 +19,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -67,6 +68,10 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void observe(double value);
+  /// Adds observations tallied elsewhere: bins[i] values in bin i
+  /// (bin_counts() layout) that sum to `sum`.  Leaves the state that
+  /// observing each value would.
+  void observe_binned(std::span<const std::uint64_t> bins, double sum);
 
   const std::vector<double>& bounds() const { return bounds_; }
   /// Per-bin counts, bounds().size() + 1 entries (last is +Inf).

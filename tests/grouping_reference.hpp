@@ -11,6 +11,7 @@
 #include "dfg/analysis.hpp"
 #include "hwlib/gplus.hpp"
 #include "isa/register_file.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace isex::testing {
@@ -99,7 +100,7 @@ inline dfg::Graph random_block(std::size_t n, Rng& rng, double edge_prob) {
   dfg::Graph g;
   for (std::size_t i = 0; i < n; ++i) {
     const auto op = kOps[rng.next_below(std::uint32_t{std::size(kOps)})];
-    const dfg::NodeId v = g.add_node(op, "r" + std::to_string(i));
+    const dfg::NodeId v = g.add_node(op, indexed_name("r", i));
     int preds = 0;
     for (int k = 0; k < 3 && i > 0; ++k) {
       if (rng.next_double() >= edge_prob) continue;

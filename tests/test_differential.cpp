@@ -12,6 +12,7 @@
 #include "exec/alu.hpp"
 #include "exec/evaluator.hpp"
 #include "isa/tac_parser.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace isex {
@@ -48,7 +49,7 @@ GeneratedProgram generate(Rng& rng, int length) {
 
   std::ostringstream src;
   for (int i = 0; i < length; ++i) {
-    const std::string dest = "v" + std::to_string(i);
+    const std::string dest = testing::indexed_name("v", i);
     const auto& [a_name, a_val] =
         env[rng.next_below(static_cast<std::uint32_t>(env.size()))];
     std::uint32_t result = 0;

@@ -12,7 +12,7 @@ TEST(DotExport, EmitsAllNodesAndEdges) {
   const std::string dot = to_dot(g);
   EXPECT_NE(dot.find("digraph dfg"), std::string::npos);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_NE(dot.find("n" + std::to_string(v) + " ["), std::string::npos);
+    EXPECT_NE(dot.find(testing::indexed_name("n", v) + " ["), std::string::npos);
   }
   EXPECT_NE(dot.find("n0 -> n1;"), std::string::npos);
   EXPECT_NE(dot.find("n2 -> n3;"), std::string::npos);

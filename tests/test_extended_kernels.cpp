@@ -75,7 +75,7 @@ TEST(AesSemantics, UnrolledPairAdvancesGfMultiply) {
   const auto block = block_of(ExtraBenchmark::kAes, OptLevel::kO3,
                               "aes_gfmul_x2");
   // Run the 2-step block four times == full 8-step multiply.
-  for (const auto [a0, b0] : {std::pair{0x57u, 0x83u}, std::pair{0x02u, 0x6Eu},
+  for (const auto& [a0, b0] : {std::pair{0x57u, 0x83u}, std::pair{0x02u, 0x6Eu},
                               std::pair{0xFFu, 0xFFu}}) {
     std::uint32_t a = a0;
     std::uint32_t b = b0;
@@ -148,7 +148,8 @@ TEST(SobelSemantics, GradientMagnitudeMatchesReference) {
   exec::Evaluator ev;
   for (int r = 0; r < 3; ++r)
     for (int c = 0; c < 3; ++c)
-      ev.set("p" + std::to_string(r) + std::to_string(c),
+      ev.set(std::string{'p', static_cast<char>('0' + r),
+                         static_cast<char>('0' + c)},
              static_cast<std::uint32_t>(window[r][c]));
   ev.run(block);
   const std::int32_t gx = (window[0][2] - window[0][0]) +

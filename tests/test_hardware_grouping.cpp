@@ -100,7 +100,7 @@ TEST_F(GroupingTest, IoViolationFlagged) {
   const auto x = g.add_node(isa::Opcode::kXor, "x");
   prev.push_back(0);
   for (int i = 0; i < 5; ++i) {
-    const auto p = g.add_node(isa::Opcode::kAnd, "p" + std::to_string(i));
+    const auto p = g.add_node(isa::Opcode::kAnd, testing::indexed_name("p", i));
     g.set_extern_inputs(p, 2);
     g.add_edge(p, x);
     prev.push_back(1);

@@ -67,7 +67,9 @@ TEST(Integration, TighterAreaBudgetNeverImprovesResult) {
     c.repeats = 2;
     c.seed = 12;
     const auto r = run_design_flow(program, lib, c);
-    if (previous_final != 0) EXPECT_LE(r.final_time(), previous_final);
+    if (previous_final != 0) {
+      EXPECT_LE(r.final_time(), previous_final);
+    }
     previous_final = r.final_time();
     EXPECT_LE(r.total_area(), budget);
   }
@@ -85,7 +87,9 @@ TEST(Integration, MoreIsesNeverHurt) {
     c.repeats = 2;
     c.seed = 21;
     const auto r = run_design_flow(program, lib, c);
-    if (previous_final != 0) EXPECT_LE(r.final_time(), previous_final);
+    if (previous_final != 0) {
+      EXPECT_LE(r.final_time(), previous_final);
+    }
     previous_final = r.final_time();
   }
 }

@@ -561,7 +561,8 @@ TEST(JsonWriter, EscapesEveryByteAsJsonEscapeDoes) {
     const std::string text = std::string("a") + static_cast<char>(b) + "z";
     std::string out;
     trace::JsonWriter(out).begin_object().key(text).string(text).end_object();
-    const std::string quoted = "\"" + trace::json_escape(text) + "\"";
+    const std::string escaped = trace::json_escape(text);
+    const std::string quoted = "\"" + escaped + "\"";
     EXPECT_EQ(out, "{" + quoted + ":" + quoted + "}") << "byte " << b;
     EXPECT_TRUE(testing::JsonChecker(out).valid()) << "byte " << b;
   }

@@ -25,7 +25,7 @@ TEST(ListScheduler, IssueWidthLimitsThroughput) {
   // 8 independent ops.
   dfg::Graph g;
   for (int i = 0; i < 8; ++i) {
-    const auto v = g.add_node(isa::Opcode::kAddu, "i" + std::to_string(i));
+    const auto v = g.add_node(isa::Opcode::kAddu, testing::indexed_name("i", i));
     g.set_extern_inputs(v, 2);
     g.set_live_out(v, true);
   }
@@ -38,7 +38,7 @@ TEST(ListScheduler, ReadPortsConstrain) {
   // 2-issue but only 2 read ports: two 2-source adds cannot co-issue.
   dfg::Graph g;
   for (int i = 0; i < 4; ++i) {
-    const auto v = g.add_node(isa::Opcode::kAddu, "i" + std::to_string(i));
+    const auto v = g.add_node(isa::Opcode::kAddu, testing::indexed_name("i", i));
     g.set_extern_inputs(v, 2);
     g.set_live_out(v, true);
   }
@@ -51,7 +51,7 @@ TEST(ListScheduler, ReadPortsConstrain) {
 TEST(ListScheduler, WritePortsConstrain) {
   dfg::Graph g;
   for (int i = 0; i < 4; ++i) {
-    const auto v = g.add_node(isa::Opcode::kAddiu, "i" + std::to_string(i));
+    const auto v = g.add_node(isa::Opcode::kAddiu, testing::indexed_name("i", i));
     g.set_extern_inputs(v, 1);
     g.set_live_out(v, true);
   }
@@ -63,7 +63,7 @@ TEST(ListScheduler, FunctionalUnitsConstrain) {
   // Two independent multiplies, one multiplier: serialized even at 2-issue.
   dfg::Graph g;
   for (int i = 0; i < 2; ++i) {
-    const auto v = g.add_node(isa::Opcode::kMult, "m" + std::to_string(i));
+    const auto v = g.add_node(isa::Opcode::kMult, testing::indexed_name("m", i));
     g.set_extern_inputs(v, 2);
     g.set_live_out(v, true);
   }
@@ -167,7 +167,9 @@ TEST_P(SchedulerProperty, ValidAndMonotoneInWidth) {
       EXPECT_LE(writes[c], cfg.reg_file.write_ports);
     }
 
-    if (width > 1) EXPECT_LE(s.cycles, previous);
+    if (width > 1) {
+      EXPECT_LE(s.cycles, previous);
+    }
     previous = s.cycles;
   }
 }

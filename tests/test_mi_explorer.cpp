@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bench_suite/kernels.hpp"
 #include "golden_hash.hpp"
 #include "isa/tac_parser.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/list_scheduler.hpp"
 #include "test_util.hpp"
+#include "trace/metrics.hpp"
 
 namespace isex::core {
 namespace {
@@ -282,6 +285,43 @@ TEST_F(MiExplorerTest, RoundAndIterationCountsAreBounded) {
   const ExplorationResult r = explorer.explore(g, rng);
   EXPECT_LE(r.rounds, 2);
   EXPECT_LE(r.total_iterations, 2 * 10);
+}
+
+TEST_F(MiExplorerTest, WalkMetricsCountEveryIteration) {
+  // Each round publishes its walks at round end: the walk counter and the
+  // TET histogram move by exactly the iterations walked, and the histogram
+  // gains each walk's TET, for the serial chain and for colonies alike.
+  trace::MetricsRegistry& registry = trace::MetricsRegistry::global();
+  const trace::Counter& walks = registry.counter("isex_ant_walks_total");
+  const trace::Histogram& tet = registry.histogram(
+      "isex_ant_walk_tet_cycles", {4, 8, 16, 32, 64, 128, 256, 512});
+  const auto machine = sched::MachineConfig::make(2, {6, 3});
+  isa::IsaFormat format;
+  format.reg_file = machine.reg_file;
+  Rng graph_rng(5);
+  const dfg::Graph g = testing::make_random_dag(24, graph_rng);
+  for (const int colonies : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "colonies=" << colonies);
+    ExplorerParams params = params_;
+    params.colonies = colonies;
+    params.collect_trace = true;  // one trace point per walk
+    const MultiIssueExplorer explorer(machine, format, lib_, params);
+    const double walks_before = walks.value();
+    const std::vector<std::uint64_t> bins_before = tet.bin_counts();
+    const double sum_before = tet.sum();
+    Rng rng(3);
+    const ExplorationResult r = explorer.explore(g, rng);
+
+    ASSERT_GT(r.total_iterations, 0);
+    ASSERT_EQ(r.trace.size(), static_cast<std::size_t>(r.total_iterations));
+    EXPECT_EQ(walks.value() - walks_before, r.total_iterations);
+    trace::Histogram expected(tet.bounds());
+    for (const IterationTrace& t : r.trace) expected.observe(t.tet);
+    std::vector<std::uint64_t> bins = tet.bin_counts();
+    for (std::size_t b = 0; b < bins.size(); ++b) bins[b] -= bins_before[b];
+    EXPECT_EQ(bins, expected.bin_counts());
+    EXPECT_EQ(tet.sum() - sum_before, expected.sum());
+  }
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace isex::isa {
 namespace {
@@ -31,6 +35,44 @@ TEST(Opcode, UnknownMnemonicRejected) {
   EXPECT_FALSE(opcode_from_mnemonic("bogus").has_value());
   EXPECT_FALSE(opcode_from_mnemonic("").has_value());
   EXPECT_FALSE(opcode_from_mnemonic("ADD").has_value());  // case-sensitive
+}
+
+/// The table scan opcode_from_mnemonic replaced: the reference it must
+/// agree with on every input.
+std::optional<Opcode> scan_for_mnemonic(std::string_view text) {
+  for (std::size_t i = 0; i < kOpcodeCount; ++i)
+    if (mnemonic(static_cast<Opcode>(i)) == text) return static_cast<Opcode>(i);
+  return std::nullopt;
+}
+
+TEST(Opcode, NearMissesOfEveryMnemonicMatchTheTableScan) {
+  // Proper prefixes and one-byte extensions are often mnemonics themselves
+  // ("add" / "addi"), so each must find exactly what a scan of the table
+  // finds; upper-cased forms never match.
+  std::size_t misses = 0;
+  for (std::size_t i = 0; i < kOpcodeCount; ++i) {
+    const std::string mn(mnemonic(static_cast<Opcode>(i)));
+    std::vector<std::string> near;
+    for (std::size_t len = 0; len < mn.size(); ++len)
+      near.push_back(mn.substr(0, len));
+    for (int c = 0; c < 256; ++c) {
+      const char ch = static_cast<char>(c);
+      near.push_back(mn + ch);
+      near.push_back(ch + mn);
+    }
+    for (const std::string& text : near) {
+      EXPECT_EQ(opcode_from_mnemonic(text), scan_for_mnemonic(text))
+          << "\"" << text << "\"";
+      if (!scan_for_mnemonic(text)) ++misses;
+    }
+    std::string upper = mn;
+    for (char& ch : upper) ch = static_cast<char>(std::toupper(ch));
+    EXPECT_FALSE(opcode_from_mnemonic(upper).has_value()) << upper;
+  }
+  EXPECT_GT(misses, 0u);
+  EXPECT_FALSE(opcode_from_mnemonic("addiuu").has_value());
+  EXPECT_FALSE(opcode_from_mnemonic("addiu_long").has_value());
+  EXPECT_FALSE(opcode_from_mnemonic(std::string_view("add\0", 4)).has_value());
 }
 
 TEST(Opcode, MemoryClassification) {

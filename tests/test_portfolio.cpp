@@ -20,6 +20,7 @@
 #include "runtime/hash.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
+#include "test_util.hpp"
 
 namespace isex {
 namespace {
@@ -137,6 +138,22 @@ TEST(PortfolioFlowTest, DeterministicAcrossJobCounts) {
   EXPECT_EQ(a.selection.num_types, b.selection.num_types);
   EXPECT_EQ(a.total_jobs, b.total_jobs);
   EXPECT_EQ(a.deduped_jobs, b.deduped_jobs);
+}
+
+TEST(PortfolioFlowTest, LargestFirstStartsTheBiggestBlockFirst) {
+  // The jobs of a two-row manifest at two repeats, in first-seen order:
+  // row 0 explores blocks of 4 and 6 nodes, row 1 blocks of 6 and 10, so
+  // the largest block comes last.  Its repeats go first; the two 6-node
+  // blocks keep their first-seen order, and so does each block's repeats.
+  const dfg::Graph n4 = testing::make_chain(4);
+  const dfg::Graph n6a = testing::make_chain(6);
+  const dfg::Graph n6b = testing::make_parallel_pairs(3);
+  const dfg::Graph n10 = testing::make_chain(10);
+  const std::vector<const dfg::Graph*> jobs = {&n4,  &n4,  &n6a, &n6a,
+                                               &n6b, &n6b, &n10, &n10};
+  EXPECT_EQ(flow::largest_first(jobs),
+            (std::vector<std::size_t>{6, 7, 2, 3, 4, 5, 0, 1}));
+  EXPECT_TRUE(flow::largest_first({}).empty());
 }
 
 TEST(PortfolioFlowTest, DuplicateProgramsDedupAndShareHardware) {

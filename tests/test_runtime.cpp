@@ -8,6 +8,7 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -138,6 +139,96 @@ TEST(ThreadPool, ExternalSlotBusyNeverExceedsWallTime) {
   // Same ns-to-seconds conversion as occupancy(), so the bound is exact.
   EXPECT_LE(pool.occupancy().back().busy_seconds,
             static_cast<double>(wall_ns) * 1e-9);
+}
+
+/// Spins until `done()` or a 10 s deadline; false on the deadline, so a
+/// broken pool fails a test instead of hanging it.
+template <typename Pred>
+bool wait_until(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPool, CallerRunsOnlyItsOwnGroup) {
+  // Fan-out B holds the pool's one worker and its own caller inside two of
+  // its indices, with six more left.  Fan-out A, issued meanwhile from this
+  // thread, must run only A's indices here: a caller that ran whatever was
+  // queued would pick up B's (another job's exploration, on a server).
+  ThreadPool pool(1);
+  const std::thread::id a_caller = std::this_thread::get_id();
+  std::atomic<bool> release{false};
+  std::atomic<int> b_blocked{0};
+  std::atomic<int> b_ran_by_a{0};
+  std::atomic<int> b_done{0};
+  std::thread b_caller([&]() {
+    pool.parallel_for(8, [&](std::size_t) {
+      if (std::this_thread::get_id() == a_caller) {
+        ++b_ran_by_a;
+      } else {
+        ++b_blocked;
+        wait_until([&]() { return release.load(); });
+      }
+      ++b_done;
+    });
+  });
+  const bool b_holds_both =
+      wait_until([&]() { return b_blocked.load() == 2; });
+
+  std::vector<std::thread::id> a_threads(4);
+  pool.parallel_for(4, [&](std::size_t i) {
+    a_threads[i] = std::this_thread::get_id();
+  });
+  release = true;
+  b_caller.join();
+
+  EXPECT_TRUE(b_holds_both);
+  EXPECT_EQ(b_ran_by_a.load(), 0);
+  EXPECT_EQ(b_done.load(), 8);
+  // The worker and B's caller were busy, so A's caller ran all of A.
+  for (const std::thread::id id : a_threads) EXPECT_EQ(id, a_caller);
+}
+
+TEST(ThreadPool, EveryIndexRunsWhenSeveralThrow) {
+  // The one worker is held until index 0 starts, so the caller claims
+  // index 0 and the worker claims the rest in ascending order while index
+  // 0 waits for them.  Every index runs, and the first throw by completion
+  // order is the lowest throwing index after 0.
+  ThreadPool pool(1);
+  std::atomic<bool> worker_held{false};
+  std::atomic<bool> release_worker{false};
+  auto hold = pool.submit([&]() {
+    worker_held = true;
+    wait_until([&]() { return release_worker.load(); });
+  });
+  EXPECT_TRUE(wait_until([&]() { return worker_held.load(); }));
+
+  constexpr std::size_t kN = 16;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<std::size_t> finished{0};
+  std::string rethrown;
+  try {
+    pool.parallel_for(kN, [&](std::size_t i) {
+      ++hits[i];
+      if (i == 0) {
+        release_worker = true;
+        wait_until([&]() { return finished.load() == kN - 1; });
+        return;
+      }
+      ++finished;
+      if (i == 3 || i == 9 || i == 12)
+        throw std::invalid_argument(std::to_string(i));
+    });
+  } catch (const std::invalid_argument& e) {
+    rethrown = e.what();
+  }
+  hold.get();
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  EXPECT_EQ(rethrown, "3");
 }
 
 TEST(ThreadPool, DefaultJobsIsPositive) {

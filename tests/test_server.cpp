@@ -256,8 +256,9 @@ TEST(Protocol, ParseRejectsUnknownFieldAndBadJson) {
         "{\"kernel\":\"k\",\"priority\":\"high\"}"}) {
     const auto request = parse_job_request(bad);
     EXPECT_FALSE(request.has_value()) << bad;
-    if (!request.has_value())
+    if (!request.has_value()) {
       EXPECT_EQ(request.error().code(), ErrorCode::kServerProtocol) << bad;
+    }
   }
 }
 

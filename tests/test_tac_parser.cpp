@@ -444,7 +444,10 @@ std::string random_block_text(Rng& rng) {
         if (hazard(4)) registers = rng.next_below(5);
         const bool immediate = coin(3);
         for (std::uint32_t k = 0; k < registers + (immediate ? 1 : 0); ++k) {
-          if (k > 0) text += "," + space();
+          if (k > 0) {
+            text += ",";
+            text += space();
+          }
           if (k == registers) {
             text += literal();
           } else if (hazard(12)) {

@@ -2,6 +2,8 @@
 // diamond, fork) and a seeded random-DAG generator for property tests.
 #pragma once
 
+#include <cstddef>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -11,6 +13,15 @@
 #include "util/rng.hpp"
 
 namespace isex::testing {
+
+/// `prefix` followed by the decimal `i`, e.g. "n3".  Appends rather than
+/// writing `"n" + std::to_string(i)`: GCC 12 misreports that inlined
+/// insert-at-front as an overlapping copy (-Wrestrict).
+inline std::string indexed_name(std::string_view prefix, std::size_t i) {
+  std::string name(prefix);
+  name += std::to_string(i);
+  return name;
+}
 
 /// The node of the statement that defines `name` in a parsed block, or
 /// kInvalidNode when no statement does.
@@ -27,7 +38,7 @@ inline dfg::Graph make_chain(std::size_t length,
   dfg::Graph g;
   dfg::NodeId prev = dfg::kInvalidNode;
   for (std::size_t i = 0; i < length; ++i) {
-    const dfg::NodeId v = g.add_node(op, "n" + std::to_string(i));
+    const dfg::NodeId v = g.add_node(op, indexed_name("n", i));
     if (prev != dfg::kInvalidNode) {
       g.add_edge(prev, v);
     } else {
@@ -60,8 +71,8 @@ inline dfg::Graph make_parallel_pairs(std::size_t width,
                                       isa::Opcode op = isa::Opcode::kAddu) {
   dfg::Graph g;
   for (std::size_t i = 0; i < width; ++i) {
-    const auto a = g.add_node(op, "a" + std::to_string(i));
-    const auto b = g.add_node(op, "b" + std::to_string(i));
+    const auto a = g.add_node(op, indexed_name("a", i));
+    const auto b = g.add_node(op, indexed_name("b", i));
     g.add_edge(a, b);
     g.set_extern_inputs(a, 2);
     g.set_live_out(b, true);
@@ -81,7 +92,7 @@ inline dfg::Graph make_random_dag(std::size_t n, Rng& rng,
   };
   dfg::Graph g;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto v = g.add_node(kOps[i % std::size(kOps)], "r" + std::to_string(i));
+    const auto v = g.add_node(kOps[i % std::size(kOps)], indexed_name("r", i));
     int preds = 0;
     if (i > 0) {
       for (int k = 0; k < 2; ++k) {
