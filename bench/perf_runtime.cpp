@@ -134,11 +134,10 @@ int main() {
   for (const SweepRun& run : runs) {
     std::printf(
         "jobs=%d cache=%-3s  min %7.3f s  median %7.3f s  speedup %.2fx  "
-        "jobs_run=%llu steals=%llu  cache: %llu/%llu hits (%d%%)\n",
+        "jobs_run=%llu  cache: %llu/%llu hits (%d%%)\n",
         run.jobs, run.cache ? "on" : "off", run.seconds_min(),
         run.seconds_median(), base / run.seconds_min(),
         static_cast<unsigned long long>(run.pool.jobs_run),
-        static_cast<unsigned long long>(run.pool.steals),
         static_cast<unsigned long long>(run.cache_stats.hits),
         static_cast<unsigned long long>(run.cache_stats.hits +
                                         run.cache_stats.misses),
@@ -175,13 +174,11 @@ int main() {
     std::fprintf(json,
                  "], \"seconds_min\": %.4f, \"seconds_median\": %.4f, "
                  "\"speedup_vs_jobs1\": %.3f, \"pool_jobs_run\": %llu, "
-                 "\"pool_steals\": %llu, \"cache_hits\": %llu, "
-                 "\"cache_misses\": %llu, \"cache_evictions\": %llu, "
-                 "\"cache_hit_rate\": %.4f}%s\n",
+                 "\"cache_hits\": %llu, \"cache_misses\": %llu, "
+                 "\"cache_evictions\": %llu, \"cache_hit_rate\": %.4f}%s\n",
                  run.seconds_min(), run.seconds_median(),
                  base / run.seconds_min(),
                  static_cast<unsigned long long>(run.pool.jobs_run),
-                 static_cast<unsigned long long>(run.pool.steals),
                  static_cast<unsigned long long>(run.cache_stats.hits),
                  static_cast<unsigned long long>(run.cache_stats.misses),
                  static_cast<unsigned long long>(run.cache_stats.evictions),

@@ -326,8 +326,8 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
         // pheromone state converges.  Colony c touches only its own chain,
         // stream, and scratch — nothing is shared until the barrier.
         const std::optional<runtime::ParallelTiming> timing =
-            runtime::timed_parallel_for(
-                pool, static_cast<std::size_t>(k_eff), [&](std::size_t c) {
+            pool.parallel_for(
+                static_cast<std::size_t>(k_eff), [&](std::size_t c) {
                   AcoChain& chain = chains[c];
                   for (int s = 0; s < interval && chain.iterations < budget;
                        ++s) {

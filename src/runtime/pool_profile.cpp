@@ -71,7 +71,8 @@ PoolProfile collect_pool_profile(const ThreadPool& pool) {
   profile.threads = pool.num_threads();
   profile.profiled = pool.profiling();
   profile.workers = pool.occupancy();
-  profile.task_bounds_us = ThreadPool::task_duration_bounds_us();
+  profile.task_bounds_us.assign(ThreadPool::kTaskDurationBoundsUs.begin(),
+                                ThreadPool::kTaskDurationBoundsUs.end());
   profile.task_counts = pool.task_duration_counts();
   profile.task_count = pool.profiled_task_count();
   profile.task_seconds_total = pool.profiled_task_seconds();
@@ -92,7 +93,7 @@ void PoolProfile::write_json(std::ostream& out) const {
     const WorkerOccupancy& w = workers[i];
     json.newline().begin_object()
         .key("worker").string(worker_label(i, workers.size()))
-        .key("tasks").integer(w.tasks).key("steals").integer(w.steals)
+        .key("tasks").integer(w.tasks)
         .key("busy_seconds").number(w.busy_seconds)
         .key("idle_seconds").number(w.idle_seconds)
         .key("occupancy").number(w.occupancy()).end_object();

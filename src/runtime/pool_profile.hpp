@@ -1,20 +1,22 @@
 // Pool occupancy profiler — where the wall-clock of a parallel run goes.
 //
 // Three views, all cheap enough to leave on for a whole server lifetime
-// (profiling adds two steady_clock reads per task; with profiling off the
-// pool pays one relaxed atomic load per task):
+// (profiling adds two steady_clock reads per task; with profiling off a
+// task reads no clock):
 //
-//   * per-worker occupancy: busy/idle time, task and steal counts for every
-//     pool worker plus one synthetic "external" slot for threads claiming
-//     the indices of their own parallel_for;
+//   * per-worker occupancy: busy/idle time and task count for every pool
+//     worker plus one synthetic "external" slot for threads claiming the
+//     indices of their own parallel_for;
 //   * a task-duration histogram (fixed log-spaced microsecond buckets) fed
 //     live into MetricsRegistry as `isex_pool_task_seconds` and snapshotted
 //     into the PoolProfile artifact;
 //   * per-parallel-section Amdahl attribution: the job_graph.hpp fan-outs
 //     measure the serial stream-derivation time, the parallel-region wall
 //     time, and the sum/max of task body durations for each labelled
-//     section, so a report can say "section X is 34% serial" or "section Y
-//     loses 2.1x to load imbalance" from numbers, not guesses.
+//     section, so a report can say "section X is 34% serial" or "section
+//     Y's slowest task is 2.1x its mean task" from numbers, not guesses.
+//     How evenly the threads were loaded is the per-worker busy spread and
+//     occupancy, not a section number.
 //
 // collect_pool_profile() snapshots all three into a PoolProfile, which can
 // publish gauges to a MetricsRegistry and/or serialize to the PoolProfile
@@ -41,7 +43,6 @@ class ThreadPool;
 /// exceeds the wall time of its parallel_for.
 struct WorkerOccupancy {
   std::uint64_t tasks = 0;
-  std::uint64_t steals = 0;
   double busy_seconds = 0.0;
   double idle_seconds = 0.0;
   /// busy / (busy + idle); zero when the worker never ran while profiled.
@@ -75,7 +76,10 @@ struct SectionProfile {
     const double total = serial_seconds + wall_seconds;
     return total > 0.0 ? serial_seconds / total : 0.0;
   }
-  /// Slowest task vs the mean task — 1.0 is perfectly balanced.
+  /// Slowest task vs the mean task: how much task sizes vary, 1.0 when
+  /// every task took the same time.  It says nothing of how evenly threads
+  /// were loaded (a largest-first batch can read 4 with every thread busy
+  /// to the end); that is the per-worker busy spread and occupancy.
   double imbalance() const {
     if (tasks == 0 || task_seconds <= 0.0) return 0.0;
     const double mean = task_seconds / static_cast<double>(tasks);

@@ -9,7 +9,7 @@ namespace isex::runtime {
 
 void RuntimeStats::print(std::ostream& out) const {
   out << "runtime: " << pool.threads << " thread(s), " << pool.jobs_run
-      << " job(s), " << pool.steals << " steal(s)\n";
+      << " job(s)\n";
   const std::uint64_t probes = schedule_cache.hits + schedule_cache.misses;
   out << "schedule cache: " << schedule_cache.hits << " hit(s) / " << probes
       << " probe(s)";
@@ -26,7 +26,6 @@ void RuntimeStats::print(std::ostream& out) const {
 void RuntimeStats::publish(trace::MetricsRegistry& registry) const {
   registry.gauge("isex_pool_threads").set(pool.threads);
   registry.gauge("isex_pool_jobs").set(static_cast<double>(pool.jobs_run));
-  registry.gauge("isex_pool_steals").set(static_cast<double>(pool.steals));
   registry.gauge("isex_schedule_cache_hit_rate")
       .set(schedule_cache.hit_rate());
   registry.gauge("isex_schedule_cache_probes")

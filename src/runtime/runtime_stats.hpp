@@ -1,6 +1,6 @@
 // Runtime observability: one struct that snapshots everything the parallel
-// pipeline did — jobs executed, steal traffic, schedule-cache efficiency,
-// and named per-stage wall times — plus the RAII timer that feeds it.
+// pipeline did — jobs executed, schedule-cache efficiency, and named
+// per-stage wall times — plus the RAII timer that feeds it.
 // Benches print this after every sweep so a perf regression (or a cache
 // that stopped hitting) is visible in the output, not just in wall clock.
 #pragma once

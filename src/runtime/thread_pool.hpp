@@ -1,21 +1,20 @@
-// Work-stealing thread pool — the execution substrate of isex_runtime.
+// Thread pool of ordered task groups — the execution substrate of
+// isex_runtime.
 //
 // Design:
-//   * one mutex-guarded deque per worker; owners pop LIFO (cache-warm),
-//     idle workers steal FIFO from the front of the others' deques;
-//   * submit() round-robins tasks across worker deques and returns a
-//     std::future;
 //   * parallel_for() fans one body over [0, n) as one ordered task group:
-//     every index is claimed from one shared cursor in ascending order, by
-//     up to num_threads() claimer tasks posted to the workers and by the
-//     calling thread itself.  A batch listed largest first therefore starts
-//     its longest items first, whichever threads are free.  Once the cursor
-//     is exhausted the caller blocks until its in-flight indices finish; it
-//     never runs a task of another group or a submit() task, so concurrent
-//     callers (server workers) never run each other's work;
+//     every index is claimed from one shared cursor in ascending order.
+//     The call posts its group to one mutex-guarded FIFO of open groups,
+//     wakes up to min(n - 1, num_threads()) workers and claims indices
+//     itself.  A batch listed largest first therefore starts its longest
+//     items first, whichever threads are free;
+//   * an idle worker claims from the oldest group that still has unclaimed
+//     indices, until that group's cursor runs out;
+//   * once the cursor is exhausted the caller blocks until its in-flight
+//     indices finish; it never runs an index of another group, so
+//     concurrent callers (server workers) never run each other's work;
 //   * each claimed index is one task in every count (stats().jobs_run, the
-//     per-worker occupancy, the task-duration histogram); a claimer task
-//     itself counts nothing;
+//     per-worker occupancy, the task-duration histogram);
 //   * a parallel_for issued while the calling thread runs a task — of any
 //     pool, on a worker or on a caller claiming its own group — runs
 //     inline.  Nested fan-outs (a batch of explorations whose candidate
@@ -24,9 +23,9 @@
 //
 // Determinism: the pool itself guarantees nothing about which thread runs
 // an index or when — determinism of results is the fan-out layer's job (see
-// job_graph.hpp): it derives per-job RNG streams serially before submission
-// and reduces results by index, so any interleaving yields bit-identical
-// output.
+// job_graph.hpp): it derives per-job RNG streams serially before the
+// fan-out and reduces results by index, so any interleaving yields
+// bit-identical output.
 //
 // Sizing: ThreadPool(0) and the process-wide default_pool() use
 // default_jobs(): the ISEX_JOBS environment variable if set, else
@@ -34,15 +33,14 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "runtime/pool_profile.hpp"
@@ -53,15 +51,29 @@ namespace isex::runtime {
 /// Counters a pool accumulates over its lifetime (see RuntimeStats).
 struct PoolStats {
   std::uint64_t jobs_run = 0;
-  /// Tasks a worker ran from another worker's deque: stolen submit() tasks
-  /// plus the indices claimed through a stolen parallel_for claimer.  A
-  /// caller claiming its own group never steals.
+  /// Always 0: every worker claims from the one FIFO of groups, so no task
+  /// moves between workers.  Kept only because perfbench's PoolWindow
+  /// reads it.
   std::uint64_t steals = 0;
   int threads = 0;
 };
 
+/// Wall time and index durations of one profiled parallel_for, in ns.
+struct ParallelTiming {
+  std::uint64_t wall_ns = 0;
+  std::uint64_t task_ns_sum = 0;
+  std::uint64_t task_ns_max = 0;
+};
+
 class ThreadPool {
  public:
+  /// Task-duration histogram bucket bounds, microseconds, shared by every
+  /// pool: log-spaced from 50 µs (around the cheapest candidate-eval tasks)
+  /// to 1 s.  The +Inf bucket is implicit.
+  static constexpr std::array<double, 13> kTaskDurationBoundsUs{
+      50,    100,   250,   500,    1000,   2500,   5000,
+      10000, 25000, 50000, 100000, 250000, 1000000};
+
   /// `threads` <= 0 selects default_jobs().
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
@@ -69,47 +81,35 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Schedules `fn` and returns its future.  Exceptions thrown by `fn`
-  /// surface from future::get().
-  template <typename Fn>
-  auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn&>> {
-    using R = std::invoke_result_t<Fn&>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
-    std::future<R> future = task->get_future();
-    enqueue([this, task](int self, bool stolen) {
-      run_task(self, stolen, [&task]() { (*task)(); });
-    });
-    return future;
-  }
+  int num_threads() const { return static_cast<int>(threads_.size()); }
 
   /// Runs body(0) … body(n-1) and blocks until all completed.
-  ///   * Queued, when the calling thread runs no task: one ordered group.
-  ///     min(n - 1, num_threads()) claimer tasks and the caller claim the
-  ///     indices in ascending order; the caller then waits for the indices
-  ///     others still run.  Every index runs even if some throw; the first
+  ///   * Queued, when the calling thread runs no task and n >= 2: one
+  ///     ordered group.  The call wakes up to min(n - 1, num_threads())
+  ///     workers; free workers and the caller claim the indices in
+  ///     ascending order, and the caller then waits for the indices others
+  ///     still run.  Every index runs even if some throw; the first
   ///     exception by completion order is rethrown.
-  ///   * Inline, when the calling thread runs a task of any pool (see
-  ///     running_task()) or n == 1: a serial loop in index order that stops
-  ///     at the first throwing index and lets its exception propagate.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t)>& body);
-
-  /// True while the calling thread runs a task of any ThreadPool.  A
-  /// parallel_for issued then runs inline.
-  static bool running_task();
+  ///   * Inline, when the calling thread runs a task of any pool or
+  ///     n <= 1: a serial loop in index order that stops at the first
+  ///     throwing index and lets its exception propagate.
+  /// When the pool was profiling at entry, returns the fan-out's wall time
+  /// and the sum and maximum of its index durations (the Amdahl
+  /// attribution in pool_profile.hpp).  A queued index is timed by the two
+  /// clock reads that feed its occupancy sample; an inline body is timed
+  /// only for this result.  Returns nothing and reads no clock otherwise.
+  std::optional<ParallelTiming> parallel_for(
+      std::size_t n, const std::function<void(std::size_t)>& body);
 
   PoolStats stats() const;
 
   /// Occupancy profiling (see pool_profile.hpp).  Off by default: each
-  /// task then costs one extra relaxed load and two thread-local stores.
-  /// When on, a task pays two steady_clock reads plus a handful of relaxed
-  /// atomic adds, and idle workers time their waits.  A parallel_for index
-  /// records its sample before it counts its group down, so the counters
-  /// are complete when parallel_for returns.  Counters accumulate across
-  /// toggles.
+  /// index then costs no clock read.  When on, a queued index pays two
+  /// steady_clock reads plus a handful of relaxed atomic adds, and idle
+  /// workers time their waits.  A group records its indices' samples if the
+  /// pool was profiling when it was posted, each before it counts its group
+  /// down, so the counters are complete when parallel_for returns.
+  /// Counters accumulate across toggles.
   void set_profiling(bool enabled) {
     profiling_.store(enabled, std::memory_order_relaxed);
   }
@@ -122,19 +122,11 @@ class ThreadPool {
   /// their own parallel_for.
   std::vector<WorkerOccupancy> occupancy() const;
 
-  /// Task-duration histogram bucket bounds, microseconds (shared by every
-  /// pool; the +Inf bucket is implicit).
-  static const std::vector<double>& task_duration_bounds_us();
-  /// Per-bucket counts (task_duration_bounds_us().size() + 1 entries).
+  /// Per-bucket counts (kTaskDurationBoundsUs.size() + 1 entries).
   std::vector<std::uint64_t> task_duration_counts() const;
-  std::uint64_t profiled_task_count() const {
-    return prof_task_count_.load(std::memory_order_relaxed);
-  }
-  double profiled_task_seconds() const {
-    return static_cast<double>(
-               prof_task_ns_.load(std::memory_order_relaxed)) *
-           1e-9;
-  }
+  /// Profiled indices and their summed durations, over every slot.
+  std::uint64_t profiled_task_count() const;
+  double profiled_task_seconds() const;
 
   /// Process-wide shared pool, created on first use with default_jobs()
   /// threads.
@@ -148,68 +140,50 @@ class ThreadPool {
   static int default_jobs();
 
  private:
-  /// A queued unit of work — a submit() task or a parallel_for claimer —
-  /// called with the running worker's index and whether it came from
-  /// another worker's deque.
-  using Task = std::function<void(int self, bool stolen)>;
-
-  struct Worker {
-    std::deque<Task> queue;
-    std::mutex mutex;
-  };
-
   /// One worker's profiling accounting; heap-allocated so the atomics sit
-  /// on their own cache lines relative to the deque mutexes.  The slot at
-  /// index num_threads() aggregates external threads.
+  /// on their own cache lines.  The slot at index num_threads() aggregates
+  /// external threads.
   struct ProfSlot {
     std::atomic<std::uint64_t> tasks{0};
-    std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> busy_ns{0};
     std::atomic<std::uint64_t> idle_ns{0};
   };
 
-  /// One queued parallel_for's cursor and join (defined in thread_pool.cpp).
+  /// One posted parallel_for: its cursor, join, first error and the
+  /// poster's trace context (defined in thread_pool.cpp).
   struct Group;
 
-  void enqueue(Task task);
-  /// Pops one queued task and runs it; false when every deque was empty.
-  /// `self` is the running worker's index.
-  bool run_one(int self);
-  void worker_loop(int index);
-  /// Runs `fn` as one counted task: jobs and steals, the running-task
-  /// marker, and the profile sample when profiling.
-  void run_task(int self, bool stolen, const std::function<void()>& fn);
-  /// Claims and runs `group`'s indices until its cursor is exhausted.
-  void claim_indices(Group& group, int self, bool stolen);
-  void record_profiled_task(int self, bool stolen, std::uint64_t ns);
-  /// True on a thread while it runs a task; the marker running_task()
-  /// tests.  Tasks never nest: run_task is entered only by a worker loop or
-  /// by a parallel_for that runs no task.
+  void worker_loop(int self);
+  /// Claims and runs `group`'s indices until its cursor is exhausted, each
+  /// as one counted task.  `self` is the worker's index, -1 for the caller.
+  void claim_indices(Group& group, int self);
+  /// Removes `group` from the open groups if it is still there.
+  void retire(const Group& group);
+  void record_profiled_index(Group& group, int self, std::uint64_t ns);
+
+  /// True on a thread while it runs an index of any pool: a parallel_for
+  /// issued then runs inline.  Indices never nest: claim_indices is entered
+  /// only by a worker loop or by a parallel_for that runs no index.
   static thread_local bool in_task_;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
   /// Process-wide metrics mirrored alongside the per-pool atomics: resolved
-  /// once here so run_one() pays a plain atomic add, not a registry lookup.
+  /// once here so an index pays a plain atomic add, not a registry lookup.
   trace::Counter* jobs_metric_;
-  trace::Counter* steals_metric_;
   /// Live copy of the task-duration histogram (seconds buckets) so /metrics
   /// shows task timings without an explicit PoolProfile publish.
   trace::Histogram* task_seconds_metric_;
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::uint64_t> next_worker_{0};
+  std::mutex mutex_;  ///< guards groups_ and stop_
+  std::condition_variable wake_;
+  /// Open groups, oldest first.  A group leaves when a thread that claimed
+  /// from it finds its cursor exhausted.
+  std::vector<std::shared_ptr<Group>> groups_;
+  bool stop_ = false;
   std::atomic<std::uint64_t> jobs_run_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<bool> stop_{false};
   std::atomic<bool> profiling_{false};
   std::vector<std::unique_ptr<ProfSlot>> prof_slots_;  ///< threads + 1
-  /// Task-duration bins: task_duration_bounds_us().size() + 1 (+Inf last).
-  static constexpr std::size_t kTaskBins = 14;
+  static constexpr std::size_t kTaskBins = kTaskDurationBoundsUs.size() + 1;
   std::array<std::atomic<std::uint64_t>, kTaskBins> task_bins_{};
-  std::atomic<std::uint64_t> prof_task_count_{0};
-  std::atomic<std::uint64_t> prof_task_ns_{0};
 };
 
 }  // namespace isex::runtime

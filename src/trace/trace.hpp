@@ -62,9 +62,10 @@ struct TraceEvent {
 
 /// The ambient trace context of the current thread: which trace this thread
 /// is working for and which span is its innermost open parent.  Propagated
-/// across thread-pool hops by ContextScope (runtime::ThreadPool::enqueue
-/// captures the submitter's context and installs it around the task), so a
-/// fanned-out task's spans parent under the stage/job that spawned it.
+/// across thread-pool hops by ContextScope (runtime::ThreadPool::parallel_for
+/// captures the poster's context and a worker installs it around its claims
+/// from that group), so a fanned-out task's spans parent under the stage/job
+/// that spawned it.
 struct TraceContext {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;

@@ -264,8 +264,8 @@ constexpr std::string_view kErrorResponseNoId =
 constexpr std::string_view kPoolProfile = R"json({
 "pool":{"threads":1,"profiled":true,"task_count":6,"task_seconds_total":0.333333},
 "workers":[
-{"worker":"0","tasks":12,"steals":3,"busy_seconds":0.1,"idle_seconds":1e-07,"occupancy":0.999999},
-{"worker":"external","tasks":1234567,"steals":0,"busy_seconds":1.23457e+06,"idle_seconds":0,"occupancy":1}
+{"worker":"0","tasks":12,"busy_seconds":0.1,"idle_seconds":1e-07,"occupancy":0.999999},
+{"worker":"external","tasks":1234567,"busy_seconds":1.23457e+06,"idle_seconds":0,"occupancy":1}
 ],
 "task_histogram":{"bounds_us":[1,10,250000,1e+07],"counts":[0,5,1,0,18446744073709551615]},
 "sections":[
@@ -308,9 +308,9 @@ constexpr std::string_view kStatuszMasked = R"json({"uptime_us":0,"draining":fal
 "pool":{
 "pool":{"threads":0,"profiled":true,"task_count":0,"task_seconds_total":0},
 "workers":[
-{"worker":"0","tasks":0,"steals":0,"busy_seconds":0,"idle_seconds":0,"occupancy":0},
-{"worker":"0","tasks":0,"steals":0,"busy_seconds":0,"idle_seconds":0,"occupancy":0},
-{"worker":"external","tasks":0,"steals":0,"busy_seconds":0,"idle_seconds":0,"occupancy":0}
+{"worker":"0","tasks":0,"busy_seconds":0,"idle_seconds":0,"occupancy":0},
+{"worker":"0","tasks":0,"busy_seconds":0,"idle_seconds":0,"occupancy":0},
+{"worker":"external","tasks":0,"busy_seconds":0,"idle_seconds":0,"occupancy":0}
 ],
 "task_histogram":{"bounds_us":[0,0,0,0,0,0,0,0,0,0,0,0,0],"counts":[0,0,0,0,0,0,0,0,0,0,0,0,0,0]},
 "sections":[
@@ -365,7 +365,6 @@ TEST(JsonGolden, PoolProfile) {
   profile.profiled = true;
   runtime::WorkerOccupancy worker;
   worker.tasks = 12;
-  worker.steals = 3;
   worker.busy_seconds = 0.1;
   worker.idle_seconds = 1e-7;
   runtime::WorkerOccupancy external;

@@ -1,11 +1,13 @@
-// isex_runtime: thread pool, deterministic fan-out, job graph, and the
+// isex_runtime: thread pool, deterministic fan-out, and the
 // schedule-evaluation cache — including the determinism contract the whole
 // parallel pipeline rests on (same seed -> bit-identical FlowResult at any
 // job count).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -31,19 +33,6 @@ namespace isex::runtime {
 namespace {
 
 // ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, SubmitReturnsFutureValue) {
-  ThreadPool pool(2);
-  auto future = pool.submit([]() { return 6 * 7; });
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto future = pool.submit(
-      []() -> int { throw std::runtime_error("job failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -154,6 +143,58 @@ bool wait_until(Pred done) {
   return true;
 }
 
+/// Holds a 1-worker pool's worker inside another thread's group: the
+/// group's two indices wait for each other, so one runs on the holding
+/// thread and the other on the worker, which then waits for release().
+class WorkerHold {
+ public:
+  explicit WorkerHold(ThreadPool& pool)
+      : thread_([this, &pool]() {
+          const std::thread::id holder = std::this_thread::get_id();
+          pool.parallel_for(2, [&](std::size_t) {
+            ++started_;
+            wait_until([&]() { return started_.load() == 2; });
+            if (std::this_thread::get_id() != holder)
+              wait_until([&]() { return released_.load(); });
+          });
+        }) {}
+  ~WorkerHold() {
+    release();
+    thread_.join();
+  }
+
+  WorkerHold(const WorkerHold&) = delete;
+  WorkerHold& operator=(const WorkerHold&) = delete;
+
+  /// True once both indices started, i.e. the worker is held.
+  bool held() const {
+    return wait_until([&]() { return started_.load() == 2; });
+  }
+  void release() { released_ = true; }
+
+ private:
+  std::atomic<int> started_{0};
+  std::atomic<bool> released_{false};
+  std::thread thread_;  // last: it starts once the flags exist
+};
+
+/// Runs see() on a worker of `pool` and returns its value: a group of two
+/// indices that wait for each other puts one of them on a worker.  Empty
+/// when no index reached a worker before the deadline.
+template <typename See>
+auto on_worker(ThreadPool& pool, See see)
+    -> std::optional<decltype(see())> {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::optional<decltype(see())> seen;
+  pool.parallel_for(2, [&](std::size_t) {
+    ++started;
+    const bool both = wait_until([&]() { return started.load() == 2; });
+    if (both && std::this_thread::get_id() != caller) seen = see();
+  });
+  return seen;
+}
+
 TEST(ThreadPool, CallerRunsOnlyItsOwnGroup) {
   // Fan-out B holds the pool's one worker and its own caller inside two of
   // its indices, with six more left.  Fan-out A, issued meanwhile from this
@@ -194,18 +235,14 @@ TEST(ThreadPool, CallerRunsOnlyItsOwnGroup) {
 }
 
 TEST(ThreadPool, EveryIndexRunsWhenSeveralThrow) {
-  // The one worker is held until index 0 starts, so the caller claims
-  // index 0 and the worker claims the rest in ascending order while index
-  // 0 waits for them.  Every index runs, and the first throw by completion
-  // order is the lowest throwing index after 0.
+  // The one worker is held in another thread's group until index 0
+  // starts, so the caller claims index 0 and the worker claims the rest in
+  // ascending order while index 0 waits for them.  Every index runs, and
+  // the first throw by completion order is the lowest throwing index
+  // after 0.
   ThreadPool pool(1);
-  std::atomic<bool> worker_held{false};
-  std::atomic<bool> release_worker{false};
-  auto hold = pool.submit([&]() {
-    worker_held = true;
-    wait_until([&]() { return release_worker.load(); });
-  });
-  EXPECT_TRUE(wait_until([&]() { return worker_held.load(); }));
+  WorkerHold hold(pool);
+  EXPECT_TRUE(hold.held());
 
   constexpr std::size_t kN = 16;
   std::vector<std::atomic<int>> hits(kN);
@@ -215,7 +252,7 @@ TEST(ThreadPool, EveryIndexRunsWhenSeveralThrow) {
     pool.parallel_for(kN, [&](std::size_t i) {
       ++hits[i];
       if (i == 0) {
-        release_worker = true;
+        hold.release();
         wait_until([&]() { return finished.load() == kN - 1; });
         return;
       }
@@ -226,9 +263,91 @@ TEST(ThreadPool, EveryIndexRunsWhenSeveralThrow) {
   } catch (const std::invalid_argument& e) {
     rethrown = e.what();
   }
-  hold.get();
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
   EXPECT_EQ(rethrown, "3");
+}
+
+TEST(ThreadPool, FreeWorkerServesTheOldestGroupFirst) {
+  // While the one worker is held, groups A and B are posted in that order
+  // and each caller parks in its own index 0.  The freed worker must claim
+  // from A, the oldest open group, before B.
+  ThreadPool pool(1);
+  WorkerHold hold(pool);
+  const bool held = hold.held();
+
+  std::mutex claims_mutex;
+  std::vector<char> worker_claims;  // group of each index the worker ran
+  std::atomic<bool> release_callers{false};
+  const auto post = [&](char name, std::atomic<bool>& parked) {
+    return std::thread([&, name, &flag = parked]() {
+      const std::thread::id caller = std::this_thread::get_id();
+      pool.parallel_for(2, [&](std::size_t) {
+        if (std::this_thread::get_id() == caller) {
+          flag = true;
+          wait_until([&]() { return release_callers.load(); });
+        } else {
+          const std::lock_guard<std::mutex> lock(claims_mutex);
+          worker_claims.push_back(name);
+        }
+      });
+    });
+  };
+  std::atomic<bool> a_parked{false};
+  std::atomic<bool> b_parked{false};
+  std::thread a = post('A', a_parked);
+  const bool a_posted = wait_until([&]() { return a_parked.load(); });
+  std::thread b = post('B', b_parked);
+  const bool b_posted = wait_until([&]() { return b_parked.load(); });
+  hold.release();
+  const bool served = wait_until([&]() {
+    const std::lock_guard<std::mutex> lock(claims_mutex);
+    return worker_claims.size() == 2;
+  });
+  release_callers = true;
+  a.join();
+  b.join();
+
+  EXPECT_TRUE(held && a_posted && b_posted && served);
+  EXPECT_EQ(worker_claims, (std::vector<char>{'A', 'B'}));
+}
+
+TEST(ThreadPool, ConcurrentCallersRunEveryIndexOnce) {
+  // Four callers each post 200 groups of 2-32 indices on a 2-worker pool at
+  // once.  Every index runs exactly once and every caller returns.
+  ThreadPool pool(2);
+  constexpr int kCallers = 4;
+  constexpr int kGroups = 200;
+  const auto group_size = [](int caller, int group) {
+    return 2 + static_cast<std::size_t>(caller * kGroups + group) % 31;
+  };
+  std::atomic<int> wrong_groups{0};
+  std::atomic<int> finished{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c]() {
+      for (int g = 0; g < kGroups; ++g) {
+        std::vector<std::atomic<int>> hits(group_size(c, g));
+        pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+        for (const std::atomic<int>& h : hits) {
+          if (h.load() != 1) {
+            ++wrong_groups;
+            break;
+          }
+        }
+      }
+      ++finished;
+    });
+  }
+  // A hung pool fails here instead of hanging the suite: the still-joinable
+  // callers then terminate the test process.
+  ASSERT_TRUE(wait_until([&]() { return finished.load() == kCallers; }));
+  for (std::thread& t : callers) t.join();
+
+  std::uint64_t indices = 0;
+  for (int c = 0; c < kCallers; ++c)
+    for (int g = 0; g < kGroups; ++g) indices += group_size(c, g);
+  EXPECT_EQ(wrong_groups.load(), 0);
+  EXPECT_EQ(pool.stats().jobs_run, indices);
 }
 
 TEST(ThreadPool, DefaultJobsIsPositive) {
@@ -295,7 +414,7 @@ TEST(ThreadPool, OccupancyHasOneSlotPerWorkerPlusExternal) {
   // Workers 0..2 plus the synthetic slot for non-pool threads that run
   // tasks inline while helping a fan-out.
   EXPECT_EQ(pool.occupancy().size(), 4u);
-  EXPECT_EQ(ThreadPool::task_duration_bounds_us().size() + 1,
+  EXPECT_EQ(ThreadPool::kTaskDurationBoundsUs.size() + 1,
             pool.task_duration_counts().size());
 }
 
@@ -304,20 +423,22 @@ TEST(ThreadPool, PropagatesTraceContextToPoolTasks) {
   tracer.set_enabled(true);
   ThreadPool pool(2);
   const trace::ContextScope scope(trace::TraceContext{42, 7});
-  auto future = pool.submit([] { return trace::current_context(); });
-  const trace::TraceContext seen = future.get();
+  const std::optional<trace::TraceContext> seen =
+      on_worker(pool, [] { return trace::current_context(); });
   tracer.set_enabled(false);
   tracer.reset();
-  EXPECT_EQ(seen.trace_id, 42u);
-  EXPECT_EQ(seen.span_id, 7u);
+  ASSERT_TRUE(seen.has_value());
+  EXPECT_EQ(seen->trace_id, 42u);
+  EXPECT_EQ(seen->span_id, 7u);
 }
 
 TEST(ThreadPool, NoContextPropagationWhileTracerDisabled) {
   ThreadPool pool(2);
   const trace::ContextScope scope(trace::TraceContext{42, 7});
-  auto future = pool.submit([] { return trace::current_context(); });
-  const trace::TraceContext seen = future.get();
-  EXPECT_FALSE(seen.active());  // disabled tracer: zero capture overhead
+  const std::optional<trace::TraceContext> seen =
+      on_worker(pool, [] { return trace::current_context(); });
+  ASSERT_TRUE(seen.has_value());
+  EXPECT_FALSE(seen->active());  // disabled tracer: zero capture overhead
 }
 
 TEST(DeterministicFanout, RecordsParallelSectionWhenProfiling) {

@@ -8,7 +8,7 @@ Inputs (produced by `isex --trace-out/--pool-profile-out` or
                           (args.trace_id/span_id/parent_span_id).  Jobs are
                           the root spans (parent_span_id == 0); every other
                           tagged span nests under one of them.
-  --pool-profile p.json   PoolProfile artifact: per-worker busy/idle/steal
+  --pool-profile p.json   PoolProfile artifact: per-worker busy/idle
                           occupancy, task-duration histogram, and per
                           parallel-section Amdahl numbers.
   --statusz s.json        Optional /statusz snapshot fetched while the
@@ -16,8 +16,10 @@ Inputs (produced by `isex --trace-out/--pool-profile-out` or
 
 Report sections: per-job span breakdown, queue-wait percentiles (from the
 `job.queue_wait` spans), top serial sections by Amdahl serial fraction,
-worst load imbalance (per-section max-task/mean-task and per-worker busy
-spread), and worker occupancy.
+per-section imbalance (max task / mean task: how much task sizes vary, not
+how evenly threads were loaded) next to the per-worker busy spread, and
+worker occupancy.  The busy spread and the occupancy table are what show
+load balance.
 
 Usage:
     python3 tools/trace_report.py --trace t.json --pool-profile p.json \
@@ -154,9 +156,12 @@ def render_imbalance(profile):
                  fmt(s.get("task_seconds", 0.0)
                      / max(1, s.get("tasks", 1)) * 1e3, 3))
                 for s in sections]
-        lines.append("Per-section imbalance (`max task / mean task`; 1.0 is "
-                     "perfectly balanced — a high value means one straggler "
-                     "task bounds the section's wall time):\n")
+        lines.append("Per-section imbalance (`max task / mean task`): how "
+                     "much task sizes vary, 1.0 when every task took the "
+                     "same time.  A high value does not mean threads sat "
+                     "idle — a batch dispatched largest first keeps them "
+                     "busy; the worker busy spread below and the occupancy "
+                     "table show how evenly threads were loaded.\n")
         lines.append(table(["section", "imbalance", "max task ms",
                             "mean task ms"], rows))
     busy = [w.get("busy_seconds", 0.0) for w in profile.get("workers", [])
@@ -176,7 +181,7 @@ def render_workers(profile):
     if not workers:
         return "_No worker occupancy data._\n"
     rows = [(w.get("worker", "?"), fmt(w.get("tasks", 0)),
-             fmt(w.get("steals", 0)), fmt(w.get("busy_seconds", 0.0), 4),
+             fmt(w.get("busy_seconds", 0.0), 4),
              fmt(w.get("idle_seconds", 0.0), 4),
              fmt(w.get("occupancy", 0.0), 3))
             for w in workers]
@@ -186,8 +191,8 @@ def render_workers(profile):
              f"{fmt(pool.get('task_seconds_total', 0.0), 4)}s total task "
              "time.  The `external` row aggregates tasks run inline by "
              "non-pool threads helping a fan-out.\n",
-             table(["worker", "tasks", "steals", "busy s", "idle s",
-                    "occupancy"], rows)]
+             table(["worker", "tasks", "busy s", "idle s", "occupancy"],
+                   rows)]
     return "\n".join(lines)
 
 
@@ -238,7 +243,7 @@ def main():
         else:
             sections.append("## Top serial sections\n")
             sections.append(render_serial_sections(profile))
-            sections.append("## Load imbalance\n")
+            sections.append("## Task-size imbalance and load balance\n")
             sections.append(render_imbalance(profile))
             sections.append("## Worker occupancy\n")
             sections.append(render_workers(profile))
