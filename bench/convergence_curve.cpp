@@ -18,6 +18,7 @@
 
 #include "bench_suite/kernels.hpp"
 #include "core/mi_explorer.hpp"
+#include "runtime/eval_cache.hpp"
 #include "trace/telemetry.hpp"
 #include "util/table_printer.hpp"
 
@@ -27,7 +28,10 @@ int main() {
   const auto machine = sched::MachineConfig::make(2, {6, 3});
   isa::IsaFormat format;
   format.reg_file = machine.reg_file;
+  // The run's memo: its hit rate is the curve's cache_hit_rate column.
+  runtime::EvalCache cache;
   core::ExplorerParams params;
+  params.eval_cache = &cache;
   params.collect_trace = true;
   const core::MultiIssueExplorer explorer(machine, format,
                                           hw::HwLibrary::paper_default(),

@@ -33,6 +33,7 @@
 #include "bench_suite/kernels.hpp"
 #include "flow/design_flow.hpp"
 #include "mem/cache_model.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -139,11 +140,14 @@ int main(int argc, char** argv) {
     programs.push_back(
         bench_suite::make_program(bm, bench_suite::OptLevel::kO3));
 
+  // Every flow explores on the process pool: 8 threads, except for the
+  // jobs=1 identity witness.
+  constexpr int kJobs = 8;
+  runtime::ThreadPool::set_default_jobs(kJobs);
   flow::FlowConfig null_config;
   null_config.machine = sched::MachineConfig::make(2, {6, 3});
   null_config.repeats = quick ? 2 : 5;
   null_config.seed = 17;
-  null_config.jobs = 8;
 
   flow::FlowConfig cache_config = null_config;
   cache_config.cache =
@@ -162,9 +166,9 @@ int main(int argc, char** argv) {
     cached_seconds.push_back(run.seconds);
     if (r == 0) cached = std::move(run);
   }
-  flow::FlowConfig serial = cache_config;
-  serial.jobs = 1;
-  const SuiteRun cached_serial = run_suite(programs, library, serial);
+  runtime::ThreadPool::set_default_jobs(1);
+  const SuiteRun cached_serial = run_suite(programs, library, cache_config);
+  runtime::ThreadPool::set_default_jobs(kJobs);
 
   // --- Null-model timing repeats, after the cache-modeled runs so the
   // second digest pass doubles as the no-residue check.
@@ -238,7 +242,7 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(json, "  \"timing_repeats\": %d,\n", repeats);
   std::fprintf(json, "  \"explore_repeats\": %d,\n", null_config.repeats);
-  std::fprintf(json, "  \"jobs\": %d,\n", null_config.jobs);
+  std::fprintf(json, "  \"jobs\": %d,\n", kJobs);
   std::fprintf(json, "  \"cache_config\": \"%s\",\n",
                cache_config.cache->label().c_str());
   std::fprintf(json, "  \"identity_ok\": %s,\n",

@@ -106,11 +106,10 @@ struct ColonyRun {
 };
 
 /// One sweep: explore the hottest block of every benchmark serially on this
-/// thread (so the colony fan-out is top level), cold cache, fresh pool.
+/// thread (so the colony fan-out is top level), own cold cache, fresh pool.
 void run_sweep_once(ColonyRun& run) {
   runtime::ThreadPool::set_default_jobs(run.jobs);
-  runtime::schedule_cache().clear();
-  runtime::schedule_cache().reset_stats();
+  runtime::EvalCache cache;
 
   const auto machine = sched::MachineConfig::make(2, {6, 3});
   isa::IsaFormat format;
@@ -118,6 +117,7 @@ void run_sweep_once(ColonyRun& run) {
   const hw::HwLibrary library = hw::HwLibrary::paper_default();
   core::ExplorerParams params;
   params.colonies = run.colonies;
+  params.eval_cache = &cache;
   const core::MultiIssueExplorer explorer(machine, format, library, params);
 
   Fnv1a combined;

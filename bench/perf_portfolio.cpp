@@ -22,17 +22,14 @@
 //     manifest must reach ISEX_BENCH_PORTFOLIO_DEDUP_FLOOR (default 20%):
 //     candidate evaluations repeating across repeats, rounds, and programs
 //     are found, not recomputed.
-//   * thread bound — both sides run at jobs=8 on a private pool, so neither
-//     may run a single task on the default pool: the explorations' nested
-//     candidate fan-outs run inline inside the private pool's tasks.
-//     Always enforced; it counts tasks, not time.
 //   * speedup — the portfolio must beat back-to-back flows by
-//     ISEX_BENCH_PORTFOLIO_FLOOR (default 1.3x) at jobs=8.  Enforced only
-//     when the host grants >= 4 cores; smaller hosts stamp the measured
-//     ratio with "scaling_valid": false and do not gate.
+//     ISEX_BENCH_PORTFOLIO_FLOOR (default 1.3x), both sides on the process
+//     pool sized to 8 threads.  Enforced only when the host grants >= 4
+//     cores; smaller hosts stamp the measured ratio with
+//     "scaling_valid": false and do not gate.
 //
 // `--quick` drops to one timing repeat and 2 exploration repeats for CI
-// smoke runs; the identity, dedup and thread-bound checks run either way.
+// smoke runs; the identity and dedup checks run either way.
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -116,12 +113,14 @@ std::uint64_t hash_explorations(
   return h.hash;
 }
 
+/// Width of the process pool both sides explore on.
+constexpr int kJobs = 8;
+
 flow::FlowConfig base_config(bool quick) {
   flow::FlowConfig config;
   config.machine = sched::MachineConfig::make(2, {6, 3});
   config.repeats = quick ? 2 : 5;
   config.seed = 17;
-  config.jobs = 8;
   return config;
 }
 
@@ -174,8 +173,7 @@ int main(int argc, char** argv) {
   const hw::HwLibrary library = hw::HwLibrary::paper_default();
   const std::vector<flow::PortfolioEntry> entries = make_manifest();
   const flow::FlowConfig base = base_config(quick);
-  const runtime::ThreadPool& default_pool = runtime::ThreadPool::default_pool();
-  const std::uint64_t default_tasks_before = default_pool.stats().jobs_run;
+  runtime::ThreadPool::set_default_jobs(kJobs);
 
   // --- Portfolio runs (cold private cache each time; first run also
   // supplies the identity/dedup artifacts).
@@ -207,8 +205,6 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(elapsed).count());
     if (r == 0) reference = std::move(results);
   }
-  const std::uint64_t default_pool_tasks =
-      default_pool.stats().jobs_run - default_tasks_before;
 
   // Gate 1: per-program bit identity against the independent flows.
   bool identity_ok = true;
@@ -236,10 +232,7 @@ int main(int argc, char** argv) {
   const double dedup_floor = dedup_hit_rate_floor();
   const bool dedup_ok = dedup_hit_rate >= dedup_floor;
 
-  // Gate 3: FlowConfig::jobs bounds the threads exploration runs on.
-  const bool default_pool_ok = default_pool_tasks == 0;
-
-  // Gate 4: wall-clock vs back-to-back (enforced on >= 4 cores only).
+  // Gate 3: wall-clock vs back-to-back (enforced on >= 4 cores only).
   const double headline =
       independent_timing.seconds_min() / portfolio_timing.seconds_min();
 
@@ -259,8 +252,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   portfolio_result.eval_cache_stats.misses),
               100.0 * dedup_floor);
-  std::printf("default-pool tasks at jobs=%d: %llu (must be 0)\n", base.jobs,
-              static_cast<unsigned long long>(default_pool_tasks));
   std::printf("jobs: %llu total, %llu deduped; isomorphic: %llu hot blocks, "
               "%llu candidates\n",
               static_cast<unsigned long long>(portfolio_result.total_jobs),
@@ -286,13 +277,11 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(json, "  \"timing_repeats\": %d,\n", repeats);
   std::fprintf(json, "  \"explore_repeats\": %d,\n", base.repeats);
-  std::fprintf(json, "  \"jobs\": %d,\n", base.jobs);
+  std::fprintf(json, "  \"jobs\": %d,\n", kJobs);
   std::fprintf(json, "  \"identity_ok\": %s,\n", identity_ok ? "true" : "false");
   std::fprintf(json, "  \"dedup_hit_rate\": %.4f,\n", dedup_hit_rate);
   std::fprintf(json, "  \"dedup_floor\": %.2f,\n", dedup_floor);
   std::fprintf(json, "  \"dedup_ok\": %s,\n", dedup_ok ? "true" : "false");
-  std::fprintf(json, "  \"default_pool_tasks\": %llu,\n",
-               static_cast<unsigned long long>(default_pool_tasks));
   std::fprintf(json, "  \"total_jobs\": %llu,\n",
                static_cast<unsigned long long>(portfolio_result.total_jobs));
   std::fprintf(json, "  \"deduped_jobs\": %llu,\n",
@@ -345,14 +334,6 @@ int main(int argc, char** argv) {
   if (!dedup_ok) {
     std::fprintf(stderr, "DEDUP GATE FAILED: %.1f%% < %.0f%% floor\n",
                  100.0 * dedup_hit_rate, 100.0 * dedup_floor);
-    return 1;
-  }
-  if (!default_pool_ok) {
-    std::fprintf(stderr,
-                 "THREAD-BOUND GATE FAILED: %llu default-pool tasks at "
-                 "jobs=%d\n",
-                 static_cast<unsigned long long>(default_pool_tasks),
-                 base.jobs);
     return 1;
   }
   if (scaling_valid && headline < floor) {

@@ -1,22 +1,21 @@
 // Runtime scaling bench: wall clock of a Fig 5.2.1-style exploration sweep
-// (7 benchmarks × O3 × MI on the (6/3, 2IS) machine) at jobs ∈ {1, 2, 4, 8},
-// with the schedule-evaluation cache on and off.  Results — including the
-// cross-configuration determinism check — land in BENCH_runtime.json.
+// (7 benchmarks × O3 × MI on the (6/3, 2IS) machine) at jobs ∈ {1, 2, 4, 8}.
+// Results — including the cross-configuration determinism check — land in
+// BENCH_runtime.json.
 //
 // The sweep is one suite batch (paper::SuiteExploration: one
 // run_portfolio_flow over the seven programs) followed by a serial replay of
 // selection and replacement per benchmark — the shape of every Fig 5.2
-// point in bench/paper.  It explores through the process-wide
-// runtime::schedule_cache(), so the cache columns read that cache.
+// point in bench/paper.  Each timed run explores through its own cold
+// schedule-evaluation cache, which the cache columns read.
 //
 // Note on reading the numbers: thread scaling is bounded by the cores the
 // host actually grants (recorded as hardware_concurrency); on a 1-core
-// container jobs=8 ≈ jobs=1 while the cache still pays.  ISEX_BENCH_REPEATS
-// overrides the default 3 best-of exploration repeats; each configuration is
-// additionally timed ISEX_BENCH_TIMING_REPEATS times (default 3, fresh pool
-// and cold cache per timing repeat) and the JSON reports per-repeat wall
-// times plus their min and median — min for headline speedups, median as
-// the noise check.
+// container jobs=8 ≈ jobs=1.  ISEX_BENCH_REPEATS overrides the default 3
+// best-of exploration repeats; each configuration is additionally timed
+// ISEX_BENCH_TIMING_REPEATS times (default 3, fresh pool and cold cache per
+// timing repeat) and the JSON reports per-repeat wall times plus their min
+// and median — min for headline speedups, median as the noise check.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -54,7 +53,6 @@ int timing_repeats() {
 
 struct SweepRun {
   int jobs = 1;
-  bool cache = true;
   std::vector<double> seconds_each;  // wall time of every timing repeat
   runtime::PoolStats pool;           // from the last timing repeat
   runtime::CacheStats cache_stats;   // from the last timing repeat
@@ -71,19 +69,17 @@ struct SweepRun {
   }
 };
 
-void run_sweep_once(SweepRun& run, int jobs, bool cache) {
+void run_sweep_once(SweepRun& run, int jobs) {
   // Fresh pool (fresh counters) at the requested width; cold cache, so
   // every timing repeat measures the same work.
   runtime::ThreadPool::set_default_jobs(jobs);
-  runtime::schedule_cache().clear();
-  runtime::schedule_cache().reset_stats();
+  runtime::EvalCache cache;
 
   flow::FlowConfig config;
   config.machine = sched::MachineConfig::make(2, {6, 3});
   config.repeats = sweep_repeats();
   config.seed = 17;
-  config.params.use_eval_cache = cache;
-  config.params.eval_cache = &runtime::schedule_cache();
+  config.params.eval_cache = &cache;
 
   flow::SelectionConstraints constraints;
   constraints.area_budget = 40000.0;
@@ -98,14 +94,13 @@ void run_sweep_once(SweepRun& run, int jobs, bool cache) {
 
   run.seconds_each.push_back(std::chrono::duration<double>(elapsed).count());
   run.pool = runtime::ThreadPool::default_pool().stats();
-  run.cache_stats = runtime::schedule_cache().stats();
+  run.cache_stats = cache.stats();
 }
 
-SweepRun run_sweep(int jobs, bool cache) {
+SweepRun run_sweep(int jobs) {
   SweepRun run;
   run.jobs = jobs;
-  run.cache = cache;
-  for (int r = 0; r < timing_repeats(); ++r) run_sweep_once(run, jobs, cache);
+  for (int r = 0; r < timing_repeats(); ++r) run_sweep_once(run, jobs);
   return run;
 }
 
@@ -121,9 +116,7 @@ int main() {
                 "meaningful (scaling_valid=false)\n\n");
 
   std::vector<SweepRun> runs;
-  for (const int jobs : {1, 2, 4, 8}) runs.push_back(run_sweep(jobs, true));
-  runs.push_back(run_sweep(1, false));
-  runs.push_back(run_sweep(8, false));
+  for (const int jobs : {1, 2, 4, 8}) runs.push_back(run_sweep(jobs));
 
   // Determinism across every configuration: same seed, same reductions.
   bool deterministic = true;
@@ -133,9 +126,9 @@ int main() {
   const double base = runs.front().seconds_min();
   for (const SweepRun& run : runs) {
     std::printf(
-        "jobs=%d cache=%-3s  min %7.3f s  median %7.3f s  speedup %.2fx  "
+        "jobs=%d  min %7.3f s  median %7.3f s  speedup %.2fx  "
         "jobs_run=%llu  cache: %llu/%llu hits (%d%%)\n",
-        run.jobs, run.cache ? "on" : "off", run.seconds_min(),
+        run.jobs, run.seconds_min(),
         run.seconds_median(), base / run.seconds_min(),
         static_cast<unsigned long long>(run.pool.jobs_run),
         static_cast<unsigned long long>(run.cache_stats.hits),
@@ -166,9 +159,7 @@ int main() {
   std::fprintf(json, "  \"runs\": [\n");
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const SweepRun& run = runs[i];
-    std::fprintf(json,
-                 "    {\"jobs\": %d, \"cache\": %s, \"seconds_each\": [",
-                 run.jobs, run.cache ? "true" : "false");
+    std::fprintf(json, "    {\"jobs\": %d, \"seconds_each\": [", run.jobs);
     for (std::size_t r = 0; r < run.seconds_each.size(); ++r)
       std::fprintf(json, "%s%.4f", r > 0 ? ", " : "", run.seconds_each[r]);
     std::fprintf(json,

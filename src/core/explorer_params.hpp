@@ -91,21 +91,13 @@ struct ExplorerParams {
   /// iterations × rounds.
   bool collect_trace = false;
 
-  /// Memoize list-scheduler evaluations (base cycles + candidate collapse
-  /// scoring) in the cache `eval_cache` selects below: the one passed in
-  /// (the design flow always passes one, private per run unless its caller
-  /// supplies one) or, when null, the process-wide runtime::schedule_cache().
-  /// Repeats and sweeps re-score identical graphs constantly, so this is a
-  /// large win; results are unchanged — the cache is a pure-function memo.
-  /// Exposed so bench/perf_runtime can A/B it.
-  bool use_eval_cache = true;
-
-  /// Cache instance the memoization above goes through.  Null (the default)
-  /// makes an explorer use the process-wide runtime::schedule_cache().  The
-  /// design flow never passes null down: it resolves a null here to a
-  /// private per-run cache (flow::FlowConfig::params), so its hit rate is
-  /// attributable to the run.  The choice of instance never changes
-  /// results — every cache is a pure memo.
+  /// Cache that memoizes list-scheduler evaluations (base cycles and
+  /// candidate collapse scoring).  Set, the explorer memoizes through it;
+  /// null (the default), it schedules every evaluation directly.  Repeats
+  /// and rounds re-score identical graphs, so a cache saves work, and it
+  /// never changes results: every cache is a pure-function memo.  The
+  /// design flow resolves a null here to a private per-run cache
+  /// (flow::FlowConfig::params), so every flow memoizes.
   runtime::EvalCache* eval_cache = nullptr;
 };
 

@@ -27,21 +27,13 @@
 namespace isex::core {
 namespace {
 
-/// Cache instance the params select: the one passed in (the design flow
-/// always passes one) or the process-wide schedule cache.  Pure memos either
-/// way, so the choice never changes results.
-runtime::EvalCache& active_cache(const ExplorerParams& params) {
-  return params.eval_cache != nullptr ? *params.eval_cache
-                                      : runtime::schedule_cache();
-}
-
-/// Schedule-length evaluation, memoized in the params' cache when allowed.
-/// The cache is a pure-function memo, so the returned makespan is identical
-/// either way.
+/// Schedule-length evaluation, memoized in the params' cache when one is
+/// set.  The cache is a pure-function memo, so the returned makespan is
+/// identical either way.
 int evaluate_cycles(const sched::ListScheduler& scheduler,
                     const dfg::Graph& graph, const ExplorerParams& params) {
-  return params.use_eval_cache
-             ? runtime::cached_schedule_cycles(active_cache(params), scheduler,
+  return params.eval_cache != nullptr
+             ? runtime::cached_schedule_cycles(*params.eval_cache, scheduler,
                                                graph)
              : scheduler.cycles(graph);
 }
@@ -197,7 +189,8 @@ struct AcoChain {
       t.max_option_probability = pheromone.min_best_probability();
       t.p_end = ctx.params.p_end;
       t.ants = iterations;
-      t.cache_hit_rate = active_cache(ctx.params).stats().hit_rate();
+      if (ctx.params.eval_cache != nullptr)
+        t.cache_hit_rate = ctx.params.eval_cache->stats().hit_rate();
       trace.push_back(t);
     }
     return pheromone.converged();
@@ -392,18 +385,18 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
     // Score every candidate concurrently on the runtime pool.  Each job
     // schedules a copy-free dfg::CollapsedView overlay of (current, members,
     // IseInfo) into per-thread scratch — no collapsed Graph is materialized
-    // (the winner alone is committed below) — and memoizes the makespan
-    // under the candidate's canonical signature, so a candidate
-    // re-surfacing in a later round or repeat skips the schedule
-    // entirely.  Jobs are pure functions of their index; only the
-    // index-ordered reduction below picks the winner, so the result is
-    // identical at any --jobs width.
+    // (the winner alone is committed below) — and, when the params carry a
+    // cache, memoizes the makespan under the candidate's canonical
+    // signature, so a candidate re-surfacing in a later round or repeat
+    // skips the schedule entirely.  Jobs are pure functions of their index;
+    // only the index-ordered reduction below picks the winner, so the
+    // result is identical at any --jobs width.
     std::vector<int> cycles_after(candidates.size());
     {
       const trace::Span eval_span("evaluate_candidates");
-      const runtime::Key128 base_digest = params_.use_eval_cache
-                                              ? runtime::graph_digest(current)
-                                              : runtime::Key128{};
+      runtime::EvalCache* const cache = params_.eval_cache;
+      const runtime::Key128 base_digest =
+          cache != nullptr ? runtime::graph_digest(current) : runtime::Key128{};
       runtime::ThreadPool::default_pool().parallel_for(
           candidates.size(), [&](std::size_t c) {
             const IseCandidate& cand = candidates[c];
@@ -414,8 +407,8 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
               return scheduler.cycles(s.view, s.sched);
             };
             cycles_after[c] =
-                params_.use_eval_cache
-                    ? active_cache(params_).get_or_compute(
+                cache != nullptr
+                    ? cache->get_or_compute(
                           runtime::candidate_key(base_digest, cand.members,
                                                  info, machine_,
                                                  scheduler.priority()),

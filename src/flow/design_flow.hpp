@@ -7,6 +7,10 @@
 // at weight 1.0: it runs the shared stages — timed as `validation` (of this
 // program and config), `cache_model`, `profiling`, `exploration`,
 // `selection`, `replacement` — and unpacks the one program's result.
+//
+// Every run explores on runtime::ThreadPool::default_pool(), which the
+// process sizes once (--jobs, ISEX_JOBS or ThreadPool::set_default_jobs).
+// Results are identical at any width — see docs/RUNTIME.md.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +38,8 @@ struct FlowConfig {
   sched::MachineConfig machine = sched::MachineConfig::make(2, {4, 2});
   /// Explorer tunables.  params.eval_cache is the run's one cache knob: set,
   /// every evaluation memoizes through that cache (the server passes its
-  /// warm-started, persisted runtime::schedule_cache()); null, the run
-  /// memoizes through a private cache that lives for the run only.
+  /// own, warm-started from its log); null, the run memoizes through a
+  /// private cache that lives for the run only.
   core::ExplorerParams params{};
   SelectionConstraints constraints{};
   ReplacementOptions replacement{};
@@ -44,16 +48,6 @@ struct FlowConfig {
   std::uint64_t seed = 1;
   double hot_coverage = 0.95;
   std::size_t max_hot_blocks = 8;
-  /// Worker threads for the (block × repeat) exploration fan-out.  0 uses
-  /// runtime::ThreadPool::default_pool() (hardware_concurrency, or the
-  /// --jobs / ISEX_JOBS override); N > 0 runs on a private N-thread pool.
-  /// Either way the explorations' own fan-outs (candidate evaluation,
-  /// colonies) run inline inside the batch's tasks, so N > 0 bounds
-  /// exploration to N workers plus the caller, which claims batch indices
-  /// too, and runs no task on the default pool.  (A batch of one job runs
-  /// inline on the caller, and that exploration fans out onto the default
-  /// pool.)  Results are identical at any value — see docs/RUNTIME.md.
-  int jobs = 0;
   /// Memory-hierarchy cost model (docs/MEMORY.md).  When set, every block
   /// is annotated with simulated L1/L2 load/store latencies before
   /// profiling, so all downstream stages — exploration merit, selection,

@@ -30,9 +30,9 @@ struct UniqueJobs {
 template <typename Explorer>
 std::vector<core::ExplorationResult> explore_unique_jobs(
     const Explorer& explorer, const UniqueJobs& jobs,
-    runtime::ThreadPool& pool, std::uint64_t serial_ns) {
+    std::uint64_t serial_ns) {
   return runtime::fanout_streams(
-      pool, jobs.streams,
+      runtime::ThreadPool::default_pool(), jobs.streams,
       [&](std::size_t i, Rng& rng) {
         return explorer.explore(*jobs.graphs[i], rng);
       },
@@ -165,12 +165,6 @@ Expected<PortfolioResult> run_flow_stages(
   format.reg_file = config.machine.reg_file;
   format.max_ises = config.constraints.max_ises;
 
-  std::unique_ptr<runtime::ThreadPool> private_pool;
-  if (config.jobs > 0)
-    private_pool = std::make_unique<runtime::ThreadPool>(config.jobs);
-  runtime::ThreadPool& pool =
-      private_pool ? *private_pool : runtime::ThreadPool::default_pool();
-
   // 2. Exploration: one flat (program × hot block × repeat) batch with
   // job-level dedup, then best of `repeats` per (program, hot block).
   //
@@ -241,10 +235,10 @@ Expected<PortfolioResult> run_flow_stages(
     if (config.algorithm == Algorithm::kMultiIssue) {
       const core::MultiIssueExplorer explorer(config.machine, format, library,
                                               params);
-      unique_results = explore_unique_jobs(explorer, unique, pool, serial_ns);
+      unique_results = explore_unique_jobs(explorer, unique, serial_ns);
     } else {
       const baseline::SingleIssueExplorer explorer(format, library, params);
-      unique_results = explore_unique_jobs(explorer, unique, pool, serial_ns);
+      unique_results = explore_unique_jobs(explorer, unique, serial_ns);
     }
     result.eval_cache_stats = stats_delta(cache->stats(), stats_before);
 

@@ -10,16 +10,17 @@
 //     with modelled load/store latencies before anything reads it;
 //   * profiling — per program, hot blocks by profiled cost;
 //   * exploration — every program's (hot block × repeat) jobs flattened into
-//     ONE batch on the pool (pool-profile section `flow.explore_hot_blocks`),
-//     dispatched largest block first (largest_first), so a program with a
-//     few small blocks never serializes the tail behind a big one.  Each program's RNG streams are pre-split from a fresh
-//     Rng(seed), so per-program results are bit-identical to a one-row run
-//     at any --jobs width.  Jobs whose (within-program job index, exact
+//     ONE batch on runtime::ThreadPool::default_pool() (pool-profile
+//     section `flow.explore_hot_blocks`), dispatched largest block first
+//     (largest_first), so a program with a few small blocks never
+//     serializes the tail behind a big one.  Each program's RNG streams are
+//     pre-split from a fresh Rng(seed), so per-program results are
+//     bit-identical to a one-row run at any --jobs width.  Jobs whose (within-program job index, exact
 //     block digest) pair repeats across programs have identical inputs AND
 //     identical streams, so they are explored once and the result is copied.
 //     Below that, every evaluation memoizes through one EvalCache:
-//     FlowConfig::params.eval_cache when set (the server passes its
-//     warm-started process cache), else a private per-run cache, which keeps
+//     FlowConfig::params.eval_cache when set (the server passes its own,
+//     warm-started from its log), else a private per-run cache, which keeps
 //     the reported hit-rate attributable to this run.  Canonically
 //     isomorphic-but-renumbered blocks/candidates are *detected*
 //     (canonical_graph_digest telemetry) but never share cached makespans:

@@ -44,9 +44,6 @@ ValidationReport validate(const FlowConfig& config) {
                 " is outside (0, 1]");
   if (config.max_hot_blocks < 1)
     param_error("max_hot_blocks must be >= 1");
-  if (config.jobs < 0)
-    param_error("jobs " + std::to_string(config.jobs) +
-                " is invalid (0 = default pool, N > 0 = private pool)");
   if (config.constraints.max_ises < 0)
     param_error("constraints.max_ises must be >= 0");
   if (!(config.constraints.area_budget >= 0.0))  // also rejects NaN

@@ -110,11 +110,6 @@ EvalCache& schedule_cache() {
   return cache;
 }
 
-int cached_schedule_cycles(const sched::ListScheduler& scheduler,
-                           const dfg::Graph& graph) {
-  return cached_schedule_cycles(schedule_cache(), scheduler, graph);
-}
-
 int cached_schedule_cycles(EvalCache& cache,
                            const sched::ListScheduler& scheduler,
                            const dfg::Graph& graph) {

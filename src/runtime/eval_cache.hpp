@@ -16,6 +16,13 @@
 // Determinism: the cache is invisible in results.  Values are pure functions
 // of their 128-bit key (see hash.hpp for why collisions are negligible), so
 // a hit returns exactly what recomputation would.
+//
+// Ownership: a cache exists only where its owner creates it, and its stats
+// count that owner's work alone.  Each design flow run memoizes through the
+// cache its caller passes or a private one it creates; each server::Server
+// owns one, warm-loaded from its log; the CLI and the harnesses that time
+// or print the memo create one per run.  An explorer given no cache
+// schedules every evaluation directly.
 #pragma once
 
 #include <cstdint>
@@ -116,18 +123,14 @@ class EvalCache {
   trace::Counter* evictions_metric_;
 };
 
-/// Process-wide cache for list-scheduler makespans, shared by every explorer
-/// instance (MI, SI baseline, and the design flow all over).
+/// A process-wide cache that nothing in the program explores through: an
+/// explorer memoizes only through the cache its caller passes
+/// (core::ExplorerParams::eval_cache), and isex_serve owns its own.  Kept
+/// only because perfbench's serve_mix reads its stats.
 EvalCache& schedule_cache();
 
-/// scheduler.cycles(graph), memoized in schedule_cache() under
+/// scheduler.cycles(graph), memoized in `cache` under
 /// schedule_key(graph, scheduler.config(), scheduler.priority()).
-int cached_schedule_cycles(const sched::ListScheduler& scheduler,
-                           const dfg::Graph& graph);
-
-/// Same memoization through an explicit cache instance (e.g. a
-/// portfolio-scoped cache), for callers that need attributable stats or a
-/// lifetime narrower than the process.
 int cached_schedule_cycles(EvalCache& cache,
                            const sched::ListScheduler& scheduler,
                            const dfg::Graph& graph);

@@ -98,8 +98,8 @@ StageTimer::~StageTimer() {
 RuntimeStats collect_runtime_stats(const ThreadPool& pool) {
   RuntimeStats stats;
   stats.pool = pool.stats();
-  // Every EvalCache, the process cache and each flow's private one alike,
-  // feeds these counters, so the report covers all of them.
+  // Every EvalCache (each flow's, the server's, a harness's) feeds these
+  // counters, so the report covers all of them.
   trace::MetricsRegistry& registry = trace::MetricsRegistry::global();
   const auto total = [&](std::string_view name) {
     return static_cast<std::uint64_t>(registry.counter(name).value());

@@ -12,11 +12,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t elapsed_ns(Clock::time_point since) {
+std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           since)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
           .count());
+}
+
+std::uint64_t elapsed_ns(Clock::time_point since) {
+  return ns_between(since, Clock::now());
 }
 
 std::vector<double> task_bounds_seconds() {
@@ -85,13 +88,13 @@ void ThreadPool::worker_loop(int self) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (groups_.empty() && !stop_) {
-        const bool prof = profiling();
-        const auto idle_start = prof ? Clock::now() : Clock::time_point{};
+        ProfSlot& slot = *prof_slots_[static_cast<std::size_t>(self)];
+        slot.waiting = true;
+        if (profiling()) slot.idle_since = Clock::now();
         wake_.wait(lock, [this]() { return stop_ || !groups_.empty(); });
-        if (prof) {
-          prof_slots_[static_cast<std::size_t>(self)]->idle_ns.fetch_add(
-              elapsed_ns(idle_start), std::memory_order_relaxed);
-        }
+        if (slot.idle_since) slot.idle_ns += elapsed_ns(*slot.idle_since);
+        slot.idle_since.reset();
+        slot.waiting = false;
       }
       // A stopping pool has no open group: every caller retires its group
       // before parallel_for returns.
@@ -103,6 +106,24 @@ void ThreadPool::worker_loop(int self) {
       claim_indices(*group, self);
     }
     retire(*group);
+  }
+}
+
+void ThreadPool::set_profiling(bool enabled) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (profiling() == enabled) return;
+  profiling_.store(enabled, std::memory_order_relaxed);
+  // A wait in progress starts counting now, or stops counting now.
+  const Clock::time_point now = Clock::now();
+  for (std::size_t w = 0; w < threads_.size(); ++w) {
+    ProfSlot& slot = *prof_slots_[w];
+    if (!slot.waiting) continue;
+    if (enabled) {
+      slot.idle_since = now;
+    } else if (slot.idle_since) {
+      slot.idle_ns += ns_between(*slot.idle_since, now);
+      slot.idle_since.reset();
+    }
   }
 }
 
@@ -225,15 +246,19 @@ PoolStats ThreadPool::stats() const {
 std::vector<WorkerOccupancy> ThreadPool::occupancy() const {
   std::vector<WorkerOccupancy> out;
   out.reserve(prof_slots_.size());
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Waits still in progress count up to this snapshot.
+  const Clock::time_point now =
+      profiling() ? Clock::now() : Clock::time_point{};
   for (const auto& slot : prof_slots_) {
     WorkerOccupancy w;
     w.tasks = slot->tasks.load(std::memory_order_relaxed);
     w.busy_seconds =
         static_cast<double>(slot->busy_ns.load(std::memory_order_relaxed)) *
         1e-9;
-    w.idle_seconds =
-        static_cast<double>(slot->idle_ns.load(std::memory_order_relaxed)) *
-        1e-9;
+    std::uint64_t idle_ns = slot->idle_ns;
+    if (slot->idle_since) idle_ns += ns_between(*slot->idle_since, now);
+    w.idle_seconds = static_cast<double>(idle_ns) * 1e-9;
     out.push_back(w);
   }
   return out;

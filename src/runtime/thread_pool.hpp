@@ -34,6 +34,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -103,16 +104,16 @@ class ThreadPool {
 
   PoolStats stats() const;
 
-  /// Occupancy profiling (see pool_profile.hpp).  Off by default: each
-  /// index then costs no clock read.  When on, a queued index pays two
-  /// steady_clock reads plus a handful of relaxed atomic adds, and idle
-  /// workers time their waits.  A group records its indices' samples if the
-  /// pool was profiling when it was posted, each before it counts its group
-  /// down, so the counters are complete when parallel_for returns.
-  /// Counters accumulate across toggles.
-  void set_profiling(bool enabled) {
-    profiling_.store(enabled, std::memory_order_relaxed);
-  }
+  /// Occupancy profiling (see pool_profile.hpp).  Off by default: an index
+  /// or a wait then costs no clock read.  When on, a queued index pays two
+  /// steady_clock reads plus a handful of relaxed atomic adds, and a
+  /// worker's wait for a group counts as idle from its start, or from the
+  /// moment profiling was turned on if it began earlier; occupancy()
+  /// includes a wait still in progress.  A group records its indices'
+  /// samples if the pool was profiling when it was posted, each before it
+  /// counts its group down, so the counters are complete when parallel_for
+  /// returns.  Counters accumulate across toggles.
+  void set_profiling(bool enabled);
   bool profiling() const {
     return profiling_.load(std::memory_order_relaxed);
   }
@@ -146,7 +147,12 @@ class ThreadPool {
   struct ProfSlot {
     std::atomic<std::uint64_t> tasks{0};
     std::atomic<std::uint64_t> busy_ns{0};
-    std::atomic<std::uint64_t> idle_ns{0};
+    // Guarded by mutex_: the worker's counted idle time, whether it waits
+    // for a group now, and since when that wait counts (set exactly while
+    // it waits and the pool profiles).
+    std::uint64_t idle_ns = 0;
+    bool waiting = false;
+    std::optional<std::chrono::steady_clock::time_point> idle_since;
   };
 
   /// One posted parallel_for: its cursor, join, first error and the
@@ -173,7 +179,8 @@ class ThreadPool {
   /// Live copy of the task-duration histogram (seconds buckets) so /metrics
   /// shows task timings without an explicit PoolProfile publish.
   trace::Histogram* task_seconds_metric_;
-  std::mutex mutex_;  ///< guards groups_ and stop_
+  /// Guards groups_, stop_, profiling_ changes and the slots' idle state.
+  mutable std::mutex mutex_;
   std::condition_variable wake_;
   /// Open groups, oldest first.  A group leaves when a thread that claimed
   /// from it finds its cursor exhausted.

@@ -472,12 +472,6 @@ flow::FlowConfig flow_config_for(const JobRequest& request) {
   return config;
 }
 
-flow::PortfolioConfig portfolio_config_for(const JobRequest& request) {
-  flow::PortfolioConfig config;
-  config.base = flow_config_for(request);
-  return config;
-}
-
 runtime::Key128 job_signature(const dfg::Graph& graph,
                               const JobRequest& request) {
   return job_signature(runtime::graph_digest(graph), request);

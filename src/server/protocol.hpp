@@ -88,9 +88,6 @@ Expected<JobRequest> parse_job_request(const std::string& line);
 /// FlowConfig the request describes (machine, repeats, seed, constraints).
 flow::FlowConfig flow_config_for(const JobRequest& request);
 
-/// PortfolioConfig for a portfolio request (base = flow_config_for).
-flow::PortfolioConfig portfolio_config_for(const JobRequest& request);
-
 /// Canonical signature of the evaluation a request asks for: the kernel
 /// graph's structural digest combined with every parameter that can change
 /// the result (machine, repeats, seed, constraints, algorithm).  Two

@@ -130,11 +130,11 @@ Server::~Server() {
 }
 
 Expected<std::uint16_t> Server::start() {
-  // Warm start: replay persisted schedule evaluations into the shared
-  // in-memory cache and index persisted job results, then wire the sink so
-  // fresh evaluations stream back to the log.
+  // Warm start: replay persisted schedule evaluations into this server's
+  // cache and index persisted job results, then wire the sink so fresh
+  // evaluations stream back to the log.
   cache_ = std::make_unique<runtime::PersistentEvalCache>(options_.cache_path);
-  load_report_ = cache_->load(&runtime::schedule_cache());
+  load_report_ = cache_->load(&eval_cache_);
   const runtime::PersistLoadReport& loaded = load_report_;
   for (const Error& e : loaded.report.issues())
     std::fprintf(stderr, "isex_serve: %s\n", e.to_string().c_str());
@@ -142,7 +142,7 @@ Expected<std::uint16_t> Server::start() {
       static_cast<double>(loaded.schedule_entries + loaded.blob_entries));
   if (!options_.cache_path.empty()) {
     runtime::PersistentEvalCache* cache = cache_.get();
-    runtime::schedule_cache().set_persist_sink(
+    eval_cache_.set_persist_sink(
         [cache](const runtime::Key128& key, int value) {
           cache->put_schedule_eval(key, value);
         });
@@ -253,7 +253,7 @@ int Server::wait() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  runtime::schedule_cache().set_persist_sink(nullptr);
+  eval_cache_.set_persist_sink(nullptr);
   if (cache_ != nullptr) cache_->flush();
   started_.store(false, std::memory_order_release);
   return 0;
@@ -531,10 +531,10 @@ std::string Server::run_miss(const JobRequest& request,
                              std::vector<dfg::Graph> graphs,
                              JobTimings timings, std::uint64_t received_us) {
   // What the worker runs: the flow over the request's kernels, rendered to
-  // the fragment the result cache stores.  Evaluations memoize through the
-  // warm-started process cache — and via its persist sink, the disk log.
+  // the fragment the result cache stores.  Evaluations memoize through this
+  // server's warm-started cache — and via its persist sink, the disk log.
   flow::FlowConfig config = flow_config_for(request);
-  config.params.eval_cache = &runtime::schedule_cache();
+  config.params.eval_cache = &eval_cache_;
   std::string root_span_name;
   std::function<Expected<std::string>()> compute;
   if (request.is_portfolio()) {

@@ -24,8 +24,10 @@
 // kernel graph and every result-affecting parameter — and stored through
 // runtime::PersistentEvalCache, so a repeat submission is answered from
 // memory (or, after a restart, from the warm-started disk log) with a
-// bit-identical response and zero re-exploration.  The schedule-eval cache
-// is persisted through the same log via EvalCache's persist sink.
+// bit-identical response and zero re-exploration.  Each Server owns its
+// schedule-eval cache: start() warm-loads the log into it, every miss
+// explores through it, and its persist sink appends fresh evaluations to
+// the same log.  Two Servers in one process share no evaluation.
 //
 // Shutdown: request_drain() (wired to SIGINT/SIGTERM by the binary) stops
 // the accept loop, rejects new submissions with E0603, lets the queue drain
@@ -102,6 +104,9 @@ class Server {
   /// as `kernel_memo`).
   const KernelMemo& kernel_memo() const { return kernel_memo_; }
 
+  /// This server's schedule-eval cache (tests read its stats).
+  const runtime::EvalCache& eval_cache() const { return eval_cache_; }
+
   /// The /statusz body: a JSON snapshot of live server state — in-flight
   /// jobs with per-stage ages, queue depth, kernel-memo counts,
   /// latency/queue-wait histograms, persistent-cache hit/corruption stats,
@@ -155,6 +160,8 @@ class Server {
   std::atomic<bool> started_{false};
 
   JobQueue queue_;
+  /// Every miss memoizes through this cache; warm-loaded from cache_.
+  runtime::EvalCache eval_cache_;
   std::unique_ptr<runtime::PersistentEvalCache> cache_;
   /// Warm-start outcome kept for /statusz (corrupt_skipped and friends).
   runtime::PersistLoadReport load_report_;

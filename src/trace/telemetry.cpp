@@ -6,31 +6,6 @@
 
 namespace isex::trace {
 
-void ExplorationTelemetry::record(const ConvergencePoint& point) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  points_.push_back(point);
-}
-
-void ExplorationTelemetry::record_all(std::span<const ConvergencePoint> points) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  points_.insert(points_.end(), points.begin(), points.end());
-}
-
-std::vector<ConvergencePoint> ExplorationTelemetry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return points_;
-}
-
-void ExplorationTelemetry::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  points_.clear();
-}
-
-std::size_t ExplorationTelemetry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return points_.size();
-}
-
 const char* ExplorationTelemetry::csv_header() {
   return "round,colony,iteration,tet,best_tet,worst_tet,mean_tet,"
          "converged_fraction,entropy,max_option_probability,p_end,ants,"
@@ -68,11 +43,6 @@ void ExplorationTelemetry::write_jsonl(
         .end_object().newline();
   }
   out << text;
-}
-
-void ExplorationTelemetry::write_csv(std::ostream& out) const {
-  const std::vector<ConvergencePoint> points = snapshot();
-  write_csv(out, points);
 }
 
 }  // namespace isex::trace

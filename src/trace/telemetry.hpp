@@ -12,11 +12,8 @@
 // tools/validate_trace.py all share.
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
-#include <mutex>
 #include <span>
-#include <vector>
 
 namespace isex::trace {
 
@@ -47,32 +44,20 @@ struct ConvergencePoint {
   double p_end = 0.0;
   /// Ant walks evaluated in the round so far (== iteration + 1).
   int ants = 0;
-  /// Hit rate of the process-wide schedule-evaluation cache at this point.
+  /// Hit rate of the explorer's schedule-evaluation cache at this point
+  /// (ExplorerParams::eval_cache; 0 when it explores without one).
   double cache_hit_rate = 0.0;
 };
 
-/// Thread-safe collector for convergence points (fan-out jobs of one sweep
-/// can share one instance), plus the canonical file writers.
+/// The canonical convergence-curve file writers.
 class ExplorationTelemetry {
  public:
-  void record(const ConvergencePoint& point);
-  void record_all(std::span<const ConvergencePoint> points);
-  std::vector<ConvergencePoint> snapshot() const;
-  void clear();
-  std::size_t size() const;
-
   /// Header of the CSV written by write_csv (no newline).
   static const char* csv_header();
   static void write_csv(std::ostream& out,
                         std::span<const ConvergencePoint> points);
   static void write_jsonl(std::ostream& out,
                           std::span<const ConvergencePoint> points);
-
-  void write_csv(std::ostream& out) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<ConvergencePoint> points_;
 };
 
 }  // namespace isex::trace

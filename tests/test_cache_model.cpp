@@ -15,6 +15,7 @@
 #include "isa/tac_parser.hpp"
 #include "mem/mem_stream.hpp"
 #include "runtime/hash.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace isex::mem {
 namespace {
@@ -316,12 +317,13 @@ TEST(MemStreamFlow, JobsCountNeverChangesCacheModeledResults) {
       bench_suite::Benchmark::kDijkstra, bench_suite::OptLevel::kO3);
   flow::FlowConfig config = flow_config();
   config.cache = *parse_cache_config("l1_size=1k,l1_ways=1,l1_line=16,mem=40");
-  config.jobs = 1;
+  runtime::ThreadPool::set_default_jobs(1);
   const flow::FlowResult serial =
       flow::run_design_flow(program, hw::HwLibrary::paper_default(), config);
-  config.jobs = 4;
+  runtime::ThreadPool::set_default_jobs(4);
   const flow::FlowResult wide =
       flow::run_design_flow(program, hw::HwLibrary::paper_default(), config);
+  runtime::ThreadPool::set_default_jobs(0);  // restore auto width
   EXPECT_TRUE(serial.cache_modeled);
   EXPECT_EQ(selection_digest(serial), selection_digest(wide));
   EXPECT_EQ(serial.cache_stats.accesses, wide.cache_stats.accesses);

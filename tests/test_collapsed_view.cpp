@@ -212,8 +212,8 @@ TEST(CandidateKey, IsAPureFunctionOfTheCandidate) {
 }
 
 // candidate_key must not alias schedule_key: a candidate evaluation and a
-// plain-graph evaluation share the process-wide cache, so the two key
-// families live in distinct seed domains.
+// plain-graph evaluation share one eval cache, so the two key families
+// live in distinct seed domains.
 TEST(CandidateKey, DoesNotCollideWithScheduleKeyDomain) {
   Rng rng(9);
   const Graph g = benchx::random_dag(12, rng, 0.5);

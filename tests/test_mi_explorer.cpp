@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_suite/kernels.hpp"
+#include "flow/profiling.hpp"
 #include "golden_hash.hpp"
 #include "isa/tac_parser.hpp"
+#include "runtime/eval_cache.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/list_scheduler.hpp"
 #include "test_util.hpp"
@@ -285,6 +289,54 @@ TEST_F(MiExplorerTest, RoundAndIterationCountsAreBounded) {
   const ExplorationResult r = explorer.explore(g, rng);
   EXPECT_LE(r.rounds, 2);
   EXPECT_LE(r.total_iterations, 2 * 10);
+}
+
+TEST_F(MiExplorerTest, DefaultParamsExploreWithoutACache) {
+  // An explorer memoizes only through a cache its caller passes: with the
+  // default params no cache sees a lookup.
+  trace::MetricsRegistry& registry = trace::MetricsRegistry::global();
+  const trace::Counter& hits =
+      registry.counter("isex_schedule_cache_hits_total");
+  const trace::Counter& misses =
+      registry.counter("isex_schedule_cache_misses_total");
+  const double hits_before = hits.value();
+  const double misses_before = misses.value();
+  const auto explorer = make_explorer(2, 6, 3);
+  Rng rng(11);
+  const ExplorationResult r = explorer.explore_best_of(
+      testing::make_chain(6, isa::Opcode::kAnd), 3, rng);
+  EXPECT_LT(r.final_cycles, r.base_cycles);
+  EXPECT_EQ(hits.value(), hits_before);
+  EXPECT_EQ(misses.value(), misses_before);
+}
+
+TEST_F(MiExplorerTest, BestOfIsIdenticalWithAndWithoutACache) {
+  // The eval cache is a pure memo: best-of explorations of a program's hot
+  // blocks match with no cache and through one, and the memo engages.
+  const auto machine = sched::MachineConfig::make(2, {6, 3});
+  isa::IsaFormat format;
+  format.reg_file = machine.reg_file;
+  runtime::EvalCache cache;
+  ExplorerParams memo = params_;
+  memo.eval_cache = &cache;
+  const MultiIssueExplorer direct(machine, format, lib_, params_);
+  const MultiIssueExplorer memoized(machine, format, lib_, memo);
+  for (const auto& [bm, level] :
+       {std::pair{bench_suite::Benchmark::kCrc32, bench_suite::OptLevel::kO0},
+        std::pair{bench_suite::Benchmark::kFft, bench_suite::OptLevel::kO3}}) {
+    const flow::ProfiledProgram prog = bench_suite::make_program(bm, level);
+    for (const std::size_t b : flow::select_hot_blocks(
+             flow::profile_blocks(prog, machine), 0.95, 8)) {
+      SCOPED_TRACE(prog.name + " block " + std::to_string(b));
+      const dfg::Graph& block = prog.blocks[b].graph;
+      Rng rng_direct(2026);
+      Rng rng_memo(2026);
+      EXPECT_EQ(
+          testing::hash_exploration(direct.explore_best_of(block, 3, rng_direct)),
+          testing::hash_exploration(memoized.explore_best_of(block, 3, rng_memo)));
+    }
+  }
+  EXPECT_GT(cache.stats().hits, 0u);
 }
 
 TEST_F(MiExplorerTest, WalkMetricsCountEveryIteration) {

@@ -18,6 +18,7 @@
 #include "flow/validate.hpp"
 #include "isa/tac_parser.hpp"
 #include "runtime/hash.hpp"
+#include "runtime/thread_pool.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "test_util.hpp"
@@ -106,13 +107,13 @@ TEST(PortfolioFlowTest, DeterministicAcrossJobCounts) {
   entries.push_back(entry_for(Benchmark::kCrc32, 1.0));
   entries.push_back(entry_for(Benchmark::kBitcount, 2.5));
 
-  flow::PortfolioConfig serial = portfolio_config();
-  serial.base.jobs = 1;
-  flow::PortfolioConfig wide = portfolio_config();
-  wide.base.jobs = 4;
-
-  const flow::PortfolioResult a = flow::run_portfolio_flow(entries, lib, serial);
-  const flow::PortfolioResult b = flow::run_portfolio_flow(entries, lib, wide);
+  runtime::ThreadPool::set_default_jobs(1);
+  const flow::PortfolioResult a =
+      flow::run_portfolio_flow(entries, lib, portfolio_config());
+  runtime::ThreadPool::set_default_jobs(4);
+  const flow::PortfolioResult b =
+      flow::run_portfolio_flow(entries, lib, portfolio_config());
+  runtime::ThreadPool::set_default_jobs(0);  // restore auto width
 
   ASSERT_EQ(a.programs.size(), b.programs.size());
   for (std::size_t p = 0; p < a.programs.size(); ++p) {

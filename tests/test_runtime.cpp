@@ -409,6 +409,20 @@ TEST(ThreadPool, ProfilingIsOffByDefaultAndCountsTasksWhenOn) {
   EXPECT_GE(pool.profiled_task_seconds(), 0.0);
 }
 
+TEST(ThreadPool, IdleWaitsCountUntilTheSnapshot) {
+  // Both workers wait through the sleep: a snapshot counts the wait still
+  // in progress, and a wait that began before profiling was turned on
+  // counts from that moment.
+  ThreadPool pool(2);
+  pool.set_profiling(true);
+  pool.parallel_for(2, [](std::size_t) {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::vector<WorkerOccupancy> occupancy = pool.occupancy();
+  ASSERT_EQ(occupancy.size(), 3u);
+  for (std::size_t w = 0; w < 2; ++w)
+    EXPECT_GE(occupancy[w].idle_seconds, 0.03) << "worker " << w;
+}
+
 TEST(ThreadPool, OccupancyHasOneSlotPerWorkerPlusExternal) {
   ThreadPool pool(3);
   // Workers 0..2 plus the synthetic slot for non-pool threads that run
@@ -630,19 +644,22 @@ TEST(ScheduleKey, AnySingleFieldChangeMisses) {
 
 TEST(ScheduleKey, CachedCyclesMatchDirectScheduling) {
   const sched::ListScheduler scheduler(sched::MachineConfig::make(2, {6, 3}));
+  EvalCache cache;
   Rng rng(11);
   for (int i = 0; i < 20; ++i) {
     const dfg::Graph g = isex::testing::make_random_dag(24, rng);
     const int direct = scheduler.cycles(g);
-    EXPECT_EQ(cached_schedule_cycles(scheduler, g), direct);  // miss path
-    EXPECT_EQ(cached_schedule_cycles(scheduler, g), direct);  // hit path
+    EXPECT_EQ(cached_schedule_cycles(cache, scheduler, g), direct);  // miss
+    EXPECT_EQ(cached_schedule_cycles(cache, scheduler, g), direct);  // hit
   }
+  EXPECT_EQ(cache.stats().misses, 20u);
+  EXPECT_EQ(cache.stats().hits, 20u);
 }
 
 // ------------------------------------------------- flow determinism contract
 
 /// The tentpole acceptance property: run_design_flow yields a bit-identical
-/// FlowResult for the same seed at jobs ∈ {1, 2, 8}, cache on or off.
+/// FlowResult for the same seed at every width of the process pool.
 class FlowDeterminism
     : public ::testing::TestWithParam<
           std::pair<bench_suite::Benchmark, bench_suite::OptLevel>> {};
@@ -652,28 +669,25 @@ TEST_P(FlowDeterminism, IdenticalResultsAcrossJobCounts) {
   const auto program = bench_suite::make_program(benchmark, level);
   const hw::HwLibrary library = hw::HwLibrary::paper_default();
 
-  auto run = [&](int jobs, bool use_cache) {
+  auto run = [&](int jobs) {
+    ThreadPool::set_default_jobs(jobs);
     flow::FlowConfig config;
     config.machine = sched::MachineConfig::make(2, {6, 3});
     config.repeats = 3;
     config.seed = 2026;
-    config.jobs = jobs;
-    config.params.use_eval_cache = use_cache;
     return flow::run_design_flow(program, library, config);
   };
 
-  const flow::FlowResult reference = run(1, false);
+  const flow::FlowResult reference = run(1);
   for (const int jobs : {1, 2, 8}) {
-    for (const bool cache : {false, true}) {
-      const flow::FlowResult result = run(jobs, cache);
-      EXPECT_EQ(result.final_time(), reference.final_time())
-          << "jobs=" << jobs << " cache=" << cache;
-      EXPECT_EQ(result.base_time(), reference.base_time());
-      EXPECT_DOUBLE_EQ(result.total_area(), reference.total_area());
-      EXPECT_EQ(result.num_ise_types(), reference.num_ise_types());
-      EXPECT_EQ(result.hot_blocks, reference.hot_blocks);
-    }
+    const flow::FlowResult result = run(jobs);
+    EXPECT_EQ(result.final_time(), reference.final_time()) << "jobs=" << jobs;
+    EXPECT_EQ(result.base_time(), reference.base_time());
+    EXPECT_DOUBLE_EQ(result.total_area(), reference.total_area());
+    EXPECT_EQ(result.num_ise_types(), reference.num_ise_types());
+    EXPECT_EQ(result.hot_blocks, reference.hot_blocks);
   }
+  ThreadPool::set_default_jobs(0);  // restore auto width
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -745,13 +759,14 @@ TEST(RuntimeStats, CollectsPoolCacheAndStageData) {
 }
 
 TEST(RuntimeStats, CacheGaugesMirrorEveryEvalCache) {
-  // A portfolio flow probes its own private cache, never the process one,
-  // yet the published gauges must agree with the counters both feed.
-  schedule_cache().reset_stats();
+  // A portfolio flow probes the cache its caller passes; the published
+  // gauges must agree with the counters every cache feeds.
+  EvalCache cache;
   flow::PortfolioConfig config;
   config.base.machine = sched::MachineConfig::make(2, {6, 3});
   config.base.repeats = 2;
   config.base.seed = 7;
+  config.base.params.eval_cache = &cache;
   std::vector<flow::PortfolioEntry> entries(2);
   entries[0].program = bench_suite::make_program(bench_suite::Benchmark::kCrc32,
                                                  bench_suite::OptLevel::kO3);
@@ -765,7 +780,9 @@ TEST(RuntimeStats, CacheGaugesMirrorEveryEvalCache) {
       registry.counter("isex_schedule_cache_hits_total").value();
   const double probes =
       hits + registry.counter("isex_schedule_cache_misses_total").value();
-  ASSERT_GT(probes, 0.0);
+  const CacheStats local = cache.stats();
+  ASSERT_GT(local.hits + local.misses, 0u);
+  EXPECT_GE(probes, static_cast<double>(local.hits + local.misses));
   EXPECT_EQ(registry.gauge("isex_schedule_cache_probes").value(), probes);
   EXPECT_DOUBLE_EQ(registry.gauge("isex_schedule_cache_hit_rate").value(),
                    hits / probes);

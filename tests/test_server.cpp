@@ -88,14 +88,16 @@ std::string extract_field(const std::string& response, const char* key) {
   return response.substr(begin, end - begin);
 }
 
-/// Two-program portfolio request over the blend and sigma kernels.
+/// Two-program portfolio request over the blend and sigma kernels, each
+/// text after `prefix` (a comment there changes the text, not the graph).
 std::string portfolio_line(const std::string& id,
-                           const std::string& extra = "") {
+                           const std::string& extra = "",
+                           const std::string& prefix = "") {
   std::string line =
       "{\"id\":\"" + id + "\",\"programs\":[{\"name\":\"blend\","
-      "\"kernel\":\"" + json_escape(kBlendKernel) +
+      "\"kernel\":\"" + json_escape(prefix + kBlendKernel) +
       "\",\"weight\":2},{\"name\":\"sigma\",\"kernel\":\"" +
-      json_escape(kSigmaKernel) + "\"}],\"repeats\":2";
+      json_escape(prefix + kSigmaKernel) + "\"}],\"repeats\":2";
   if (!extra.empty()) line += "," + extra;
   return line + "}";
 }
@@ -106,6 +108,16 @@ std::string without_timings(const std::string& response) {
   if (begin == std::string::npos) return response;
   const std::size_t end = response.find("},", begin);
   return response.substr(0, begin) + response.substr(end + 2);
+}
+
+/// A response without its per-delivery fields, `timings` and `cache_hit`.
+std::string delivery_free(const std::string& response) {
+  std::string out = without_timings(response);
+  for (const char* hit : {"\"cache_hit\":true,", "\"cache_hit\":false,"}) {
+    const std::size_t at = out.find(hit);
+    if (at != std::string::npos) out.erase(at, std::strlen(hit));
+  }
+  return out;
 }
 
 /// The result fragment of a success response: everything after timings.
@@ -501,22 +513,49 @@ TEST(Server, QueueFullAndDrainSemantics) {
   EXPECT_EQ(server.wait(), 0);
 }
 
+TEST(Server, SeparateServersShareNoEvalCache) {
+  // Each server explores through its own evaluation cache, so a second
+  // server answers a cold portfolio request exactly as the first did: its
+  // eval_hits count its own work, not evaluations the first one cached.
+  // One repeat per program, so the batch's two explorations share no key:
+  // concurrent repeats of one block can both miss on its first key, which
+  // makes a hit count depend on timing.
+  const std::string request =
+      "{\"id\":\"pf\",\"programs\":[{\"name\":\"blend\",\"kernel\":\"" +
+      json_escape(kBlendKernel) + "\"},{\"name\":\"sigma\",\"kernel\":\"" +
+      json_escape(kSigmaKernel) + "\"}],\"repeats\":1}";
+  Server first(ServerOptions{});
+  Server second(ServerOptions{});
+  ASSERT_TRUE(first.start().has_value());
+  ASSERT_TRUE(second.start().has_value());
+  const std::string a = first.process_line(request);
+  const std::string b = second.process_line(request);
+  ASSERT_NE(a.find("\"ok\":true"), std::string::npos) << a;
+  EXPECT_NE(b.find("\"cache_hit\":false"), std::string::npos) << b;
+  EXPECT_EQ(delivery_free(a), delivery_free(b));
+  EXPECT_EQ(first.eval_cache().stats().misses,
+            second.eval_cache().stats().misses);
+  first.request_drain();
+  second.request_drain();
+  EXPECT_EQ(first.wait(), 0);
+  EXPECT_EQ(second.wait(), 0);
+}
+
 TEST(Server, RepeatSubmissionIsABitIdenticalCacheHit) {
   ServerOptions options;
   options.port = 0;
   Server server(options);
   ASSERT_TRUE(server.start().has_value());
 
-  // A kernel miss memoizes through the process cache, the one the persist
-  // sink writes through: emptied first, it must gain fresh insertions.
-  runtime::EvalCache& process = runtime::schedule_cache();
-  process.clear();
-  const std::uint64_t insertions_before = process.stats().insertions;
+  // A kernel miss memoizes through the server's own cache, the one the
+  // persist sink writes through: it must gain fresh insertions.
+  const runtime::EvalCache& evals = server.eval_cache();
+  const std::uint64_t insertions_before = evals.stats().insertions;
   const std::string first =
       server.process_line(job_line(kBlendKernel, "first"));
   ASSERT_NE(first.find("\"ok\":true"), std::string::npos) << first;
   EXPECT_NE(first.find("\"cache_hit\":false"), std::string::npos);
-  EXPECT_GT(process.stats().insertions, insertions_before);
+  EXPECT_GT(evals.stats().insertions, insertions_before);
   const std::string digest = extract_field(first, "result_digest");
   ASSERT_FALSE(digest.empty());
 
@@ -761,19 +800,7 @@ TEST(ServerKernelMemo, ColdAnswersMatchOlderServersBytes) {
       read_lines(data + "/warm_start_responses.jsonl");
   ASSERT_EQ(requests.size(), 4u);
   ASSERT_EQ(answers.size(), requests.size());
-  const auto delivery_free = [](const std::string& response) {
-    std::string out = without_timings(response);
-    for (const char* hit : {"\"cache_hit\":true,", "\"cache_hit\":false,"}) {
-      const std::size_t at = out.find(hit);
-      if (at != std::string::npos) out.erase(at, std::strlen(hit));
-    }
-    return out;
-  };
 
-  // The portfolio fragment's eval_hits count the process-wide schedule
-  // cache, which earlier tests in this process may have filled: start it
-  // empty, as a fresh isex_serve's is.
-  runtime::schedule_cache().clear();
   Server server(ServerOptions{});
   ASSERT_TRUE(server.start().has_value());
   for (std::size_t i = 0; i < requests.size(); ++i)
@@ -905,12 +932,19 @@ TEST(ServerKernelMemo, PortfolioRequestRepeatsThroughTheMemo) {
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.parses, 4u);
 
-  // A server that parses both kernels at admission computes the same.
+  // A server that parses both kernels at admission computes the same.  Its
+  // own eval cache first explores the seed-1 portfolio, as this server's
+  // did, through comment variants of the kernels, so the seed-3 texts are
+  // still parsed.
   Server cold(ServerOptions{});
   ASSERT_TRUE(cold.start().has_value());
+  ASSERT_NE(cold.process_line(portfolio_line("pf", "", "# variant\n"))
+                .find("\"ok\":true"),
+            std::string::npos);
   EXPECT_EQ(without_timings(reseeded),
             without_timings(cold.process_line(
                 portfolio_line("pf", "\"seed\":3"))));
+  EXPECT_EQ(cold.kernel_memo().stats().parses, 4u);
   cold.request_drain();
   EXPECT_EQ(cold.wait(), 0);
   server.request_drain();

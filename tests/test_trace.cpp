@@ -459,11 +459,10 @@ ConvergencePoint make_point(int round, int iteration, int tet) {
 }
 
 TEST(TelemetryTest, CsvHasHeaderAndOneRowPerPoint) {
-  ExplorationTelemetry telemetry;
-  telemetry.record(make_point(0, 0, 19));
-  telemetry.record(make_point(0, 1, 17));
+  const std::vector<ConvergencePoint> points = {make_point(0, 0, 19),
+                                                make_point(0, 1, 17)};
   std::ostringstream out;
-  telemetry.write_csv(out);
+  ExplorationTelemetry::write_csv(out, points);
   std::istringstream lines(out.str());
   std::string line;
   ASSERT_TRUE(std::getline(lines, line));
@@ -476,7 +475,7 @@ TEST(TelemetryTest, CsvHasHeaderAndOneRowPerPoint) {
     EXPECT_EQ(std::count(line.begin(), line.end(), ','), 12);
     ++rows;
   }
-  EXPECT_EQ(rows, telemetry.size());
+  EXPECT_EQ(rows, points.size());
 }
 
 TEST(TelemetryTest, JsonlRowsAreValidJson) {
@@ -489,21 +488,6 @@ TEST(TelemetryTest, JsonlRowsAreValidJson) {
   EXPECT_TRUE(JsonChecker(line).valid()) << line;
   EXPECT_NE(line.find("\"round\":1"), std::string::npos);
   EXPECT_NE(line.find("\"tet\":12"), std::string::npos);
-}
-
-TEST(TelemetryTest, ConcurrentRecordKeepsEveryPoint) {
-  ExplorationTelemetry telemetry;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 500;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([t, &telemetry] {
-      for (int i = 0; i < kPerThread; ++i)
-        telemetry.record(make_point(t, i, 10));
-    });
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(telemetry.size(),
-            static_cast<std::size_t>(kThreads) * kPerThread);
 }
 
 // --- integration ----------------------------------------------------------

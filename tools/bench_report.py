@@ -107,16 +107,15 @@ def render_runtime(data):
         lines.append(f"**Note:** {dropped} run(s) missing `seconds_min` "
                      "omitted from the table below (truncated bench write "
                      "or schema drift — investigate the producing step).\n")
-    rows = [(fmt(r["jobs"]), fmt(r["cache"]), fmt(r["seconds_min"], 4),
+    rows = [(fmt(r["jobs"]), fmt(r["seconds_min"], 4),
              fmt(r["seconds_median"], 4),
              fmt(r["speedup_vs_jobs1"]) + "x",
              fmt(parallel_efficiency(r), 3),
              fmt(r["cache_hits"]), fmt(r["cache_misses"]),
              fmt(r["cache_hit_rate"], 4))
             for r in complete]
-    lines.append(table(["jobs", "cache", "min s", "median s",
-                        "speedup vs jobs=1", "efficiency", "hits", "misses",
-                        "hit rate"], rows))
+    lines.append(table(["jobs", "min s", "median s", "speedup vs jobs=1",
+                        "efficiency", "hits", "misses", "hit rate"], rows))
     for scaling in runtime_scaling(data.get("runs", [])):
         lines.append(scaling)
     return "\n".join(lines)
@@ -129,25 +128,22 @@ def parallel_efficiency(run):
 
 
 def runtime_scaling(runs):
-    """jobs=1 vs jobs=N headline, one line per cache setting present."""
+    """The jobs=1 vs widest-jobs headline."""
     missing = sum(1 for r in runs if not r.get("seconds_min", 0) > 0)
     if missing:
         yield (f"\n_Note: {missing} run(s) without a positive `seconds_min` "
                "excluded from the scaling headline._")
-    for cache in sorted({r.get("cache") for r in runs}, reverse=True):
-        group = [r for r in runs if r.get("cache") == cache
-                 and r.get("seconds_min", 0) > 0]
-        base = next((r for r in group if r.get("jobs") == 1), None)
-        peak = max((r for r in group if r.get("jobs", 1) > 1),
-                   key=lambda r: r["jobs"], default=None)
-        if base is None or peak is None:
-            continue
-        ratio = base["seconds_min"] / peak["seconds_min"]
-        yield (f"\nScaling (cache={fmt(cache)}): jobs=1 -> "
-               f"jobs={peak['jobs']} is {fmt(ratio)}x "
-               f"(parallel efficiency {fmt(ratio / peak['jobs'], 3)}, "
-               f"{fmt(base['seconds_min'], 4)}s -> "
-               f"{fmt(peak['seconds_min'], 4)}s).")
+    timed = [r for r in runs if r.get("seconds_min", 0) > 0]
+    base = next((r for r in timed if r.get("jobs") == 1), None)
+    peak = max((r for r in timed if r.get("jobs", 1) > 1),
+               key=lambda r: r["jobs"], default=None)
+    if base is None or peak is None:
+        return
+    ratio = base["seconds_min"] / peak["seconds_min"]
+    yield (f"\nScaling: jobs=1 -> jobs={peak['jobs']} is {fmt(ratio)}x "
+           f"(parallel efficiency {fmt(ratio / peak['jobs'], 3)}, "
+           f"{fmt(base['seconds_min'], 4)}s -> "
+           f"{fmt(peak['seconds_min'], 4)}s).")
 
 
 def render_colony(data):
@@ -349,10 +345,10 @@ def self_test():
     # drop the run silently or KeyError the whole section.
     out = render_runtime({
         "sweep": "t", "runs": [
-            {"jobs": 1, "cache": True, "seconds_min": 1.0,
+            {"jobs": 1, "seconds_min": 1.0,
              "seconds_median": 1.0, "speedup_vs_jobs1": 1.0,
              "cache_hits": 1, "cache_misses": 1, "cache_hit_rate": 0.5},
-            {"jobs": 8, "cache": True},  # truncated: no seconds_min
+            {"jobs": 8},  # truncated: no seconds_min
         ]})
     assert "missing `seconds_min`" in out, "no degradation note emitted"
     assert "without a positive `seconds_min`" in out, \

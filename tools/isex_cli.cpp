@@ -74,6 +74,7 @@
 #include "mem/cache_model.hpp"
 #include "mem/mem_stream.hpp"
 #include "rtl/verilog.hpp"
+#include "runtime/eval_cache.hpp"
 #include "runtime/runtime_stats.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/list_scheduler.hpp"
@@ -266,7 +267,12 @@ core::ExplorationResult explore(const CliOptions& opt,
   format.reg_file = machine.reg_file;
   format.max_ise_latency_cycles = opt.max_latency;
   const hw::HwLibrary library = hw::HwLibrary::paper_default();
+  // The run's schedule-evaluation memo: its hit rate is the convergence
+  // CSV's cache_hit_rate column and feeds the isex_schedule_cache_*
+  // counters --metrics-out writes.
+  runtime::EvalCache cache;
   core::ExplorerParams params;
+  params.eval_cache = &cache;
   params.collect_trace = !opt.convergence_out.empty();
   params.colonies = opt.colonies;
   params.merge_interval = opt.merge_interval;
