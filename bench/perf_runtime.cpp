@@ -118,10 +118,15 @@ int main() {
   std::vector<SweepRun> runs;
   for (const int jobs : {1, 2, 4, 8}) runs.push_back(run_sweep(jobs));
 
-  // Determinism across every configuration: same seed, same reductions.
+  // Determinism across every configuration: same seed, same reductions,
+  // and the same eval-cache hit and miss counts (each key misses once).
   bool deterministic = true;
-  for (const SweepRun& run : runs)
-    if (run.reductions != runs.front().reductions) deterministic = false;
+  for (const SweepRun& run : runs) {
+    if (run.reductions != runs.front().reductions ||
+        run.cache_stats.hits != runs.front().cache_stats.hits ||
+        run.cache_stats.misses != runs.front().cache_stats.misses)
+      deterministic = false;
+  }
 
   const double base = runs.front().seconds_min();
   for (const SweepRun& run : runs) {

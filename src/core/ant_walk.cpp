@@ -28,7 +28,28 @@ class Ledger {
   }
 
   bool fits(int cycle, int issue, int reads, int writes, int fu_class) {
-    const LedgerRow& r = at(cycle);
+    return fits(at(cycle), issue, reads, writes, fu_class);
+  }
+
+  void charge(int cycle, int issue, int reads, int writes, int fu_class) {
+    charge(at(cycle), issue, reads, writes, fu_class);
+  }
+
+  /// Charges the first cycle at or after `from` where the operation fits,
+  /// and returns it.
+  int place(int from, int issue, int reads, int writes, int fu_class) {
+    for (int cycle = from;; ++cycle) {
+      LedgerRow& r = at(cycle);
+      if (fits(r, issue, reads, writes, fu_class)) {
+        charge(r, issue, reads, writes, fu_class);
+        return cycle;
+      }
+    }
+  }
+
+ private:
+  bool fits(const LedgerRow& r, int issue, int reads, int writes,
+            int fu_class) const {
     if (r.issue + issue > cfg_->issue_width) return false;
     if (r.reads + reads > cfg_->reg_file.read_ports) return false;
     if (r.writes + writes > cfg_->reg_file.write_ports) return false;
@@ -39,23 +60,17 @@ class Ledger {
     return true;
   }
 
-  void charge(int cycle, int issue, int reads, int writes, int fu_class) {
-    LedgerRow& r = at(cycle);
+  static void charge(LedgerRow& r, int issue, int reads, int writes,
+                     int fu_class) {
     r.issue += issue;
     r.reads += reads;
     r.writes += writes;
     if (fu_class >= 0) r.fu[static_cast<std::size_t>(fu_class)] += 1;
   }
 
- private:
   const sched::MachineConfig* cfg_;
   std::vector<LedgerRow>* rows_;
 };
-
-/// Latency of a software option, max(1, ⌈delay⌉) cycles.
-int software_cycles(const hw::ImplOption& option) {
-  return std::max(1, static_cast<int>(std::ceil(option.delay)));
-}
 
 }  // namespace
 
@@ -116,6 +131,9 @@ AntWalk::AntWalk(const hw::GPlus& gplus, const sched::MachineConfig& machine,
         ++node.solo_reads;
     }
     node.solo_writes = (node.live_out || !gplus.succs(v).empty()) ? 1 : 0;
+    // Option 0 is v's only software option; its latency is max(1, ⌈delay⌉).
+    node.sw_cycles = std::max(
+        1, static_cast<int>(std::ceil(gplus.delays()[gplus.offset(v)])));
   }
 }
 
@@ -174,39 +192,47 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
   // relative order, so the pick sees exactly the weight sequence a per-step
   // rebuild over the ready list would produce.  prefix[i] is the running
   // sum S_i = S_{i-1} + w_i from 0.0 — the same chain of additions a full
-  // re-sum performs — so prefix.back() is bit-identical to the total.
-  s.entries.clear();
-  s.weights.clear();
-  s.prefix.clear();
+  // re-sum performs — so prefix[live - 1] is bit-identical to the total.
+  // Every node enters once per walk, so the live entries never outnumber
+  // G+'s entries: the arrays are sized to them once and never grow.
+  const std::size_t capacity = gplus.num_entries();
+  if (s.entries.size() < capacity) {
+    s.entries.resize(capacity);
+    s.weights.resize(capacity);
+    s.prefix.resize(capacity);
+  }
+  WalkScratch::ReadyEntry* const entries = s.entries.data();
+  double* const weights = s.weights.data();
+  double* const prefix = s.prefix.data();
+  std::size_t live = 0;
   auto enter_ready = [&](dfg::NodeId v) {
-    const double* row = s.base_weight.data() + gplus.offset(v);
-    const std::size_t options = gplus.num_options(v);
-    double sum = s.prefix.empty() ? 0.0 : s.prefix.back();
-    for (std::size_t o = 0; o < options; ++o) {
-      s.entries.push_back({v, static_cast<std::int32_t>(o)});
-      s.weights.push_back(row[o]);
+    const std::size_t first = gplus.offset(v);
+    const std::size_t options = gplus.offset(v + 1) - first;
+    ISEX_ASSERT(live + options <= capacity);
+    const double* row = s.base_weight.data() + first;
+    double sum = live == 0 ? 0.0 : prefix[live - 1];
+    for (std::size_t o = 0; o < options; ++o, ++live) {
+      entries[live] = {v, static_cast<std::int32_t>(o)};
+      weights[live] = row[o];
       sum += row[o];
-      s.prefix.push_back(sum);
+      prefix[live] = sum;
     }
-    s.max_entries =
-        std::max(s.max_entries, static_cast<std::uint64_t>(s.entries.size()));
+    s.max_entries = std::max(s.max_entries, static_cast<std::uint64_t>(live));
   };
-  // Removes v's entry block, which starts at `pos`; only the prefix sums
-  // from `pos` onward change.
+  // Removes v's entry block, which starts at `pos`: one pass moves the tail
+  // down and re-sums the prefix from `pos` onward.
   auto leave_ready = [&](dfg::NodeId v, std::size_t pos) {
     const std::size_t len = gplus.num_options(v);
-    ISEX_ASSERT(pos + len <= s.entries.size() && s.entries[pos].node == v &&
-                s.entries[pos].option == 0);
-    const auto first = static_cast<std::ptrdiff_t>(pos);
-    const auto last = static_cast<std::ptrdiff_t>(pos + len);
-    s.entries.erase(s.entries.begin() + first, s.entries.begin() + last);
-    s.weights.erase(s.weights.begin() + first, s.weights.begin() + last);
-    const std::size_t live = s.weights.size();
-    s.prefix.resize(live);
-    double sum = pos == 0 ? 0.0 : s.prefix[pos - 1];
+    ISEX_ASSERT(pos + len <= live && entries[pos].node == v &&
+                entries[pos].option == 0);
+    live -= len;
+    double sum = pos == 0 ? 0.0 : prefix[pos - 1];
     for (std::size_t i = pos; i < live; ++i) {
-      sum += s.weights[i];
-      s.prefix[i] = sum;
+      entries[i] = entries[i + len];
+      const double w = weights[i + len];
+      weights[i] = w;
+      sum += w;
+      prefix[i] = sum;
     }
     s.entry_shifts += live - pos;
   };
@@ -246,13 +272,14 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
     return s.group_extern_ids[static_cast<std::size_t>(gid)];
   };
 
-  // Attempts to pack `v` (with hardware delay `delay_ns`) into group `gid`.
+  // Attempts to pack `v` (with predecessors `preds` and hardware delay
+  // `delay_ns`) into group `gid`.
   // IN/OUT are maintained incrementally: the delta of adding v follows from
   // v's own edges against the membership, with no NodeSet copy and no full
   // count_inputs/count_outputs recount over the group.
-  auto try_join = [&](dfg::NodeId v, double delay_ns, int gid) -> bool {
+  auto try_join = [&](dfg::NodeId v, std::span<const dfg::NodeId> preds,
+                      double delay_ns, int gid) -> bool {
     GroupState& g = result.groups[static_cast<std::size_t>(gid)];
-    const std::span<const dfg::NodeId> preds = gplus.preds(v);
     // All producers outside the group must be done before the group issues.
     for (const dfg::NodeId p : preds) {
       if (!g.members.contains(p) && finish_of(p) > g.start) return false;
@@ -330,24 +357,30 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
         depth_in = std::max(depth_in, hw_depth[p]);
     }
     hw_depth[v] = depth_in + delay_ns;
-    g.depth_ns = std::max(g.depth_ns, hw_depth[v]);
-    g.cycles = clock_.cycles_for(g.depth_ns);
+    if (hw_depth[v] > g.depth_ns) {  // cycles follow the depth
+      g.depth_ns = hw_depth[v];
+      g.cycles = clock_.cycles_for(g.depth_ns);
+    }
     result.group_id[v] = gid;
     result.slot[v] = g.start;
     return true;
   };
 
+  const double* const delays = gplus.delays().data();
   std::size_t scheduled = 0;
   int pick_index = 0;
   while (scheduled < n) {
-    ISEX_ASSERT_MSG(!s.entries.empty(), "ready list empty before completion");
-    const std::size_t pick = rng.weighted_pick(s.weights, s.prefix.back());
-    const auto [v, opt_i] = s.entries[pick];
-    const auto opt = static_cast<std::size_t>(opt_i);
+    ISEX_ASSERT_MSG(live > 0, "ready list empty before completion");
+    const std::size_t pick = rng.weighted_pick(
+        std::span<const double>(weights, live), prefix[live - 1]);
+    const auto [v, opt_i] = entries[pick];
     const NodeTerms& node = nodes_[v];
-    const hw::ImplOption& option = gplus.entry(gplus.offset(v) + opt);
+    const std::span<const dfg::NodeId> preds = gplus.preds(v);
 
-    if (option.kind == hw::ImplKind::kHardware) {
+    if (opt_i > 0) {
+      // Every option but option 0 is hardware (G+'s layout).
+      const double delay =
+          delays[gplus.offset(v) + static_cast<std::size_t>(opt_i)];
       // Fig 4.3.4: join the group of the parent scheduled latest (LP).  A
       // join needs every outside producer finished by the group's start,
       // and a group finishes at least one cycle after it starts, so no
@@ -355,27 +388,24 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
       // latest finish, try_join rejects the first for the other's member.
       int latest_gid = -1;
       int latest_finish = 0;
-      for (const dfg::NodeId p : gplus.preds(v)) {
+      for (const dfg::NodeId p : preds) {
         const int gid = result.group_id[p];
         if (gid >= 0 && (latest_gid < 0 || finish_of(p) > latest_finish)) {
           latest_gid = gid;
           latest_finish = finish_of(p);
         }
       }
-      if (latest_gid < 0 || !try_join(v, option.delay, latest_gid)) {
+      if (latest_gid < 0 || !try_join(v, preds, delay, latest_gid)) {
         // Open a fresh single-member group at the earliest feasible slot.
         int avail = 0;
-        for (const dfg::NodeId p : gplus.preds(v))
-          avail = std::max(avail, finish_of(p));
-        int cts = avail;
-        while (!ledger.fits(cts, 1, node.solo_reads, node.solo_writes, -1))
-          ++cts;
-        ledger.charge(cts, 1, node.solo_reads, node.solo_writes, -1);
+        for (const dfg::NodeId p : preds) avail = std::max(avail, finish_of(p));
+        const int cts =
+            ledger.place(avail, 1, node.solo_reads, node.solo_writes, -1);
         const int gid = static_cast<int>(result.groups.size());
         GroupState g = open_group();
         g.members.insert(v);
         g.start = cts;
-        hw_depth[v] = option.delay;
+        hw_depth[v] = delay;
         g.depth_ns = hw_depth[v];
         g.cycles = clock_.cycles_for(g.depth_ns);
         g.reads = node.solo_reads;
@@ -392,22 +422,18 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
     } else {
       // Fig 4.3.3: software list placement.
       int avail = 0;
-      for (const dfg::NodeId p : gplus.preds(v))
-        avail = std::max(avail, finish_of(p));
-      int cts = avail;
-      while (!ledger.fits(cts, 1, node.sw_reads, node.sw_writes,
-                          node.fu_class))
-        ++cts;
-      ledger.charge(cts, 1, node.sw_reads, node.sw_writes, node.fu_class);
+      for (const dfg::NodeId p : preds) avail = std::max(avail, finish_of(p));
+      const int cts = ledger.place(avail, 1, node.sw_reads, node.sw_writes,
+                                   node.fu_class);
       result.slot[v] = cts;
-      result.finish_[v] = cts + software_cycles(option);
+      result.finish_[v] = cts + node.sw_cycles;
     }
 
     result.chosen[v] = opt_i;
     result.order[v] = pick_index++;
     ++scheduled;
     ++s.steps;
-    leave_ready(v, pick - opt);
+    leave_ready(v, pick - static_cast<std::size_t>(opt_i));
     for (const dfg::NodeId su : gplus.succs(v)) {
       if (--s.unresolved[su] == 0) enter_ready(su);
     }

@@ -188,6 +188,8 @@ class AntWalk {
     /// IN({v}) and OUT({v}) of a fresh single-member group.
     int solo_reads = 0;
     int solo_writes = 0;
+    /// Cycles of the software option, max(1, ⌈delay⌉).
+    int sw_cycles = 1;
     bool live_out = false;
   };
 

@@ -23,21 +23,30 @@ void HardwareGrouping::label_components(std::span<const int> chosen,
   const std::size_t n = gplus_->num_nodes();
   ISEX_ASSERT(chosen.size() == n);
 
-  scratch.label.assign(n, -1);
-  scratch.option.resize(n);
-  scratch.delay.resize(n);
-  scratch.area.resize(n);
-  scratch.finish.resize(n);
-  scratch.alt_finish.resize(n);
-  scratch.outside_consumers.resize(n);
+  // The per-node arrays change size only with the round's graph; within a
+  // round only the labels are reset.
+  if (scratch.label.size() != n) {
+    scratch.label.resize(n);
+    scratch.option.resize(n);
+    scratch.delay.resize(n);
+    scratch.area.resize(n);
+    scratch.finish.resize(n);
+    scratch.alt_finish.resize(n);
+    scratch.outside_consumers.resize(n);
+  }
+  std::fill(scratch.label.begin(), scratch.label.end(), -1);
+  // Option 0 is software and every other option hardware (G+'s layout).
+  const double* const delays = gplus_->delays().data();
+  const double* const areas = gplus_->areas().data();
   for (dfg::NodeId v = 0; v < n; ++v) {
     const int o = chosen[v];
-    const hw::IoTableView table = gplus_->table(v);
-    if (o < 0 || !table.is_hardware(static_cast<std::size_t>(o))) continue;
+    if (o <= 0) continue;
+    const std::size_t i = gplus_->offset(v) + static_cast<std::size_t>(o);
+    ISEX_ASSERT(i < gplus_->offset(v + 1));
     scratch.label[v] = kUnlabelled;
     scratch.option[v] = o;
-    scratch.delay[v] = table.option(static_cast<std::size_t>(o)).delay;
-    scratch.area[v] = table.option(static_cast<std::size_t>(o)).area;
+    scratch.delay[v] = delays[i];
+    scratch.area[v] = areas[i];
   }
 
   // Flood each component from its lowest-id member.
@@ -51,11 +60,13 @@ void HardwareGrouping::label_components(std::span<const int> chosen,
     GroupingScratch::Component& comp = scratch.components[c];
     comp.order.clear();
     comp.depth = 0.0;
+    comp.cycles = -1;
     dfg::NodeSet& members = comp.cand.members;
     members.resize(n);
     members.insert(seed);
     scratch.label[seed] = c;
-    scratch.stack.assign(1, seed);
+    scratch.stack.clear();
+    scratch.stack.push_back(seed);
     while (!scratch.stack.empty()) {
       const dfg::NodeId v = scratch.stack.back();
       scratch.stack.pop_back();
@@ -88,11 +99,13 @@ void HardwareGrouping::label_components(std::span<const int> chosen,
   }
   for (std::size_t c = 0; c < scratch.num_components; ++c) {
     GroupingScratch::Component& comp = scratch.components[c];
-    comp.below.resize(n);
-    comp.above.resize(n);
-    for (const dfg::NodeId v : comp.order) {
-      comp.below |= reach_->descendants(v);
-      comp.above |= reach_->ancestors(v);
+    // Every component has a member; copying the first one's rows reuses
+    // the sets' storage.
+    comp.below = reach_->descendants(comp.order.front());
+    comp.above = reach_->ancestors(comp.order.front());
+    for (std::size_t i = 1; i < comp.order.size(); ++i) {
+      comp.below |= reach_->descendants(comp.order[i]);
+      comp.above |= reach_->ancestors(comp.order[i]);
     }
     analyse(comp, scratch);
   }
@@ -120,12 +133,9 @@ void HardwareGrouping::analyse(GroupingScratch::Component& comp,
       static_cast<int>(comp.producers.count() + comp.live_ins.count());
   cand.io_violation = cand.in_count > format_.max_ise_inputs() ||
                       cand.out_count > format_.max_ise_outputs();
-  // Convex iff (∪desc ∩ ∪anc) \ S is empty.  `joined.below` is free here.
-  dfg::NodeSet& violators = scratch.joined.below;
-  violators = comp.below;
-  violators &= comp.above;
-  violators -= cand.members;
-  cand.convex_violation = !violators.empty();
+  // Convex iff (∪desc ∩ ∪anc) \ S is empty.
+  cand.convex_violation =
+      comp.below.intersects_outside(comp.above, cand.members);
   cand.sw_seq_cycles = 0.0;
   comp.area = 0.0;
   cand.members.for_each([&](dfg::NodeId v) {
@@ -212,10 +222,9 @@ const VirtualCandidate& HardwareGrouping::join(dfg::NodeId x,
   cand.out_count += x_escapes;
   cand.io_violation = cand.in_count > format_.max_ise_inputs() ||
                       cand.out_count > format_.max_ise_outputs();
-  // Convex iff (∪desc ∩ ∪anc) \ S is empty; the unions are not needed after.
-  joined.below &= joined.above;
-  joined.below -= cand.members;
-  cand.convex_violation = !joined.below.empty();
+  // Convex iff (∪desc ∩ ∪anc) \ S is empty.
+  cand.convex_violation =
+      joined.below.intersects_outside(joined.above, cand.members);
   cand.timing_violation = false;
   return cand;
 }
@@ -253,27 +262,33 @@ void HardwareGrouping::fill_options(dfg::NodeId x, VirtualCandidate& cand,
   // chose.  At the option x chose, that is its component's base pass; any
   // other option re-runs x's descendants, and its area sums in ascending
   // member order.
-  const hw::IoTableView x_table = gplus_->table(x);
+  // x's options 1..k-1 are its hardware options (G+'s layout).
+  const std::size_t first = gplus_->offset(x);
+  const std::size_t k = gplus_->offset(x + 1) - first;
+  const double* const delays = gplus_->delays().data() + first;
+  const double* const areas = gplus_->areas().data() + first;
   const int x_label = scratch.label[x];
-  cand.per_option.assign(x_table.size(), VirtualCandidate::OptionEval{});
+  cand.per_option.assign(k, VirtualCandidate::OptionEval{});
   int best_cycles = -1;
-  for (std::size_t j = 0; j < x_table.size(); ++j) {
-    if (!x_table.is_hardware(j)) continue;
+  for (std::size_t j = 1; j < k; ++j) {
     VirtualCandidate::OptionEval& eval = cand.per_option[j];
     eval.valid = true;
     if (x_label >= 0 && scratch.option[x] == static_cast<int>(j)) {
-      const GroupingScratch::Component& comp =
+      // Every member reads its component's base pass here, so its cycles
+      // are computed once.
+      GroupingScratch::Component& comp =
           scratch.components[static_cast<std::size_t>(x_label)];
+      if (comp.cycles < 0) comp.cycles = clock_.cycles_for(comp.depth);
       eval.depth_ns = comp.depth;
       eval.area = comp.area;
+      eval.cycles = comp.cycles;
     } else {
-      const hw::ImplOption& option = x_table.option(j);
-      eval.depth_ns = depth_with(x, option.delay, comps, scratch);
+      eval.depth_ns = depth_with(x, delays[j], comps, scratch);
       cand.members.for_each([&](dfg::NodeId v) {
-        eval.area += v == x ? option.area : scratch.area[v];
+        eval.area += v == x ? areas[j] : scratch.area[v];
       });
+      eval.cycles = clock_.cycles_for(eval.depth_ns);
     }
-    eval.cycles = clock_.cycles_for(eval.depth_ns);
     if (best_cycles < 0 || eval.cycles < best_cycles)
       best_cycles = eval.cycles;
   }

@@ -96,6 +96,8 @@ class GroupingScratch {
     /// forward pass, and the area summed in ascending id order.
     double depth = 0.0;
     double area = 0.0;
+    /// ASFU cycles of `depth`; -1 until fill_options first needs them.
+    int cycles = -1;
     /// MeritEngine's terms for the iteration, rewritten by every update:
     /// whether a member is on the critical set, and the members' dependence
     /// window (Max_AEC, Fig 4.3.8).  They live here, not in the engine,

@@ -74,32 +74,35 @@ void MeritEngine::update(PheromoneState& pheromone, const MeritInputs& inputs,
       widen_window(graph, path, v, comp.earliest, comp.latest_finish);
   }
 
+  // One loop over each node's raw merit row: option 0 is software and
+  // options 1..k-1 are hardware (G+'s layout).  Every factor is checked
+  // non-negative as it is applied.
+  const auto scale = [](double& merit, double factor) {
+    ISEX_ASSERT(factor >= 0.0);
+    merit *= factor;
+  };
   for (dfg::NodeId x = 0; x < n; ++x) {
-    const hw::IoTableView table = gplus_->table(x);
+    const std::span<double> row = pheromone.merits(x);
+    double* const m = row.data();
+    const std::size_t k = row.size();
 
     // Software part: merit ×= execution time of the option.
-    for (std::size_t o = 0; o < table.size(); ++o) {
-      if (!table.is_hardware(o))
-        pheromone.scale_merit(x, o, table.option(o).delay);
-    }
+    scale(m[0], gplus_->software_cycles(x));
 
-    if (table.has_hardware()) {
+    if (k > 1) {
       // With locality awareness off (single-issue baseline) every operation
       // counts as critical: any saved cycle shortens a sequential schedule.
       const bool x_critical = !p.locality_aware || critical.contains(x);
 
       // Case 1: critical-path boost.
       if (x_critical) {
-        for (std::size_t j = 0; j < table.size(); ++j)
-          if (table.is_hardware(j))
-            pheromone.scale_merit(x, j, 1.0 / p.beta_cp);
+        for (std::size_t j = 1; j < k; ++j) scale(m[j], 1.0 / p.beta_cp);
       }
 
       if (grouping_.isolated(x, scratch)) {
         // Case 2: a lone operation cannot beat its 1-cycle software form.
         // vS_x = {x} is all it reads, so x skips grouping.
-        for (std::size_t j = 0; j < table.size(); ++j)
-          if (table.is_hardware(j)) pheromone.scale_merit(x, j, p.beta_size);
+        for (std::size_t j = 1; j < k; ++j) scale(m[j], p.beta_size);
         pheromone.normalize_merit(x);
         continue;
       }
@@ -113,11 +116,10 @@ void MeritEngine::update(PheromoneState& pheromone, const MeritInputs& inputs,
           cand.timing_violation) {
         // Case 3: keep a reduced chance — the constraint may dissolve as
         // neighbours flip back to software in later iterations.
-        for (std::size_t j = 0; j < table.size(); ++j) {
-          if (!table.is_hardware(j)) continue;
-          if (cand.io_violation) pheromone.scale_merit(x, j, p.beta_io);
-          if (cand.convex_violation) pheromone.scale_merit(x, j, p.beta_convex);
-          if (cand.timing_violation) pheromone.scale_merit(x, j, p.beta_timing);
+        for (std::size_t j = 1; j < k; ++j) {
+          if (cand.io_violation) scale(m[j], p.beta_io);
+          if (cand.convex_violation) scale(m[j], p.beta_convex);
+          if (cand.timing_violation) scale(m[j], p.beta_timing);
         }
       } else {
         // Case 4: legal candidate of size ≥ 2.  Its critical flag and
@@ -144,12 +146,14 @@ void MeritEngine::update(PheromoneState& pheromone, const MeritInputs& inputs,
         }
 
         // Reference option HW-MAX: maximal execution-time reduction.
+        const VirtualCandidate::OptionEval* const evals =
+            cand.per_option.data();
+        ISEX_ASSERT(cand.per_option.size() == k);
         int best_cycles = std::numeric_limits<int>::max();
         double area_max = 0.0;
-        for (std::size_t j = 0; j < table.size(); ++j) {
-          if (!table.is_hardware(j)) continue;
-          best_cycles = std::min(best_cycles, cand.per_option[j].cycles);
-          area_max = std::max(area_max, cand.per_option[j].area);
+        for (std::size_t j = 1; j < k; ++j) {
+          best_cycles = std::min(best_cycles, evals[j].cycles);
+          area_max = std::max(area_max, evals[j].area);
         }
         // Saving is measured against the members' sequential software time.
         // (Depth-based saving would zero out shallow side clusters, but
@@ -160,27 +164,24 @@ void MeritEngine::update(PheromoneState& pheromone, const MeritInputs& inputs,
         const double sw_time = cand.sw_seq_cycles;
         const double max_aec =
             window_cycles(earliest, latest_finish, path, inputs.tet);
-        for (std::size_t j = 0; j < table.size(); ++j) {
-          if (!table.is_hardware(j)) continue;
-          const auto& eval = cand.per_option[j];
+        for (std::size_t j = 1; j < k; ++j) {
+          const VirtualCandidate::OptionEval& eval = evals[j];
           const double saving = std::max(0.0, sw_time - eval.cycles);
-          pheromone.scale_merit(x, j, saving);
+          scale(m[j], saving);
           if (saving <= 0.0) continue;
           const double area_ratio =
               eval.area > 0.0 ? area_max / eval.area : 1.0;
           if (cand_critical) {
             if (eval.cycles == best_cycles) {
-              pheromone.scale_merit(x, j, area_ratio);
+              scale(m[j], area_ratio);
             } else {
-              pheromone.scale_merit(x, j,
-                                    1.0 / (1.0 + eval.cycles - best_cycles));
+              scale(m[j], 1.0 / (1.0 + eval.cycles - best_cycles));
             }
           } else {
             if (static_cast<double>(eval.cycles) <= max_aec) {
-              pheromone.scale_merit(x, j, area_ratio);
+              scale(m[j], area_ratio);
             } else {
-              pheromone.scale_merit(x, j,
-                                    1.0 / (1.0 + eval.cycles - max_aec));
+              scale(m[j], 1.0 / (1.0 + eval.cycles - max_aec));
             }
           }
         }

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "core/ant_walk.hpp"
 #include "core/candidate.hpp"
@@ -96,14 +97,12 @@ struct RoundContext {
 };
 
 /// One colony's working storage: the ant walk's buffers, the grouping's
-/// per-iteration state, the reorder flags of the trail update, and the
-/// walk's critical set with its worklist.  Owned by explore() rather than
-/// by the per-round chains, so the buffers survive every round and a
-/// warmed-up iteration allocates nothing.
+/// per-iteration state, and the walk's critical set with its worklist.
+/// Owned by explore() rather than by the per-round chains, so the buffers
+/// survive every round and a warmed-up iteration allocates nothing.
 struct ColonyScratch {
   WalkScratch walk;
   GroupingScratch grouping;
-  std::vector<bool> reordered;
   dfg::NodeSet critical;
   std::vector<dfg::NodeId> critical_worklist;
 };
@@ -145,7 +144,6 @@ struct AcoChain {
     const dfg::Graph& current = ctx.graph;
     const WalkResult& walk =
         ctx.walker.run(pheromone, ctx.sp, rng, scratch.walk);
-    std::vector<bool>& reordered = scratch.reordered;
     const bool improved = walk.tet <= tet_old;
     worst_tet = std::max(worst_tet, walk.tet);
     sum_tet += walk.tet;
@@ -154,11 +152,7 @@ struct AcoChain {
                          walk.tet) -
         kWalkTetBounds.begin())];
 
-    reordered.assign(current.num_nodes(), false);
-    for (dfg::NodeId v = 0; v < current.num_nodes(); ++v)
-      reordered[v] = prev_order[v] >= 0 && walk.order[v] < prev_order[v];
-
-    pheromone.update_trails(walk.chosen, reordered, improved);
+    pheromone.update_trails(walk.chosen, walk.order, prev_order, improved);
 
     walk_critical_nodes(current, walk, scratch.critical,
                         scratch.critical_worklist);
@@ -173,7 +167,8 @@ struct AcoChain {
       tet_old = walk.tet;
       best_chosen = walk.chosen;
     }
-    prev_order = walk.order;
+    // The next walk rewrites its whole order, so the buffers trade places.
+    std::swap(prev_order, scratch.walk.result.order);
     ++iterations;
     if (ctx.params.collect_trace) {
       IterationTrace t;

@@ -29,44 +29,30 @@ void PheromoneState::set_merit(dfg::NodeId v, std::size_t option, double value) 
   merit_[index(v, option)] = std::max(value, 0.0);
 }
 
-void PheromoneState::normalize_merit(dfg::NodeId v) {
-  double* const first = merit_.data() + gplus_->offset(v);
-  double* const last = first + num_options(v);
-  double best = 0.0;
-  for (const double* m = first; m != last; ++m) best = std::max(best, *m);
-  if (best <= 0.0) {
-    // Degenerate (all merits decayed away): reset to a uniform floor so the
-    // ant can still make a choice.
-    std::fill(first, last, params_->merit_scale);
-    return;
-  }
-  const double factor = params_->merit_scale / best;
-  // Keep a tiny floor so no option's probability hits exactly zero — the
-  // paper argues excluded options may become optimal later (case 3 note).
-  constexpr double kFloor = 1e-6;
-  for (double* m = first; m != last; ++m) *m = std::max(*m * factor, kFloor);
-}
-
 void PheromoneState::update_trails(std::span<const int> chosen,
-                                   const std::vector<bool>& reordered,
+                                   std::span<const int> order,
+                                   std::span<const int> prev_order,
                                    bool improved) {
   const std::size_t n = num_nodes();
   ISEX_ASSERT(chosen.size() == n);
-  ISEX_ASSERT(reordered.size() == n);
+  ISEX_ASSERT(order.size() == n && prev_order.size() == n);
   const ExplorerParams& p = *params_;
+  // Node v's options are trail_[offset(v), offset(v + 1)), so one running
+  // index walks the whole table in step with v.  delta[1] is the chosen
+  // option's change and delta[0] every other option's; the clamp is
+  // std::clamp's, spelled as max then min so it compiles without branches.
+  const double delta[2] = {improved ? -p.rho2 : p.rho4,
+                           improved ? p.rho1 : -p.rho3};
+  const double trail_max = p.trail_max;
+  std::size_t i = 0;
   for (dfg::NodeId v = 0; v < n; ++v) {
-    double* const row = trail_.data() + gplus_->offset(v);
-    const std::size_t options = num_options(v);
-    for (std::size_t o = 0; o < options; ++o) {
-      double t = row[o];
-      const bool was_chosen = chosen[v] == static_cast<int>(o);
-      if (improved) {
-        t += was_chosen ? p.rho1 : -p.rho2;
-      } else {
-        t += was_chosen ? -p.rho3 : p.rho4;
-        if (reordered[v]) t -= p.rho5;
-      }
-      row[o] = std::clamp(t, 0.0, p.trail_max);
+    const bool reordered =
+        !improved && prev_order[v] >= 0 && order[v] < prev_order[v];
+    const std::size_t end = gplus_->offset(v + 1);
+    for (int o = 0; i < end; ++i, ++o) {
+      double t = trail_[i] + delta[chosen[v] == o ? 1 : 0];
+      if (reordered) t -= p.rho5;
+      trail_[i] = std::min(std::max(t, 0.0), trail_max);
     }
   }
 }

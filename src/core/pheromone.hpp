@@ -14,6 +14,7 @@
 // (weights_into(out)) and indexes it by the same offsets.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -50,16 +51,42 @@ class PheromoneState {
     ISEX_ASSERT(factor >= 0.0);
     merit_[index(v, option)] *= factor;
   }
+  /// Node v's merits, indexed by option (G+'s layout: option 0 software,
+  /// every other option hardware).  The merit update scales them in place.
+  std::span<double> merits(dfg::NodeId v) {
+    return {merit_.data() + gplus_->offset(v), num_options(v)};
+  }
 
   /// Renormalizes node v's merits so its best option carries
   /// params.merit_scale (paper step 8's normalization); preserves ratios.
-  void normalize_merit(dfg::NodeId v);
+  void normalize_merit(dfg::NodeId v) {
+    const std::span<double> row = merits(v);
+    double best = 0.0;
+    for (const double m : row) best = std::max(best, m);
+    if (best <= 0.0) {
+      // Degenerate (all merits decayed away): reset to a uniform floor so
+      // the ant can still make a choice.
+      std::fill(row.begin(), row.end(), params_->merit_scale);
+      return;
+    }
+    // x / x is exactly 1, so a row whose best already carries the scale
+    // skips the division.
+    const double factor = best == params_->merit_scale
+                              ? 1.0
+                              : params_->merit_scale / best;
+    // Keep a tiny floor so no option's probability hits exactly zero — the
+    // paper argues excluded options may become optimal later (case 3 note).
+    constexpr double kFloor = 1e-6;
+    for (double& m : row) m = std::max(m * factor, kFloor);
+  }
 
-  /// Trail update after an iteration (Fig 4.3.5).
-  /// `chosen[v]` is the option each node used; `reordered[v]` is true when v
-  /// ran earlier in the pick order than in the previous iteration.
-  void update_trails(std::span<const int> chosen,
-                     const std::vector<bool>& reordered, bool improved);
+  /// Trail update after an iteration (Fig 4.3.5).  `chosen[v]` is the
+  /// option each node used and `order[v]` its position in the pick order;
+  /// `prev_order` is the previous iteration's order (-1 before the first).
+  /// On a regression, node v also loses rho5 when it was reordered: it ran
+  /// earlier than before (prev_order[v] >= 0 and order[v] < prev_order[v]).
+  void update_trails(std::span<const int> chosen, std::span<const int> order,
+                     std::span<const int> prev_order, bool improved);
 
   /// Selected probability of `option` at node v (Eq. 3).
   double selected_probability(dfg::NodeId v, std::size_t option) const;

@@ -5,6 +5,7 @@
 // convexity and grouping checks (which dominate the inner loop) cheap.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -23,9 +24,15 @@ class NodeSet {
   NodeSet() = default;
   explicit NodeSet(std::size_t universe) { resize(universe); }
 
+  /// Empties the set over universe [0, universe), reusing its storage.
   void resize(std::size_t universe) {
+    const std::size_t words = (universe + 63) / 64;
     universe_ = universe;
-    words_.assign((universe + 63) / 64, 0);
+    if (words_.size() == words) {
+      std::fill(words_.begin(), words_.end(), 0);
+    } else {
+      words_.assign(words, 0);
+    }
   }
   std::size_t universe() const { return universe_; }
 
@@ -106,6 +113,15 @@ class NodeSet {
     ISEX_ASSERT(universe_ == other.universe_);
     for (std::size_t i = 0; i < words_.size(); ++i) {
       if ((words_[i] & other.words_[i]) != 0) return true;
+    }
+    return false;
+  }
+  /// True when (*this ∩ other) \ except is non-empty, tested word by word
+  /// without building the set.  Universes must match.
+  bool intersects_outside(const NodeSet& other, const NodeSet& except) const {
+    ISEX_ASSERT(universe_ == other.universe_ && universe_ == except.universe_);
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      if ((words_[i] & other.words_[i] & ~except.words_[i]) != 0) return true;
     }
     return false;
   }

@@ -35,6 +35,18 @@ GPlus::GPlus(const dfg::Graph& graph, const HwLibrary& library)
     values.insert(values.end(), ids.begin(), ids.end());
   }
 
+  delays_.reserve(options_.items.size());
+  areas_.reserve(options_.items.size());
+  for (dfg::NodeId v = 0; v < n; ++v) {
+    const std::span<const ImplOption> row = options_.row(v);
+    for (std::size_t o = 0; o < row.size(); ++o) {
+      ISEX_ASSERT_MSG((row[o].kind == ImplKind::kHardware) == (o > 0),
+                      "option 0 must be a node's only software option");
+      delays_.push_back(row[o].delay);
+      areas_.push_back(row[o].area);
+    }
+  }
+
   // Dense live-in ids: each value's rank among the distinct values.
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());

@@ -7,10 +7,15 @@
 // (Fig 4.3.6).  GPlus is their one layout, and its constructor is the only
 // code that computes it:
 //  * every (operation, option) entry in one contiguous array, node v's at
-//    [offset(v), offset(v + 1)), software options first; table(v) views
-//    them as v's IO table.  ISE supernodes (from earlier rounds) and
-//    ineligible operations get a software-only table, so the explorer can
-//    treat every node uniformly;
+//    [offset(v), offset(v + 1)); table(v) views them as v's IO table.  ISE
+//    supernodes (from earlier rounds) and ineligible operations get a
+//    software-only table, so the explorer can treat every node uniformly.
+//    The constructor asserts the layout every hot loop relies on: option 0
+//    is the node's only software option and every other option is
+//    hardware, so "option o is hardware" is `o > 0`;
+//  * each entry's delay and area again in two flat arrays (delays(),
+//    areas()), so the ACO loop reads 8-byte values instead of ImplOption
+//    records;
 //  * predecessor and successor lists as CSR, in Graph's order;
 //  * each node's live-in values renumbered densely into [0, num_live_ins()):
 //    two dense ids are equal exactly when the Graph::extern_input_ids they
@@ -56,15 +61,18 @@ class GPlus {
   IoTableView table(dfg::NodeId id) const {
     return IoTableView(options_.row(id));
   }
+  /// entry(i).delay and entry(i).area for every flat index i.
+  std::span<const double> delays() const { return delays_; }
+  std::span<const double> areas() const { return areas_; }
 
   /// True when node `id` has at least one hardware option, i.e. it may be
   /// drawn into an ISE.
-  bool hardware_capable(dfg::NodeId id) const { return table(id).has_hardware(); }
+  bool hardware_capable(dfg::NodeId id) const { return num_options(id) > 1; }
 
-  /// Software execution cycles of node `id` (its first software option,
+  /// Software execution cycles of node `id` (its only software option,
   /// option 0; ISE supernodes report their committed ASFU latency).
   double software_cycles(dfg::NodeId id) const {
-    return entry(offset(id)).delay;
+    return delays_[offset(id)];
   }
 
   /// Graph::preds and Graph::succs, element for element.
@@ -106,6 +114,8 @@ class GPlus {
 
   const dfg::Graph* graph_;
   Csr<ImplOption> options_;
+  std::vector<double> delays_;
+  std::vector<double> areas_;
   Csr<dfg::NodeId> preds_;
   Csr<dfg::NodeId> succs_;
   Csr<std::uint32_t> live_ins_;

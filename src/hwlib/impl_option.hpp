@@ -9,7 +9,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -105,12 +104,16 @@ class IoTableView {
 struct ClockSpec {
   double period_ns = 10.0;
 
-  /// Cycles needed to evaluate a combinational depth (≥ 1).
+  /// Cycles needed to evaluate a combinational depth (≥ 1):
+  /// max(1, ⌈depth/period − 1e-9⌉).  The ceiling is a truncation plus one
+  /// when a fraction was dropped, exact for every quotient in int range
+  /// (a positive depth makes the quotient greater than −1).
   int cycles_for(double depth_ns) const {
     ISEX_ASSERT(period_ns > 0.0);
     if (depth_ns <= 0.0) return 1;
-    return std::max(1,
-                    static_cast<int>(std::ceil(depth_ns / period_ns - 1e-9)));
+    const double q = depth_ns / period_ns - 1e-9;
+    const int whole = static_cast<int>(q);
+    return std::max(1, whole + (static_cast<double>(whole) < q ? 1 : 0));
   }
 };
 

@@ -22,13 +22,15 @@ EvalCache::EvalCache(std::size_t capacity, std::size_t shards)
     shards_.push_back(std::make_unique<Shard>());
 }
 
-std::optional<int> EvalCache::lookup(const Key128& key) {
+std::optional<int> EvalCache::find(const Key128& key, bool count_miss) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    ++shard.misses;
-    misses_metric_->inc();
+    if (count_miss) {
+      ++shard.misses;
+      misses_metric_->inc();
+    }
     return std::nullopt;
   }
   ++shard.hits;
@@ -36,12 +38,23 @@ std::optional<int> EvalCache::lookup(const Key128& key) {
   return it->second;
 }
 
-void EvalCache::insert(const Key128& key, int value) {
+bool EvalCache::emplace(const Key128& key, int value, bool count_outcome) {
   Shard& shard = shard_for(key);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto [it, inserted] = shard.map.emplace(key, value);
-    if (!inserted) return;  // concurrent miss raced us; values are identical
+    if (count_outcome) {
+      // A racing miss inserted the identical value first: this lookup is
+      // counted as the hit a serial run would have made.
+      if (inserted) {
+        ++shard.misses;
+        misses_metric_->inc();
+      } else {
+        ++shard.hits;
+        hits_metric_->inc();
+      }
+    }
+    if (!inserted) return false;
     shard.fifo.push_back(key);
     ++shard.insertions;
     insertions_metric_->inc();
@@ -61,6 +74,7 @@ void EvalCache::insert(const Key128& key, int value) {
     sink = sink_;
   }
   if (sink && *sink) (*sink)(key, value);
+  return true;
 }
 
 void EvalCache::set_persist_sink(PersistSink sink) {

@@ -11,7 +11,10 @@
 // mutex + hash map + FIFO eviction ring, so parallel exploration jobs rarely
 // contend on the same lock.  A concurrent miss may compute the same value
 // twice — both threads then insert the identical (pure-function) result, so
-// correctness and determinism are unaffected.
+// correctness and determinism are unaffected.  get_or_compute counts such a
+// key once: the thread whose insert is fresh counts the miss and the one
+// that finds the key already inserted counts a hit, so its stats are those
+// of a serial run at any thread count.
 //
 // Determinism: the cache is invisible in results.  Values are pure functions
 // of their 128-bit key (see hash.hpp for why collisions are negligible), so
@@ -65,16 +68,24 @@ class EvalCache {
   EvalCache(const EvalCache&) = delete;
   EvalCache& operator=(const EvalCache&) = delete;
 
-  std::optional<int> lookup(const Key128& key);
-  void insert(const Key128& key, int value);
+  /// The cached value; counts a hit, or a miss when absent.
+  std::optional<int> lookup(const Key128& key) {
+    return find(key, /*count_miss=*/true);
+  }
+  /// Inserts unless the key is present; counts neither a hit nor a miss.
+  void insert(const Key128& key, int value) {
+    emplace(key, value, /*count_outcome=*/false);
+  }
 
-  /// lookup(); on a miss, computes, inserts, and returns.  `compute` runs
-  /// outside any shard lock.
+  /// The cached value, or compute()'s, inserted.  `compute` runs outside
+  /// any shard lock.  A miss is counted when the insert is fresh, so two
+  /// threads that miss the same key concurrently count one miss and one hit.
   template <typename Fn>
   int get_or_compute(const Key128& key, Fn compute) {
-    if (const std::optional<int> hit = lookup(key)) return *hit;
+    if (const std::optional<int> hit = find(key, /*count_miss=*/false))
+      return *hit;
     const int value = compute();
-    insert(key, value);
+    emplace(key, value, /*count_outcome=*/true);
     return value;
   }
 
@@ -104,6 +115,14 @@ class EvalCache {
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
   };
+
+  /// Looks `key` up, counting a hit when present and, with `count_miss`,
+  /// a miss when absent.
+  std::optional<int> find(const Key128& key, bool count_miss);
+  /// Inserts `key` unless present and returns whether the insert was fresh.
+  /// With `count_outcome`, a fresh insert counts a miss and a present key a
+  /// hit, under the same shard lock.
+  bool emplace(const Key128& key, int value, bool count_outcome);
 
   Shard& shard_for(const Key128& key) {
     return *shards_[(key.hi ^ (key.hi >> 32)) % shards_.size()];

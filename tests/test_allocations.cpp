@@ -124,7 +124,6 @@ TEST(ZeroAllocation, WarmedUpAcoIterationAllocatesNothing) {
   Rng rng(17);
   WalkScratch walk_scratch;
   GroupingScratch grouping;
-  std::vector<bool> reordered;
   dfg::NodeSet critical;
   std::vector<dfg::NodeId> worklist;
   std::vector<int> prev_order(n, -1);
@@ -137,10 +136,7 @@ TEST(ZeroAllocation, WarmedUpAcoIterationAllocatesNothing) {
     const WalkResult& walk = walker.run(pheromone, sp, rng, walk_scratch);
     tet_sum += walk.tet;
     const bool improved = walk.tet <= tet_old;
-    reordered.assign(n, false);
-    for (dfg::NodeId v = 0; v < n; ++v)
-      reordered[v] = prev_order[v] >= 0 && walk.order[v] < prev_order[v];
-    pheromone.update_trails(walk.chosen, reordered, improved);
+    pheromone.update_trails(walk.chosen, walk.order, prev_order, improved);
     walk_critical_nodes(g, walk, critical, worklist);
     MeritInputs inputs;
     inputs.chosen = walk.chosen;

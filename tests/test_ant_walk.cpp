@@ -315,7 +315,6 @@ void check_against_reference(const std::string& name, const dfg::Graph& g,
   dfg::NodeSet critical;
   std::vector<dfg::NodeId> worklist;
   std::vector<int> prev_order(n, -1);
-  std::vector<bool> reordered(n, false);
   int tet_old = std::numeric_limits<int>::max();
   Rng rng(seed);
   for (int it = 0; it < iterations + extra; ++it) {
@@ -329,9 +328,7 @@ void check_against_reference(const std::string& name, const dfg::Graph& g,
     if (it >= iterations) continue;  // the trained state stays fixed
 
     const bool improved = walk.tet <= tet_old;
-    for (dfg::NodeId v = 0; v < n; ++v)
-      reordered[v] = prev_order[v] >= 0 && walk.order[v] < prev_order[v];
-    pheromone.update_trails(walk.chosen, reordered, improved);
+    pheromone.update_trails(walk.chosen, walk.order, prev_order, improved);
     walk_critical_nodes(g, walk, critical, worklist);
     MeritInputs inputs;
     inputs.chosen = walk.chosen;
@@ -485,15 +482,12 @@ void check_critical_sets(const std::string& name, const dfg::Graph& g,
   dfg::NodeSet want;
   std::vector<dfg::NodeId> worklist;
   std::vector<int> prev_order(n, -1);
-  std::vector<bool> reordered(n, false);
   int tet_old = std::numeric_limits<int>::max();
   Rng rng(seed);
   for (int it = 0; it < iterations; ++it) {
     const WalkResult& walk = walker.run(pheromone, sp, rng, scratch);
     const bool improved = walk.tet <= tet_old;
-    for (dfg::NodeId v = 0; v < n; ++v)
-      reordered[v] = prev_order[v] >= 0 && walk.order[v] < prev_order[v];
-    pheromone.update_trails(walk.chosen, reordered, improved);
+    pheromone.update_trails(walk.chosen, walk.order, prev_order, improved);
     walk_critical_nodes(g, walk, critical, worklist);
     testing::reference_critical_nodes(g, walk, want);
     ASSERT_TRUE(critical == want) << name << " iteration " << it;

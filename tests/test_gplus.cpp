@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -10,6 +11,7 @@
 
 #include "bench_suite/kernels.hpp"
 #include "core/mi_explorer.hpp"
+#include "dfg/analysis.hpp"
 #include "mem/mem_stream.hpp"
 #include "test_util.hpp"
 
@@ -112,6 +114,73 @@ TEST(GPlus, LayoutMatchesGraphOnSuiteCachedAndCollapsedBlocks) {
   const dfg::Graph collapsed = hottest->collapse(ise.original_nodes, info);
   ASSERT_LT(collapsed.num_nodes(), hottest->num_nodes());
   expect_layout_matches(collapsed, "ISE-collapsed");
+}
+
+/// Checks the option layout the ACO loop relies on: option 0 is each
+/// node's only software option, every other option is hardware, and the
+/// flat delay and area arrays repeat the entries bit for bit.  Returns the
+/// number of hardware entries.
+std::size_t expect_software_first(const dfg::Graph& g,
+                                  const std::string& name) {
+  SCOPED_TRACE(name);
+  const GPlus gp(g, HwLibrary::paper_default());
+  EXPECT_EQ(gp.delays().size(), gp.num_entries());
+  EXPECT_EQ(gp.areas().size(), gp.num_entries());
+  std::size_t hardware = 0;
+  for (dfg::NodeId v = 0; v < g.num_nodes(); ++v) {
+    const std::size_t first = gp.offset(v);
+    for (std::size_t o = 0; o < gp.num_options(v); ++o) {
+      const ImplOption& entry = gp.entry(first + o);
+      EXPECT_EQ(entry.kind == ImplKind::kHardware, o > 0)
+          << "node " << v << " option " << o;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(gp.delays()[first + o]),
+                std::bit_cast<std::uint64_t>(entry.delay));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(gp.areas()[first + o]),
+                std::bit_cast<std::uint64_t>(entry.area));
+      hardware += o > 0;
+    }
+    EXPECT_EQ(gp.hardware_capable(v), gp.table(v).has_hardware());
+    EXPECT_EQ(gp.software_cycles(v), gp.entry(first).delay);
+  }
+  return hardware;
+}
+
+TEST(GPlus, FlatOptionsAreSoftwareFirstOnSuiteAndCollapsedBlocks) {
+  std::size_t hardware = 0;
+  dfg::Graph collapsed;
+  for (const auto bm : bench_suite::all_benchmarks()) {
+    for (const auto level :
+         {bench_suite::OptLevel::kO0, bench_suite::OptLevel::kO3}) {
+      const flow::ProfiledProgram prog = bench_suite::make_program(bm, level);
+      for (const flow::ProfiledBlock& block : prog.blocks) {
+        hardware += expect_software_first(block.graph,
+                                          prog.name + "/" + block.name);
+        if (!collapsed.empty()) continue;
+        // The first convex pair of adjacent hardware-capable nodes becomes
+        // an ISE supernode, whose table is software-only.
+        const dfg::Graph& g = block.graph;
+        const GPlus gp(g, HwLibrary::paper_default());
+        const dfg::Reachability reach(g);
+        for (dfg::NodeId v = 0; v < g.num_nodes() && collapsed.empty(); ++v) {
+          for (const dfg::NodeId s : g.succs(v)) {
+            if (!gp.hardware_capable(v) || !gp.hardware_capable(s) ||
+                reach.descendants(v).intersects(reach.ancestors(s)))
+              continue;
+            dfg::IseInfo info;
+            info.latency_cycles = 2;
+            info.num_inputs = 2;
+            info.num_outputs = 1;
+            collapsed =
+                g.collapse(dfg::NodeSet::of(g.num_nodes(), {v, s}), info);
+            break;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(hardware, 0u);
+  ASSERT_FALSE(collapsed.empty());
+  expect_software_first(collapsed, "ISE-collapsed");
 }
 
 TEST(GPlus, AnnotatesEligibleNodesWithHardware) {

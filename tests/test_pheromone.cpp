@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "bench_suite/kernels.hpp"
+#include "dfg/analysis.hpp"
 #include "test_util.hpp"
+#include "trail_reference.hpp"
 
 namespace isex::core {
 namespace {
@@ -22,6 +27,9 @@ class PheromoneTest : public ::testing::Test {
   hw::HwLibrary lib_;
   hw::GPlus gplus_;
   ExplorerParams params_;
+  /// Pick order 0, 1, 2 after a first iteration: no node was reordered.
+  const std::vector<int> order_ = {0, 1, 2};
+  const std::vector<int> first_ = {-1, -1, -1};
 };
 
 TEST_F(PheromoneTest, InitialValuesFollowParams) {
@@ -38,8 +46,7 @@ TEST_F(PheromoneTest, InitialValuesFollowParams) {
 TEST_F(PheromoneTest, ImprovedIterationRewardsChosen) {
   PheromoneState state(gplus_, params_);
   const std::vector<int> chosen = {1, 1, 0};
-  const std::vector<bool> reordered(3, false);
-  state.update_trails(chosen, reordered, /*improved=*/true);
+  state.update_trails(chosen, order_, first_, /*improved=*/true);
   EXPECT_DOUBLE_EQ(state.trail(0, 1), params_.rho1);
   EXPECT_DOUBLE_EQ(state.trail(0, 0), 0.0);  // clamped at zero
   EXPECT_DOUBLE_EQ(state.trail(2, 0), params_.rho1);
@@ -48,9 +55,8 @@ TEST_F(PheromoneTest, ImprovedIterationRewardsChosen) {
 TEST_F(PheromoneTest, RegressionPenalizesChosenAndRewardsOthers) {
   PheromoneState state(gplus_, params_);
   const std::vector<int> chosen = {1, 1, 1};
-  const std::vector<bool> reordered(3, false);
-  state.update_trails(chosen, reordered, true);   // build some trail
-  state.update_trails(chosen, reordered, false);  // regress
+  state.update_trails(chosen, order_, first_, true);   // build some trail
+  state.update_trails(chosen, order_, first_, false);  // regress
   EXPECT_DOUBLE_EQ(state.trail(0, 1), params_.rho1 - params_.rho3);
   EXPECT_DOUBLE_EQ(state.trail(0, 0), params_.rho4);  // 0 - rho2 clamp + rho4
 }
@@ -58,11 +64,12 @@ TEST_F(PheromoneTest, RegressionPenalizesChosenAndRewardsOthers) {
 TEST_F(PheromoneTest, ReorderedOperationsLoseExtraTrail) {
   PheromoneState state(gplus_, params_);
   const std::vector<int> chosen = {0, 0, 0};
-  std::vector<bool> reordered = {true, false, false};
-  state.update_trails(chosen, reordered, true);  // improved: rho5 not applied
+  // Node 0 ran at position 0 after position 1 last time: reordered.
+  const std::vector<int> prev_order = {1, 1, 2};
+  state.update_trails(chosen, order_, prev_order, true);  // improved: no rho5
   const double base = state.trail(0, 0);
   EXPECT_DOUBLE_EQ(base, state.trail(1, 0));
-  state.update_trails(chosen, reordered, false);  // regression: rho5 applies
+  state.update_trails(chosen, order_, prev_order, false);  // regression: rho5
   EXPECT_DOUBLE_EQ(state.trail(1, 0) - state.trail(0, 0), params_.rho5);
 }
 
@@ -71,8 +78,8 @@ TEST_F(PheromoneTest, TrailClampedToMax) {
   p.trail_max = 10.0;
   PheromoneState state(gplus_, p);
   const std::vector<int> chosen = {0, 0, 0};
-  const std::vector<bool> reordered(3, false);
-  for (int i = 0; i < 100; ++i) state.update_trails(chosen, reordered, true);
+  for (int i = 0; i < 100; ++i)
+    state.update_trails(chosen, order_, first_, true);
   EXPECT_DOUBLE_EQ(state.trail(0, 0), 10.0);
 }
 
@@ -98,8 +105,7 @@ TEST_F(PheromoneTest, NormalizeMeritRecoversFromAllZero) {
 TEST_F(PheromoneTest, SelectedProbabilitySumsToOne) {
   PheromoneState state(gplus_, params_);
   const std::vector<int> chosen = {1, 2, 0};
-  const std::vector<bool> reordered(3, false);
-  state.update_trails(chosen, reordered, true);
+  state.update_trails(chosen, order_, first_, true);
   for (dfg::NodeId v = 0; v < 3; ++v) {
     double sum = 0.0;
     for (std::size_t o = 0; o < state.num_options(v); ++o)
@@ -135,8 +141,7 @@ TEST_F(PheromoneTest, WeightMixesTrailAndMerit) {
   EXPECT_DOUBLE_EQ(state.weight(0, 0), 0.75 * 100.0);
   EXPECT_DOUBLE_EQ(state.weight(0, 1), 0.75 * 200.0);
   const std::vector<int> chosen = {0, 0, 0};
-  const std::vector<bool> reordered(3, false);
-  state.update_trails(chosen, reordered, true);
+  state.update_trails(chosen, order_, first_, true);
   EXPECT_DOUBLE_EQ(state.weight(0, 0), 0.25 * params_.rho1 + 0.75 * 100.0);
 }
 
@@ -166,16 +171,20 @@ TEST_F(PheromoneTest, FlatWeightsMatchPerNode) {
   for (int it = 0; it < 30; ++it) {
     for (PheromoneState* state : {&a, &b}) {
       std::vector<int> chosen(g.num_nodes());
-      std::vector<bool> reordered(g.num_nodes());
+      std::vector<int> order(g.num_nodes());
+      std::vector<int> prev_order(g.num_nodes());
       for (dfg::NodeId v = 0; v < g.num_nodes(); ++v) {
         chosen[v] = static_cast<int>(rng.next_below(
             static_cast<std::uint32_t>(state->num_options(v))));
-        reordered[v] = rng.next_below(3) == 0;
+        // Reordered (ran earlier than last time) with probability 1/3.
+        order[v] = static_cast<int>(v);
+        prev_order[v] = rng.next_below(3) == 0 ? static_cast<int>(v) + 1 : -1;
         for (std::size_t o = 0; o < state->num_options(v); ++o)
           state->scale_merit(v, o, 0.5 + rng.next_double());
         state->normalize_merit(v);
       }
-      state->update_trails(chosen, reordered, rng.next_below(2) == 0);
+      state->update_trails(chosen, order, prev_order,
+                           rng.next_below(2) == 0);
     }
   }
   expect_flat_matches(a);
@@ -189,6 +198,104 @@ TEST_F(PheromoneTest, FlatWeightsMatchPerNode) {
   PheromoneState merged(gplus, params_);
   merger.finalize_into(merged);
   expect_flat_matches(merged);
+}
+
+TEST_F(PheromoneTest, TrailUpdateMatchesReferenceBitForBit) {
+  // The flat update against the per-entry reference, bit for bit, over
+  // random blocks, every suite block and an ISE-collapsed block; random
+  // chosen options, pick orders and previous orders (-1 entries included);
+  // both values of `improved`; and clamping at 0 and at trail_max.
+  std::vector<std::pair<std::string, dfg::Graph>> blocks;
+  Rng graph_rng(31);
+  for (const std::size_t n : {1u, 5u, 40u, 96u})
+    blocks.emplace_back("random" + std::to_string(n),
+                        testing::make_random_dag(n, graph_rng));
+  for (const auto bm : bench_suite::all_benchmarks()) {
+    for (const auto level :
+         {bench_suite::OptLevel::kO0, bench_suite::OptLevel::kO3}) {
+      for (const flow::ProfiledBlock& block :
+           bench_suite::make_program(bm, level).blocks)
+        blocks.emplace_back(block.name, block.graph);
+    }
+  }
+  {
+    // Collapse the first convex pair of adjacent hardware-capable nodes.
+    const dfg::Graph& g = blocks.back().second;
+    const hw::GPlus gp(g, lib_);
+    const dfg::Reachability reach(g);
+    dfg::Graph collapsed;
+    for (dfg::NodeId v = 0; v < g.num_nodes() && collapsed.empty(); ++v) {
+      for (const dfg::NodeId s : g.succs(v)) {
+        if (!gp.hardware_capable(v) || !gp.hardware_capable(s) ||
+            reach.descendants(v).intersects(reach.ancestors(s)))
+          continue;
+        dfg::IseInfo info;
+        info.latency_cycles = 1;
+        info.num_inputs = 2;
+        info.num_outputs = 1;
+        collapsed = g.collapse(dfg::NodeSet::of(g.num_nodes(), {v, s}), info);
+        break;
+      }
+    }
+    ASSERT_FALSE(collapsed.empty());
+    blocks.emplace_back("ISE-collapsed", std::move(collapsed));
+  }
+
+  Rng rng(5);
+  std::size_t clamped_low = 0;
+  std::size_t clamped_high = 0;
+  std::size_t reordered_nodes = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const dfg::Graph& g = blocks[b].second;
+    SCOPED_TRACE(blocks[b].first);
+    const std::size_t n = g.num_nodes();
+    const hw::GPlus gp(g, lib_);
+    ExplorerParams params;
+    if (b % 2 == 1) params.trail_max = 9.0;  // reached within a few updates
+    PheromoneState flat(gp, params);
+    PheromoneState ref(gp, params);
+    std::vector<int> chosen(n);
+    std::vector<int> order(n);
+    std::vector<int> prev_order(n, -1);
+    for (int it = 0; it < 40; ++it) {
+      for (dfg::NodeId v = 0; v < n; ++v) {
+        chosen[v] = static_cast<int>(
+            rng.next_below(static_cast<std::uint32_t>(gp.num_options(v))));
+        order[v] = static_cast<int>(v);
+      }
+      for (std::size_t i = n; i > 1; --i)  // Fisher-Yates
+        std::swap(order[i - 1],
+                  order[rng.next_below(static_cast<std::uint32_t>(i))]);
+      if (it % 7 == 3) {
+        // A previous order with some nodes never seen (-1).
+        for (dfg::NodeId v = 0; v < n; ++v)
+          if (rng.next_below(4) == 0) prev_order[v] = -1;
+      }
+      const bool improved = rng.next_below(2) == 0;
+      const std::vector<bool> reordered =
+          testing::reference_reordered(order, prev_order);
+      if (!improved)
+        reordered_nodes += static_cast<std::size_t>(
+            std::count(reordered.begin(), reordered.end(), true));
+
+      flat.update_trails(chosen, order, prev_order, improved);
+      testing::reference_update_trails(ref, params, chosen, reordered,
+                                       improved);
+      for (dfg::NodeId v = 0; v < n; ++v) {
+        for (std::size_t o = 0; o < gp.num_options(v); ++o) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(flat.trail(v, o)),
+                    std::bit_cast<std::uint64_t>(ref.trail(v, o)))
+              << "iteration " << it << " v=" << v << " o=" << o;
+          clamped_low += ref.trail(v, o) == 0.0;
+          clamped_high += ref.trail(v, o) == params.trail_max;
+        }
+      }
+      prev_order = order;
+    }
+  }
+  EXPECT_GT(clamped_low, 0u);
+  EXPECT_GT(clamped_high, 0u);
+  EXPECT_GT(reordered_nodes, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // job count).
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <cstdint>
 #include <mutex>
 #include <numeric>
@@ -579,8 +580,33 @@ TEST(EvalCache, ConcurrentHammeringStaysConsistent) {
   });
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses, 2000u);
-  EXPECT_GE(stats.misses, 50u);  // at least one miss per distinct key
+  EXPECT_EQ(stats.misses, 50u);  // exactly one miss per distinct key
   EXPECT_EQ(cache.size(), 50u);
+}
+
+TEST(EvalCache, ConcurrentDoubleMissCountsOneMiss) {
+  // Two threads miss the same key and are both held inside compute() until
+  // the other has entered it, so both inserts race: the fresh one counts the
+  // miss, the other the hit a serial run would have made.
+  EvalCache cache(/*capacity=*/16, /*shards=*/1);
+  const Key128 key{7, 11};
+  std::latch both_computing(2);
+  const auto worker = [&] {
+    const int value = cache.get_or_compute(key, [&] {
+      both_computing.arrive_and_wait();
+      return 42;
+    });
+    EXPECT_EQ(value, 42);
+  };
+  std::thread first(worker);
+  std::thread second(worker);
+  first.join();
+  second.join();
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 // ------------------------------------------------------------- schedule keys
