@@ -357,10 +357,8 @@ const WalkResult& AntWalk::run(const PheromoneState& pheromone,
         depth_in = std::max(depth_in, hw_depth[p]);
     }
     hw_depth[v] = depth_in + delay_ns;
-    if (hw_depth[v] > g.depth_ns) {  // cycles follow the depth
-      g.depth_ns = hw_depth[v];
-      g.cycles = clock_.cycles_for(g.depth_ns);
-    }
+    g.depth_ns = std::max(g.depth_ns, hw_depth[v]);
+    g.cycles = clock_.cycles_for(g.depth_ns);
     result.group_id[v] = gid;
     result.slot[v] = g.start;
     return true;

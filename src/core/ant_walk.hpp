@@ -13,19 +13,22 @@
 //
 // Hot-path structure (see docs/PERFORMANCE.md): a step pays only for what
 // its own pick changes.
-//  * Per round, a walk reads the round's flat G+ layout (hw::GPlus): its
-//    (operation, option) entries, CSR edges and dense live-in ids.  AntWalk's
-//    constructor adds only the per-node terms that belong to the walk:
-//    software ports, FU class, a fresh group's IN/OUT, and live-out.
+//  * Per round, a walk reads the round's flat G+ layout (hw::GPlus): entry
+//    offsets, the flat delay array, CSR edges and dense live-in ids.  G+
+//    puts each node's only software option at 0, so a pick is hardware
+//    exactly when its option is above 0.  AntWalk's constructor adds only
+//    the per-node terms that belong to the walk: software ports, latency
+//    and FU class, a fresh group's IN/OUT, and live-out.
 //  * Per walk, trail and merit are const, so the Eq. 1 numerator of every
 //    (node, option) pair is built into one flat table up front, indexed by
 //    G+'s entry offsets.
-//  * Per step, the Ready-Matrix is maintained incrementally: entries append
+//  * Per step, the Ready-Matrix is maintained incrementally in arrays sized
+//    once to G+'s entries (every node enters once per walk): entries append
 //    when a node becomes ready and the picked node's block, which starts at
 //    pick − option, is compacted out in place, keeping the enumeration order
 //    (and therefore the RNG draw sequence) identical to a per-step rebuild.
-//    A running prefix sum of the live weights supplies the draw's total and
-//    is recomputed only from the removed position onward.
+//    A running prefix sum of the live weights supplies the draw's total; the
+//    pass that compacts the tail re-sums it from the removed position on.
 // All working storage lives in a reusable WalkScratch, so a warmed-up walk
 // performs no heap allocation.
 #pragma once
@@ -144,8 +147,9 @@ class WalkScratch {
   // Flattened per-(node, option) Eq. 1 numerator + λ·SP, built once per
   // walk and indexed by hw::GPlus::offset.
   std::vector<double> base_weight;
-  // Flattened Ready-Matrix: live (node, option) entries, their weights, and
-  // the left-to-right running sum of those weights.
+  // Flattened Ready-Matrix, sized to G+'s entries: the live (node, option)
+  // entries, their weights, and the left-to-right running sum of those
+  // weights occupy each array's first `live` slots.
   std::vector<ReadyEntry> entries;
   std::vector<double> weights;
   std::vector<double> prefix;

@@ -60,7 +60,6 @@ void HardwareGrouping::label_components(std::span<const int> chosen,
     GroupingScratch::Component& comp = scratch.components[c];
     comp.order.clear();
     comp.depth = 0.0;
-    comp.cycles = -1;
     dfg::NodeSet& members = comp.cand.members;
     members.resize(n);
     members.insert(seed);
@@ -274,21 +273,17 @@ void HardwareGrouping::fill_options(dfg::NodeId x, VirtualCandidate& cand,
     VirtualCandidate::OptionEval& eval = cand.per_option[j];
     eval.valid = true;
     if (x_label >= 0 && scratch.option[x] == static_cast<int>(j)) {
-      // Every member reads its component's base pass here, so its cycles
-      // are computed once.
-      GroupingScratch::Component& comp =
+      const GroupingScratch::Component& comp =
           scratch.components[static_cast<std::size_t>(x_label)];
-      if (comp.cycles < 0) comp.cycles = clock_.cycles_for(comp.depth);
       eval.depth_ns = comp.depth;
       eval.area = comp.area;
-      eval.cycles = comp.cycles;
     } else {
       eval.depth_ns = depth_with(x, delays[j], comps, scratch);
       cand.members.for_each([&](dfg::NodeId v) {
         eval.area += v == x ? areas[j] : scratch.area[v];
       });
-      eval.cycles = clock_.cycles_for(eval.depth_ns);
     }
+    eval.cycles = clock_.cycles_for(eval.depth_ns);
     if (best_cycles < 0 || eval.cycles < best_cycles)
       best_cycles = eval.cycles;
   }

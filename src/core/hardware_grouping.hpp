@@ -25,9 +25,11 @@
 //     re-run the pass over x's descendants only.
 // join() builds vS_x's members and legality; evaluate() adds x's option
 // evaluations and the software time, which the merit function reads only
-// for some candidates.  Edges, option entries and live-in values are read
-// from the round's flat G+ layout (hw::GPlus), whose dense live-in ids make
-// a component's live-in set a bitset.  Every figure is bit-identical to a per-node search:
+// for some candidates.  Edges, live-in values and option delays and areas
+// are read from the round's flat G+ layout (hw::GPlus): its dense live-in
+// ids make a component's live-in set a bitset, and its software-first
+// layout makes "option o is hardware" the test o > 0.  Every figure is
+// bit-identical to a per-node search:
 // depths are maxima of the same per-node start + delay sums, area and
 // software-time sums run in ascending member order, and IN/OUT and the flags
 // are integers and booleans.
@@ -96,8 +98,6 @@ class GroupingScratch {
     /// forward pass, and the area summed in ascending id order.
     double depth = 0.0;
     double area = 0.0;
-    /// ASFU cycles of `depth`; -1 until fill_options first needs them.
-    int cycles = -1;
     /// MeritEngine's terms for the iteration, rewritten by every update:
     /// whether a member is on the critical set, and the members' dependence
     /// window (Max_AEC, Fig 4.3.8).  They live here, not in the engine,

@@ -39,11 +39,9 @@ void PheromoneState::update_trails(std::span<const int> chosen,
   const ExplorerParams& p = *params_;
   // Node v's options are trail_[offset(v), offset(v + 1)), so one running
   // index walks the whole table in step with v.  delta[1] is the chosen
-  // option's change and delta[0] every other option's; the clamp is
-  // std::clamp's, spelled as max then min so it compiles without branches.
+  // option's change and delta[0] every other option's.
   const double delta[2] = {improved ? -p.rho2 : p.rho4,
                            improved ? p.rho1 : -p.rho3};
-  const double trail_max = p.trail_max;
   std::size_t i = 0;
   for (dfg::NodeId v = 0; v < n; ++v) {
     const bool reordered =
@@ -52,7 +50,7 @@ void PheromoneState::update_trails(std::span<const int> chosen,
     for (int o = 0; i < end; ++i, ++o) {
       double t = trail_[i] + delta[chosen[v] == o ? 1 : 0];
       if (reordered) t -= p.rho5;
-      trail_[i] = std::min(std::max(t, 0.0), trail_max);
+      trail_[i] = std::clamp(t, 0.0, p.trail_max);
     }
   }
 }

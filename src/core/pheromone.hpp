@@ -69,11 +69,7 @@ class PheromoneState {
       std::fill(row.begin(), row.end(), params_->merit_scale);
       return;
     }
-    // x / x is exactly 1, so a row whose best already carries the scale
-    // skips the division.
-    const double factor = best == params_->merit_scale
-                              ? 1.0
-                              : params_->merit_scale / best;
+    const double factor = params_->merit_scale / best;
     // Keep a tiny floor so no option's probability hits exactly zero — the
     // paper argues excluded options may become optimal later (case 3 note).
     constexpr double kFloor = 1e-6;
