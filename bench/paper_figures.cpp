@@ -217,8 +217,14 @@ std::vector<HwOptionRow> table_5_1_1() {
   std::vector<HwOptionRow> rows;
   for (std::size_t i = 0; i < isa::kOpcodeCount; ++i) {
     const auto op = static_cast<isa::Opcode>(i);
-    for (const hw::ImplOption& o : lib.hardware_options(op))
-      rows.push_back({std::string(isa::mnemonic(op)), o.name, o.delay, o.area});
+    const auto cells = lib.hardware_options(op);
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      // Appended: GCC 12 misreports "HW-" + std::to_string(k) (-Wrestrict).
+      std::string option = "HW-";
+      option += std::to_string(k + 1);
+      rows.push_back({std::string(isa::mnemonic(op)), std::move(option),
+                      cells[k].delay, cells[k].area});
+    }
   }
   return rows;
 }

@@ -98,8 +98,9 @@ BENCHMARK(BM_AntWalkScratchReuse)
     ->Complexity(benchmark::oNSquared);
 
 /// One merit update per benchmark iteration over a seeded random DAG whose
-/// previous-iteration options come from `pick(table, rng)`, reusing one
-/// GroupingScratch the way an ACO colony does.
+/// previous-iteration options come from `pick(num_options, rng)` (option 0
+/// is software, the rest hardware), reusing one GroupingScratch the way an
+/// ACO colony does.
 template <typename Pick>
 void merit_update(benchmark::State& state, Pick pick) {
   const dfg::Graph g = random_dag(static_cast<std::size_t>(state.range(0)), 4);
@@ -117,7 +118,7 @@ void merit_update(benchmark::State& state, Pick pick) {
   Rng rng(6);
   std::vector<int> chosen(g.num_nodes());
   for (dfg::NodeId v = 0; v < g.num_nodes(); ++v)
-    chosen[v] = pick(gplus.table(v), rng);
+    chosen[v] = pick(gplus.num_options(v), rng);
   core::MeritInputs inputs;
   inputs.chosen = chosen;
   inputs.critical = &critical;
@@ -136,7 +137,7 @@ void merit_update(benchmark::State& state, Pick pick) {
 // its members share.  A member with a second hardware option (add, sub,
 // slt) still re-runs its descendants and sums the component's area for it.
 void BM_MeritUpdate(benchmark::State& state) {
-  merit_update(state, [](hw::IoTableView, Rng&) { return 1; });
+  merit_update(state, [](std::size_t, Rng&) { return 1; });
 }
 BENCHMARK(BM_MeritUpdate)->Range(16, 256)->Complexity(benchmark::oNSquared);
 
@@ -149,12 +150,10 @@ BENCHMARK(BM_MeritUpdate)->Range(16, 256)->Complexity(benchmark::oNSquared);
 // small components and every software-chosen operation builds its vS_x as
 // the union of the components around it.
 void BM_MeritUpdateMixed(benchmark::State& state) {
-  merit_update(state, [](hw::IoTableView table, Rng& rng) {
-    if (rng.next_double() < 0.67 || !table.has_hardware())
-      return static_cast<int>(table.first_software());
+  merit_update(state, [](std::size_t num_options, Rng& rng) {
+    if (rng.next_double() < 0.67 || num_options == 1) return 0;
     return static_cast<int>(
-        table.num_software() +
-        rng.next_below(static_cast<std::uint32_t>(table.num_hardware())));
+        1 + rng.next_below(static_cast<std::uint32_t>(num_options - 1)));
   });
 }
 BENCHMARK(BM_MeritUpdateMixed)

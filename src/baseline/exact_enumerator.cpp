@@ -29,25 +29,22 @@ struct SetHash {
 std::vector<int> pick_options(const hw::GPlus& gplus,
                               const dfg::NodeSet& members, bool fastest) {
   std::vector<int> option(gplus.graph().num_nodes(), 0);
+  const std::span<const double> delay = gplus.delays();
+  const std::span<const double> area = gplus.areas();
   members.for_each([&](dfg::NodeId v) {
-    const hw::IoTableView table = gplus.table(v);
-    int best = -1;
-    for (std::size_t o = 0; o < table.size(); ++o) {
-      if (!table.is_hardware(o)) continue;
-      if (best < 0) {
-        best = static_cast<int>(o);
-        continue;
-      }
-      const auto& cand = table.option(o);
-      const auto& cur = table.option(static_cast<std::size_t>(best));
-      const bool better = fastest ? (cand.delay < cur.delay ||
-                                     (cand.delay == cur.delay && cand.area < cur.area))
-                                  : (cand.area < cur.area ||
-                                     (cand.area == cur.area && cand.delay < cur.delay));
-      if (better) best = static_cast<int>(o);
+    ISEX_ASSERT(gplus.hardware_capable(v));
+    // Option 0 is software; options 1..k−1 are v's hardware cells.
+    const std::size_t first = gplus.offset(v);
+    std::size_t best = first + 1;
+    for (std::size_t i = best + 1; i < gplus.offset(v + 1); ++i) {
+      const bool better =
+          fastest ? (delay[i] < delay[best] ||
+                     (delay[i] == delay[best] && area[i] < area[best]))
+                  : (area[i] < area[best] ||
+                     (area[i] == area[best] && delay[i] < delay[best]));
+      if (better) best = i;
     }
-    ISEX_ASSERT(best >= 0);
-    option[v] = best;
+    option[v] = static_cast<int>(best - first);
   });
   return option;
 }

@@ -22,9 +22,8 @@ std::vector<dfg::NodeSet> legalize_timing(const hw::GPlus& gplus,
   auto depth_of = [&](const dfg::NodeSet& s) {
     return dfg::induced_critical_path(
         graph, gplus.topological_order(), s, [&](dfg::NodeId v) {
-          return gplus.table(v)
-              .option(static_cast<std::size_t>(taken[v]))
-              .delay;
+          return gplus.delays()[gplus.offset(v) +
+                                static_cast<std::size_t>(taken[v])];
         });
   };
   while (piece.count() > 1 &&
@@ -60,9 +59,7 @@ std::vector<IseCandidate> extract_candidates(const hw::GPlus& gplus,
 
   dfg::NodeSet hardware_set(n);
   for (dfg::NodeId v = 0; v < n; ++v) {
-    const int o = taken[v];
-    if (o >= 0 && gplus.table(v).is_hardware(static_cast<std::size_t>(o)))
-      hardware_set.insert(v);
+    if (taken[v] > 0) hardware_set.insert(v);
   }
 
   std::vector<IseCandidate> out;

@@ -42,16 +42,16 @@ struct ExplorerParams {
   static constexpr double merit_scale = 200.0;
   static constexpr double initial_trail = 0.0;
   /// Trail values are clamped into [0, trail_max].
-  double trail_max = 1000.0;
+  static constexpr double trail_max = 1000.0;
 
   // --- convergence ---
-  /// A round converges when every operation has an option whose selected
-  /// probability (Eq. 3) exceeds this.
-  double p_end = 0.99;
+  /// P_END: a round converges when every operation has an option whose
+  /// selected probability (Eq. 3) exceeds this.
+  static constexpr double p_end = 0.99;
   /// Hard cap on iterations per round (safety net for the heuristic).
   int max_iterations = 250;
   /// Hard cap on rounds (ISEs explored per basic block).
-  int max_rounds = 64;
+  static constexpr int max_rounds = 64;
 
   // --- multi-colony parallel search (docs/PERFORMANCE.md) ---
   /// Number of ant colonies a round's ant budget is sharded across.  1 (the

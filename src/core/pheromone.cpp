@@ -13,10 +13,10 @@ PheromoneState::PheromoneState(const hw::GPlus& gplus,
       params_(&params),
       trail_(gplus.num_entries(), params.initial_trail) {
   merit_.reserve(gplus.num_entries());
-  for (std::size_t i = 0; i < gplus.num_entries(); ++i) {
-    merit_.push_back(gplus.entry(i).kind == hw::ImplKind::kHardware
-                         ? params.initial_merit_hardware
-                         : params.initial_merit_software);
+  for (dfg::NodeId v = 0; v < gplus.num_nodes(); ++v) {
+    merit_.push_back(params.initial_merit_software);
+    merit_.insert(merit_.end(), gplus.num_options(v) - 1,
+                  params.initial_merit_hardware);
   }
 }
 

@@ -46,8 +46,10 @@ struct FlowConfig {
   Algorithm algorithm = Algorithm::kMultiIssue;
   int repeats = 5;  ///< §5.1: best of 5 explorations per block
   std::uint64_t seed = 1;
-  double hot_coverage = 0.95;
-  std::size_t max_hot_blocks = 8;
+  /// Hot blocks: the shortest descending-time prefix of the blocks covering
+  /// this share of program time, capped at max_hot_blocks.
+  static constexpr double hot_coverage = 0.95;
+  static constexpr std::size_t max_hot_blocks = 8;
   /// Memory-hierarchy cost model (docs/MEMORY.md).  When set, every block
   /// is annotated with simulated L1/L2 load/store latencies before
   /// profiling, so all downstream stages — exploration merit, selection,

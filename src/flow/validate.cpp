@@ -39,21 +39,19 @@ ValidationReport validate(const FlowConfig& config) {
   if (config.repeats < 1)
     param_error("repeats " + std::to_string(config.repeats) +
                 " is invalid (must be >= 1)");
-  if (!(config.hot_coverage > 0.0) || config.hot_coverage > 1.0)
-    param_error("hot_coverage " + std::to_string(config.hot_coverage) +
-                " is outside (0, 1]");
-  if (config.max_hot_blocks < 1)
-    param_error("max_hot_blocks must be >= 1");
+  static_assert(FlowConfig::hot_coverage > 0.0 &&
+                FlowConfig::hot_coverage <= 1.0);
+  static_assert(FlowConfig::max_hot_blocks >= 1);
   if (config.constraints.max_ises < 0)
     param_error("constraints.max_ises must be >= 0");
   if (!(config.constraints.area_budget >= 0.0))  // also rejects NaN
     param_error("constraints.area_budget must be >= 0");
   const core::ExplorerParams& p = config.params;
-  if (p.max_iterations < 1 || p.max_rounds < 1)
-    param_error("ACO caps max_iterations/max_rounds must be >= 1");
-  if (!(p.p_end > 0.0) || p.p_end > 1.0)
-    param_error("convergence threshold p_end " + std::to_string(p.p_end) +
-                " is outside (0, 1]");
+  static_assert(core::ExplorerParams::max_rounds >= 1);
+  static_assert(core::ExplorerParams::p_end > 0.0 &&
+                core::ExplorerParams::p_end <= 1.0);
+  if (p.max_iterations < 1)
+    param_error("ACO cap max_iterations must be >= 1");
   if (p.colonies < 1)
     param_error("colonies " + std::to_string(p.colonies) +
                 " is invalid (must be >= 1)");

@@ -11,20 +11,20 @@ AsfuEvaluation evaluate_asfu(const GPlus& gplus, const dfg::NodeSet& members,
   ISEX_ASSERT(members.universe() == graph.num_nodes());
   ISEX_ASSERT(chosen_option.size() == graph.num_nodes());
 
+  const auto entry = [&](dfg::NodeId v) {
+    return gplus.offset(v) + static_cast<std::size_t>(chosen_option[v]);
+  };
   AsfuEvaluation eval;
   members.for_each([&](dfg::NodeId v) {
-    const IoTableView table = gplus.table(v);
-    const auto idx = static_cast<std::size_t>(chosen_option[v]);
-    ISEX_ASSERT_MSG(table.is_hardware(idx),
-                    "ISE member must use a hardware option");
-    eval.area += table.option(idx).area;
+    const int o = chosen_option[v];
+    ISEX_ASSERT_MSG(o > 0, "ISE member must use a hardware option");
+    ISEX_ASSERT(static_cast<std::size_t>(o) < gplus.num_options(v));
+    eval.area += gplus.areas()[entry(v)];
   });
 
   eval.depth_ns = dfg::induced_critical_path(
-      graph, gplus.topological_order(), members, [&](dfg::NodeId v) {
-        return gplus.table(v).option(static_cast<std::size_t>(chosen_option[v]))
-            .delay;
-      });
+      graph, gplus.topological_order(), members,
+      [&](dfg::NodeId v) { return gplus.delays()[entry(v)]; });
   eval.latency_cycles = clock.cycles_for(eval.depth_ns);
   return eval;
 }

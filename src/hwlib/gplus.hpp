@@ -6,16 +6,15 @@
 // and merit matrices of Eqs. 1–3, and Hardware-Grouping's IN/OUT counts
 // (Fig 4.3.6).  GPlus is their one layout, and its constructor is the only
 // code that computes it:
-//  * every (operation, option) entry in one contiguous array, node v's at
-//    [offset(v), offset(v + 1)); table(v) views them as v's IO table.  ISE
-//    supernodes (from earlier rounds) and ineligible operations get a
-//    software-only table, so the explorer can treat every node uniformly.
-//    The constructor asserts the layout every hot loop relies on: option 0
-//    is the node's only software option and every other option is
-//    hardware, so "option o is hardware" is `o > 0`;
-//  * each entry's delay and area again in two flat arrays (delays(),
-//    areas()), so the ACO loop reads 8-byte values instead of ImplOption
-//    records;
+//  * every (operation, option) entry's delay and area in two flat arrays,
+//    delays() and areas(); node v's options are the flat indices
+//    [offset(v), offset(v + 1)).  Option 0 is the software option, which
+//    the constructor writes itself: 1 cycle, a memory op's modeled latency
+//    or an ISE supernode's latency, with area 0.  Options 1..k−1 are the
+//    library's hardware cells in order (delay in ns, area in µm²), so
+//    "option o is hardware" is `o > 0`.  ISE supernodes (from earlier
+//    rounds) and ineligible operations get the software option only, so
+//    the explorer can treat every node uniformly;
 //  * predecessor and successor lists as CSR, in Graph's order;
 //  * each node's live-in values renumbered densely into [0, num_live_ins()):
 //    two dense ids are equal exactly when the Graph::extern_input_ids they
@@ -30,7 +29,6 @@
 
 #include "dfg/graph.hpp"
 #include "hwlib/hw_library.hpp"
-#include "hwlib/impl_option.hpp"
 #include "util/assert.hpp"
 
 namespace isex::hw {
@@ -40,28 +38,21 @@ class GPlus {
   GPlus(const dfg::Graph& graph, const HwLibrary& library);
 
   const dfg::Graph& graph() const { return *graph_; }
-  std::size_t num_nodes() const { return options_.begin.size() - 1; }
+  std::size_t num_nodes() const { return offsets_.size() - 1; }
 
   /// Number of (operation, option) entries.
-  std::size_t num_entries() const { return options_.items.size(); }
+  std::size_t num_entries() const { return delays_.size(); }
   /// Flat index of node v's option 0; offset(num_nodes()) == num_entries().
   std::size_t offset(dfg::NodeId v) const {
     ISEX_ASSERT(v <= num_nodes());
-    return options_.begin[v];
+    return offsets_[v];
   }
   std::size_t num_options(dfg::NodeId v) const {
-    return options_.row(v).size();
+    ISEX_ASSERT(v < num_nodes());
+    return offsets_[v + 1] - offsets_[v];
   }
-  /// The (operation, option) entry at flat index `entry`.
-  const ImplOption& entry(std::size_t entry) const {
-    ISEX_ASSERT(entry < options_.items.size());
-    return options_.items[entry];
-  }
-  /// Node `id`'s IO table: its entries, indexed by option.
-  IoTableView table(dfg::NodeId id) const {
-    return IoTableView(options_.row(id));
-  }
-  /// entry(i).delay and entry(i).area for every flat index i.
+  /// Each entry's delay (software: cycles; hardware: ns) and area (µm²;
+  /// software options cost none), by flat index.
   std::span<const double> delays() const { return delays_; }
   std::span<const double> areas() const { return areas_; }
 
@@ -69,8 +60,8 @@ class GPlus {
   /// drawn into an ISE.
   bool hardware_capable(dfg::NodeId id) const { return num_options(id) > 1; }
 
-  /// Software execution cycles of node `id` (its only software option,
-  /// option 0; ISE supernodes report their committed ASFU latency).
+  /// Software execution cycles of node `id` (its software option, option 0;
+  /// ISE supernodes report their committed ASFU latency).
   double software_cycles(dfg::NodeId id) const {
     return delays_[offset(id)];
   }
@@ -113,7 +104,7 @@ class GPlus {
   };
 
   const dfg::Graph* graph_;
-  Csr<ImplOption> options_;
+  std::vector<std::uint32_t> offsets_{0};
   std::vector<double> delays_;
   std::vector<double> areas_;
   Csr<dfg::NodeId> preds_;

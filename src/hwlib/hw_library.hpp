@@ -1,8 +1,10 @@
 // Hardware implementation library — the paper's Table 5.1.1.
 //
-// Maps each PISA opcode to its synthesized hardware options (0.13 µm CMOS,
-// Synopsys Design Compiler / Chalmers arithmetic database numbers).  Opcodes
-// without an entry (memory, branches, division) cannot join an ISE.
+// Maps each PISA opcode to its synthesized hardware cells (0.13 µm CMOS,
+// Synopsys Design Compiler / Chalmers arithmetic database numbers), each a
+// (delay, area) pair.  Opcodes without an entry (memory, branches, division)
+// cannot join an ISE.  The software option is not stored here: hw::GPlus
+// writes it in front of each node's cells.
 #pragma once
 
 #include <span>
@@ -18,15 +20,13 @@ class HwLibrary {
   /// The exact Table 5.1.1 database.
   static HwLibrary paper_default();
 
-  /// Replaces the hardware options of one opcode (for ablations/tests).
+  /// Replaces the hardware cells of one opcode (for ablations/tests).
   void set_hardware_options(isa::Opcode op, std::vector<ImplOption> options);
 
+  /// The opcode's hardware cells in library order; a node's option k + 1
+  /// in G+ is cell k, and Table 5.1.1 names it "HW-<k + 1>".
   std::span<const ImplOption> hardware_options(isa::Opcode op) const;
   bool has_hardware(isa::Opcode op) const;
-
-  /// Full IO table for an opcode: the canonical 1-cycle software option
-  /// followed by the library's hardware options.
-  IoTable make_io_table(isa::Opcode op) const;
 
  private:
   std::vector<std::vector<ImplOption>> by_opcode_ =

@@ -194,42 +194,4 @@ Key128 canonical_graph_digest(const dfg::Graph& graph) {
   return canonical_labeling(graph).digest;
 }
 
-Key128 canonical_candidate_key(const CanonicalLabeling& labeling,
-                               const dfg::NodeSet& members,
-                               const dfg::IseInfo& info,
-                               const sched::MachineConfig& machine,
-                               sched::PriorityKind priority) {
-  const auto member_hash = [&](const std::vector<std::uint64_t>& labels,
-                               std::uint64_t seed) {
-    std::vector<std::uint64_t> picked;
-    members.for_each([&](dfg::NodeId v) { picked.push_back(labels[v]); });
-    std::sort(picked.begin(), picked.end());
-    Hash64 h(seed);
-    h.mix(picked.size());
-    for (const std::uint64_t label : picked) h.mix(label);
-    return h.value();
-  };
-  const auto mix_candidate = [&](Hash64& h) {
-    h.mix(static_cast<std::uint64_t>(info.latency_cycles));
-    h.mix_double(info.area);
-    h.mix(static_cast<std::uint64_t>(info.num_inputs));
-    h.mix(static_cast<std::uint64_t>(info.num_outputs));
-    h.mix(static_cast<std::uint64_t>(priority));
-  };
-  Key128 key;
-  Hash64 lo(0xa4093822299f31d0ULL);  // canonical-candidate domain
-  lo.mix(labeling.digest.lo);
-  lo.mix(member_hash(labeling.lo, 0x082efa98ec4e6c89ULL));
-  mix_candidate(lo);
-  lo.mix(fingerprint(machine, 0x452821e638d01377ULL));
-  key.lo = lo.value();
-  Hash64 hi(0xbe5466cf34e90c6cULL);
-  hi.mix(labeling.digest.hi);
-  hi.mix(member_hash(labeling.hi, 0xc0ac29b7c97c50ddULL));
-  mix_candidate(hi);
-  hi.mix(fingerprint(machine, 0x3f84d5b5b5470917ULL));
-  key.hi = hi.value();
-  return key;
-}
-
 }  // namespace isex::runtime

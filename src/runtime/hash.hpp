@@ -107,8 +107,7 @@ Key128 candidate_key(const Key128& base_digest, const dfg::NodeSet& members,
 // renumbered graphs may legally schedule to different cycle counts.  Value-
 // carrying caches stay on the exact keys above.
 
-/// Per-node canonical labels plus the whole-graph canonical digest.  Compute
-/// once per graph, then derive per-candidate keys from the member labels.
+/// Per-node canonical labels plus the whole-graph canonical digest.
 struct CanonicalLabeling {
   Key128 digest;
   /// Refined label per node, two independent streams (lo/hi key halves).
@@ -120,14 +119,5 @@ CanonicalLabeling canonical_labeling(const dfg::Graph& graph);
 
 /// Convenience: canonical_labeling(graph).digest.
 Key128 canonical_graph_digest(const dfg::Graph& graph);
-
-/// Canonical analogue of candidate_key(): identical for structurally
-/// isomorphic (candidate, base graph) pairs regardless of node numbering.
-/// `members` is interpreted against the labeling's graph.
-Key128 canonical_candidate_key(const CanonicalLabeling& labeling,
-                               const dfg::NodeSet& members,
-                               const dfg::IseInfo& info,
-                               const sched::MachineConfig& machine,
-                               sched::PriorityKind priority);
 
 }  // namespace isex::runtime

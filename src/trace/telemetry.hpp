@@ -7,9 +7,9 @@
 // its round, the pheromone state's decision entropy and binding
 // max-option-probability vs P_END, and the schedule-cache hit rate.
 // MultiIssueExplorer fills these when ExplorerParams::collect_trace is set
-// (its IterationTrace *is* this struct); the writers here render the
-// canonical CSV / JSONL convergence-curve files the CLI, benches, and
-// tools/validate_trace.py all share.
+// (its IterationTrace *is* this struct); write_csv renders the canonical
+// CSV convergence-curve file the CLI, benches, and tools/validate_trace.py
+// all share.
 #pragma once
 
 #include <iosfwd>
@@ -49,15 +49,13 @@ struct ConvergencePoint {
   double cache_hit_rate = 0.0;
 };
 
-/// The canonical convergence-curve file writers.
+/// The canonical convergence-curve file writer.
 class ExplorationTelemetry {
  public:
   /// Header of the CSV written by write_csv (no newline).
   static const char* csv_header();
   static void write_csv(std::ostream& out,
                         std::span<const ConvergencePoint> points);
-  static void write_jsonl(std::ostream& out,
-                          std::span<const ConvergencePoint> points);
 };
 
 }  // namespace isex::trace

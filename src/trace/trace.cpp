@@ -25,18 +25,6 @@ thread_local TraceContext tls_context;
 std::atomic<std::uint64_t> g_next_trace_id{1};
 std::atomic<std::uint64_t> g_next_span_id{1};
 
-const char* kind_name(EventKind kind) {
-  switch (kind) {
-    case EventKind::kSpan:
-      return "span";
-    case EventKind::kInstant:
-      return "instant";
-    case EventKind::kCounter:
-      return "counter";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 TraceContext current_context() { return tls_context; }
@@ -182,11 +170,6 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
   trace::write_chrome_trace(out, events);
 }
 
-void Tracer::write_jsonl(std::ostream& out) const {
-  const std::vector<TraceEvent> events = snapshot();
-  trace::write_jsonl(out, events);
-}
-
 Tracer& Tracer::global() {
   static Tracer tracer;
   return tracer;
@@ -223,24 +206,6 @@ void write_chrome_trace(std::ostream& out,
   }
   json.newline().end_array().key("displayTimeUnit").string("ms").end_object()
       .newline();
-  out << text;
-}
-
-void write_jsonl(std::ostream& out, std::span<const TraceEvent> events) {
-  std::string text;
-  JsonWriter json(text);
-  for (const TraceEvent& e : events) {
-    json.begin_object().key("name").string(e.name)
-        .key("kind").string(kind_name(e.kind))
-        .key("ts_us").integer(e.ts_us).key("dur_us").integer(e.dur_us)
-        .key("tid").integer(e.tid).key("value").number(e.value);
-    if (e.span_id != 0) {
-      json.key("trace_id").integer(e.trace_id)
-          .key("span_id").integer(e.span_id)
-          .key("parent_span_id").integer(e.parent_id);
-    }
-    json.end_object().newline();
-  }
   out << text;
 }
 

@@ -15,9 +15,8 @@
 //
 // Export: snapshot()/drain() merge the buffers (per-thread order intact);
 // write_chrome_trace() emits the Chrome trace_event JSON that
-// chrome://tracing and Perfetto load directly, write_jsonl() emits one JSON
-// object per line for ad-hoc scripting.  docs/OBSERVABILITY.md walks
-// through both formats.
+// chrome://tracing and Perfetto load directly.  docs/OBSERVABILITY.md walks
+// through the format.
 #pragma once
 
 #include <atomic>
@@ -140,7 +139,6 @@ class Tracer {
   std::size_t num_events() const;
 
   void write_chrome_trace(std::ostream& out) const;
-  void write_jsonl(std::ostream& out) const;
 
   /// Process-wide tracer every library hook records into.
   static Tracer& global();
@@ -211,9 +209,6 @@ class Span {
 /// Chrome trace_event "JSON Object Format": {"traceEvents": [...]} with
 /// spans as ph:"X" complete events, counters as ph:"C", instants as ph:"i".
 void write_chrome_trace(std::ostream& out, std::span<const TraceEvent> events);
-
-/// One JSON object per line: {"name":...,"kind":...,"ts_us":...,...}.
-void write_jsonl(std::ostream& out, std::span<const TraceEvent> events);
 
 /// Escapes `\`, `"`, and control characters for embedding in JSON strings.
 std::string json_escape(std::string_view s);

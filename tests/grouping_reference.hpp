@@ -25,10 +25,7 @@ inline core::VirtualCandidate reference_group(
     std::span<const int> chosen, hw::ClockSpec clock = {}) {
   const dfg::Graph& graph = gplus.graph();
   const std::size_t n = graph.num_nodes();
-  auto chose_hardware = [&](dfg::NodeId u) {
-    return chosen[u] >= 0 &&
-           gplus.table(u).is_hardware(static_cast<std::size_t>(chosen[u]));
-  };
+  auto chose_hardware = [&](dfg::NodeId u) { return chosen[u] > 0; };
   core::VirtualCandidate cand;
   cand.members.resize(n);
   cand.members.insert(x);
@@ -64,23 +61,22 @@ inline core::VirtualCandidate reference_group(
     cand.sw_seq_cycles += gplus.software_cycles(m);
 
   const std::vector<dfg::NodeId> topo = graph.topological_order();
-  const hw::IoTableView x_table = gplus.table(x);
-  cand.per_option.resize(x_table.size());
+  cand.per_option.resize(gplus.num_options(x));
   int best_cycles = -1;
-  for (std::size_t j = 0; j < x_table.size(); ++j) {
-    if (!x_table.is_hardware(j)) continue;
-    auto option_of = [&](dfg::NodeId v) {
-      return v == x ? j : static_cast<std::size_t>(chosen[v]);
+  for (std::size_t j = 1; j < gplus.num_options(x); ++j) {
+    // Flat index of member v's option, x's replaced by j.
+    auto entry_of = [&](dfg::NodeId v) {
+      return gplus.offset(v) +
+             (v == x ? j : static_cast<std::size_t>(chosen[v]));
     };
     core::VirtualCandidate::OptionEval& eval = cand.per_option[j];
     eval.valid = true;
     eval.depth_ns = dfg::induced_critical_path(
-        graph, topo, cand.members, [&](dfg::NodeId v) {
-          return gplus.table(v).option(option_of(v)).delay;
-        });
+        graph, topo, cand.members,
+        [&](dfg::NodeId v) { return gplus.delays()[entry_of(v)]; });
     eval.cycles = clock.cycles_for(eval.depth_ns);
     for (const dfg::NodeId m : members)
-      eval.area += gplus.table(m).option(option_of(m)).area;
+      eval.area += gplus.areas()[entry_of(m)];
     if (best_cycles < 0 || eval.cycles < best_cycles)
       best_cycles = eval.cycles;
   }

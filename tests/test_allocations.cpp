@@ -11,6 +11,7 @@
 #include <limits>
 #include <new>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench_suite/kernels.hpp"
@@ -18,8 +19,10 @@
 #include "core/merit.hpp"
 #include "core/pheromone.hpp"
 #include "dfg/analysis.hpp"
+#include "dfg/collapsed_view.hpp"
 #include "hwlib/hw_library.hpp"
 #include "isa/tac_parser.hpp"
+#include "sched/list_scheduler.hpp"
 #include "sched/priority.hpp"
 #include "test_util.hpp"
 
@@ -44,8 +47,8 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-// The nothrow forms are replaced too (std::stable_partition's temporary
-// buffer uses them), so every delete below frees memory this file
+// The nothrow forms are replaced too (std::stable_sort's temporary buffer
+// uses them), so every delete below frees memory this file
 // allocated: a sanitizer's own operator new would not pair with free().
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -147,10 +150,7 @@ TEST(ZeroAllocation, WarmedUpAcoIterationAllocatesNothing) {
     if (improved) tet_old = walk.tet;
     prev_order = walk.order;
 
-    auto hardware = [&](dfg::NodeId v) {
-      return gplus.table(v).is_hardware(
-          static_cast<std::size_t>(walk.chosen[v]));
-    };
+    auto hardware = [&](dfg::NodeId v) { return walk.chosen[v] > 0; };
     bool component = false;
     for (dfg::NodeId v = 0; v < n && !component; ++v) {
       if (!hardware(v)) continue;
@@ -188,6 +188,66 @@ TEST(ZeroAllocation, WarmedUpAcoIterationAllocatesNothing) {
 
 }  // namespace
 }  // namespace isex::core
+
+namespace isex::sched {
+namespace {
+
+// Candidate evaluation as the explorer runs it: one dfg::CollapsedView and
+// one SchedulerScratch reused across a stream of candidates.  The streams
+// are perf_candidates' random cases: windows of 2..8 consecutive
+// topological positions over two seeded DAGs, port-legalized for the
+// 2-issue {6, 3} machine.  After one pass every buffer has seen each
+// candidate's sizes, so a replay of the same stream allocates nothing, the
+// step from the last candidate back to the first included.
+TEST(ZeroAllocation, WarmedUpCandidateEvaluationAllocatesNothing) {
+  const auto machine = MachineConfig::make(2, {6, 3});
+  const ListScheduler scheduler(machine);
+  Rng rng(42);
+  for (const std::size_t n : {24u, 48u}) {
+    const dfg::Graph g = testing::make_random_dag(n, rng, 0.55);
+    const std::vector<dfg::NodeId> topo = g.topological_order();
+    std::vector<std::pair<dfg::NodeSet, dfg::IseInfo>> stream;
+    for (std::size_t len = 2; len <= 8; ++len) {
+      for (std::size_t start = 0; start + len <= n; start += 2) {
+        dfg::NodeSet members(n);
+        for (std::size_t i = start; i < start + len; ++i)
+          members.insert(topo[i]);
+        dfg::IseInfo info;
+        info.latency_cycles = 1 + static_cast<int>(len / 4);
+        info.area = 4.0 * static_cast<double>(len);
+        info.num_inputs = dfg::count_inputs(g, members);
+        info.num_outputs = dfg::count_outputs(g, members);
+        if (info.num_inputs > machine.reg_file.read_ports ||
+            info.num_outputs > machine.reg_file.write_ports)
+          continue;
+        stream.emplace_back(std::move(members), info);
+      }
+    }
+    ASSERT_FALSE(stream.empty());
+
+    dfg::CollapsedView view;
+    SchedulerScratch scratch;
+    const auto evaluate = [&] {
+      long long cycles = 0;
+      for (const auto& [members, info] : stream) {
+        view.assign(g, members, info);
+        cycles += scheduler.cycles(view, scratch);
+      }
+      return cycles;
+    };
+    const long long warm = evaluate();
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const long long replay = evaluate();
+    const std::uint64_t allocs =
+        g_allocs.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(allocs, 0u) << n << "-node DAG, " << stream.size()
+                          << " candidates";
+    EXPECT_EQ(replay, warm);
+  }
+}
+
+}  // namespace
+}  // namespace isex::sched
 
 namespace isex::isa {
 namespace {

@@ -221,7 +221,7 @@ TEST_F(AntWalkTest, LongChainWalkStaysLinear) {
   // Never more than one node's options in the matrix at once.
   std::size_t max_options = 0;
   for (dfg::NodeId v = 0; v < g.num_nodes(); ++v)
-    max_options = std::max(max_options, gplus.table(v).size());
+    max_options = std::max(max_options, gplus.num_options(v));
   EXPECT_LE(scratch.max_entries, max_options);
 }
 

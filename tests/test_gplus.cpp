@@ -19,9 +19,9 @@ namespace isex::hw {
 namespace {
 
 /// Checks G+'s flat layout against the graph it was built from: offsets are
-/// the running sums of the table sizes and table(v) views exactly those
-/// entries, the CSR edges are Graph's element for element, and dense live-in
-/// ids are below num_live_ins() and equal exactly when the raw ids are.
+/// the running sums of the option counts, the CSR edges are Graph's element
+/// for element, and dense live-in ids are below num_live_ins() and equal
+/// exactly when the raw ids are.
 /// Returns the number of live-in operands seen.
 std::size_t expect_layout_matches(const dfg::Graph& g,
                                   const std::string& name) {
@@ -36,11 +36,10 @@ std::size_t expect_layout_matches(const dfg::Graph& g,
   std::map<std::uint32_t, int> raw_of;
   for (dfg::NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_EQ(gp.offset(v), entries) << "node " << v;
-    const IoTableView table = gp.table(v);
-    EXPECT_EQ(table.size(), gp.offset(v + 1) - gp.offset(v)) << "node " << v;
-    for (std::size_t o = 0; o < table.size(); ++o)
-      EXPECT_EQ(&table.option(o), &gp.entry(entries + o)) << "node " << v;
-    entries += table.size();
+    EXPECT_GE(gp.num_options(v), 1u) << "node " << v;
+    EXPECT_EQ(gp.num_options(v), gp.offset(v + 1) - gp.offset(v))
+        << "node " << v;
+    entries += gp.num_options(v);
 
     EXPECT_TRUE(std::ranges::equal(gp.preds(v), g.preds(v))) << "node " << v;
     EXPECT_TRUE(std::ranges::equal(gp.succs(v), g.succs(v))) << "node " << v;
@@ -117,30 +116,44 @@ TEST(GPlus, LayoutMatchesGraphOnSuiteCachedAndCollapsedBlocks) {
 }
 
 /// Checks the option layout the ACO loop relies on: option 0 is each
-/// node's only software option, every other option is hardware, and the
-/// flat delay and area arrays repeat the entries bit for bit.  Returns the
-/// number of hardware entries.
+/// node's software option (1 cycle, a memory op's modeled latency or an ISE
+/// supernode's latency, with area 0) and options 1..k−1 are the library's
+/// hardware cells in order, bit for bit.  Returns the number of hardware
+/// entries.
 std::size_t expect_software_first(const dfg::Graph& g,
                                   const std::string& name) {
   SCOPED_TRACE(name);
-  const GPlus gp(g, HwLibrary::paper_default());
+  const HwLibrary lib = HwLibrary::paper_default();
+  const GPlus gp(g, lib);
   EXPECT_EQ(gp.delays().size(), gp.num_entries());
   EXPECT_EQ(gp.areas().size(), gp.num_entries());
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   std::size_t hardware = 0;
   for (dfg::NodeId v = 0; v < g.num_nodes(); ++v) {
+    const dfg::Node& node = g.node(v);
+    const std::span<const ImplOption> cells =
+        node.is_ise ? std::span<const ImplOption>()
+                    : lib.hardware_options(node.opcode);
+    double software = 1.0;
+    if (node.is_ise)
+      software = static_cast<double>(node.ise.latency_cycles);
+    else if (cells.empty() && node.mem_latency > 0)
+      software = static_cast<double>(node.mem_latency);
+
     const std::size_t first = gp.offset(v);
-    for (std::size_t o = 0; o < gp.num_options(v); ++o) {
-      const ImplOption& entry = gp.entry(first + o);
-      EXPECT_EQ(entry.kind == ImplKind::kHardware, o > 0)
-          << "node " << v << " option " << o;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(gp.delays()[first + o]),
-                std::bit_cast<std::uint64_t>(entry.delay));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(gp.areas()[first + o]),
-                std::bit_cast<std::uint64_t>(entry.area));
-      hardware += o > 0;
+    EXPECT_EQ(gp.num_options(v), 1 + cells.size()) << "node " << v;
+    if (gp.num_options(v) != 1 + cells.size()) continue;
+    EXPECT_EQ(bits(gp.delays()[first]), bits(software)) << "node " << v;
+    EXPECT_EQ(bits(gp.areas()[first]), bits(0.0)) << "node " << v;
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      EXPECT_EQ(bits(gp.delays()[first + 1 + k]), bits(cells[k].delay))
+          << "node " << v << " option " << k + 1;
+      EXPECT_EQ(bits(gp.areas()[first + 1 + k]), bits(cells[k].area))
+          << "node " << v << " option " << k + 1;
     }
-    EXPECT_EQ(gp.hardware_capable(v), gp.table(v).has_hardware());
-    EXPECT_EQ(gp.software_cycles(v), gp.entry(first).delay);
+    hardware += cells.size();
+    EXPECT_EQ(gp.hardware_capable(v), !cells.empty());
+    EXPECT_EQ(gp.software_cycles(v), gp.delays()[first]);
   }
   return hardware;
 }
@@ -189,7 +202,21 @@ TEST(GPlus, AnnotatesEligibleNodesWithHardware) {
   const GPlus gp(g, lib);
   for (dfg::NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_TRUE(gp.hardware_capable(v));
-    EXPECT_EQ(gp.table(v).size(), 3u);  // SW + 2 HW adder options
+    EXPECT_EQ(gp.num_options(v), 3u);  // SW + 2 HW adder options
+  }
+}
+
+TEST(GPlus, SoftwareOptionPrecedesLibraryCells) {
+  const dfg::Graph g = testing::make_chain(1, isa::Opcode::kAddu);
+  const HwLibrary lib = HwLibrary::paper_default();
+  const GPlus gp(g, lib);
+  const auto cells = lib.hardware_options(isa::Opcode::kAddu);
+  ASSERT_EQ(gp.num_options(0), 1 + cells.size());
+  EXPECT_DOUBLE_EQ(gp.delays()[0], 1.0);  // 1-cycle software op
+  EXPECT_DOUBLE_EQ(gp.areas()[0], 0.0);
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    EXPECT_DOUBLE_EQ(gp.delays()[1 + k], cells[k].delay);
+    EXPECT_DOUBLE_EQ(gp.areas()[1 + k], cells[k].area);
   }
 }
 
@@ -201,7 +228,7 @@ TEST(GPlus, MemoryNodesAreSoftwareOnly) {
   const GPlus gp(g, HwLibrary::paper_default());
   EXPECT_TRUE(gp.hardware_capable(addr));
   EXPECT_FALSE(gp.hardware_capable(load));
-  EXPECT_EQ(gp.table(load).size(), 1u);
+  EXPECT_EQ(gp.num_options(load), 1u);
 }
 
 TEST(GPlus, IseSupernodeGetsLatencyAsSoftwareDelay) {

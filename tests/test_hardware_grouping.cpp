@@ -179,16 +179,15 @@ TEST(GroupingEquivalence, MatchesPerNodeReferenceOnRandomBlocks) {
       const double p_software = 0.6 * rng.next_double();
       std::vector<int> chosen(n);
       for (dfg::NodeId v = 0; v < n; ++v) {
-        const hw::IoTableView table = gplus.table(v);
+        const std::size_t options = gplus.num_options(v);
         const double r = rng.next_double();
         if (r < 0.1) {
           chosen[v] = -1;
-        } else if (r < 0.1 + p_software || !table.has_hardware()) {
-          chosen[v] = static_cast<int>(table.first_software());
+        } else if (r < 0.1 + p_software || options == 1) {
+          chosen[v] = 0;
         } else {
           chosen[v] = static_cast<int>(
-              table.num_software() +
-              rng.next_below(static_cast<std::uint32_t>(table.num_hardware())));
+              1 + rng.next_below(static_cast<std::uint32_t>(options - 1)));
         }
       }
       grouping.label_components(chosen, scratch);
@@ -201,9 +200,7 @@ TEST(GroupingEquivalence, MatchesPerNodeReferenceOnRandomBlocks) {
         expect_same(got,
                     testing::reference_group(gplus, format, reach, x, chosen),
                     where);
-        const int o = chosen[x];
-        const bool x_hardware =
-            o >= 0 && gplus.table(x).is_hardware(static_cast<std::size_t>(o));
+        const bool x_hardware = chosen[x] > 0;
         joined += !x_hardware && got.size() > 1;
         io += got.io_violation;
         convex += got.convex_violation;

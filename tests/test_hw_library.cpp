@@ -73,31 +73,20 @@ TEST(HwLibrary, MemoryAndBranchHaveNoHardware) {
   EXPECT_FALSE(lib.has_hardware(isa::Opcode::kDiv));  // not in Table 5.1.1
 }
 
-TEST(HwLibrary, MakeIoTablePrependsSoftware) {
-  const HwLibrary lib = HwLibrary::paper_default();
-  const IoTable t = lib.make_io_table(isa::Opcode::kAddu);
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_FALSE(t.is_hardware(0));
-  EXPECT_DOUBLE_EQ(t.option(0).delay, 1.0);  // 1-cycle software op
-  EXPECT_DOUBLE_EQ(t.option(0).area, 0.0);
-  EXPECT_TRUE(t.is_hardware(1));
-  EXPECT_TRUE(t.is_hardware(2));
-}
-
 TEST(HwLibrary, SetHardwareOptionsOverrides) {
   HwLibrary lib = HwLibrary::paper_default();
-  lib.set_hardware_options(isa::Opcode::kXor,
-                           {{ImplKind::kHardware, "fast", 1.0, 5000.0}});
+  lib.set_hardware_options(isa::Opcode::kXor, {{1.0, 5000.0}});
   const auto opts = lib.hardware_options(isa::Opcode::kXor);
   ASSERT_EQ(opts.size(), 1u);
-  EXPECT_EQ(opts[0].name, "fast");
+  EXPECT_DOUBLE_EQ(opts[0].delay, 1.0);
+  EXPECT_DOUBLE_EQ(opts[0].area, 5000.0);
 }
 
 TEST(HwLibrary, ClearingOptionsDisablesHardware) {
   HwLibrary lib = HwLibrary::paper_default();
   lib.set_hardware_options(isa::Opcode::kXor, {});
   EXPECT_FALSE(lib.has_hardware(isa::Opcode::kXor));
-  EXPECT_EQ(lib.make_io_table(isa::Opcode::kXor).size(), 1u);
+  EXPECT_TRUE(lib.hardware_options(isa::Opcode::kXor).empty());
 }
 
 TEST(HwLibrary, AllTable511DelaysFitOneCycle) {
@@ -105,10 +94,9 @@ TEST(HwLibrary, AllTable511DelaysFitOneCycle) {
   const HwLibrary lib = HwLibrary::paper_default();
   const ClockSpec clock;
   for (std::size_t i = 0; i < isa::kOpcodeCount; ++i) {
-    for (const ImplOption& o :
-         lib.hardware_options(static_cast<isa::Opcode>(i))) {
-      EXPECT_EQ(clock.cycles_for(o.delay), 1) << o.name;
-    }
+    const auto op = static_cast<isa::Opcode>(i);
+    for (const ImplOption& o : lib.hardware_options(op))
+      EXPECT_EQ(clock.cycles_for(o.delay), 1) << isa::mnemonic(op);
   }
 }
 

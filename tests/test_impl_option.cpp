@@ -15,37 +15,6 @@
 namespace isex::hw {
 namespace {
 
-TEST(IoTable, SoftwareOptionsPartitionedFirst) {
-  IoTable t({{ImplKind::kHardware, "HW-1", 4.0, 900.0},
-             {ImplKind::kSoftware, "SW-1", 1.0, 0.0},
-             {ImplKind::kHardware, "HW-2", 2.0, 2000.0}});
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_EQ(t.first_software(), 0u);
-  EXPECT_EQ(t.num_software(), 1u);
-  EXPECT_EQ(t.num_hardware(), 2u);
-  EXPECT_FALSE(t.is_hardware(0));
-  EXPECT_TRUE(t.is_hardware(1));
-  EXPECT_TRUE(t.is_hardware(2));
-  // Relative order among hardware options preserved (stable partition).
-  EXPECT_EQ(t.option(1).name, "HW-1");
-  EXPECT_EQ(t.option(2).name, "HW-2");
-}
-
-TEST(IoTable, SoftwareOnly) {
-  IoTable t({{ImplKind::kSoftware, "SW-1", 1.0, 0.0}});
-  EXPECT_FALSE(t.has_hardware());
-  EXPECT_EQ(t.num_software(), 1u);
-}
-
-TEST(IoTable, MultipleSoftwareOptions) {
-  // Fig 4.1.1 shows operations with two software options.
-  IoTable t({{ImplKind::kSoftware, "SW-1", 1.0, 0.0},
-             {ImplKind::kSoftware, "SW-2", 2.0, 0.0},
-             {ImplKind::kHardware, "HW-1", 0.4, 900.0}});
-  EXPECT_EQ(t.num_software(), 2u);
-  EXPECT_EQ(t.num_hardware(), 1u);
-}
-
 TEST(ClockSpec, DefaultIs100MHz) {
   const ClockSpec clock;
   EXPECT_DOUBLE_EQ(clock.period_ns, 10.0);

@@ -1,8 +1,8 @@
 // Byte-for-byte pins of every JSON document the program renders
 // (JsonGolden.*): the server's result and portfolio fragments, its response
 // envelope, timings and error responses, the PoolProfile artifact, the
-// Chrome trace and span JSONL, the telemetry JSONL and /statusz.  Then the
-// rules of trace::JsonWriter, which renders them all (JsonWriter.*).
+// Chrome trace and /statusz.  Then the rules of trace::JsonWriter, which
+// renders them all (JsonWriter.*).
 //
 // The expected strings were captured from the renderers as they stood
 // before they shared one writer.  Result fragments are the blobs the
@@ -34,7 +34,6 @@
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "trace/json.hpp"
-#include "trace/telemetry.hpp"
 #include "trace/trace.hpp"
 
 namespace isex {
@@ -48,9 +47,8 @@ const std::string kHostileId = "id\"\\\n\t\x01\xc3\xa9";
 // --- golden helpers --------------------------------------------------------
 
 /// Asserts `actual` equals the pinned bytes, and that it is well-formed JSON:
-/// one document, one document per line (`jsonl`), or the members of an
-/// object (`fragment`).
-enum class Shape { kDocument, kLines, kFragment };
+/// one document, or the members of an object (`fragment`).
+enum class Shape { kDocument, kFragment };
 
 void expect_golden(const std::string& actual, std::string_view expected,
                    Shape shape = Shape::kDocument) {
@@ -62,12 +60,6 @@ void expect_golden(const std::string& actual, std::string_view expected,
     case Shape::kFragment:
       EXPECT_TRUE(testing::JsonChecker("{" + actual + "}").valid()) << actual;
       break;
-    case Shape::kLines: {
-      std::istringstream in(actual);
-      for (std::string line; std::getline(in, line);)
-        EXPECT_TRUE(testing::JsonChecker(line).valid()) << line;
-      break;
-    }
   }
 }
 
@@ -284,18 +276,6 @@ constexpr std::string_view kChromeTrace = R"json({"traceEvents":[
 ],"displayTimeUnit":"ms"}
 )json";
 
-constexpr std::string_view kSpanJsonl = R"json({"name":"stage:\"explore\"","kind":"span","ts_us":1,"dur_us":2,"tid":1,"value":0,"trace_id":3,"span_id":4,"parent_span_id":0}
-{"name":"plain\\span","kind":"span","ts_us":18446744073709551615,"dur_us":0,"tid":2,"value":0}
-{"name":"tick\n","kind":"instant","ts_us":5,"dur_us":0,"tid":3,"value":0}
-{"name":"c\t0.1","kind":"counter","ts_us":6,"dur_us":0,"tid":4,"value":0.1}
-{"name":"ctl\u0001","kind":"counter","ts_us":7,"dur_us":0,"tid":5,"value":1.23457e+06}
-{"name":"café","kind":"counter","ts_us":8,"dur_us":0,"tid":6,"value":1e-07}
-)json";
-
-constexpr std::string_view kTelemetryJsonl = R"json({"round":0,"colony":1,"iteration":2,"tet":10,"best_tet":9,"worst_tet":12,"mean_tet":10.5,"converged_fraction":0.1,"entropy":1e-07,"max_option_probability":1.23457e+06,"p_end":0.99,"ants":3,"cache_hit_rate":0}
-{"round":7,"colony":1,"iteration":249,"tet":10,"best_tet":9,"worst_tet":12,"mean_tet":0.666667,"converged_fraction":0.1,"entropy":1,"max_option_probability":0.99,"p_end":0.99,"ants":3,"cache_hit_rate":0.142857}
-)json";
-
 constexpr std::string_view kStatuszMasked = R"json({"uptime_us":0,"draining":false,
 "queue":{"depth":0,"capacity":0,"workers":0},
 "inflight":[
@@ -423,40 +403,6 @@ TEST(JsonGolden, ChromeTrace) {
   std::ostringstream out;
   trace::write_chrome_trace(out, golden_events());
   expect_golden(out.str(), kChromeTrace);
-}
-
-TEST(JsonGolden, SpanJsonl) {
-  std::ostringstream out;
-  trace::write_jsonl(out, golden_events());
-  expect_golden(out.str(), kSpanJsonl, Shape::kLines);
-}
-
-TEST(JsonGolden, TelemetryJsonl) {
-  trace::ConvergencePoint a;
-  a.round = 0;
-  a.colony = 1;
-  a.iteration = 2;
-  a.tet = 10;
-  a.best_tet = 9;
-  a.worst_tet = 12;
-  a.mean_tet = 10.5;
-  a.converged_fraction = 0.1;
-  a.entropy = 1e-7;
-  a.max_option_probability = 1234567.0;
-  a.p_end = 0.99;
-  a.ants = 3;
-  a.cache_hit_rate = 0.0;
-  trace::ConvergencePoint b = a;
-  b.round = 7;
-  b.iteration = 249;
-  b.mean_tet = 2.0 / 3.0;
-  b.entropy = 1.0;
-  b.max_option_probability = 0.990000001;
-  b.cache_hit_rate = 1.0 / 7.0;
-  const std::vector<trace::ConvergencePoint> points = {a, b};
-  std::ostringstream out;
-  trace::ExplorationTelemetry::write_jsonl(out, points);
-  expect_golden(out.str(), kTelemetryJsonl, Shape::kLines);
 }
 
 // --- /statusz ----------------------------------------------------------

@@ -166,8 +166,7 @@ TEST_F(MeritTest, FasterOptionPreferredWhenItSavesACycle) {
   // x on HW-2 gives 8 ns (1 cycle, saving 1).  Case 4 must prefer HW-2.
   lib_.set_hardware_options(
       isa::Opcode::kAddu,
-      {{hw::ImplKind::kHardware, "HW-1", 6.0, 500.0},
-       {hw::ImplKind::kHardware, "HW-2", 2.0, 1500.0}});
+      {{6.0, 500.0}, {2.0, 1500.0}});
   const dfg::Graph g = testing::make_chain(2, isa::Opcode::kAddu);
   dfg::NodeSet critical = dfg::NodeSet::of(2, {0, 1});
   const PheromoneState state = run_update(g, {1, 1}, critical, 2);
@@ -218,10 +217,7 @@ void reference_update(PheromoneState& pheromone, const hw::GPlus& gplus,
                       Branches& seen) {
   const dfg::Graph& graph = gplus.graph();
   const std::size_t n = graph.num_nodes();
-  auto chose_hardware = [&](dfg::NodeId u) {
-    const int o = inputs.chosen[u];
-    return o >= 0 && gplus.table(u).is_hardware(static_cast<std::size_t>(o));
-  };
+  auto chose_hardware = [&](dfg::NodeId u) { return inputs.chosen[u] > 0; };
   dfg::NodeSet hardware(n);
   for (dfg::NodeId v = 0; v < n; ++v)
     if (chose_hardware(v)) hardware.insert(v);
@@ -233,12 +229,10 @@ void reference_update(PheromoneState& pheromone, const hw::GPlus& gplus,
         [&](dfg::NodeId v) { label[v] = static_cast<int>(c); });
 
   for (dfg::NodeId x = 0; x < n; ++x) {
-    const hw::IoTableView table = gplus.table(x);
-    for (std::size_t o = 0; o < table.size(); ++o) {
-      if (!table.is_hardware(o))
-        pheromone.scale_merit(x, o, table.option(o).delay);
-    }
-    if (table.has_hardware()) {
+    // Option 0 is x's software option; options 1..k−1 are hardware.
+    const std::size_t options = gplus.num_options(x);
+    pheromone.scale_merit(x, 0, gplus.delays()[gplus.offset(x)]);
+    if (options > 1) {
       const VirtualCandidate cand = testing::reference_group(
           gplus, format, reach, x, inputs.chosen, clock);
       // Without a timing cap, case 3 is settled before any option is
@@ -246,8 +240,8 @@ void reference_update(PheromoneState& pheromone, const hw::GPlus& gplus,
       const bool evaluated = format.max_ise_latency_cycles > 0 ||
                              !(cand.io_violation || cand.convex_violation);
       if (chose_hardware(x)) {
-        seen.other_option +=
-            cand.size() > 1 && table.num_hardware() > 1 && evaluated;
+        // Another hardware option exists when x has two or more.
+        seen.other_option += cand.size() > 1 && options > 2 && evaluated;
       } else {
         std::vector<int> adjacent;
         for (const dfg::NodeId u : graph.preds(x))
@@ -270,19 +264,17 @@ void reference_update(PheromoneState& pheromone, const hw::GPlus& gplus,
           !p.locality_aware || cand.members.intersects(*inputs.critical);
       if (x_critical) {
         ++seen.cases[0];
-        for (std::size_t j = 0; j < table.size(); ++j)
-          if (table.is_hardware(j))
-            pheromone.scale_merit(x, j, 1.0 / p.beta_cp);
+        for (std::size_t j = 1; j < options; ++j)
+          pheromone.scale_merit(x, j, 1.0 / p.beta_cp);
       }
       if (cand.size() == 1) {
         ++seen.cases[1];
-        for (std::size_t j = 0; j < table.size(); ++j)
-          if (table.is_hardware(j)) pheromone.scale_merit(x, j, p.beta_size);
+        for (std::size_t j = 1; j < options; ++j)
+          pheromone.scale_merit(x, j, p.beta_size);
       } else if (cand.io_violation || cand.convex_violation ||
                  cand.timing_violation) {
         ++seen.cases[2];
-        for (std::size_t j = 0; j < table.size(); ++j) {
-          if (!table.is_hardware(j)) continue;
+        for (std::size_t j = 1; j < options; ++j) {
           if (cand.io_violation) pheromone.scale_merit(x, j, p.beta_io);
           if (cand.convex_violation) pheromone.scale_merit(x, j, p.beta_convex);
           if (cand.timing_violation) pheromone.scale_merit(x, j, p.beta_timing);
@@ -291,15 +283,13 @@ void reference_update(PheromoneState& pheromone, const hw::GPlus& gplus,
         ++seen.cases[3];
         int best_cycles = std::numeric_limits<int>::max();
         double area_max = 0.0;
-        for (std::size_t j = 0; j < table.size(); ++j) {
-          if (!table.is_hardware(j)) continue;
+        for (std::size_t j = 1; j < options; ++j) {
           best_cycles = std::min(best_cycles, cand.per_option[j].cycles);
           area_max = std::max(area_max, cand.per_option[j].area);
         }
         const double max_aec = MeritEngine::max_allowable_cycles(
             graph, cand.members, *inputs.path, inputs.tet);
-        for (std::size_t j = 0; j < table.size(); ++j) {
-          if (!table.is_hardware(j)) continue;
+        for (std::size_t j = 1; j < options; ++j) {
           const auto& eval = cand.per_option[j];
           const double saving = std::max(0.0, cand.sw_seq_cycles - eval.cycles);
           pheromone.scale_merit(x, j, saving);
@@ -364,16 +354,15 @@ TEST(MeritEquivalence, MatchesPerNodeReferenceOnRandomBlocks) {
       const double p_software = 0.6 * rng.next_double();
       std::vector<int> chosen(n);
       for (dfg::NodeId v = 0; v < n; ++v) {
-        const hw::IoTableView table = gplus.table(v);
+        const std::size_t options = gplus.num_options(v);
         const double r = rng.next_double();
         if (r < 0.1) {
           chosen[v] = -1;
-        } else if (r < 0.1 + p_software || !table.has_hardware()) {
-          chosen[v] = static_cast<int>(table.first_software());
+        } else if (r < 0.1 + p_software || options == 1) {
+          chosen[v] = 0;
         } else {
           chosen[v] = static_cast<int>(
-              table.num_software() +
-              rng.next_below(static_cast<std::uint32_t>(table.num_hardware())));
+              1 + rng.next_below(static_cast<std::uint32_t>(options - 1)));
         }
       }
       const double p_critical = 0.6 * rng.next_double() * rng.next_double();

@@ -279,7 +279,6 @@ TEST_F(MiExplorerGoldenTest, BestOfIsIdenticalAtEveryJobCount) {
 TEST_F(MiExplorerTest, RoundAndIterationCountsAreBounded) {
   ExplorerParams tight = params_;
   tight.max_iterations = 10;
-  tight.max_rounds = 2;
   const auto machine = sched::MachineConfig::make(2, {6, 3});
   isa::IsaFormat format;
   format.reg_file = machine.reg_file;
@@ -287,8 +286,9 @@ TEST_F(MiExplorerTest, RoundAndIterationCountsAreBounded) {
   const dfg::Graph g = testing::make_chain(10, isa::Opcode::kAnd);
   Rng rng(1);
   const ExplorationResult r = explorer.explore(g, rng);
-  EXPECT_LE(r.rounds, 2);
-  EXPECT_LE(r.total_iterations, 2 * 10);
+  EXPECT_GE(r.rounds, 1);
+  EXPECT_LE(r.rounds, ExplorerParams::max_rounds);
+  EXPECT_LE(r.total_iterations, r.rounds * tight.max_iterations);
 }
 
 TEST_F(MiExplorerTest, DefaultParamsExploreWithoutACache) {

@@ -74,13 +74,13 @@ TEST_F(PheromoneTest, ReorderedOperationsLoseExtraTrail) {
 }
 
 TEST_F(PheromoneTest, TrailClampedToMax) {
-  ExplorerParams p;
-  p.trail_max = 10.0;
-  PheromoneState state(gplus_, p);
+  PheromoneState state(gplus_, params_);
+  // Start near the clamp so a few rho1 rewards reach it.
+  state.set_trail(0, 0, ExplorerParams::trail_max - 10.0);
   const std::vector<int> chosen = {0, 0, 0};
   for (int i = 0; i < 100; ++i)
     state.update_trails(chosen, order_, first_, true);
-  EXPECT_DOUBLE_EQ(state.trail(0, 0), 10.0);
+  EXPECT_DOUBLE_EQ(state.trail(0, 0), ExplorerParams::trail_max);
 }
 
 TEST_F(PheromoneTest, NormalizeMeritScalesBestToScale) {
@@ -251,9 +251,19 @@ TEST_F(PheromoneTest, TrailUpdateMatchesReferenceBitForBit) {
     const std::size_t n = g.num_nodes();
     const hw::GPlus gp(g, lib_);
     ExplorerParams params;
-    if (b % 2 == 1) params.trail_max = 9.0;  // reached within a few updates
     PheromoneState flat(gp, params);
     PheromoneState ref(gp, params);
+    if (b % 2 == 1) {
+      // Start within 8 of trail_max, which a few updates then reach.
+      for (dfg::NodeId v = 0; v < n; ++v) {
+        for (std::size_t o = 0; o < gp.num_options(v); ++o) {
+          const double t =
+              ExplorerParams::trail_max - static_cast<double>((v + o) % 9);
+          flat.set_trail(v, o, t);
+          ref.set_trail(v, o, t);
+        }
+      }
+    }
     std::vector<int> chosen(n);
     std::vector<int> order(n);
     std::vector<int> prev_order(n, -1);

@@ -1,6 +1,6 @@
 // Tests for the observability layer: Tracer/Span event semantics and export
 // formats, MetricsRegistry counter/gauge/histogram semantics under
-// concurrency (run under TSan in CI), telemetry CSV/JSONL, and the stage
+// concurrency (run under TSan in CI), telemetry CSV, and the stage
 // spans both design-flow entry points share.
 #include "trace/trace.hpp"
 
@@ -140,23 +140,6 @@ TEST(TracerTest, ChromeTraceIsValidJson) {
   EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);  // the instant
 }
 
-TEST(TracerTest, JsonlLinesAreEachValidJson) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  tracer.record_instant("a");
-  tracer.record_counter("b", 1.5);
-  std::ostringstream out;
-  tracer.write_jsonl(out);
-  std::istringstream lines(out.str());
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(lines, line)) {
-    EXPECT_TRUE(JsonChecker(line).valid()) << line;
-    ++n;
-  }
-  EXPECT_EQ(n, 2u);
-}
-
 // --- trace context --------------------------------------------------------
 
 TEST(TracerContextTest, ContextScopeInstallsAndRestores) {
@@ -262,18 +245,6 @@ TEST(TracerContextTest, ChromeTraceExportsContextIdsAsArgs) {
             std::string::npos)
       << text;
   EXPECT_EQ(count_occurrences(text, "\"args\""), 1u);  // only the tagged one
-}
-
-TEST(TracerContextTest, JsonlExportsContextIds) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  tracer.record_span("tagged", 0, 5, 3, 4, 2);
-  std::ostringstream out;
-  tracer.write_jsonl(out);
-  const std::string line = out.str();
-  EXPECT_NE(line.find("\"trace_id\":3"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"span_id\":4"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"parent_span_id\":2"), std::string::npos) << line;
 }
 
 TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
@@ -476,18 +447,6 @@ TEST(TelemetryTest, CsvHasHeaderAndOneRowPerPoint) {
     ++rows;
   }
   EXPECT_EQ(rows, points.size());
-}
-
-TEST(TelemetryTest, JsonlRowsAreValidJson) {
-  const std::vector<ConvergencePoint> points = {make_point(1, 3, 12)};
-  std::ostringstream out;
-  ExplorationTelemetry::write_jsonl(out, points);
-  std::istringstream lines(out.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_TRUE(JsonChecker(line).valid()) << line;
-  EXPECT_NE(line.find("\"round\":1"), std::string::npos);
-  EXPECT_NE(line.find("\"tet\":12"), std::string::npos);
 }
 
 // --- integration ----------------------------------------------------------

@@ -208,8 +208,8 @@ TEST(FlowValidate, SurfacesBlockGraphDefectsWithTheirOwnCodes) {
 TEST(FlowValidate, RejectsBadFlowConfig) {
   flow::FlowConfig config;
   config.repeats = 0;
-  config.hot_coverage = 1.5;
-  config.params.p_end = 0.0;
+  config.params.max_iterations = 0;
+  config.params.colonies = 0;
   const ValidationReport report = flow::validate(config);
   EXPECT_FALSE(report.ok());
   EXPECT_GE(report.error_count(), 3u);

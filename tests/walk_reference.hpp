@@ -105,8 +105,10 @@ struct RefResult {
   }
 };
 
-inline int ref_software_cycles(hw::IoTableView table, std::size_t option) {
-  return std::max(1, static_cast<int>(std::ceil(table.option(option).delay)));
+inline int ref_software_cycles(const hw::GPlus& gplus, dfg::NodeId v,
+                               std::size_t option) {
+  return std::max(
+      1, static_cast<int>(std::ceil(gplus.delays()[gplus.offset(v) + option])));
 }
 
 inline RefResult reference_walk(const hw::GPlus& gplus,
@@ -166,7 +168,7 @@ inline RefResult reference_walk(const hw::GPlus& gplus,
       if (g.members.contains(p) && p != v)
         depth_in = std::max(depth_in, hw_depth[p]);
     }
-    hw_depth[v] = depth_in + gplus.table(v).option(opt).delay;
+    hw_depth[v] = depth_in + gplus.delays()[gplus.offset(v) + opt];
     g.depth_ns = std::max(g.depth_ns, hw_depth[v]);
     g.cycles = clock.cycles_for(g.depth_ns);
     result.group_id[v] = gid;
@@ -180,8 +182,7 @@ inline RefResult reference_walk(const hw::GPlus& gplus,
     entries.clear();
     weights.clear();
     for (const dfg::NodeId v : ready) {
-      const hw::IoTableView table = gplus.table(v);
-      for (std::size_t o = 0; o < table.size(); ++o) {
+      for (std::size_t o = 0; o < gplus.num_options(v); ++o) {
         entries.emplace_back(v, static_cast<int>(o));
         weights.push_back(pheromone.weight(v, o) +
                           params.lambda * sp_score[v]);
@@ -191,9 +192,8 @@ inline RefResult reference_walk(const hw::GPlus& gplus,
     const std::size_t pick = rng.weighted_pick(weights);
     const auto [v, opt_i] = entries[pick];
     const auto opt = static_cast<std::size_t>(opt_i);
-    const hw::IoTableView table = gplus.table(v);
 
-    if (table.is_hardware(opt)) {
+    if (opt > 0) {
       std::vector<std::pair<int, int>> parent_groups;
       for (const dfg::NodeId p : graph.preds(v)) {
         const int gid = result.group_id[p];
@@ -225,7 +225,7 @@ inline RefResult reference_walk(const hw::GPlus& gplus,
         RefGroup g;
         g.members = std::move(solo);
         g.start = cts;
-        hw_depth[v] = table.option(opt).delay;
+        hw_depth[v] = gplus.delays()[gplus.offset(v) + opt];
         g.depth_ns = hw_depth[v];
         g.cycles = clock.cycles_for(g.depth_ns);
         g.reads = reads;
@@ -247,7 +247,7 @@ inline RefResult reference_walk(const hw::GPlus& gplus,
       while (!ledger.fits(cts, 1, reads, writes, fu_class)) ++cts;
       ledger.charge(cts, 1, reads, writes, fu_class);
       result.slot[v] = cts;
-      result.finish[v] = cts + ref_software_cycles(table, opt);
+      result.finish[v] = cts + ref_software_cycles(gplus, v, opt);
     }
 
     result.chosen[v] = opt_i;
