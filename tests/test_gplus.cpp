@@ -200,18 +200,23 @@ TEST(GPlus, AnnotatesEligibleNodesWithHardware) {
   const dfg::Graph g = testing::make_chain(3, isa::Opcode::kAddu);
   const HwLibrary lib = HwLibrary::paper_default();
   const GPlus gp(g, lib);
-  const auto cells = lib.hardware_options(isa::Opcode::kAddu);
   for (dfg::NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_TRUE(gp.hardware_capable(v));
-    ASSERT_EQ(gp.num_options(v), 3u);  // SW + 2 HW adder options
-    // The 1-cycle software option, then the library's cells in order.
-    const std::size_t first = gp.offset(v);
-    EXPECT_DOUBLE_EQ(gp.delays()[first], 1.0);
-    EXPECT_DOUBLE_EQ(gp.areas()[first], 0.0);
-    for (std::size_t k = 0; k < cells.size(); ++k) {
-      EXPECT_DOUBLE_EQ(gp.delays()[first + 1 + k], cells[k].delay);
-      EXPECT_DOUBLE_EQ(gp.areas()[first + 1 + k], cells[k].area);
-    }
+    EXPECT_EQ(gp.num_options(v), 3u);  // SW + 2 HW adder options
+  }
+}
+
+TEST(GPlus, SoftwareOptionPrecedesLibraryCells) {
+  const dfg::Graph g = testing::make_chain(1, isa::Opcode::kAddu);
+  const HwLibrary lib = HwLibrary::paper_default();
+  const GPlus gp(g, lib);
+  const auto cells = lib.hardware_options(isa::Opcode::kAddu);
+  ASSERT_EQ(gp.num_options(0), 1 + cells.size());
+  EXPECT_DOUBLE_EQ(gp.delays()[0], 1.0);  // 1-cycle software op
+  EXPECT_DOUBLE_EQ(gp.areas()[0], 0.0);
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    EXPECT_DOUBLE_EQ(gp.delays()[1 + k], cells[k].delay);
+    EXPECT_DOUBLE_EQ(gp.areas()[1 + k], cells[k].area);
   }
 }
 
