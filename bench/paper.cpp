@@ -10,6 +10,7 @@
 // a faster, lower-fidelity pass whose tables the shapes may not describe.
 // ISEX_METRICS_OUT=file.prom and ISEX_TRACE_OUT=file.json write a
 // Prometheus snapshot and a Chrome trace of the run (docs/OBSERVABILITY.md).
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
@@ -17,7 +18,7 @@
 #include <string>
 
 #include "paper_figures.hpp"
-#include "runtime/runtime_stats.hpp"
+#include "runtime/eval_cache.hpp"
 #include "runtime/thread_pool.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -41,12 +42,32 @@ void write_file(const char* path, const auto& write) {
     std::cerr << "cannot write " << path << "\n";
 }
 
+/// The pool's width and jobs, every eval cache's probes (the registry's
+/// isex_schedule_cache_*_total counters) and each stage's seconds.
 void print_runtime_stats() {
-  const runtime::RuntimeStats stats =
-      runtime::collect_runtime_stats(runtime::ThreadPool::default_pool());
-  stats.print(std::cout);
+  const runtime::PoolStats pool = runtime::ThreadPool::default_pool().stats();
+  std::cout << "runtime: " << pool.threads << " thread(s), " << pool.jobs_run
+            << " job(s)\n";
+  trace::MetricsRegistry& registry = trace::MetricsRegistry::global();
+  const auto total = [&](const char* name) {
+    return static_cast<std::uint64_t>(registry.counter(name).value());
+  };
+  runtime::CacheStats cache;
+  cache.hits = total("isex_schedule_cache_hits_total");
+  cache.misses = total("isex_schedule_cache_misses_total");
+  cache.evictions = total("isex_schedule_cache_evictions_total");
+  std::cout << "schedule cache: " << cache.hits << " hit(s) / "
+            << cache.hits + cache.misses << " probe(s)";
+  if (cache.hits + cache.misses > 0) {
+    std::cout << " (" << static_cast<int>(cache.hit_rate() * 100.0 + 0.5)
+              << "% hit rate)";
+  }
+  std::cout << ", " << cache.evictions << " eviction(s)\n";
+  for (const auto& [labels, seconds] :
+       registry.counter_family("isex_stage_seconds_total"))
+    std::cout << "stage " << labels.front().second << ": " << seconds
+              << " s\n";
   if (const char* path = std::getenv("ISEX_METRICS_OUT")) {
-    stats.publish(trace::MetricsRegistry::global());
     write_file(path, [](std::ostream& os) {
       trace::MetricsRegistry::global().write_prometheus(os);
     });

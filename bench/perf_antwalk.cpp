@@ -14,67 +14,22 @@
 // Exit is also nonzero when the optimized walk diverges from the reference
 // or performs any heap allocation after warm-up.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "bench_suite/kernels.hpp"
 #include "core/ant_walk.hpp"
 #include "core/pheromone.hpp"
+#include "counting_allocator.hpp"
 #include "hwlib/hw_library.hpp"
 #include "sched/priority.hpp"
 #include "util/rng.hpp"
 #include "walk_reference.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting allocation hook: every global operator new bumps one counter, so
-// "allocations per walk" is an exact count, not an estimate.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-// GCC pairs the standard operator new it inlines into a caller with the
-// free() of the replacement delete below and reports a mismatch; both
-// replacements use malloc/free, so the pairing is sound.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align),
-                     size != 0 ? size : 1) == 0)
-    return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-#pragma GCC diagnostic pop
 
 namespace {
 
@@ -164,7 +119,7 @@ CaseReport run_case(const DfgCase& c, int walks, std::uint64_t seed) {
   report.reference.best_seconds = std::numeric_limits<double>::max();
   for (int rep = 0; rep < kTimingReps; ++rep) {
     Rng rng(seed);
-    const auto alloc0 = g_allocs.load(std::memory_order_relaxed);
+    const auto alloc0 = testing::allocation_count();
     const auto start = std::chrono::steady_clock::now();
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (int i = 0; i < walks; ++i) {
@@ -179,7 +134,7 @@ CaseReport run_case(const DfgCase& c, int walks, std::uint64_t seed) {
         std::min(report.reference.best_seconds, secs);
     report.reference.timed_walks += static_cast<std::uint64_t>(walks);
     report.reference.allocs +=
-        g_allocs.load(std::memory_order_relaxed) - alloc0;
+        testing::allocation_count() - alloc0;
     report.reference.hash = h;
   }
 
@@ -199,7 +154,7 @@ CaseReport run_case(const DfgCase& c, int walks, std::uint64_t seed) {
     report.optimized.best_seconds = std::numeric_limits<double>::max();
     for (int rep = 0; rep < kTimingReps; ++rep) {
       Rng rng(seed);
-      const auto alloc0 = g_allocs.load(std::memory_order_relaxed);
+      const auto alloc0 = testing::allocation_count();
       const auto start = std::chrono::steady_clock::now();
       std::uint64_t h = 0xcbf29ce484222325ULL;
       for (int i = 0; i < walks; ++i) {
@@ -213,7 +168,7 @@ CaseReport run_case(const DfgCase& c, int walks, std::uint64_t seed) {
           std::min(report.optimized.best_seconds, secs);
       report.optimized.timed_walks += static_cast<std::uint64_t>(walks);
       report.optimized.allocs +=
-          g_allocs.load(std::memory_order_relaxed) - alloc0;
+          testing::allocation_count() - alloc0;
       report.optimized.hash = h;
     }
   }

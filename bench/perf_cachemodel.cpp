@@ -21,7 +21,6 @@
 // `--quick` drops to one timing repeat and 2 exploration repeats for CI
 // smoke runs; every identity gate runs either way.
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +31,7 @@
 
 #include "bench_suite/kernels.hpp"
 #include "flow/design_flow.hpp"
+#include "golden_hash.hpp"
 #include "mem/cache_model.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -56,43 +56,17 @@ double overhead_ceiling() {
   return 1.15;
 }
 
-/// FNV-1a over every observable exploration field (mirrors the golden-hash
-/// regression tests): any behavioural divergence flips it.
-struct Fnv1a {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (v >> (i * 8)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  void mix_int(long long v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix_double(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-};
-
+/// Digest of one flow's hot blocks, explorations and replacement times:
+/// any behavioural divergence flips it.
 std::uint64_t hash_flow(const flow::FlowResult& result) {
-  Fnv1a h;
+  testing::Fnv1a h;
   h.mix_int(static_cast<long long>(result.hot_blocks.size()));
   for (const std::size_t b : result.hot_blocks) h.mix(b);
-  for (const core::ExplorationResult& r : result.explorations) {
-    h.mix_int(r.base_cycles);
-    h.mix_int(r.final_cycles);
-    h.mix_int(r.rounds);
-    h.mix_int(r.total_iterations);
-    h.mix_int(static_cast<long long>(r.ises.size()));
-    for (const core::ExploredIse& ise : r.ises) {
-      h.mix_int(ise.in_count);
-      h.mix_int(ise.out_count);
-      h.mix_int(ise.gain_cycles);
-      h.mix_int(ise.eval.latency_cycles);
-      h.mix_double(ise.eval.area);
-      h.mix_double(ise.eval.depth_ns);
-      ise.original_nodes.for_each([&](dfg::NodeId m) { h.mix_int(m); });
-    }
-  }
+  for (const core::ExplorationResult& r : result.explorations)
+    h.mix(testing::hash_exploration(r));
   h.mix_int(static_cast<long long>(result.replacement.base_time));
   h.mix_int(static_cast<long long>(result.replacement.final_time));
-  return h.hash;
+  return h.value();
 }
 
 struct SuiteRun {

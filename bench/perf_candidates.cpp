@@ -19,17 +19,16 @@
 // Exit is also nonzero when any view makespan diverges from the collapsed
 // graph's or the warmed-up optimized path performs any heap allocation.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "bench_suite/kernels.hpp"
+#include "counting_allocator.hpp"
 #include "dfg/analysis.hpp"
 #include "dfg/collapsed_view.hpp"
 #include "dfg/graph.hpp"
@@ -37,44 +36,6 @@
 #include "sched/list_scheduler.hpp"
 #include "sched/machine_config.hpp"
 #include "util/rng.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting allocation hook: every global operator new bumps one counter, so
-// "allocations per evaluation" is an exact count, not an estimate.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align),
-                     size != 0 ? size : 1) == 0)
-    return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -166,7 +127,7 @@ CaseReport run_case(const DfgCase& c, int passes) {
   report.reference.evals = evals_per_rep;
   report.reference.best_seconds = std::numeric_limits<double>::max();
   for (int rep = 0; rep < kTimingReps; ++rep) {
-    const auto alloc0 = g_allocs.load(std::memory_order_relaxed);
+    const auto alloc0 = testing::allocation_count();
     const auto start = std::chrono::steady_clock::now();
     std::uint64_t sum = 0;
     for (int p = 0; p < passes; ++p) {
@@ -182,7 +143,7 @@ CaseReport run_case(const DfgCase& c, int passes) {
         std::min(report.reference.best_seconds, secs);
     report.reference.timed_evals += evals_per_rep;
     report.reference.allocs +=
-        g_allocs.load(std::memory_order_relaxed) - alloc0;
+        testing::allocation_count() - alloc0;
     report.reference.cycle_sum = sum;
   }
 
@@ -201,7 +162,7 @@ CaseReport run_case(const DfgCase& c, int passes) {
     report.optimized.evals = evals_per_rep;
     report.optimized.best_seconds = std::numeric_limits<double>::max();
     for (int rep = 0; rep < kTimingReps; ++rep) {
-      const auto alloc0 = g_allocs.load(std::memory_order_relaxed);
+      const auto alloc0 = testing::allocation_count();
       const auto start = std::chrono::steady_clock::now();
       std::uint64_t sum = 0;
       for (int p = 0; p < passes; ++p) {
@@ -217,7 +178,7 @@ CaseReport run_case(const DfgCase& c, int passes) {
           std::min(report.optimized.best_seconds, secs);
       report.optimized.timed_evals += evals_per_rep;
       report.optimized.allocs +=
-          g_allocs.load(std::memory_order_relaxed) - alloc0;
+          testing::allocation_count() - alloc0;
       report.optimized.cycle_sum = sum;
     }
   }

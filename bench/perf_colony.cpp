@@ -20,7 +20,6 @@
 // `--quick` drops to one timing repeat for CI smoke runs; the identity
 // check runs at full strength either way.
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +31,7 @@
 
 #include "bench_suite/kernels.hpp"
 #include "core/mi_explorer.hpp"
+#include "golden_hash.hpp"
 #include "runtime/eval_cache.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -53,39 +53,6 @@ double speedup_floor() {
     if (v > 0.0) return v;
   }
   return 2.0;
-}
-
-/// FNV-1a over every observable field of an ExplorationResult (mirrors the
-/// golden-hash regression tests): any cross-thread-count drift flips it.
-struct Fnv1a {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (v >> (i * 8)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  void mix_int(long long v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix_double(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-};
-
-std::uint64_t hash_exploration(const core::ExplorationResult& r) {
-  Fnv1a h;
-  h.mix_int(r.base_cycles);
-  h.mix_int(r.final_cycles);
-  h.mix_int(r.rounds);
-  h.mix_int(r.total_iterations);
-  h.mix_int(static_cast<long long>(r.ises.size()));
-  for (const core::ExploredIse& ise : r.ises) {
-    h.mix_int(ise.in_count);
-    h.mix_int(ise.out_count);
-    h.mix_int(ise.gain_cycles);
-    h.mix_int(ise.eval.latency_cycles);
-    h.mix_double(ise.eval.area);
-    h.mix_double(ise.eval.depth_ns);
-    ise.original_nodes.for_each([&](dfg::NodeId m) { h.mix_int(m); });
-  }
-  return h.hash;
 }
 
 struct ColonyRun {
@@ -120,7 +87,8 @@ void run_sweep_once(ColonyRun& run) {
   params.eval_cache = &cache;
   const core::MultiIssueExplorer explorer(machine, format, library, params);
 
-  Fnv1a combined;
+  // Any cross-thread-count drift in an exploration flips the digest.
+  testing::Fnv1a combined;
   const auto start = std::chrono::steady_clock::now();
   for (const bench_suite::Benchmark bm : bench_suite::all_benchmarks()) {
     const flow::ProfiledProgram prog =
@@ -128,11 +96,11 @@ void run_sweep_once(ColonyRun& run) {
     Rng rng(17);
     const core::ExplorationResult r =
         explorer.explore(prog.blocks.front().graph, rng);
-    combined.mix(hash_exploration(r));
+    combined.mix(testing::hash_exploration(r));
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   run.seconds_each.push_back(std::chrono::duration<double>(elapsed).count());
-  run.digest = combined.hash;
+  run.digest = combined.value();
 }
 
 ColonyRun run_sweep(int colonies, int jobs, int repeats) {

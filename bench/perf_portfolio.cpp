@@ -31,7 +31,6 @@
 // `--quick` drops to one timing repeat and 2 exploration repeats for CI
 // smoke runs; the identity and dedup checks run either way.
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -43,6 +42,7 @@
 
 #include "bench_suite/kernels.hpp"
 #include "flow/portfolio.hpp"
+#include "golden_hash.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace {
@@ -73,44 +73,18 @@ double dedup_hit_rate_floor() {
   return 0.20;
 }
 
-/// FNV-1a over every observable field of an ExplorationResult (mirrors the
-/// golden-hash regression tests): any divergence between the portfolio's
-/// per-program explorations and an independent flow's flips it.
-struct Fnv1a {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (v >> (i * 8)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  void mix_int(long long v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix_double(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-};
-
+/// Digest of one program's hot blocks and explorations: any divergence
+/// between the portfolio's per-program explorations and an independent
+/// flow's flips it.
 std::uint64_t hash_explorations(
     const std::vector<std::size_t>& hot_blocks,
     const std::vector<core::ExplorationResult>& explorations) {
-  Fnv1a h;
+  testing::Fnv1a h;
   h.mix_int(static_cast<long long>(hot_blocks.size()));
   for (const std::size_t b : hot_blocks) h.mix(b);
-  for (const core::ExplorationResult& r : explorations) {
-    h.mix_int(r.base_cycles);
-    h.mix_int(r.final_cycles);
-    h.mix_int(r.rounds);
-    h.mix_int(r.total_iterations);
-    h.mix_int(static_cast<long long>(r.ises.size()));
-    for (const core::ExploredIse& ise : r.ises) {
-      h.mix_int(ise.in_count);
-      h.mix_int(ise.out_count);
-      h.mix_int(ise.gain_cycles);
-      h.mix_int(ise.eval.latency_cycles);
-      h.mix_double(ise.eval.area);
-      h.mix_double(ise.eval.depth_ns);
-      ise.original_nodes.for_each([&](dfg::NodeId m) { h.mix_int(m); });
-    }
-  }
-  return h.hash;
+  for (const core::ExplorationResult& r : explorations)
+    h.mix(testing::hash_exploration(r));
+  return h.value();
 }
 
 /// Width of the process pool both sides explore on.

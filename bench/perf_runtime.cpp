@@ -27,7 +27,6 @@
 
 #include "paper_figures.hpp"
 #include "runtime/eval_cache.hpp"
-#include "runtime/runtime_stats.hpp"
 #include "runtime/thread_pool.hpp"
 #include "trace/metrics.hpp"
 
@@ -185,12 +184,9 @@ int main() {
   std::fclose(json);
   std::printf("wrote BENCH_runtime.json\n");
 
-  // Same numbers through the metrics pipe: mirror the final configuration's
-  // point-in-time stats into the registry (the live counters accumulated
-  // during the sweep are already there) and snapshot it, so the JSON report
-  // and the Prometheus view can be cross-checked against each other.
-  runtime::collect_runtime_stats(runtime::ThreadPool::default_pool())
-      .publish(trace::MetricsRegistry::global());
+  // Same numbers through the metrics pipe: the counters every pool and
+  // eval cache fed during the sweep, so the JSON report and the Prometheus
+  // view can be cross-checked against each other.
   std::ofstream prom("BENCH_runtime.prom");
   if (prom) {
     trace::MetricsRegistry::global().write_prometheus(prom);

@@ -17,7 +17,6 @@
 #include "runtime/eval_cache.hpp"
 #include "runtime/hash.hpp"
 #include "runtime/job_graph.hpp"
-#include "runtime/pool_profile.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/priority.hpp"
@@ -343,10 +342,8 @@ ExplorationResult MultiIssueExplorer::explore(const dfg::Graph& block,
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   Clock::now() - merge_start)
                   .count());
-          runtime::record_parallel_section(
-              "explore.colonies", merge_ns, timing->wall_ns,
-              static_cast<std::uint64_t>(k_eff), timing->task_ns_sum,
-              timing->task_ns_max);
+          pool.record_section("explore.colonies", merge_ns,
+                              static_cast<std::uint64_t>(k_eff), *timing);
         }
         if (merged.converged() || exhausted) break;
       }

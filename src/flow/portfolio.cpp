@@ -12,9 +12,9 @@
 #include "flow/validate.hpp"
 #include "runtime/hash.hpp"
 #include "runtime/job_graph.hpp"
-#include "runtime/runtime_stats.hpp"
 #include "runtime/thread_pool.hpp"
 #include "trace/metrics.hpp"
+#include "trace/trace.hpp"
 #include "util/rng.hpp"
 
 namespace isex::flow {
@@ -106,7 +106,7 @@ Expected<PortfolioResult> run_flow_stages(
     const FlowConfig& config,
     const std::function<ValidationReport()>& validate_inputs) {
   {
-    const runtime::StageTimer timer("validation");
+    const trace::StageTimer timer("validation");
     const ValidationReport report = validate_inputs();
     if (!report.ok()) return report.first_error();
   }
@@ -125,7 +125,7 @@ Expected<PortfolioResult> run_flow_stages(
   for (const ProgramRow& row : rows) programs.push_back(row.program);
   std::vector<ProfiledProgram> annotated;
   if (config.cache) {
-    const runtime::StageTimer timer("cache_model");
+    const trace::StageTimer timer("cache_model");
     annotated.reserve(rows.size());
     for (std::size_t p = 0; p < rows.size(); ++p) {
       annotated.push_back(*rows[p].program);
@@ -138,7 +138,7 @@ Expected<PortfolioResult> run_flow_stages(
 
   // 1. Profiling + hot-block selection, per program (cheap, serial).
   {
-    const runtime::StageTimer timer("profiling");
+    const trace::StageTimer timer("profiling");
     for (std::size_t p = 0; p < rows.size(); ++p) {
       PortfolioProgramResult& prog = result.programs[p];
       prog.name = programs[p]->name;
@@ -178,7 +178,7 @@ Expected<PortfolioResult> run_flow_stages(
   const auto per_block = static_cast<std::size_t>(config.repeats);
   std::vector<std::vector<runtime::Key128>> block_digests(rows.size());
   {
-    const runtime::StageTimer timer("exploration");
+    const trace::StageTimer timer("exploration");
     const auto serial_start = std::chrono::steady_clock::now();
     UniqueJobs unique;
     std::vector<std::vector<std::size_t>> job_of(rows.size());
@@ -270,7 +270,7 @@ Expected<PortfolioResult> run_flow_stages(
   std::vector<PortfolioCatalogEntry> catalog;
   GreedySelection greedy;
   {
-    const runtime::StageTimer timer("selection");
+    const trace::StageTimer timer("selection");
     for (std::size_t p = 0; p < rows.size(); ++p) {
       const PortfolioProgramResult& prog = result.programs[p];
       for (IseCatalogEntry& entry :
@@ -325,7 +325,7 @@ Expected<PortfolioResult> run_flow_stages(
   // counts the distinct ASFUs it touches.  The slices take the selected
   // catalog entries by move: the catalog is not read again.
   {
-    const runtime::StageTimer timer("replacement");
+    const trace::StageTimer timer("replacement");
     for (const GreedyPick& pick : greedy.picks) {
       PortfolioCatalogEntry& chosen = catalog[pick.candidate];
       SelectionResult& slice =

@@ -1,8 +1,9 @@
 // The design flow over a weighted manifest: one ISE set for N programs under
 // a shared area budget (multi-application ASIP mode, Ragel et al. in
 // PAPERS.md).  It is the flow's only pipeline — run_design_flow is the
-// one-row case at weight 1.0 — and runs these stages, each timed as a
-// `stage:<name>` span and stage_times() entry:
+// one-row case at weight 1.0 — and runs these stages, each timed by a
+// trace::StageTimer (a `stage:<name>` span and the
+// isex_stage_seconds_total{stage="<name>"} counter):
 //
 //   * validation — each entry point's own checks of its inputs
 //     (flow::validate); a rejected input never reaches a later stage;

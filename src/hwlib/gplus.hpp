@@ -89,8 +89,16 @@ class GPlus {
   /// Row-compressed lists: node v's are items[begin[v], begin[v + 1]).
   template <typename T>
   struct Csr {
-    std::vector<std::uint32_t> begin{0};
+    std::vector<std::uint32_t> begin;
     std::vector<T> items;
+
+    /// Opens the empty list with room for `rows` rows of `count` items in
+    /// all; called once, before the first row.
+    void start(std::size_t rows, std::size_t count) {
+      begin.reserve(rows + 1);
+      begin.push_back(0);
+      items.reserve(count);
+    }
 
     std::span<const T> row(dfg::NodeId v) const {
       ISEX_ASSERT(v + 1 < begin.size());
@@ -104,7 +112,7 @@ class GPlus {
   };
 
   const dfg::Graph* graph_;
-  std::vector<std::uint32_t> offsets_{0};
+  std::vector<std::uint32_t> offsets_;
   std::vector<double> delays_;
   std::vector<double> areas_;
   Csr<dfg::NodeId> preds_;

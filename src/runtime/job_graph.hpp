@@ -11,9 +11,9 @@
 // deterministic_fanout() does all three from one parent Rng;
 // fanout_streams() runs steps (2) and (3) over streams the caller derived
 // itself (the design flow pre-splits one Rng(seed) per program and dedups
-// identical jobs before the fan-out).  Both record the fan-out as a pool
-// profile section from the timing ThreadPool::parallel_for returns while the
-// pool is profiling.
+// identical jobs before the fan-out).  Both record the fan-out as a section
+// of the pool they ran on, from the timing ThreadPool::parallel_for returns
+// while that pool is profiling.
 #pragma once
 
 #include <chrono>
@@ -23,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/pool_profile.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 
@@ -32,10 +31,10 @@ namespace isex::runtime {
 /// Runs fn(i, stream) for i in [0, streams.size()) on `pool`, each call on a
 /// private copy of streams[i], and returns the results in index order.
 ///
-/// When `pool` has profiling on, the fan-out is measured as one parallel
-/// section under `section`: `serial_ns` of setup the caller did on its own
-/// thread before the fan-out, the parallel wall time, and the per-task body
-/// durations (ThreadPool::parallel_for's timing).  Instrumentation never
+/// When `pool` has profiling on, the fan-out is measured as one invocation
+/// of `pool`'s section `section`: `serial_ns` of setup the caller did on its
+/// own thread before the fan-out, the parallel wall time, and the per-task
+/// body durations (ThreadPool::parallel_for's timing).  Instrumentation never
 /// touches the streams, so results stay bit-identical whether profiling is
 /// on or off.
 template <typename Fn>
@@ -49,10 +48,7 @@ auto fanout_streams(ThreadPool& pool, const std::vector<Rng>& streams, Fn fn,
         Rng local = streams[i];  // private mutable copy; streams stays pristine
         results[i] = fn(i, local);
       });
-  if (timing) {
-    record_parallel_section(section, serial_ns, timing->wall_ns, n,
-                            timing->task_ns_sum, timing->task_ns_max);
-  }
+  if (timing) pool.record_section(section, serial_ns, n, *timing);
   return results;
 }
 

@@ -7,28 +7,27 @@
 //   * per-worker occupancy: busy/idle time and task count for every pool
 //     worker plus one synthetic "external" slot for threads claiming the
 //     indices of their own parallel_for;
-//   * a task-duration histogram (fixed log-spaced microsecond buckets) fed
-//     live into MetricsRegistry as `isex_pool_task_seconds` and snapshotted
-//     into the PoolProfile artifact;
+//   * a task-duration histogram (fixed log-spaced microsecond buckets),
+//     kept per pool and also fed into the process-wide
+//     `isex_pool_task_seconds` histogram of MetricsRegistry;
 //   * per-parallel-section Amdahl attribution: the job_graph.hpp fan-outs
-//     measure the serial stream-derivation time, the parallel-region wall
-//     time, and the sum/max of task body durations for each labelled
-//     section, so a report can say "section X is 34% serial" or "section
-//     Y's slowest task is 2.1x its mean task" from numbers, not guesses.
-//     How evenly the threads were loaded is the per-worker busy spread and
-//     occupancy, not a section number.
+//     and the colony epochs measure the serial setup time, the
+//     parallel-region wall time, and the sum/max of task body durations
+//     for each labelled section of the pool they fan out on, so a report
+//     can say "section X is 34% serial" or "section Y's slowest task is
+//     2.1x its mean task" from numbers, not guesses.  How evenly the
+//     threads were loaded is the per-worker busy spread and occupancy, not
+//     a section number.
 //
-// collect_pool_profile() snapshots all three into a PoolProfile, which can
-// publish gauges to a MetricsRegistry and/or serialize to the PoolProfile
-// JSON artifact consumed by tools/trace_report.py.
+// Every view lives in its ThreadPool.  collect_pool_profile() snapshots
+// one pool's three into a PoolProfile, which serializes to the PoolProfile
+// JSON artifact consumed by tools/trace_report.py and to /statusz.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
-
-#include "trace/metrics.hpp"
 
 namespace isex::runtime {
 
@@ -87,8 +86,8 @@ struct SectionProfile {
   }
 };
 
-/// Snapshot of one pool's profiling state plus the process-wide section
-/// registry.  Produced by collect_pool_profile().
+/// Snapshot of one pool's profiling state.  Produced by
+/// collect_pool_profile().
 struct PoolProfile {
   int threads = 0;
   bool profiled = false;  ///< was profiling enabled when collected
@@ -103,28 +102,10 @@ struct PoolProfile {
 
   /// The PoolProfile JSON artifact (single object, stable key order).
   void write_json(std::ostream& out) const;
-  /// Mirrors the snapshot into gauges:
-  /// isex_pool_worker_{busy,idle}_seconds{worker=...},
-  /// isex_pool_worker_occupancy{worker=...}, and per-section
-  /// isex_pool_section_{serial_fraction,wall_seconds,...}{section=...}.
-  void publish(trace::MetricsRegistry& registry) const;
 };
 
-/// Snapshots `pool`'s occupancy/histogram state and the global section
-/// registry.  Safe to call while the pool is running.
+/// Snapshots `pool`'s occupancy, histogram and sections.  Safe to call
+/// while the pool is running.
 PoolProfile collect_pool_profile(const ThreadPool& pool);
-
-/// Merges one parallel-section invocation into the process-wide registry
-/// (keyed by name).  Called by fanout_streams() (job_graph.hpp) when the
-/// pool is profiling; durations in nanoseconds.
-void record_parallel_section(const char* name, std::uint64_t serial_ns,
-                             std::uint64_t wall_ns, std::uint64_t tasks,
-                             std::uint64_t task_ns_sum,
-                             std::uint64_t task_ns_max);
-
-/// Snapshot / clear of the process-wide section registry (clearing is for
-/// tests and benches that re-profile from a clean slate).
-std::vector<SectionProfile> parallel_sections_snapshot();
-void reset_parallel_sections();
 
 }  // namespace isex::runtime

@@ -285,6 +285,31 @@ double ThreadPool::profiled_task_seconds() const {
   return static_cast<double>(ns) * 1e-9;
 }
 
+void ThreadPool::record_section(std::string_view name,
+                                std::uint64_t serial_ns, std::uint64_t tasks,
+                                const ParallelTiming& timing) {
+  std::lock_guard<std::mutex> lock(sections_mutex_);
+  auto it = std::find_if(
+      sections_.begin(), sections_.end(),
+      [name](const SectionProfile& s) { return s.name == name; });
+  if (it == sections_.end()) {
+    it = sections_.insert(sections_.end(), SectionProfile{});
+    it->name = name;
+  }
+  it->invocations += 1;
+  it->tasks += tasks;
+  it->serial_seconds += static_cast<double>(serial_ns) * 1e-9;
+  it->wall_seconds += static_cast<double>(timing.wall_ns) * 1e-9;
+  it->task_seconds += static_cast<double>(timing.task_ns_sum) * 1e-9;
+  it->max_task_seconds = std::max(
+      it->max_task_seconds, static_cast<double>(timing.task_ns_max) * 1e-9);
+}
+
+std::vector<SectionProfile> ThreadPool::sections() const {
+  std::lock_guard<std::mutex> lock(sections_mutex_);
+  return sections_;
+}
+
 namespace {
 
 std::mutex g_default_pool_mutex;
@@ -298,6 +323,9 @@ ThreadPool& ThreadPool::default_pool() {
   if (!g_default_pool) {
     g_default_pool = std::make_unique<ThreadPool>(
         g_default_jobs_override > 0 ? g_default_jobs_override : 0);
+    trace::MetricsRegistry::global()
+        .gauge("isex_pool_threads")
+        .set(g_default_pool->num_threads());
   }
   return *g_default_pool;
 }

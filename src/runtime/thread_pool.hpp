@@ -41,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -49,7 +50,8 @@
 
 namespace isex::runtime {
 
-/// Counters a pool accumulates over its lifetime (see RuntimeStats).
+/// Counters a pool accumulates over its lifetime.  jobs_run is this pool's
+/// share of the process-wide isex_pool_jobs_total counter.
 struct PoolStats {
   std::uint64_t jobs_run = 0;
   /// Always 0: every worker claims from the one FIFO of groups, so no task
@@ -129,8 +131,18 @@ class ThreadPool {
   std::uint64_t profiled_task_count() const;
   double profiled_task_seconds() const;
 
+  /// Merges one profiled fan-out on this pool into its section `name` (the
+  /// Amdahl attribution in pool_profile.hpp): `serial_ns` of setup on the
+  /// submitting thread, then the `tasks` indices whose `timing`
+  /// parallel_for returned.  Called by fanout_streams (job_graph.hpp) and
+  /// the colony epochs of MultiIssueExplorer.
+  void record_section(std::string_view name, std::uint64_t serial_ns,
+                      std::uint64_t tasks, const ParallelTiming& timing);
+  /// This pool's sections, in the order each was first recorded.
+  std::vector<SectionProfile> sections() const;
+
   /// Process-wide shared pool, created on first use with default_jobs()
-  /// threads.
+  /// threads; building it sets the isex_pool_threads gauge to its width.
   static ThreadPool& default_pool();
 
   /// Resizes the default pool (recreating it if already built).  Drives the
@@ -176,8 +188,8 @@ class ThreadPool {
   /// Process-wide metrics mirrored alongside the per-pool atomics: resolved
   /// once here so an index pays a plain atomic add, not a registry lookup.
   trace::Counter* jobs_metric_;
-  /// Live copy of the task-duration histogram (seconds buckets) so /metrics
-  /// shows task timings without an explicit PoolProfile publish.
+  /// Process-wide task-duration histogram (seconds buckets) that /metrics
+  /// shows; this pool's own bins are task_bins_ below.
   trace::Histogram* task_seconds_metric_;
   /// Guards groups_, stop_, profiling_ changes and the slots' idle state.
   mutable std::mutex mutex_;
@@ -191,6 +203,9 @@ class ThreadPool {
   std::vector<std::unique_ptr<ProfSlot>> prof_slots_;  ///< threads + 1
   static constexpr std::size_t kTaskBins = kTaskDurationBoundsUs.size() + 1;
   std::array<std::atomic<std::uint64_t>, kTaskBins> task_bins_{};
+  /// Guards sections_: one merge per profiled fan-out, never per index.
+  mutable std::mutex sections_mutex_;
+  std::vector<SectionProfile> sections_;
 };
 
 }  // namespace isex::runtime

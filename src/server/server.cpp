@@ -15,7 +15,6 @@
 
 #include "hwlib/hw_library.hpp"
 #include "runtime/pool_profile.hpp"
-#include "runtime/runtime_stats.hpp"
 #include "runtime/thread_pool.hpp"
 #include "trace/json.hpp"
 #include "trace/metrics.hpp"
@@ -348,11 +347,6 @@ void Server::handle_http(int fd, const std::string& buffered) {
     response = http_response(200, "OK", render_statusz(),
                              "application/json");
   } else if (path == "/metrics") {
-    // Fold point-in-time runtime stats (pool width, cache hit rate, stage
-    // seconds) into the registry next to the live counters, like the CLI's
-    // --metrics-out does.
-    runtime::collect_runtime_stats(runtime::ThreadPool::default_pool())
-        .publish(trace::MetricsRegistry::global());
     std::ostringstream body;
     trace::MetricsRegistry::global().write_prometheus(body);
     response = http_response(200, "OK", body.str());

@@ -221,6 +221,21 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
   }
 }
 
+std::vector<std::pair<Labels, double>> MetricsRegistry::counter_family(
+    std::string_view name) const {
+  std::vector<std::pair<Labels, double>> series;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& entry : entries_) {
+      if (entry->name == name && entry->kind == Kind::kCounter)
+        series.emplace_back(entry->labels, entry->counter->value());
+    }
+  }
+  std::sort(series.begin(), series.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return series;
+}
+
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& entry : entries_) {

@@ -105,6 +105,11 @@ class MetricsRegistry {
   /// series sorted by (name, labels).
   void write_prometheus(std::ostream& out) const;
 
+  /// Every series of the counter family `name` as (labels, value), in
+  /// write_prometheus order.  Registers nothing.
+  std::vector<std::pair<Labels, double>> counter_family(
+      std::string_view name) const;
+
   /// Zeroes every registered metric (registrations and the references
   /// handed out stay valid).  Benches use this between A/B sweeps.
   void reset();

@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "trace/json.hpp"
+#include "trace/metrics.hpp"
 
 namespace isex::trace {
 namespace {
@@ -56,6 +57,18 @@ void Span::open(TraceContext& parent_out, std::uint64_t& span_id_out) {
 }
 
 void Span::close(const TraceContext& parent) { tls_context = parent; }
+
+StageTimer::StageTimer(std::string_view stage)
+    : span_("stage:" + std::string(stage)),
+      seconds_(MetricsRegistry::global().counter(
+          "isex_stage_seconds_total", {{"stage", std::string(stage)}})),
+      start_(std::chrono::steady_clock::now()) {}
+
+StageTimer::~StageTimer() {
+  seconds_.inc(std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start_)
+                   .count());
+}
 
 Tracer::Tracer()
     : id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)),

@@ -32,6 +32,8 @@
 
 namespace isex::trace {
 
+class Counter;
+
 enum class EventKind : std::uint8_t {
   kSpan,     ///< completed span: [ts_us, ts_us + dur_us]
   kInstant,  ///< point event
@@ -76,7 +78,7 @@ TraceContext current_context();
 
 /// Replaces the calling thread's context and returns the previous one —
 /// the manual save/restore primitive behind ContextScope, for holders whose
-/// lifetime is not a lexical scope (StageTimer, server job roots).
+/// lifetime is not a lexical scope.
 TraceContext exchange_current_context(TraceContext ctx);
 
 /// Process-unique nonzero ids.  A trace id identifies one root-of-work
@@ -119,7 +121,7 @@ class Tracer {
   void record_span(std::string_view name, std::uint64_t ts_us,
                    std::uint64_t dur_us);
   /// Span with explicit context ids (zero ids = untracked).  Used by the
-  /// Span/StageTimer RAII helpers and by the server's per-job root spans.
+  /// Span RAII helper and by the server's per-job root spans.
   void record_span(std::string_view name, std::uint64_t ts_us,
                    std::uint64_t dur_us, std::uint64_t trace_id,
                    std::uint64_t span_id, std::uint64_t parent_id);
@@ -204,6 +206,25 @@ class Span {
   std::uint64_t start_us_ = 0;
   std::uint64_t span_id_ = 0;
   TraceContext parent_;
+};
+
+/// RAII timer of one design-flow stage (Fig 3.1.1): a `stage:<stage>` Span
+/// on the global tracer, so pool tasks fanned out inside the stage nest
+/// under it, and on close the scope's wall time added to the global
+/// registry's isex_stage_seconds_total{stage="<stage>"} counter, traced or
+/// not.
+class StageTimer {
+ public:
+  explicit StageTimer(std::string_view stage);
+  ~StageTimer();
+
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+ private:
+  Span span_;
+  Counter& seconds_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// Chrome trace_event "JSON Object Format": {"traceEvents": [...]} with

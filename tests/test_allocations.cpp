@@ -1,15 +1,15 @@
-// Allocation gates.  A counting global operator new makes "allocations per
-// warmed-up iteration" an exact count, not an estimate; each ZeroAllocation
-// test runs a hot loop through the library's own functions after a warm-up
-// and requires that it allocated nothing, and ParseAllocations holds the TAC
-// frontend to a budget per DFG node.
+// Allocation gates.  The counting global operator new of
+// counting_allocator.hpp makes "allocations per warmed-up iteration" an
+// exact count, not an estimate.  Each ZeroAllocation test runs a hot loop
+// through the library's own functions after a warm-up and requires that it
+// allocated nothing; ParseAllocations holds the TAC frontend to a budget per
+// DFG node, and GPlusAllocations G+ construction to a fixed handful per
+// block.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -18,81 +18,15 @@
 #include "core/ant_walk.hpp"
 #include "core/merit.hpp"
 #include "core/pheromone.hpp"
+#include "counting_allocator.hpp"
 #include "dfg/analysis.hpp"
 #include "dfg/collapsed_view.hpp"
+#include "hwlib/gplus.hpp"
 #include "hwlib/hw_library.hpp"
 #include "isa/tac_parser.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/priority.hpp"
 #include "test_util.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align),
-                     size != 0 ? size : 1) == 0)
-    return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-// The nothrow forms are replaced too (std::stable_sort's temporary buffer
-// uses them), so every delete below frees memory this file
-// allocated: a sanitizer's own operator new would not pair with free().
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size != 0 ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void* operator new(std::size_t size, std::align_val_t align,
-                   const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align),
-                     size != 0 ? size : 1) == 0)
-    return p;
-  return nullptr;
-}
-void* operator new[](std::size_t size, std::align_val_t align,
-                     const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, align, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace isex::core {
 namespace {
@@ -177,10 +111,10 @@ TEST(ZeroAllocation, WarmedUpAcoIterationAllocatesNothing) {
   tet_old = saved_tet_old;
   tet_sum = 0;
   with_components = 0;
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = testing::allocation_count();
   for (int i = 0; i < 200; ++i) iterate();
   const std::uint64_t allocs =
-      g_allocs.load(std::memory_order_relaxed) - before;
+      testing::allocation_count() - before;
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(tet_sum, warm_tet_sum);  // the replay ran the same iterations
   EXPECT_EQ(with_components, 200);
@@ -236,10 +170,10 @@ TEST(ZeroAllocation, WarmedUpCandidateEvaluationAllocatesNothing) {
       return cycles;
     };
     const long long warm = evaluate();
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = testing::allocation_count();
     const long long replay = evaluate();
     const std::uint64_t allocs =
-        g_allocs.load(std::memory_order_relaxed) - before;
+        testing::allocation_count() - before;
     EXPECT_EQ(allocs, 0u) << n << "-node DAG, " << stream.size()
                           << " candidates";
     EXPECT_EQ(replay, warm);
@@ -269,14 +203,14 @@ TEST(ParseAllocations, SuiteStaysWithinBudget) {
 
   std::size_t nodes = 0;
   bool all_parsed = true;
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = testing::allocation_count();
   for (const std::string_view source : sources) {
     const Expected<ParsedBlock> parsed = parse_tac_checked(source);
     all_parsed = all_parsed && parsed.has_value();
     if (parsed.has_value()) nodes += parsed->graph.num_nodes();
   }
   const std::uint64_t allocs =
-      g_allocs.load(std::memory_order_relaxed) - before;
+      testing::allocation_count() - before;
   ASSERT_TRUE(all_parsed);
   EXPECT_LE(2 * allocs, 13 * nodes)
       << allocs << " allocations for " << nodes << " nodes ("
@@ -286,3 +220,39 @@ TEST(ParseAllocations, SuiteStaysWithinBudget) {
 
 }  // namespace
 }  // namespace isex::isa
+
+namespace isex::hw {
+namespace {
+
+// Building G+ for one of the 47 paper-suite blocks allocates a fixed handful
+// of times, whatever the block's size: every flat array and CSR list is
+// reserved once from the graph's node, edge and live-in counts, so only the
+// topological order's own buffers and one per array remain.  Every round of
+// every exploration builds one G+.
+TEST(GPlusAllocations, SuiteBlocksAllocateAFixedHandful) {
+  std::vector<dfg::Graph> graphs;
+  for (const auto bm : bench_suite::all_benchmarks())
+    for (const auto level :
+         {bench_suite::OptLevel::kO0, bench_suite::OptLevel::kO3})
+      for (const auto& def : bench_suite::kernel_blocks(bm, level)) {
+        Expected<isa::ParsedBlock> parsed = isa::parse_tac_checked(def.tac);
+        ASSERT_TRUE(parsed.has_value()) << def.tac;
+        graphs.push_back(std::move(parsed->graph));
+      }
+  ASSERT_EQ(graphs.size(), 47u);
+
+  const HwLibrary library = HwLibrary::paper_default();
+  std::uint64_t most = 0;
+  std::uint64_t total = 0;
+  for (const dfg::Graph& g : graphs) {
+    const std::uint64_t before = testing::allocation_count();
+    const GPlus gplus(g, library);
+    const std::uint64_t allocs = testing::allocation_count() - before;
+    most = std::max(most, allocs);
+    total += allocs;
+  }
+  EXPECT_LE(most, 16u) << total << " allocations over 47 G+";
+}
+
+}  // namespace
+}  // namespace isex::hw

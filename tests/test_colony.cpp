@@ -182,25 +182,30 @@ TEST_F(ColonyGoldenTest, ProfiledColonyEpochsRecordTheirSection) {
   // one task per colony, and profiling never changes what colonies compute.
   const std::uint64_t plain = testing::hash_exploration(
       explore_hottest_block(bench_suite::Benchmark::kAdpcm, /*colonies=*/4));
+  // The default pool keeps its sections for its lifetime: compare the
+  // explore.colonies section before and after the profiled exploration.
   runtime::ThreadPool& pool = runtime::ThreadPool::default_pool();
-  runtime::reset_parallel_sections();
+  const auto colonies = [&pool] {
+    const std::vector<runtime::SectionProfile> sections = pool.sections();
+    const auto it =
+        std::find_if(sections.begin(), sections.end(),
+                     [](const runtime::SectionProfile& section) {
+                       return section.name == "explore.colonies";
+                     });
+    return it == sections.end() ? runtime::SectionProfile{} : *it;
+  };
+  const runtime::SectionProfile before = colonies();
   pool.set_profiling(true);
   const std::uint64_t profiled = testing::hash_exploration(
       explore_hottest_block(bench_suite::Benchmark::kAdpcm, /*colonies=*/4));
   pool.set_profiling(false);
-  const std::vector<runtime::SectionProfile> sections =
-      runtime::parallel_sections_snapshot();
-  runtime::reset_parallel_sections();
+  const runtime::SectionProfile after = colonies();
 
   EXPECT_EQ(profiled, plain);
-  const auto colonies =
-      std::find_if(sections.begin(), sections.end(),
-                   [](const runtime::SectionProfile& section) {
-                     return section.name == "explore.colonies";
-                   });
-  ASSERT_NE(colonies, sections.end());
-  EXPECT_GT(colonies->invocations, 0u);
-  EXPECT_EQ(colonies->tasks, 4 * colonies->invocations);
+  EXPECT_EQ(after.name, "explore.colonies");
+  const std::uint64_t epochs = after.invocations - before.invocations;
+  EXPECT_GT(epochs, 0u);
+  EXPECT_EQ(after.tasks - before.tasks, 4 * epochs);
 }
 
 // --- merge barrier --------------------------------------------------------

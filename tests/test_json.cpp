@@ -21,7 +21,6 @@
 #include <future>
 #include <limits>
 #include <random>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -408,17 +407,44 @@ TEST(JsonGolden, ChromeTrace) {
 // --- /statusz ----------------------------------------------------------
 
 /// `text` with every JSON number replaced by 0: /statusz's numbers are
-/// clocks and process-wide counters, its layout is what is pinned.
+/// clocks and process-wide counters, its layout is what is pinned.  A
+/// number is `-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?`, matched leftmost and
+/// longest wherever it stands, inside strings too.
 std::string mask_numbers(const std::string& text) {
-  static const std::regex number(R"(-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?)");
-  return std::regex_replace(text, number, "0");
+  const auto digit = [&text](std::size_t i) {
+    return i < text.size() && text[i] >= '0' && text[i] <= '9';
+  };
+  const auto skip_digits = [&digit](std::size_t i) {
+    while (digit(i)) ++i;
+    return i;
+  };
+  std::string out;
+  std::size_t i = 0;
+  while (i < text.size()) {
+    const std::size_t first = text[i] == '-' ? i + 1 : i;
+    if (!digit(first)) {
+      out += text[i++];
+      continue;
+    }
+    i = skip_digits(first);
+    if (i < text.size() && text[i] == '.' && digit(i + 1))
+      i = skip_digits(i + 1);
+    if (i < text.size() && (text[i] == 'e' || text[i] == 'E')) {
+      const std::size_t sign =
+          i + 1 < text.size() && (text[i + 1] == '+' || text[i + 1] == '-')
+              ? i + 2
+              : i + 1;
+      if (digit(sign)) i = skip_digits(sign);
+    }
+    out += '0';
+  }
+  return out;
 }
 
 TEST(JsonGolden, StatuszWithOneQueuedJob) {
-  // A fixed pool width, so the profile lists the same workers on any host,
-  // and an empty section registry.
+  // A fixed pool width, so the profile lists the same workers on any host;
+  // the rebuilt pool starts with no sections.
   runtime::ThreadPool::set_default_jobs(2);
-  runtime::reset_parallel_sections();
   server::ServerOptions options;
   options.queue_capacity = 4;
   options.workers = 1;

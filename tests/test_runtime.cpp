@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,10 +25,10 @@
 #include "runtime/hash.hpp"
 #include "runtime/job_graph.hpp"
 #include "runtime/pool_profile.hpp"
-#include "runtime/runtime_stats.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/list_scheduler.hpp"
 #include "test_util.hpp"
+#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace isex::runtime {
@@ -42,6 +43,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   pool.parallel_for(kN, [&](std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
   EXPECT_GE(pool.stats().jobs_run, kN);
+  EXPECT_EQ(pool.stats().threads, 4);
 }
 
 TEST(ThreadPool, ParallelForPropagatesFirstException) {
@@ -457,7 +459,6 @@ TEST(ThreadPool, NoContextPropagationWhileTracerDisabled) {
 }
 
 TEST(DeterministicFanout, RecordsParallelSectionWhenProfiling) {
-  reset_parallel_sections();
   ThreadPool pool(2);
   pool.set_profiling(true);
   Rng rng(11);
@@ -469,7 +470,7 @@ TEST(DeterministicFanout, RecordsParallelSectionWhenProfiling) {
         return acc;
       },
       "test.section");
-  const std::vector<SectionProfile> sections = parallel_sections_snapshot();
+  const std::vector<SectionProfile> sections = pool.sections();
   ASSERT_EQ(sections.size(), 1u);
   const SectionProfile& s = sections[0];
   EXPECT_EQ(s.name, "test.section");
@@ -478,7 +479,6 @@ TEST(DeterministicFanout, RecordsParallelSectionWhenProfiling) {
   EXPECT_GE(s.serial_fraction(), 0.0);
   EXPECT_LE(s.serial_fraction(), 1.0);
   EXPECT_GE(s.imbalance(), 1.0);
-  reset_parallel_sections();
 }
 
 TEST(DeterministicFanout, ProfilingDoesNotPerturbResults) {
@@ -491,18 +491,15 @@ TEST(DeterministicFanout, ProfilingDoesNotPerturbResults) {
   Rng rng_plain(21);
   const auto expected = deterministic_fanout(plain, rng_plain, 24, job);
 
-  reset_parallel_sections();
   ThreadPool profiled(4);
   profiled.set_profiling(true);
   Rng rng_profiled(21);
   const auto measured = deterministic_fanout(profiled, rng_profiled, 24, job);
   EXPECT_EQ(measured, expected);
   EXPECT_EQ(rng_plain.next_u32(), rng_profiled.next_u32());
-  reset_parallel_sections();
 }
 
 TEST(ThreadPool, PoolProfileJsonHasWorkersHistogramAndSections) {
-  reset_parallel_sections();
   ThreadPool pool(2);
   pool.set_profiling(true);
   Rng rng(3);
@@ -520,7 +517,28 @@ TEST(ThreadPool, PoolProfileJsonHasWorkersHistogramAndSections) {
   EXPECT_NE(text.find("\"json.section\""), std::string::npos);
   EXPECT_NE(text.find("\"serial_fraction\""), std::string::npos);
   EXPECT_NE(text.find("\"imbalance\""), std::string::npos);
-  reset_parallel_sections();
+}
+
+TEST(ThreadPool, ProfileListsOnlyItsOwnSections) {
+  // Each pool keeps the sections of the fan-outs it ran, so the profile of
+  // one private pool never shows another's.
+  ThreadPool first(2);
+  ThreadPool second(2);
+  first.set_profiling(true);
+  second.set_profiling(true);
+  Rng rng(5);
+  const auto job = [](std::size_t i, Rng&) { return i; };
+  deterministic_fanout(first, rng, 4, job, "first.section");
+  deterministic_fanout(second, rng, 6, job, "second.section");
+  for (const auto& [pool, name, tasks] :
+       {std::tuple{&first, "first.section", 4u},
+        std::tuple{&second, "second.section", 6u}}) {
+    const PoolProfile profile = collect_pool_profile(*pool);
+    ASSERT_EQ(profile.sections.size(), 1u) << name;
+    EXPECT_EQ(profile.sections[0].name, name);
+    EXPECT_EQ(profile.sections[0].invocations, 1u);
+    EXPECT_EQ(profile.sections[0].tasks, tasks);
+  }
 }
 
 // ------------------------------------------------------------------ EvalCache
@@ -607,6 +625,36 @@ TEST(EvalCache, ConcurrentDoubleMissCountsOneMiss) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(EvalCache, FlowProbesReachTheRegistryCounters) {
+  // A portfolio flow probes the cache its caller passes; every probe also
+  // counts in the process-wide isex_schedule_cache_{hits,misses}_total.
+  trace::MetricsRegistry& registry = trace::MetricsRegistry::global();
+  trace::Counter& hits = registry.counter("isex_schedule_cache_hits_total");
+  trace::Counter& misses =
+      registry.counter("isex_schedule_cache_misses_total");
+  const double hits_before = hits.value();
+  const double misses_before = misses.value();
+  EvalCache cache;
+  flow::PortfolioConfig config;
+  config.base.machine = sched::MachineConfig::make(2, {6, 3});
+  config.base.repeats = 2;
+  config.base.seed = 7;
+  config.base.params.eval_cache = &cache;
+  std::vector<flow::PortfolioEntry> entries(2);
+  entries[0].program = bench_suite::make_program(bench_suite::Benchmark::kCrc32,
+                                                 bench_suite::OptLevel::kO3);
+  entries[1].program = bench_suite::make_program(
+      bench_suite::Benchmark::kBitcount, bench_suite::OptLevel::kO3);
+  flow::run_portfolio_flow(entries, hw::HwLibrary::paper_default(), config);
+
+  const CacheStats local = cache.stats();
+  ASSERT_GT(local.hits, 0u);
+  ASSERT_GT(local.misses, 0u);
+  EXPECT_GE(hits.value() - hits_before, static_cast<double>(local.hits));
+  EXPECT_GE(misses.value() - misses_before,
+            static_cast<double>(local.misses));
 }
 
 // ------------------------------------------------------------- schedule keys
@@ -757,61 +805,6 @@ TEST(ExplorerDeterminism, BestOfMatchesSerialReference) {
   EXPECT_EQ(parallel.base_cycles, best.base_cycles);
   EXPECT_DOUBLE_EQ(parallel.total_area(), best.total_area());
   EXPECT_EQ(parallel.ises.size(), best.ises.size());
-}
-
-// ---------------------------------------------------------------- RuntimeStats
-
-TEST(RuntimeStats, CollectsPoolCacheAndStageData) {
-  ThreadPool pool(2);
-  pool.parallel_for(16, [](std::size_t) {});
-  stage_times().reset();
-  {
-    StageTimer timer("unit-test-stage");
-  }
-  const RuntimeStats stats = collect_runtime_stats(pool);
-  EXPECT_EQ(stats.pool.threads, 2);
-  EXPECT_GE(stats.pool.jobs_run, 16u);
-  bool found = false;
-  for (const auto& [name, seconds] : stats.stages) {
-    if (name == "unit-test-stage") {
-      found = true;
-      EXPECT_GE(seconds, 0.0);
-    }
-  }
-  EXPECT_TRUE(found);
-  std::ostringstream out;
-  stats.print(out);
-  EXPECT_NE(out.str().find("schedule cache"), std::string::npos);
-}
-
-TEST(RuntimeStats, CacheGaugesMirrorEveryEvalCache) {
-  // A portfolio flow probes the cache its caller passes; the published
-  // gauges must agree with the counters every cache feeds.
-  EvalCache cache;
-  flow::PortfolioConfig config;
-  config.base.machine = sched::MachineConfig::make(2, {6, 3});
-  config.base.repeats = 2;
-  config.base.seed = 7;
-  config.base.params.eval_cache = &cache;
-  std::vector<flow::PortfolioEntry> entries(2);
-  entries[0].program = bench_suite::make_program(bench_suite::Benchmark::kCrc32,
-                                                 bench_suite::OptLevel::kO3);
-  entries[1].program = bench_suite::make_program(
-      bench_suite::Benchmark::kBitcount, bench_suite::OptLevel::kO3);
-  flow::run_portfolio_flow(entries, hw::HwLibrary::paper_default(), config);
-
-  trace::MetricsRegistry& registry = trace::MetricsRegistry::global();
-  collect_runtime_stats(ThreadPool::default_pool()).publish(registry);
-  const double hits =
-      registry.counter("isex_schedule_cache_hits_total").value();
-  const double probes =
-      hits + registry.counter("isex_schedule_cache_misses_total").value();
-  const CacheStats local = cache.stats();
-  ASSERT_GT(local.hits + local.misses, 0u);
-  EXPECT_GE(probes, static_cast<double>(local.hits + local.misses));
-  EXPECT_EQ(registry.gauge("isex_schedule_cache_probes").value(), probes);
-  EXPECT_DOUBLE_EQ(registry.gauge("isex_schedule_cache_hit_rate").value(),
-                   hits / probes);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -247,6 +248,42 @@ TEST(TracerContextTest, ChromeTraceExportsContextIdsAsArgs) {
   EXPECT_EQ(count_occurrences(text, "\"args\""), 1u);  // only the tagged one
 }
 
+// --- stage timer ----------------------------------------------------------
+
+TEST(StageTimer, AddsItsSecondsAndNestsItsSpanUnderTheEnclosingOne) {
+  Counter& seconds = MetricsRegistry::global().counter(
+      "isex_stage_seconds_total", {{"stage", "unit-test-stage"}});
+  const double before = seconds.value();
+  {
+    const StageTimer untraced("unit-test-stage");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const double after_untraced = seconds.value();
+  EXPECT_GE(after_untraced - before, 0.001);
+
+  Tracer& tracer = Tracer::global();
+  tracer.reset();
+  tracer.set_enabled(true);
+  {
+    const ContextScope root(TraceContext{mint_trace_id(), 0});
+    const Span enclosing("enclosing");
+    const StageTimer traced("unit-test-stage");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  tracer.set_enabled(false);
+  const std::vector<TraceEvent> events = tracer.snapshot();
+  tracer.reset();
+  EXPECT_GE(seconds.value() - after_untraced, 0.001);
+  ASSERT_EQ(events.size(), 2u);
+  const TraceEvent& stage = events[0];  // closed (recorded) first
+  const TraceEvent& enclosing = events[1];
+  EXPECT_EQ(stage.name, "stage:unit-test-stage");
+  EXPECT_EQ(enclosing.name, "enclosing");
+  EXPECT_EQ(stage.trace_id, enclosing.trace_id);
+  EXPECT_NE(stage.span_id, 0u);
+  EXPECT_EQ(stage.parent_id, enclosing.span_id);
+}
+
 TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
@@ -475,8 +512,19 @@ TEST(DesignFlowTraceTest, StageSpansAppear) {
   config.repeats = 2;
   config.seed = 99;
   runtime::ThreadPool& pool = runtime::ThreadPool::default_pool();
+  // The default pool keeps its sections for its lifetime: count the
+  // exploration batches before and after.
+  const auto batches = [&pool] {
+    const std::vector<runtime::SectionProfile> sections = pool.sections();
+    const auto it = std::find_if(
+        sections.begin(), sections.end(),
+        [](const runtime::SectionProfile& s) {
+          return s.name == "flow.explore_hot_blocks";
+        });
+    return it == sections.end() ? std::uint64_t{0} : it->invocations;
+  };
+  const std::uint64_t batches_before = batches();
   pool.set_profiling(true);
-  runtime::reset_parallel_sections();
   const double flows_before = portfolio_flows.value();
   flow::run_design_flow(program, hw::HwLibrary::paper_default(), config);
   const double flows_after = portfolio_flows.value();
@@ -518,16 +566,7 @@ TEST(DesignFlowTraceTest, StageSpansAppear) {
   EXPECT_EQ(portfolio_flows.value(), flows_after + 1.0);
 
   // Both flows record their exploration batch as one pool-profile section.
-  const std::vector<runtime::SectionProfile> sections =
-      runtime::parallel_sections_snapshot();
-  runtime::reset_parallel_sections();
-  const auto batch = std::find_if(
-      sections.begin(), sections.end(),
-      [](const runtime::SectionProfile& s) {
-        return s.name == "flow.explore_hot_blocks";
-      });
-  ASSERT_NE(batch, sections.end());
-  EXPECT_EQ(batch->invocations, 2u);
+  EXPECT_EQ(batches(), batches_before + 2);
 }
 
 }  // namespace

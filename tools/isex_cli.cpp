@@ -75,7 +75,7 @@
 #include "mem/mem_stream.hpp"
 #include "rtl/verilog.hpp"
 #include "runtime/eval_cache.hpp"
-#include "runtime/runtime_stats.hpp"
+#include "runtime/pool_profile.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/machine_config.hpp"
@@ -279,7 +279,7 @@ core::ExplorationResult explore(const CliOptions& opt,
   Rng rng(opt.seed);
   core::ExplorationResult result;
   {
-    const runtime::StageTimer timer("exploration");
+    const trace::StageTimer timer("exploration");
     if (opt.baseline) {
       const baseline::SingleIssueExplorer explorer(format, library, params);
       result = explorer.explore_best_of(graph, opt.repeats, rng);
@@ -744,10 +744,6 @@ void write_observability(const CliOptions& opt) {
                    opt.metrics_out.c_str());
       std::exit(1);
     }
-    // Fold the runtime's point-in-time stats (pool width, cache hit rate,
-    // stage seconds) into the registry next to the live counters.
-    runtime::collect_runtime_stats(runtime::ThreadPool::default_pool())
-        .publish(trace::MetricsRegistry::global());
     trace::MetricsRegistry::global().write_prometheus(out);
   }
   if (!opt.pool_profile_out.empty()) {
@@ -757,10 +753,8 @@ void write_observability(const CliOptions& opt) {
                    opt.pool_profile_out.c_str());
       std::exit(1);
     }
-    const runtime::PoolProfile profile =
-        runtime::collect_pool_profile(runtime::ThreadPool::default_pool());
-    profile.write_json(out);
-    profile.publish(trace::MetricsRegistry::global());
+    runtime::collect_pool_profile(runtime::ThreadPool::default_pool())
+        .write_json(out);
   }
 }
 

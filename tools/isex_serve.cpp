@@ -141,10 +141,8 @@ int main(int argc, char** argv) {
   if (!pool_profile_path.empty()) {
     std::ofstream out(pool_profile_path);
     if (out) {
-      const runtime::PoolProfile profile =
-          runtime::collect_pool_profile(runtime::ThreadPool::default_pool());
-      profile.write_json(out);
-      profile.publish(trace::MetricsRegistry::global());
+      runtime::collect_pool_profile(runtime::ThreadPool::default_pool())
+          .write_json(out);
       std::printf("isex_serve: wrote pool profile to %s\n",
                   pool_profile_path.c_str());
     } else {
