@@ -26,6 +26,8 @@
 #include "core/ant_walk.hpp"
 #include "core/pheromone.hpp"
 #include "counting_allocator.hpp"
+#include "gate_report.hpp"
+#include "golden_hash.hpp"
 #include "hwlib/hw_library.hpp"
 #include "sched/priority.hpp"
 #include "util/rng.hpp"
@@ -39,20 +41,16 @@ using namespace isex;
 // Harness
 // ---------------------------------------------------------------------------
 
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
+/// Mixes what both walks must agree on into the mode's running digest.
 template <typename Result>
-std::uint64_t digest(const Result& w, std::uint64_t h) {
+void digest(const Result& w, testing::Fnv1a& h) {
   for (std::size_t v = 0; v < w.chosen.size(); ++v) {
-    h = mix64(h, static_cast<std::uint64_t>(w.chosen[v]));
-    h = mix64(h, static_cast<std::uint64_t>(w.slot[v]));
-    h = mix64(h, static_cast<std::uint64_t>(w.order[v]));
-    h = mix64(h, static_cast<std::uint64_t>(w.group_id[v]));
+    h.mix_int(w.chosen[v]);
+    h.mix_int(w.slot[v]);
+    h.mix_int(w.order[v]);
+    h.mix_int(w.group_id[v]);
   }
-  return mix64(h, static_cast<std::uint64_t>(w.tet));
+  h.mix_int(w.tet);
 }
 
 struct DfgCase {
@@ -121,11 +119,11 @@ CaseReport run_case(const DfgCase& c, int walks, std::uint64_t seed) {
     Rng rng(seed);
     const auto alloc0 = testing::allocation_count();
     const auto start = std::chrono::steady_clock::now();
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    testing::Fnv1a h;
     for (int i = 0; i < walks; ++i) {
       const testing::RefResult w =
           testing::reference_walk(gplus, machine, params, pheromone, sp, rng);
-      h = digest(w, h);
+      digest(w, h);
     }
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -135,7 +133,7 @@ CaseReport run_case(const DfgCase& c, int walks, std::uint64_t seed) {
     report.reference.timed_walks += static_cast<std::uint64_t>(walks);
     report.reference.allocs +=
         testing::allocation_count() - alloc0;
-    report.reference.hash = h;
+    report.reference.hash = h.value();
   }
 
   // Optimized: AntWalk with one reused scratch.  The warm-up rep replays the
@@ -156,10 +154,10 @@ CaseReport run_case(const DfgCase& c, int walks, std::uint64_t seed) {
       Rng rng(seed);
       const auto alloc0 = testing::allocation_count();
       const auto start = std::chrono::steady_clock::now();
-      std::uint64_t h = 0xcbf29ce484222325ULL;
+      testing::Fnv1a h;
       for (int i = 0; i < walks; ++i) {
         const core::WalkResult& w = walker.run(pheromone, sp, rng, scratch);
-        h = digest(w, h);
+        digest(w, h);
       }
       const double secs = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
@@ -169,7 +167,7 @@ CaseReport run_case(const DfgCase& c, int walks, std::uint64_t seed) {
       report.optimized.timed_walks += static_cast<std::uint64_t>(walks);
       report.optimized.allocs +=
           testing::allocation_count() - alloc0;
-      report.optimized.hash = h;
+      report.optimized.hash = h.value();
     }
   }
 
@@ -246,60 +244,31 @@ int main(int argc, char** argv) {
       total_ref.walks_per_sec(), total_opt.walks_per_sec(), speedup,
       total_opt.allocs_per_walk(), all_identical ? "yes" : "NO — BUG");
 
-  FILE* json = std::fopen("BENCH_antwalk.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_antwalk.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  std::fprintf(json, "  \"bench\": \"antwalk_hotpath\",\n");
-  std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(json, "  \"walks_per_dfg\": %d,\n", walks);
-  std::fprintf(json, "  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const CaseReport& r = reports[i];
-    std::fprintf(
-        json,
-        "    {\"name\": \"%s\", \"nodes\": %zu, "
-        "\"reference_walks_per_sec\": %.1f, \"reference_allocs_per_walk\": "
-        "%.3f, \"optimized_walks_per_sec\": %.1f, "
-        "\"optimized_allocs_per_walk\": %.3f, \"speedup\": %.3f, "
-        "\"identical\": %s}%s\n",
-        r.name.c_str(), r.nodes, r.reference.walks_per_sec(),
-        r.reference.allocs_per_walk(), r.optimized.walks_per_sec(),
-        r.optimized.allocs_per_walk(),
-        r.optimized.walks_per_sec() / r.reference.walks_per_sec(),
-        r.identical ? "true" : "false", i + 1 < reports.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json,
-               "  \"total\": {\"reference_walks_per_sec\": %.1f, "
-               "\"optimized_walks_per_sec\": %.1f, \"speedup\": %.3f, "
-               "\"optimized_allocs_per_walk\": %.3f, \"identical\": %s},\n",
-               total_ref.walks_per_sec(), total_opt.walks_per_sec(), speedup,
-               total_opt.allocs_per_walk(), all_identical ? "true" : "false");
-  std::fprintf(json, "  \"floor_walks_per_sec\": %.1f\n",
-               floor_walks_per_sec);
-  std::fprintf(json, "}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_antwalk.json\n");
+  gate::Report report("antwalk");
+  report.params()
+      .boolean("quick", quick)
+      .integer("walks_per_dfg", walks)
+      .fixed("floor_walks_per_sec", floor_walks_per_sec, 1);
+  const auto add_modes = [](gate::Fields& row, const ModeStats& ref,
+                            const ModeStats& opt, bool identical) {
+    row.fixed("reference_walks_per_sec", ref.walks_per_sec(), 1)
+        .fixed("reference_allocs_per_walk", ref.allocs_per_walk(), 3)
+        .fixed("optimized_walks_per_sec", opt.walks_per_sec(), 1)
+        .fixed("optimized_allocs_per_walk", opt.allocs_per_walk(), 3)
+        .fixed("speedup", opt.walks_per_sec() / ref.walks_per_sec(), 3)
+        .boolean("identical", identical);
+  };
+  for (const CaseReport& r : reports)
+    add_modes(report.add_row().string("name", r.name).integer("nodes", r.nodes),
+              r.reference, r.optimized, r.identical);
+  add_modes(report.add_row().string("name", "total"), total_ref, total_opt,
+            all_identical);
 
-  if (!all_identical) {
-    std::fprintf(stderr, "FAIL: optimized walk diverged from reference\n");
-    return 1;
-  }
-  if (total_opt.allocs != 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu heap allocations during warmed-up walks\n",
-                 static_cast<unsigned long long>(total_opt.allocs));
-    return 1;
-  }
-  if (floor_walks_per_sec > 0.0 &&
-      total_opt.walks_per_sec() < 0.7 * floor_walks_per_sec) {
-    std::fprintf(stderr,
-                 "FAIL: %.0f walks/s is >30%% below the floor of %.0f\n",
-                 total_opt.walks_per_sec(), floor_walks_per_sec);
-    return 1;
-  }
-  return 0;
+  report.identity("optimized walk equals the reference walk", all_identical);
+  report.ceiling("heap allocations in warmed-up walks",
+                 static_cast<double>(total_opt.allocs), 0.0);
+  // The 30% slack absorbs runner noise.
+  report.floor("optimized walks/s", total_opt.walks_per_sec(),
+               0.7 * floor_walks_per_sec, floor_walks_per_sec > 0.0);
+  return report.finish();
 }

@@ -32,6 +32,7 @@
 #include "dfg/analysis.hpp"
 #include "dfg/collapsed_view.hpp"
 #include "dfg/graph.hpp"
+#include "gate_report.hpp"
 #include "random_dag.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/machine_config.hpp"
@@ -267,69 +268,36 @@ int main(int argc, char** argv) {
       total_ref.evals_per_sec(), total_opt.evals_per_sec(), speedup,
       total_opt.allocs_per_eval(), all_identical ? "yes" : "NO — BUG");
 
-  FILE* json = std::fopen("BENCH_candidates.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_candidates.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  std::fprintf(json, "  \"bench\": \"candidate_eval_pipeline\",\n");
-  std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(json, "  \"passes_per_case\": %d,\n", passes);
-  std::fprintf(json, "  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const CaseReport& r = reports[i];
-    std::fprintf(
-        json,
-        "    {\"name\": \"%s\", \"nodes\": %zu, \"candidates\": %zu, "
-        "\"reference_evals_per_sec\": %.1f, \"reference_allocs_per_eval\": "
-        "%.3f, \"optimized_evals_per_sec\": %.1f, "
-        "\"optimized_allocs_per_eval\": %.3f, \"speedup\": %.3f, "
-        "\"identical\": %s}%s\n",
-        r.name.c_str(), r.nodes, r.candidates, r.reference.evals_per_sec(),
-        r.reference.allocs_per_eval(), r.optimized.evals_per_sec(),
-        r.optimized.allocs_per_eval(),
-        r.optimized.evals_per_sec() / r.reference.evals_per_sec(),
-        r.identical ? "true" : "false", i + 1 < reports.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json,
-               "  \"total\": {\"reference_evals_per_sec\": %.1f, "
-               "\"optimized_evals_per_sec\": %.1f, \"speedup\": %.3f, "
-               "\"optimized_allocs_per_eval\": %.3f, \"identical\": %s},\n",
-               total_ref.evals_per_sec(), total_opt.evals_per_sec(), speedup,
-               total_opt.allocs_per_eval(), all_identical ? "true" : "false");
-  std::fprintf(json, "  \"floor_evals_per_sec\": %.1f\n",
-               floor_evals_per_sec);
-  std::fprintf(json, "}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_candidates.json\n");
+  gate::Report report("candidates");
+  report.params()
+      .boolean("quick", quick)
+      .integer("passes_per_case", passes)
+      .fixed("floor_evals_per_sec", floor_evals_per_sec, 1);
+  const auto add_modes = [](gate::Fields& row, const ModeStats& ref,
+                            const ModeStats& opt, bool identical) {
+    row.fixed("reference_evals_per_sec", ref.evals_per_sec(), 1)
+        .fixed("reference_allocs_per_eval", ref.allocs_per_eval(), 3)
+        .fixed("optimized_evals_per_sec", opt.evals_per_sec(), 1)
+        .fixed("optimized_allocs_per_eval", opt.allocs_per_eval(), 3)
+        .fixed("speedup", opt.evals_per_sec() / ref.evals_per_sec(), 3)
+        .boolean("identical", identical);
+  };
+  for (const CaseReport& r : reports)
+    add_modes(report.add_row()
+                  .string("name", r.name)
+                  .integer("nodes", r.nodes)
+                  .integer("candidates", r.candidates),
+              r.reference, r.optimized, r.identical);
+  add_modes(report.add_row().string("name", "total"), total_ref, total_opt,
+            all_identical);
 
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: view makespan diverged from Graph::collapse\n");
-    return 1;
-  }
-  if (total_opt.allocs != 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu heap allocations during warmed-up evaluations\n",
-                 static_cast<unsigned long long>(total_opt.allocs));
-    return 1;
-  }
-  if (floor_evals_per_sec > 0.0) {
-    if (total_opt.evals_per_sec() < 0.7 * floor_evals_per_sec) {
-      std::fprintf(stderr,
-                   "FAIL: %.0f evals/s is >30%% below the floor of %.0f\n",
-                   total_opt.evals_per_sec(), floor_evals_per_sec);
-      return 1;
-    }
-    if (speedup < 2.0) {
-      std::fprintf(stderr,
-                   "FAIL: %.2fx speedup over the copy+schedule reference is "
-                   "below the promised 2x\n",
-                   speedup);
-      return 1;
-    }
-  }
-  return 0;
+  report.identity("view makespans equal Graph::collapse's", all_identical);
+  report.ceiling("heap allocations in warmed-up evaluations",
+                 static_cast<double>(total_opt.allocs), 0.0);
+  // --floor arms both throughput gates; the 30% slack absorbs runner noise.
+  const bool armed = floor_evals_per_sec > 0.0;
+  report.floor("optimized evals/s", total_opt.evals_per_sec(),
+               0.7 * floor_evals_per_sec, armed);
+  report.floor("speedup over copy+schedule", speedup, 2.0, armed);
+  return report.finish();
 }

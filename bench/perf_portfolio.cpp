@@ -19,22 +19,18 @@
 //     shared cache and the stream split are pure plumbing, never allowed to
 //     change a result.
 //   * dedup — the portfolio-scoped eval-cache hit rate over the 7-kernel
-//     manifest must reach ISEX_BENCH_PORTFOLIO_DEDUP_FLOOR (default 20%):
-//     candidate evaluations repeating across repeats, rounds, and programs
-//     are found, not recomputed.
-//   * speedup — the portfolio must beat back-to-back flows by
-//     ISEX_BENCH_PORTFOLIO_FLOOR (default 1.3x), both sides on the process
-//     pool sized to 8 threads.  Enforced only when the host grants >= 4
-//     cores; smaller hosts stamp the measured ratio with
-//     "scaling_valid": false and do not gate.
+//     manifest must reach 20%: candidate evaluations repeating across
+//     repeats, rounds, and programs are found, not recomputed.
+//   * speedup — the portfolio must beat back-to-back flows by 1.3x, both
+//     sides on the process pool sized to 8 threads.  Enforced only on hosts
+//     with gate::kScalingCores cores or more; on smaller hosts the gate is
+//     recorded in the JSON but does not fail the run.
 //
 // `--quick` drops to one timing repeat and 2 exploration repeats for CI
 // smoke runs; the identity and dedup checks run either way.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -42,6 +38,7 @@
 
 #include "bench_suite/kernels.hpp"
 #include "flow/portfolio.hpp"
+#include "gate_report.hpp"
 #include "golden_hash.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -49,29 +46,9 @@ namespace {
 
 using namespace isex;
 
-int timing_repeats(bool quick) {
-  if (const char* env = std::getenv("ISEX_BENCH_TIMING_REPEATS")) {
-    const int v = std::atoi(env);
-    if (v >= 1) return v;
-  }
-  return quick ? 1 : 3;
-}
-
-double speedup_floor() {
-  if (const char* env = std::getenv("ISEX_BENCH_PORTFOLIO_FLOOR")) {
-    const double v = std::atof(env);
-    if (v > 0.0) return v;
-  }
-  return 1.3;
-}
-
-double dedup_hit_rate_floor() {
-  if (const char* env = std::getenv("ISEX_BENCH_PORTFOLIO_DEDUP_FLOOR")) {
-    const double v = std::atof(env);
-    if (v > 0.0) return v;
-  }
-  return 0.20;
-}
+/// The batch over back-to-back flows, and the batch's eval-cache hit rate.
+constexpr double kSpeedupFloor = 1.3;
+constexpr double kDedupFloor = 0.20;
 
 /// Digest of one program's hot blocks and explorations: any divergence
 /// between the portfolio's per-program explorations and an independent
@@ -113,19 +90,6 @@ std::vector<flow::PortfolioEntry> make_manifest() {
   return entries;
 }
 
-struct TimedRun {
-  std::vector<double> seconds_each;
-  double seconds_min() const {
-    return *std::min_element(seconds_each.begin(), seconds_each.end());
-  }
-  double seconds_median() const {
-    std::vector<double> s = seconds_each;
-    std::sort(s.begin(), s.end());
-    const std::size_t n = s.size();
-    return n % 2 == 1 ? s[n / 2] : 0.5 * (s[n / 2 - 1] + s[n / 2]);
-  }
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -134,14 +98,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
 
   const unsigned hardware = std::thread::hardware_concurrency();
-  const int repeats = timing_repeats(quick);
-  const double floor = speedup_floor();
-  const bool scaling_valid = hardware >= 4;
+  const int repeats = gate::timing_repeats(quick ? 1 : 3);
+  const bool scaling_valid = gate::scaling_valid();
   std::printf("perf_portfolio: 7-benchmark O3 manifest, batched portfolio vs "
               "back-to-back independent flows%s\n", quick ? " [quick]" : "");
   std::printf("hardware_concurrency: %u, timing_repeats: %d, "
               "speedup floor: %.2fx (%s)\n\n",
-              hardware, repeats, floor,
+              hardware, repeats, kSpeedupFloor,
               scaling_valid ? "enforced" : "not enforced, < 4 cores");
 
   const hw::HwLibrary library = hw::HwLibrary::paper_default();
@@ -154,68 +117,80 @@ int main(int argc, char** argv) {
   flow::PortfolioConfig portfolio_config;
   portfolio_config.base = base;
   flow::PortfolioResult portfolio_result;
-  TimedRun portfolio_timing;
+  gate::Timing portfolio_timing;
   for (int r = 0; r < repeats; ++r) {
     const auto start = std::chrono::steady_clock::now();
     flow::PortfolioResult result =
         flow::run_portfolio_flow(entries, library, portfolio_config);
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    portfolio_timing.seconds_each.push_back(
-        std::chrono::duration<double>(elapsed).count());
+    portfolio_timing.seconds.push_back(gate::seconds_since(start));
     if (r == 0) portfolio_result = std::move(result);
   }
 
   // --- Reference: back-to-back one-row flows, each with its own cold
   // private cache (the N-separate-invocations world the portfolio replaces).
   std::vector<flow::FlowResult> reference;
-  TimedRun independent_timing;
+  gate::Timing independent_timing;
   for (int r = 0; r < repeats; ++r) {
     std::vector<flow::FlowResult> results;
     const auto start = std::chrono::steady_clock::now();
     for (const flow::PortfolioEntry& entry : entries)
       results.push_back(flow::run_design_flow(entry.program, library, base));
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    independent_timing.seconds_each.push_back(
-        std::chrono::duration<double>(elapsed).count());
+    independent_timing.seconds.push_back(gate::seconds_since(start));
     if (r == 0) reference = std::move(results);
   }
 
+  gate::Report report("portfolio");
+  report.params()
+      .string("sweep", "7bench_O3_MI_6_3_2IS_weighted")
+      .integer("hardware_concurrency", hardware)
+      .boolean("quick", quick)
+      .integer("timing_repeats", repeats)
+      .integer("explore_repeats", base.repeats)
+      .integer("jobs", kJobs)
+      .integer("total_jobs", portfolio_result.total_jobs)
+      .integer("deduped_jobs", portfolio_result.deduped_jobs)
+      .integer("isomorphic_hot_blocks", portfolio_result.isomorphic_hot_blocks)
+      .integer("isomorphic_candidates", portfolio_result.isomorphic_candidates)
+      .integer("selected_ises", portfolio_result.selection.selected.size())
+      .integer("selected_types", portfolio_result.num_ise_types())
+      .fixed("total_area", portfolio_result.total_area(), 3)
+      .timing("portfolio_seconds", portfolio_timing)
+      .timing("independent_seconds", independent_timing);
+
   // Gate 1: per-program bit identity against the independent flows.
   bool identity_ok = true;
-  std::vector<std::uint64_t> digests;
   for (std::size_t p = 0; p < entries.size(); ++p) {
-    const std::uint64_t batched = hash_explorations(
-        portfolio_result.programs[p].hot_blocks,
-        portfolio_result.programs[p].explorations);
+    const flow::PortfolioProgramResult& prog = portfolio_result.programs[p];
+    const std::uint64_t batched =
+        hash_explorations(prog.hot_blocks, prog.explorations);
     const std::uint64_t alone =
         hash_explorations(reference[p].hot_blocks, reference[p].explorations);
-    digests.push_back(batched);
-    if (batched != alone) {
-      identity_ok = false;
-      std::fprintf(stderr,
-                   "IDENTITY VIOLATION: program '%s' portfolio exploration "
-                   "digest %016llx != independent %016llx\n",
-                   portfolio_result.programs[p].name.c_str(),
-                   static_cast<unsigned long long>(batched),
-                   static_cast<unsigned long long>(alone));
-    }
+    identity_ok &= report.identity(prog.name + ": batch == one-row flow",
+                                   batched == alone);
+    report.add_row()
+        .string("name", prog.name)
+        .fixed("weight", prog.weight, 2)
+        .integer("base_time", prog.base_time())
+        .integer("final_time", prog.final_time())
+        .integer("num_ises", prog.selection.selected.size())
+        .fixed("weighted_benefit", prog.weighted_benefit(), 1)
+        .digest("digest", batched)
+        .digest("independent_digest", alone);
   }
 
   // Gate 2: portfolio-wide evaluation dedup.
   const double dedup_hit_rate = portfolio_result.eval_cache_stats.hit_rate();
-  const double dedup_floor = dedup_hit_rate_floor();
-  const bool dedup_ok = dedup_hit_rate >= dedup_floor;
+  report.floor("portfolio eval-cache hit rate", dedup_hit_rate, kDedupFloor);
 
   // Gate 3: wall-clock vs back-to-back (enforced on >= 4 cores only).
-  const double headline =
-      independent_timing.seconds_min() / portfolio_timing.seconds_min();
+  const double headline = independent_timing.min() / portfolio_timing.min();
+  report.floor("portfolio speedup vs back-to-back flows", headline,
+               kSpeedupFloor, scaling_valid);
 
   std::printf("portfolio    min %7.3f s  median %7.3f s\n",
-              portfolio_timing.seconds_min(),
-              portfolio_timing.seconds_median());
+              portfolio_timing.min(), portfolio_timing.median());
   std::printf("independent  min %7.3f s  median %7.3f s\n",
-              independent_timing.seconds_min(),
-              independent_timing.seconds_median());
+              independent_timing.min(), independent_timing.median());
   std::printf("\nidentity (portfolio == independent per program): %s\n",
               identity_ok ? "yes" : "NO — BUG");
   std::printf("dedup hit-rate: %.1f%% (%llu hits / %llu misses; floor %.0f%%)"
@@ -225,7 +200,7 @@ int main(int argc, char** argv) {
                   portfolio_result.eval_cache_stats.hits),
               static_cast<unsigned long long>(
                   portfolio_result.eval_cache_stats.misses),
-              100.0 * dedup_floor);
+              100.0 * kDedupFloor);
   std::printf("jobs: %llu total, %llu deduped; isomorphic: %llu hot blocks, "
               "%llu candidates\n",
               static_cast<unsigned long long>(portfolio_result.total_jobs),
@@ -236,84 +211,7 @@ int main(int argc, char** argv) {
                   portfolio_result.isomorphic_candidates));
   std::printf("headline: portfolio vs back-to-back = %.2fx (floor %.2fx, %s)"
               "\n",
-              headline, floor,
+              headline, kSpeedupFloor,
               scaling_valid ? "enforced" : "informational");
-
-  FILE* json = std::fopen("BENCH_portfolio.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_portfolio.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  std::fprintf(json, "  \"bench\": \"portfolio\",\n");
-  std::fprintf(json, "  \"sweep\": \"7bench_O3_MI_6_3_2IS_weighted\",\n");
-  std::fprintf(json, "  \"hardware_concurrency\": %u,\n", hardware);
-  std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(json, "  \"timing_repeats\": %d,\n", repeats);
-  std::fprintf(json, "  \"explore_repeats\": %d,\n", base.repeats);
-  std::fprintf(json, "  \"jobs\": %d,\n", kJobs);
-  std::fprintf(json, "  \"identity_ok\": %s,\n", identity_ok ? "true" : "false");
-  std::fprintf(json, "  \"dedup_hit_rate\": %.4f,\n", dedup_hit_rate);
-  std::fprintf(json, "  \"dedup_floor\": %.2f,\n", dedup_floor);
-  std::fprintf(json, "  \"dedup_ok\": %s,\n", dedup_ok ? "true" : "false");
-  std::fprintf(json, "  \"total_jobs\": %llu,\n",
-               static_cast<unsigned long long>(portfolio_result.total_jobs));
-  std::fprintf(json, "  \"deduped_jobs\": %llu,\n",
-               static_cast<unsigned long long>(portfolio_result.deduped_jobs));
-  std::fprintf(json, "  \"isomorphic_hot_blocks\": %llu,\n",
-               static_cast<unsigned long long>(
-                   portfolio_result.isomorphic_hot_blocks));
-  std::fprintf(json, "  \"isomorphic_candidates\": %llu,\n",
-               static_cast<unsigned long long>(
-                   portfolio_result.isomorphic_candidates));
-  std::fprintf(json, "  \"speedup_floor\": %.2f,\n", floor);
-  std::fprintf(json, "  \"scaling_valid\": %s,\n",
-               scaling_valid ? "true" : "false");
-  std::fprintf(json, "  \"headline_speedup\": %.3f,\n", headline);
-  std::fprintf(json, "  \"portfolio_seconds_each\": [");
-  for (std::size_t r = 0; r < portfolio_timing.seconds_each.size(); ++r)
-    std::fprintf(json, "%s%.4f", r > 0 ? ", " : "",
-                 portfolio_timing.seconds_each[r]);
-  std::fprintf(json, "],\n  \"independent_seconds_each\": [");
-  for (std::size_t r = 0; r < independent_timing.seconds_each.size(); ++r)
-    std::fprintf(json, "%s%.4f", r > 0 ? ", " : "",
-                 independent_timing.seconds_each[r]);
-  std::fprintf(json, "],\n  \"programs\": [\n");
-  for (std::size_t p = 0; p < portfolio_result.programs.size(); ++p) {
-    const flow::PortfolioProgramResult& prog = portfolio_result.programs[p];
-    std::fprintf(json,
-                 "    {\"name\": \"%s\", \"weight\": %.2f, "
-                 "\"base_time\": %llu, \"final_time\": %llu, "
-                 "\"num_ises\": %zu, \"weighted_benefit\": %.1f, "
-                 "\"digest\": \"%016llx\"}%s\n",
-                 prog.name.c_str(), prog.weight,
-                 static_cast<unsigned long long>(prog.base_time()),
-                 static_cast<unsigned long long>(prog.final_time()),
-                 prog.selection.selected.size(), prog.weighted_benefit(),
-                 static_cast<unsigned long long>(digests[p]),
-                 p + 1 < portfolio_result.programs.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"selected_ises\": %zu,\n",
-               portfolio_result.selection.selected.size());
-  std::fprintf(json, "  \"selected_types\": %d,\n",
-               portfolio_result.num_ise_types());
-  std::fprintf(json, "  \"total_area\": %.3f\n",
-               portfolio_result.total_area());
-  std::fprintf(json, "}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_portfolio.json\n");
-
-  if (!identity_ok) return 1;
-  if (!dedup_ok) {
-    std::fprintf(stderr, "DEDUP GATE FAILED: %.1f%% < %.0f%% floor\n",
-                 100.0 * dedup_hit_rate, 100.0 * dedup_floor);
-    return 1;
-  }
-  if (scaling_valid && headline < floor) {
-    std::fprintf(stderr, "SPEEDUP GATE FAILED: %.2fx < %.2fx floor\n",
-                 headline, floor);
-    return 1;
-  }
-  return 0;
+  return report.finish();
 }

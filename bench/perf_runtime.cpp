@@ -16,7 +16,6 @@
 // ISEX_BENCH_TIMING_REPEATS times (default 3, fresh pool and cold cache per
 // timing repeat) and the JSON reports per-repeat wall times plus their min
 // and median — min for headline speedups, median as the noise check.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "gate_report.hpp"
 #include "paper_figures.hpp"
 #include "runtime/eval_cache.hpp"
 #include "runtime/thread_pool.hpp"
@@ -42,30 +42,12 @@ int sweep_repeats() {
   return 3;
 }
 
-int timing_repeats() {
-  if (const char* env = std::getenv("ISEX_BENCH_TIMING_REPEATS")) {
-    const int v = std::atoi(env);
-    if (v >= 1) return v;
-  }
-  return 3;
-}
-
 struct SweepRun {
   int jobs = 1;
-  std::vector<double> seconds_each;  // wall time of every timing repeat
-  runtime::PoolStats pool;           // from the last timing repeat
-  runtime::CacheStats cache_stats;   // from the last timing repeat
+  gate::Timing timing;              // wall time of every timing repeat
+  runtime::PoolStats pool;          // from the last timing repeat
+  runtime::CacheStats cache_stats;  // from the last timing repeat
   std::vector<double> reductions;  // per benchmark, for determinism checking
-
-  double seconds_min() const {
-    return *std::min_element(seconds_each.begin(), seconds_each.end());
-  }
-  double seconds_median() const {
-    std::vector<double> s = seconds_each;
-    std::sort(s.begin(), s.end());
-    const std::size_t n = s.size();
-    return n % 2 == 1 ? s[n / 2] : 0.5 * (s[n / 2 - 1] + s[n / 2]);
-  }
 };
 
 void run_sweep_once(SweepRun& run, int jobs) {
@@ -89,17 +71,15 @@ void run_sweep_once(SweepRun& run, int jobs) {
   run.reductions.clear();
   for (std::size_t i = 0; i < suite.size(); ++i)
     run.reductions.push_back(suite.replay(i, constraints).reduction);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-
-  run.seconds_each.push_back(std::chrono::duration<double>(elapsed).count());
+  run.timing.seconds.push_back(gate::seconds_since(start));
   run.pool = runtime::ThreadPool::default_pool().stats();
   run.cache_stats = cache.stats();
 }
 
-SweepRun run_sweep(int jobs) {
+SweepRun run_sweep(int jobs, int timing_repeats) {
   SweepRun run;
   run.jobs = jobs;
-  for (int r = 0; r < timing_repeats(); ++r) run_sweep_once(run, jobs);
+  for (int r = 0; r < timing_repeats; ++r) run_sweep_once(run, jobs);
   return run;
 }
 
@@ -107,15 +87,14 @@ SweepRun run_sweep(int jobs) {
 
 int main() {
   const unsigned hardware = std::thread::hardware_concurrency();
+  const int timing_repeats = gate::timing_repeats(3);
   std::printf("perf_runtime: Fig 5.2.1-style sweep (7 benchmarks, O3, MI)\n");
   std::printf("hardware_concurrency: %u, repeats: %d, timing_repeats: %d\n\n",
-              hardware, sweep_repeats(), timing_repeats());
-  if (hardware < 2)
-    std::printf("note: single-core host — jobs-sweep speedups are not "
-                "meaningful (scaling_valid=false)\n\n");
+              hardware, sweep_repeats(), timing_repeats);
 
   std::vector<SweepRun> runs;
-  for (const int jobs : {1, 2, 4, 8}) runs.push_back(run_sweep(jobs));
+  for (const int jobs : {1, 2, 4, 8})
+    runs.push_back(run_sweep(jobs, timing_repeats));
 
   // Determinism across every configuration: same seed, same reductions,
   // and the same eval-cache hit and miss counts (each key misses once).
@@ -127,62 +106,41 @@ int main() {
       deterministic = false;
   }
 
-  const double base = runs.front().seconds_min();
+  // Below gate::kScalingCores the jobs sweep cannot show thread scaling:
+  // the flat curve is a host artifact, not a regression.
+  gate::Report report("runtime");
+  report.params()
+      .string("sweep", "fig_5_2_1_style_7bench_O3_MI_6_3_2IS")
+      .integer("hardware_concurrency", hardware)
+      .boolean("scaling_valid", gate::scaling_valid())
+      .integer("repeats", sweep_repeats())
+      .integer("timing_repeats", timing_repeats);
+  const double base = runs.front().timing.min();
   for (const SweepRun& run : runs) {
+    const double speedup = base / run.timing.min();
     std::printf(
         "jobs=%d  min %7.3f s  median %7.3f s  speedup %.2fx  "
         "jobs_run=%llu  cache: %llu/%llu hits (%d%%)\n",
-        run.jobs, run.seconds_min(),
-        run.seconds_median(), base / run.seconds_min(),
+        run.jobs, run.timing.min(), run.timing.median(), speedup,
         static_cast<unsigned long long>(run.pool.jobs_run),
         static_cast<unsigned long long>(run.cache_stats.hits),
         static_cast<unsigned long long>(run.cache_stats.hits +
                                         run.cache_stats.misses),
         static_cast<int>(run.cache_stats.hit_rate() * 100.0 + 0.5));
+    report.add_row()
+        .integer("jobs", run.jobs)
+        .timing("seconds", run.timing)
+        .fixed("speedup_vs_jobs1", speedup, 3)
+        .integer("pool_jobs_run", run.pool.jobs_run)
+        .integer("cache_hits", run.cache_stats.hits)
+        .integer("cache_misses", run.cache_stats.misses)
+        .integer("cache_evictions", run.cache_stats.evictions)
+        .fixed("cache_hit_rate", run.cache_stats.hit_rate(), 4);
   }
   std::printf("\ndeterministic across configurations: %s\n",
               deterministic ? "yes" : "NO — BUG");
-
-  FILE* json = std::fopen("BENCH_runtime.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_runtime.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  std::fprintf(json, "  \"sweep\": \"fig_5_2_1_style_7bench_O3_MI_6_3_2IS\",\n");
-  std::fprintf(json, "  \"hardware_concurrency\": %u,\n", hardware);
-  // On a single-core host the jobs sweep cannot show thread scaling — the
-  // flat curve is a host artifact, not a regression.  Stamp that so
-  // tools/bench_report.py annotates instead of alarming.
-  std::fprintf(json, "  \"scaling_valid\": %s,\n",
-               hardware >= 2 ? "true" : "false");
-  std::fprintf(json, "  \"repeats\": %d,\n", sweep_repeats());
-  std::fprintf(json, "  \"timing_repeats\": %d,\n", timing_repeats());
-  std::fprintf(json, "  \"deterministic\": %s,\n",
-               deterministic ? "true" : "false");
-  std::fprintf(json, "  \"runs\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const SweepRun& run = runs[i];
-    std::fprintf(json, "    {\"jobs\": %d, \"seconds_each\": [", run.jobs);
-    for (std::size_t r = 0; r < run.seconds_each.size(); ++r)
-      std::fprintf(json, "%s%.4f", r > 0 ? ", " : "", run.seconds_each[r]);
-    std::fprintf(json,
-                 "], \"seconds_min\": %.4f, \"seconds_median\": %.4f, "
-                 "\"speedup_vs_jobs1\": %.3f, \"pool_jobs_run\": %llu, "
-                 "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-                 "\"cache_evictions\": %llu, \"cache_hit_rate\": %.4f}%s\n",
-                 run.seconds_min(), run.seconds_median(),
-                 base / run.seconds_min(),
-                 static_cast<unsigned long long>(run.pool.jobs_run),
-                 static_cast<unsigned long long>(run.cache_stats.hits),
-                 static_cast<unsigned long long>(run.cache_stats.misses),
-                 static_cast<unsigned long long>(run.cache_stats.evictions),
-                 run.cache_stats.hit_rate(),
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_runtime.json\n");
+  report.identity("deterministic across jobs", deterministic);
+  const int status = report.finish();
 
   // Same numbers through the metrics pipe: the counters every pool and
   // eval cache fed during the sweep, so the JSON report and the Prometheus
@@ -195,5 +153,5 @@ int main() {
     std::fprintf(stderr, "cannot write BENCH_runtime.prom\n");
     return 1;
   }
-  return deterministic ? 0 : 1;
+  return status;
 }

@@ -5,6 +5,34 @@
 #include "util/assert.hpp"
 
 namespace isex::dfg {
+namespace {
+
+/// Kahn's pass with a LIFO ready stack: calls `emit` on each node in
+/// topological order and returns how many it emitted, fewer than the nodes
+/// when a cycle holds the rest back.
+template <typename Emit>
+std::size_t kahn(const std::vector<std::vector<NodeId>>& preds,
+                 const std::vector<std::vector<NodeId>>& succs, Emit emit) {
+  std::vector<int> in_degree(preds.size());
+  std::vector<NodeId> ready;
+  ready.reserve(preds.size());
+  for (NodeId v = 0; v < preds.size(); ++v) {
+    in_degree[v] = static_cast<int>(preds[v].size());
+    if (in_degree[v] == 0) ready.push_back(v);
+  }
+  std::size_t emitted = 0;
+  while (!ready.empty()) {
+    const NodeId v = ready.back();
+    ready.pop_back();
+    emit(v);
+    ++emitted;
+    for (const NodeId s : succs[v])
+      if (--in_degree[s] == 0) ready.push_back(s);
+  }
+  return emitted;
+}
+
+}  // namespace
 
 NodeId Graph::add_node(isa::Opcode opcode, std::string label) {
   const auto id = static_cast<NodeId>(nodes_.size());
@@ -74,44 +102,15 @@ bool Graph::has_edge(NodeId from, NodeId to) const {
 }
 
 std::vector<NodeId> Graph::topological_order() const {
-  std::vector<int> in_degree(nodes_.size(), 0);
-  for (NodeId v = 0; v < nodes_.size(); ++v)
-    in_degree[v] = static_cast<int>(preds_[v].size());
-
-  std::vector<NodeId> ready;
-  for (NodeId v = 0; v < nodes_.size(); ++v)
-    if (in_degree[v] == 0) ready.push_back(v);
-
   std::vector<NodeId> order;
   order.reserve(nodes_.size());
-  while (!ready.empty()) {
-    const NodeId v = ready.back();
-    ready.pop_back();
-    order.push_back(v);
-    for (const NodeId s : succs_[v]) {
-      if (--in_degree[s] == 0) ready.push_back(s);
-    }
-  }
+  kahn(preds_, succs_, [&order](NodeId v) { order.push_back(v); });
   ISEX_ASSERT_MSG(order.size() == nodes_.size(), "graph contains a cycle");
   return order;
 }
 
 bool Graph::is_acyclic() const {
-  std::vector<int> in_degree(nodes_.size(), 0);
-  for (NodeId v = 0; v < nodes_.size(); ++v)
-    in_degree[v] = static_cast<int>(preds_[v].size());
-  std::vector<NodeId> ready;
-  for (NodeId v = 0; v < nodes_.size(); ++v)
-    if (in_degree[v] == 0) ready.push_back(v);
-  std::size_t seen = 0;
-  while (!ready.empty()) {
-    const NodeId v = ready.back();
-    ready.pop_back();
-    ++seen;
-    for (const NodeId s : succs_[v])
-      if (--in_degree[s] == 0) ready.push_back(s);
-  }
-  return seen == nodes_.size();
+  return kahn(preds_, succs_, [](NodeId) {}) == nodes_.size();
 }
 
 NodeSet Graph::all_nodes() const {

@@ -251,7 +251,7 @@ TEST(GPlusAllocations, SuiteBlocksAllocateAFixedHandful) {
     most = std::max(most, allocs);
     total += allocs;
   }
-  EXPECT_LE(most, 16u) << total << " allocations over 47 G+";
+  EXPECT_LE(most, 13u) << total << " allocations over 47 G+";
 }
 
 }  // namespace
