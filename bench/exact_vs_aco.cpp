@@ -9,7 +9,7 @@
 
 #include "baseline/exact_enumerator.hpp"
 #include "core/mi_explorer.hpp"
-#include "random_dag.hpp"
+#include "test_util.hpp"
 #include "util/table_printer.hpp"
 
 int main() {
@@ -34,7 +34,7 @@ int main() {
 
   for (const std::size_t n : {10u, 14u, 18u, 24u, 32u, 48u}) {
     Rng graph_rng(1000 + n);
-    const dfg::Graph g = benchx::random_dag(n, graph_rng, 0.5);
+    const dfg::Graph g = testing::make_random_dag(n, graph_rng, 0.5);
 
     const auto t0 = Clock::now();
     const auto exact_result = exact.explore(g);

@@ -4,7 +4,6 @@
 #include <ostream>
 #include <utility>
 
-#include "baseline/si_explorer.hpp"
 #include "core/mi_explorer.hpp"
 #include "flow/design_flow.hpp"
 #include "hwlib/hw_library.hpp"
@@ -242,26 +241,26 @@ Motivation fig_1_3_1() {
   const isa::ParsedBlock block = isa::parse_tac(kMotivationBlock);
   const hw::HwLibrary lib = hw::HwLibrary::paper_default();
   const auto one_issue = sched::MachineConfig::make(1, {4, 2});
-  const auto two_issue = sched::MachineConfig::make(2, {6, 3});
-  isa::IsaFormat format;
-  format.reg_file = two_issue.reg_file;
+  flow::FlowConfig config;
+  config.machine = sched::MachineConfig::make(2, {6, 3});
+  const sched::MachineConfig& two_issue = config.machine;
 
   Motivation m;
   m.single_issue_cycles = sched::ListScheduler(one_issue).cycles(block.graph);
   m.two_issue_cycles = sched::ListScheduler(two_issue).cycles(block.graph);
 
-  const baseline::SingleIssueExplorer si(format, lib);
+  config.algorithm = Algorithm::kSingleIssue;
   Rng rng_si(11);
   const core::ExplorationResult si_result =
-      si.explore_best_of(block.graph, 5, rng_si);
+      flow::make_explorer(config, lib).explore_best_of(block.graph, 5, rng_si);
   m.single_issue = {si_result.final_cycles, si_result.total_area()};
   m.case1 = {deploy_cycles(block.graph, si_result, two_issue),
              si_result.total_area()};
 
-  const core::MultiIssueExplorer mi(two_issue, format, lib);
+  config.algorithm = Algorithm::kMultiIssue;
   Rng rng_mi(11);
   const core::ExplorationResult mi_result =
-      mi.explore_best_of(block.graph, 5, rng_mi);
+      flow::make_explorer(config, lib).explore_best_of(block.graph, 5, rng_mi);
   m.case2 = {mi_result.final_cycles, mi_result.total_area()};
   return m;
 }

@@ -33,7 +33,7 @@
 #include "dfg/collapsed_view.hpp"
 #include "dfg/graph.hpp"
 #include "gate_report.hpp"
-#include "random_dag.hpp"
+#include "test_util.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/machine_config.hpp"
 #include "util/rng.hpp"
@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
     for (const std::size_t n : {24u, 48u}) {
       DfgCase c;
       c.name = "rand" + std::to_string(n);
-      c.graph = benchx::random_dag(n, rng, 0.55);
+      c.graph = testing::make_random_dag(n, rng, 0.55);
       c.candidates = make_candidates(c.graph, bench_machine());
       cases.push_back(std::move(c));
     }

@@ -19,7 +19,7 @@
 #include <cstdint>
 
 #include "core/mi_explorer.hpp"
-#include "random_dag.hpp"
+#include "test_util.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
@@ -101,8 +101,8 @@ BENCHMARK(BM_HistogramObserve);
 /// pre-instrumentation baseline.
 void explore_block(benchmark::State& state, bool tracing) {
   Rng dag_rng(5);
-  const dfg::Graph g =
-      benchx::random_dag(static_cast<std::size_t>(state.range(0)), dag_rng);
+  const dfg::Graph g = testing::make_random_dag(
+      static_cast<std::size_t>(state.range(0)), dag_rng);
   const auto machine = sched::MachineConfig::make(2, {6, 3});
   isa::IsaFormat format;
   format.reg_file = machine.reg_file;

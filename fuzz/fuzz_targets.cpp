@@ -236,12 +236,15 @@ int run_protocol_input(const std::uint8_t* data, std::size_t size) {
     return 0;
   }
 
+  // The wire reads RFC 8259 and nothing more: every accepted line is JSON.
+  ISEX_ASSERT_MSG(testing::JsonChecker(line).valid(),
+                  "an accepted request line is not JSON");
+
   // A UTF-8 line gives UTF-8 strings: escapes decode to whole characters,
   // and a surrogate pair to one.
   if (valid_utf8(line)) {
     bool strings_valid = valid_utf8(request->id) &&
-                         valid_utf8(request->kernel) &&
-                         valid_utf8(request->cache_config);
+                         valid_utf8(request->kernel);
     for (const server::PortfolioProgramSpec& program : request->programs)
       strings_valid = strings_valid && valid_utf8(program.name) &&
                       valid_utf8(program.kernel);

@@ -8,6 +8,28 @@
 
 namespace isex::flow {
 
+FlowConfig front_end_defaults() {
+  FlowConfig config;
+  config.machine = sched::MachineConfig::make(2, {6, 3});
+  return config;
+}
+
+core::MultiIssueExplorer make_explorer(const FlowConfig& config,
+                                       const hw::HwLibrary& library) {
+  isa::IsaFormat format;
+  format.reg_file = config.machine.reg_file;
+  format.max_ises = config.constraints.max_ises;
+  format.max_ise_latency_cycles = config.max_ise_latency_cycles;
+  if (config.algorithm == Algorithm::kMultiIssue)
+    return core::MultiIssueExplorer(config.machine, format, library,
+                                    config.params);
+  core::ExplorerParams legality_only = config.params;
+  legality_only.locality_aware = false;
+  return core::MultiIssueExplorer(
+      sched::MachineConfig::make(1, format.reg_file), format, library,
+      legality_only);
+}
+
 mem::CacheStats annotate_program(ProfiledProgram& program,
                                  const mem::CacheConfig& config) {
   mem::CacheStats stats;

@@ -3,6 +3,10 @@
 // baseline) → merging + selection with hardware sharing → replacement and
 // final scheduling.
 //
+// FlowConfig is the one description of a run: the flow, `isex` and the
+// `isex_serve` wire protocol all fill it, and make_explorer builds the
+// explorer it names.
+//
 // run_design_flow is the portfolio pipeline (portfolio.hpp) on one program
 // at weight 1.0: it runs the shared stages — timed as `validation` (of this
 // program and config), `cache_model`, `profiling`, `exploration`,
@@ -16,7 +20,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "baseline/si_explorer.hpp"
 #include "core/mi_explorer.hpp"
 #include "flow/profiling.hpp"
 #include "flow/program.hpp"
@@ -36,6 +39,9 @@ enum class Algorithm {
 
 struct FlowConfig {
   sched::MachineConfig machine = sched::MachineConfig::make(2, {4, 2});
+  /// Pipestage timing constraint: hard cap on an ISE's ASFU latency in
+  /// cycles (0 = none).  §5.1: both explorers honour it.
+  int max_ise_latency_cycles = 0;
   /// Explorer tunables.  params.eval_cache is the run's one cache knob: set,
   /// every evaluation memoizes through that cache (the server passes its
   /// own, warm-started from its log); null, the run memoizes through a
@@ -57,6 +63,29 @@ struct FlowConfig {
   /// legacy one-cycle latencies and all historic digests.
   std::optional<mem::CacheConfig> cache;
 };
+
+/// The run both front-ends start from, `isex` flags and `isex_serve`
+/// request fields alike: a 2-issue machine with 6/3 register ports over
+/// every other FlowConfig default.
+FlowConfig front_end_defaults();
+
+/// The explorer `config` names, on `library`:
+///   * kMultiIssue — the paper's schedule-aware explorer on config.machine;
+///   * kSingleIssue — the prior-art baseline ("SI", Wu et al., HiPEAC 2007
+///     [8]): the same ACO machinery with two deliberate blind spots (§1.4).
+///     Its internal machine is single-issue (config.machine's register
+///     file, one issue slot), so execution time is effectively sequential
+///     and *every* operation looks critical — it never asks where an
+///     operation sits in a wide schedule.  Its merit ignores operation
+///     location (ExplorerParams::locality_aware = false): cycle saving is
+///     measured against the sequential software time, and the Max_AEC
+///     area-saving branch for off-critical-path candidates never fires.
+///     The flow deploys its candidates on config.machine, exactly like the
+///     paper's "SI" bars.
+/// Either way the ISE format is config.machine's register file (its ports
+/// bound IN/OUT) with the pipestage cap config.max_ise_latency_cycles.
+core::MultiIssueExplorer make_explorer(const FlowConfig& config,
+                                       const hw::HwLibrary& library);
 
 struct FlowResult {
   ReplacementResult replacement;

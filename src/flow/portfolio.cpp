@@ -27,18 +27,6 @@ struct UniqueJobs {
   std::vector<Rng> streams;
 };
 
-template <typename Explorer>
-std::vector<core::ExplorationResult> explore_unique_jobs(
-    const Explorer& explorer, const UniqueJobs& jobs,
-    std::uint64_t serial_ns) {
-  return runtime::fanout_streams(
-      runtime::ThreadPool::default_pool(), jobs.streams,
-      [&](std::size_t i, Rng& rng) {
-        return explorer.explore(*jobs.graphs[i], rng);
-      },
-      "flow.explore_hot_blocks", serial_ns);
-}
-
 runtime::CacheStats stats_delta(const runtime::CacheStats& after,
                                 const runtime::CacheStats& before) {
   runtime::CacheStats d;
@@ -153,17 +141,12 @@ Expected<PortfolioResult> run_flow_stages(
   // programs* — memoizes through one cache: the caller's, or a private one
   // that lives for this run only.
   std::unique_ptr<runtime::EvalCache> private_cache;
-  runtime::EvalCache* cache = config.params.eval_cache;
-  if (cache == nullptr) {
+  FlowConfig explore_config = config;
+  if (explore_config.params.eval_cache == nullptr) {
     private_cache = std::make_unique<runtime::EvalCache>();
-    cache = private_cache.get();
+    explore_config.params.eval_cache = private_cache.get();
   }
-  core::ExplorerParams params = config.params;
-  params.eval_cache = cache;
-
-  isa::IsaFormat format;
-  format.reg_file = config.machine.reg_file;
-  format.max_ises = config.constraints.max_ises;
+  runtime::EvalCache* const cache = explore_config.params.eval_cache;
 
   // 2. Exploration: one flat (program × hot block × repeat) batch with
   // job-level dedup, then best of `repeats` per (program, hot block).
@@ -231,15 +214,15 @@ Expected<PortfolioResult> run_flow_stages(
             .count());
 
     const runtime::CacheStats stats_before = cache->stats();
-    std::vector<core::ExplorationResult> unique_results;
-    if (config.algorithm == Algorithm::kMultiIssue) {
-      const core::MultiIssueExplorer explorer(config.machine, format, library,
-                                              params);
-      unique_results = explore_unique_jobs(explorer, unique, serial_ns);
-    } else {
-      const baseline::SingleIssueExplorer explorer(format, library, params);
-      unique_results = explore_unique_jobs(explorer, unique, serial_ns);
-    }
+    const core::MultiIssueExplorer explorer =
+        make_explorer(explore_config, library);
+    std::vector<core::ExplorationResult> unique_results =
+        runtime::fanout_streams(
+            runtime::ThreadPool::default_pool(), unique.streams,
+            [&](std::size_t i, Rng& rng) {
+              return explorer.explore(*unique.graphs[i], rng);
+            },
+            "flow.explore_hot_blocks", serial_ns);
     result.eval_cache_stats = stats_delta(cache->stats(), stats_before);
 
     // Best of repeats per (program, hot block), in repeat order.  A result

@@ -132,10 +132,4 @@ bool is_subgraph_of(const dfg::Graph& pattern, const dfg::Graph& target) {
   return !m.run().empty();
 }
 
-bool is_isomorphic(const dfg::Graph& a, const dfg::Graph& b) {
-  if (a.num_nodes() != b.num_nodes() || a.num_edges() != b.num_edges())
-    return false;
-  return is_subgraph_of(a, b) && is_subgraph_of(b, a);
-}
-
 }  // namespace isex::flow

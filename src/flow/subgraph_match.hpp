@@ -33,8 +33,4 @@ std::vector<std::vector<dfg::NodeId>> find_matches(const dfg::Graph& pattern,
 /// True when at least one match exists.
 bool is_subgraph_of(const dfg::Graph& pattern, const dfg::Graph& target);
 
-/// True when the two graphs match in both directions with equal node and
-/// edge counts (label-preserving isomorphism).
-bool is_isomorphic(const dfg::Graph& a, const dfg::Graph& b);
-
 }  // namespace isex::flow

@@ -42,6 +42,10 @@ ValidationReport validate(const FlowConfig& config) {
   static_assert(FlowConfig::hot_coverage > 0.0 &&
                 FlowConfig::hot_coverage <= 1.0);
   static_assert(FlowConfig::max_hot_blocks >= 1);
+  if (config.max_ise_latency_cycles < 0)
+    param_error("max_ise_latency_cycles " +
+                std::to_string(config.max_ise_latency_cycles) +
+                " is invalid (must be >= 0; 0 = no cap)");
   if (config.constraints.max_ises < 0)
     param_error("constraints.max_ises must be >= 0");
   if (!(config.constraints.area_budget >= 0.0))  // also rejects NaN

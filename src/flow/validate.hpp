@@ -10,9 +10,9 @@
 //     passes dfg::validate (issues are re-reported with the block name
 //     prefixed) and executes at least once;
 //   * validate(FlowConfig)      — machine model sane (sched::validate),
-//     repeats, constraints, the ACO iteration cap and the colony settings
-//     inside their domains (the hot-block coverage, P_END and the round
-//     cap are constants, checked at compile time).
+//     repeats, the pipestage cap, constraints, the ACO iteration cap and the
+//     colony settings inside their domains (the hot-block coverage, P_END
+//     and the round cap are constants, checked at compile time).
 //
 // run_design_flow_checked (design_flow.hpp) runs both and returns the first
 // defects as an Expected error instead of crashing mid-flow.

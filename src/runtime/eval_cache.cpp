@@ -91,13 +91,6 @@ void EvalCache::clear() {
   }
 }
 
-void EvalCache::reset_stats() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->hits = shard->misses = shard->insertions = shard->evictions = 0;
-  }
-}
-
 CacheStats EvalCache::stats() const {
   CacheStats total;
   for (const auto& shard : shards_) {

@@ -89,9 +89,8 @@ class EvalCache {
     return value;
   }
 
-  /// Drops every entry.  Counters survive; reset_stats() clears them.
+  /// Drops every entry; the counters survive.
   void clear();
-  void reset_stats();
 
   /// Write-through hook: called once per *fresh* insertion (not for
   /// duplicates racing a concurrent miss), outside any shard lock, from the

@@ -1,34 +1,8 @@
 #include "sched/schedule.hpp"
 
-#include <algorithm>
-
 #include "isa/opcode.hpp"
-#include "util/assert.hpp"
 
 namespace isex::sched {
-
-dfg::NodeSet critical_nodes(const dfg::Graph& graph, const Schedule& schedule) {
-  ISEX_ASSERT(schedule.slot.size() == graph.num_nodes());
-  dfg::NodeSet critical(graph.num_nodes());
-  if (graph.num_nodes() == 0) return critical;
-
-  // Seed: nodes finishing at the makespan.
-  const std::vector<dfg::NodeId> topo = graph.topological_order();
-  for (const dfg::NodeId v : topo) {
-    if (schedule.slot[v] + node_latency(graph, v) == schedule.cycles)
-      critical.insert(v);
-  }
-  // Backward closure over tight edges.
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const dfg::NodeId v = *it;
-    if (!critical.contains(v)) continue;
-    for (const dfg::NodeId p : graph.preds(v)) {
-      if (schedule.slot[p] + node_latency(graph, p) == schedule.slot[v])
-        critical.insert(p);
-    }
-  }
-  return critical;
-}
 
 bool respects_dependences(const dfg::Graph& graph, const Schedule& schedule) {
   if (schedule.slot.size() != graph.num_nodes()) return false;

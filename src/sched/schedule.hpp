@@ -16,9 +16,6 @@ struct Schedule {
   std::vector<int> slot;
   /// Total cycles until the last result is available (makespan).
   int cycles = 0;
-
-  bool valid() const { return !slot.empty(); }
-  int start_of(dfg::NodeId v) const { return slot[v]; }
 };
 
 /// Per-node latency in cycles used by the scheduler: 1 for regular PISA
@@ -56,12 +53,6 @@ int write_ports_used(const G& graph, dfg::NodeId v) {
   if (n.is_ise) return n.ise.num_outputs;
   return isa::traits(n.opcode).has_dst ? 1 : 0;
 }
-
-/// Nodes on a schedule-tight chain that realizes the makespan: the node's
-/// finish time equals the makespan, or some tight successor (issued exactly
-/// when this node's result becomes ready) is critical.  This is the
-/// "location of operations" signal the paper's merit case 1 consumes.
-dfg::NodeSet critical_nodes(const dfg::Graph& graph, const Schedule& schedule);
 
 /// Verifies dependence correctness: every edge (u, v) has
 /// slot[v] >= slot[u] + latency(u).  Used by tests and assertions.

@@ -1,6 +1,7 @@
 #include "server/protocol.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <utility>
@@ -13,16 +14,18 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Minimal JSON reader.  Requests are single-line, flat objects; this parser
-// accepts general JSON anyway (nested values become structured JsonValues)
-// so malformed nesting yields a clean E0601 instead of a surprise.
+// accepts general RFC 8259 JSON anyway (nested values become structured
+// JsonValues) so malformed nesting yields a clean E0601 instead of a
+// surprise.
 
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
-  /// Set when the number literal had no '.', 'e', or sign-overflow; carries
-  /// full 64-bit precision (doubles cannot hold every seed).
+  /// Set when the number literal has no fraction or exponent and its
+  /// magnitude fits 64 bits; `integer` then carries it at full precision
+  /// (doubles cannot hold every seed).
   bool is_integer = false;
   std::uint64_t integer = 0;
   bool negative = false;
@@ -79,8 +82,18 @@ class JsonParser {
       return false;
     }
     switch (text_[pos_]) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+          return false;
+        }
+        ++depth_;
+        const bool parsed =
+            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return parsed;
+      }
       case '"':
         out.kind = JsonValue::Kind::kString;
         return parse_string(out.string);
@@ -230,6 +243,10 @@ class JsonParser {
         }
         continue;
       }
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail("raw control character in string");
+        return false;
+      }
       out.push_back(c);
       ++pos_;
     }
@@ -278,6 +295,18 @@ class JsonParser {
     }
   }
 
+  bool digit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  /// One or more decimal digits at pos_.
+  bool digits() {
+    if (!digit()) return false;
+    while (digit()) ++pos_;
+    return true;
+  }
+
+  /// RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
   bool parse_number(JsonValue& out) {
     out.kind = JsonValue::Kind::kNumber;
     const std::size_t start = pos_;
@@ -285,35 +314,56 @@ class JsonParser {
       out.negative = true;
       ++pos_;
     }
-    bool saw_digit = false, integral = true;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        saw_digit = true;
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        if (c == '.' || c == 'e' || c == 'E') integral = false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (!saw_digit) {
+    const std::size_t int_start = pos_;
+    if (!digit()) {
       fail("malformed number");
       return false;
     }
+    if (text_[pos_] == '0') ++pos_;
+    else digits();
+    const std::size_t int_end = pos_;
+    bool integral = true;
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      integral = false;
+      if (!digits()) {
+        fail("malformed number");
+        return false;
+      }
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      integral = false;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+        ++pos_;
+      if (!digits()) {
+        fail("malformed number");
+        return false;
+      }
+    }
     const std::string token = text_.substr(start, pos_ - start);
     out.number = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(out.number)) {
+      pos_ = start;
+      fail("number out of range");
+      return false;
+    }
     if (integral) {
-      out.is_integer = true;
-      out.integer = std::strtoull(
-          token.c_str() + (out.negative ? 1 : 0), nullptr, 10);
+      const char* const end = text_.data() + int_end;
+      const auto [ptr, ec] =
+          std::from_chars(text_.data() + int_start, end, out.integer);
+      out.is_integer = ec == std::errc() && ptr == end;
     }
     return true;
   }
 
+  /// A request nests three deep (object, `programs`, program).  The cap
+  /// keeps a hostile line of brackets from recursing off the stack.
+  static constexpr int kMaxDepth = 64;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 
@@ -340,6 +390,10 @@ Expected<JobRequest> parse_job_request(const std::string& line) {
     return Error(ErrorCode::kServerProtocol, "request must be a JSON object");
 
   JobRequest request;
+  flow::FlowConfig& config = request.config;
+  int issue = config.machine.issue_width;
+  int read_ports = config.machine.reg_file.read_ports;
+  int write_ports = config.machine.reg_file.write_ports;
   bool have_kernel = false;
   for (const auto& [key, value] : root.object) {
     if (key == "id") {
@@ -355,41 +409,43 @@ Expected<JobRequest> parse_job_request(const std::string& line) {
       if (!read_int(value, &request.priority))
         return field_error(key, "an integer");
     } else if (key == "issue") {
-      if (!read_int(value, &request.issue) || request.issue < 1)
+      if (!read_int(value, &issue) || issue < 1)
         return field_error(key, "an integer >= 1");
     } else if (key == "read_ports") {
-      if (!read_int(value, &request.read_ports) || request.read_ports < 1)
+      if (!read_int(value, &read_ports) || read_ports < 1)
         return field_error(key, "an integer >= 1");
     } else if (key == "write_ports") {
-      if (!read_int(value, &request.write_ports) || request.write_ports < 1)
+      if (!read_int(value, &write_ports) || write_ports < 1)
         return field_error(key, "an integer >= 1");
     } else if (key == "repeats") {
-      if (!read_int(value, &request.repeats) || request.repeats < 1)
+      if (!read_int(value, &config.repeats) || config.repeats < 1)
         return field_error(key, "an integer >= 1");
     } else if (key == "colonies") {
-      if (!read_int(value, &request.colonies) || request.colonies < 1)
+      if (!read_int(value, &config.params.colonies) ||
+          config.params.colonies < 1)
         return field_error(key, "an integer >= 1");
     } else if (key == "merge_interval") {
-      if (!read_int(value, &request.merge_interval) ||
-          request.merge_interval < 1)
+      if (!read_int(value, &config.params.merge_interval) ||
+          config.params.merge_interval < 1)
         return field_error(key, "an integer >= 1");
     } else if (key == "seed") {
       if (value.kind != JsonValue::Kind::kNumber || !value.is_integer ||
           value.negative)
         return field_error(key, "a non-negative integer");
-      request.seed = value.integer;
+      config.seed = value.integer;
     } else if (key == "area_budget") {
       if (value.kind != JsonValue::Kind::kNumber || value.number < 0.0)
         return field_error(key, "a non-negative number");
-      request.area_budget = value.number;
-      request.has_area_budget = true;
+      config.constraints.area_budget = value.number;
     } else if (key == "max_ises") {
-      if (!read_int(value, &request.max_ises) || request.max_ises < 0)
+      if (!read_int(value, &config.constraints.max_ises) ||
+          config.constraints.max_ises < 0)
         return field_error(key, "an integer >= 0");
     } else if (key == "baseline") {
       if (value.kind != JsonValue::Kind::kBool)
         return field_error(key, "a boolean");
-      request.baseline = value.boolean;
+      config.algorithm = value.boolean ? flow::Algorithm::kSingleIssue
+                                       : flow::Algorithm::kMultiIssue;
     } else if (key == "cache_config") {
       if (value.kind != JsonValue::Kind::kString)
         return field_error(key, "a string (cache-config spec)");
@@ -398,9 +454,7 @@ Expected<JobRequest> parse_job_request(const std::string& line) {
       Expected<mem::CacheConfig> parsed_cache =
           mem::parse_cache_config(value.string);
       if (!parsed_cache) return parsed_cache.error();
-      request.cache_config = value.string;
-      request.cache = *parsed_cache;
-      request.has_cache = true;
+      config.cache = *parsed_cache;
     } else if (key == "programs") {
       if (value.kind != JsonValue::Kind::kArray || value.array.empty())
         return field_error(key, "a non-empty array of program objects");
@@ -452,24 +506,12 @@ Expected<JobRequest> parse_job_request(const std::string& line) {
     return Error(ErrorCode::kServerProtocol,
                  "request is missing the 'kernel' field");
   }
+  config.machine = sched::MachineConfig::make(issue, {read_ports, write_ports});
   return request;
 }
 
 flow::FlowConfig flow_config_for(const JobRequest& request) {
-  flow::FlowConfig config;
-  config.machine = sched::MachineConfig::make(
-      request.issue, {request.read_ports, request.write_ports});
-  config.repeats = request.repeats;
-  config.seed = request.seed;
-  config.params.colonies = request.colonies;
-  config.params.merge_interval = request.merge_interval;
-  config.constraints.max_ises = request.max_ises;
-  if (request.has_area_budget)
-    config.constraints.area_budget = request.area_budget;
-  config.algorithm = request.baseline ? flow::Algorithm::kSingleIssue
-                                      : flow::Algorithm::kMultiIssue;
-  if (request.has_cache) config.cache = request.cache;
-  return config;
+  return request.config;
 }
 
 runtime::Key128 job_signature(const dfg::Graph& graph,
@@ -487,29 +529,35 @@ runtime::Key128 job_signature(const runtime::Key128& graph_digest,
   // keeps its v2 key byte-for-byte and the persisted cache stays warm
   // across the upgrade; the version constant therefore stays 2
   // (docs/SERVER.md, "Signature compatibility").
+  // The pipestage cap (FlowConfig::max_ise_latency_cycles) has no wire
+  // field: every request runs uncapped, so the signature need not mix it.
   constexpr std::uint64_t kFlowSemanticsVersion = 2;
-  const flow::FlowConfig config = flow_config_for(request);
+  const flow::FlowConfig& config = request.config;
+  const int colonies = config.params.colonies;
+  // "Has a budget" means a finite one; no budget is +inf.
+  const double budget = config.constraints.area_budget;
+  const bool has_budget = std::isfinite(budget);
   const auto mix_request = [&](runtime::Hash64& h, std::uint64_t half,
                                std::uint64_t machine_seed) {
     h.mix(kFlowSemanticsVersion);
     h.mix(half);
     h.mix(runtime::fingerprint(config.machine, machine_seed));
-    h.mix(static_cast<std::uint64_t>(request.repeats));
-    h.mix(request.seed);
+    h.mix(static_cast<std::uint64_t>(config.repeats));
+    h.mix(config.seed);
     // merge_interval only matters with >= 2 colonies; normalizing it to 0
     // for single-colony requests keeps every inert variant on one cache key
     // while colonies=1 vs colonies=K always get distinct signatures.
-    h.mix(static_cast<std::uint64_t>(request.colonies));
-    h.mix(request.colonies > 1
-              ? static_cast<std::uint64_t>(request.merge_interval)
+    h.mix(static_cast<std::uint64_t>(colonies));
+    h.mix(colonies > 1
+              ? static_cast<std::uint64_t>(config.params.merge_interval)
               : 0);
-    h.mix(static_cast<std::uint64_t>(request.max_ises));
-    h.mix(request.has_area_budget ? 1 : 0);
-    h.mix_double(request.has_area_budget ? request.area_budget : 0.0);
-    h.mix(request.baseline ? 1 : 0);
-    if (request.has_cache) {
+    h.mix(static_cast<std::uint64_t>(config.constraints.max_ises));
+    h.mix(has_budget ? 1 : 0);
+    h.mix_double(has_budget ? budget : 0.0);
+    h.mix(config.algorithm == flow::Algorithm::kSingleIssue ? 1 : 0);
+    if (config.cache) {
       h.mix(0x6361636865636667ULL);  // "cachecfg" tag; cannot alias a v2 mix
-      h.mix(mem::fingerprint(request.cache, machine_seed));
+      h.mix(mem::fingerprint(*config.cache, machine_seed));
     }
   };
   runtime::Key128 key;

@@ -9,9 +9,10 @@
 // This header is the protocol's *data* layer — request parsing, response
 // serialization, the canonical job signature, and the golden result digest —
 // kept free of sockets so tests can exercise it in-process.  The JSON
-// reader is a deliberately small recursive-descent parser over the accepted
-// subset (objects, strings, numbers, bools, null, arrays); requests are one
-// flat object, so nothing more is needed and nothing more is accepted.
+// reader is a deliberately small recursive-descent parser over RFC 8259
+// (objects, strings, numbers, bools, null, arrays, at most 64 deep);
+// requests are one flat object, so nothing more is needed and nothing more
+// is accepted.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,6 @@
 
 #include "flow/design_flow.hpp"
 #include "flow/portfolio.hpp"
-#include "mem/cache_model.hpp"
 #include "runtime/hash.hpp"
 #include "util/error.hpp"
 
@@ -36,9 +36,11 @@ struct PortfolioProgramSpec {
   double weight = 1.0;
 };
 
-/// One exploration job, as submitted on the wire.  Field defaults mirror
-/// isex_cli's flag defaults, so a request carrying only `kernel` explores
-/// exactly like `isex explore kernel.tac`.
+/// One exploration job, as submitted on the wire: its delivery fields, its
+/// kernel or portfolio manifest, and the run it asks for as one
+/// flow::FlowConfig.  A request carrying only `kernel` starts from
+/// flow::front_end_defaults(), so it explores exactly like
+/// `isex explore kernel.tac`.
 struct JobRequest {
   /// Client-chosen token echoed verbatim in the response (optional).
   std::string id;
@@ -46,46 +48,33 @@ struct JobRequest {
   std::string kernel;
   /// Higher drains first; ties drain in arrival order.
   int priority = 0;
-  int issue = 2;
-  int read_ports = 6;
-  int write_ports = 3;
-  int repeats = 5;
-  std::uint64_t seed = 1;
-  /// Ant colonies per exploration round (1 = the paper's serial loop).  A
-  /// search parameter like `seed`: results depend on it, never on the
-  /// server's thread count.
-  int colonies = 1;
-  /// Iterations between colony pheromone merges; inert when colonies == 1
-  /// (the signature normalizes it away so inert variants share a cache key).
-  int merge_interval = 8;
-  /// ASFU area budget, µm² (absent = unlimited).
-  double area_budget = 0.0;
-  bool has_area_budget = false;
-  /// Distinct ISE type budget.
-  int max_ises = 32;
-  /// Use the single-issue (legality-only) baseline explorer.
-  bool baseline = false;
-  /// Memory-hierarchy cost model (docs/MEMORY.md).  `cache_config` carries
-  /// the raw spec string for echoing; `cache` is the parsed, validated
-  /// geometry.  Absent (has_cache == false) keeps the legacy fixed
-  /// latencies and the request's v2 job signature byte-for-byte.
-  std::string cache_config;
-  mem::CacheConfig cache;
-  bool has_cache = false;
+  /// The run's settings.  Wire fields map onto it one to one: `issue`,
+  /// `read_ports` and `write_ports` build `machine`; `repeats` and `seed`;
+  /// `colonies` and `merge_interval` into `params`; `area_budget` and
+  /// `max_ises` into `constraints` (an absent budget stays +inf, i.e.
+  /// unlimited); `baseline` selects Algorithm::kSingleIssue; `cache_config`
+  /// sets `cache` (absent keeps the legacy fixed latencies and the
+  /// request's v2 job signature byte-for-byte).  Colonies and the merge
+  /// interval are search parameters like the seed: results depend on them,
+  /// never on the server's thread count.
+  flow::FlowConfig config = flow::front_end_defaults();
   /// Portfolio manifest.  Non-empty selects the portfolio job type — all N
   /// programs explored as one batch under one shared area budget — and is
-  /// mutually exclusive with `kernel`.  Every other field keeps its single-
-  /// kernel meaning and applies portfolio-wide.
+  /// mutually exclusive with `kernel`.  `config` applies portfolio-wide.
   std::vector<PortfolioProgramSpec> programs;
 
   bool is_portfolio() const { return !programs.empty(); }
 };
 
 /// Parses one request line.  Unknown fields are rejected (a typo'd field
-/// silently exploring with a default would be worse than an error).
+/// silently exploring with a default would be worse than an error), and so
+/// is anything outside RFC 8259: numbers follow its grammar, strings carry
+/// no raw control character.  A number its field cannot hold — a
+/// non-finite value, an integer beyond the field's range — is E0601 too.
 Expected<JobRequest> parse_job_request(const std::string& line);
 
-/// FlowConfig the request describes (machine, repeats, seed, constraints).
+/// The FlowConfig the request describes: request.config.  The server reads
+/// the field; this accessor stays for perfbench's serve_mix.
 flow::FlowConfig flow_config_for(const JobRequest& request);
 
 /// Canonical signature of the evaluation a request asks for: the kernel

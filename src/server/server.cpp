@@ -527,7 +527,7 @@ std::string Server::run_miss(const JobRequest& request,
   // What the worker runs: the flow over the request's kernels, rendered to
   // the fragment the result cache stores.  Evaluations memoize through this
   // server's warm-started cache — and via its persist sink, the disk log.
-  flow::FlowConfig config = flow_config_for(request);
+  flow::FlowConfig config = request.config;
   config.params.eval_cache = &eval_cache_;
   std::string root_span_name;
   std::function<Expected<std::string>()> compute;

@@ -5,12 +5,12 @@
 #include <algorithm>
 #include <vector>
 
-#include "../bench/random_dag.hpp"
 #include "dfg/analysis.hpp"
 #include "dfg/graph.hpp"
 #include "runtime/hash.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/machine_config.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace isex::dfg {
@@ -50,7 +50,8 @@ TEST(CollapsedView, MatchesCollapseStructureOnRandomDags) {
   Rng rng(2026);
   CollapsedView view;  // reused across every candidate, like the hot path
   for (int t = 0; t < 20; ++t) {
-    const Graph g = benchx::random_dag(12 + t % 9, rng, 0.35 + 0.06 * (t % 5));
+    const Graph g =
+        testing::make_random_dag(12 + t % 9, rng, 0.35 + 0.06 * (t % 5));
     const std::vector<NodeId> topo = g.topological_order();
     for (std::size_t start = 0; start + 2 <= g.num_nodes(); start += 2) {
       const std::size_t len = 2 + start % 5;
@@ -87,7 +88,7 @@ TEST(CollapsedView, MatchesCollapseStructureOnRandomDags) {
 // for that node, not the candidate's.
 TEST(CollapsedView, PreservesPreexistingSupernodes) {
   Rng rng(5);
-  const Graph g = benchx::random_dag(14, rng, 0.5);
+  const Graph g = testing::make_random_dag(14, rng, 0.5);
   const std::vector<NodeId> topo = g.topological_order();
   const NodeSet first = topo_window(g, topo, 0, 3);
   IseInfo committed = window_info(g, first);
@@ -128,7 +129,7 @@ TEST(CollapsedView, ScheduleLengthMatchesCollapseUnderEveryPriority) {
   CollapsedView view;
   sched::SchedulerScratch scratch;  // reused across kinds and candidates
   for (int t = 0; t < 12; ++t) {
-    const Graph g = benchx::random_dag(10 + t, rng, 0.5);
+    const Graph g = testing::make_random_dag(10 + t, rng, 0.5);
     const std::vector<NodeId> topo = g.topological_order();
     for (const sched::PriorityKind kind :
          {sched::PriorityKind::kChildCount, sched::PriorityKind::kMobility,
@@ -158,14 +159,14 @@ TEST(CollapsedView, ScratchCyclesMatchRunOnPlainGraphs) {
   Rng rng(13);
   sched::SchedulerScratch scratch;
   for (int t = 0; t < 10; ++t) {
-    const Graph g = benchx::random_dag(8 + 2 * t, rng, 0.55);
+    const Graph g = testing::make_random_dag(8 + 2 * t, rng, 0.55);
     EXPECT_EQ(scheduler.cycles(g, scratch), scheduler.run(g).cycles);
   }
 }
 
 TEST(CandidateKey, IsAPureFunctionOfTheCandidate) {
   Rng rng(3);
-  const Graph g = benchx::random_dag(12, rng, 0.5);
+  const Graph g = testing::make_random_dag(12, rng, 0.5);
   const std::vector<NodeId> topo = g.topological_order();
   const NodeSet members = topo_window(g, topo, 2, 3);
   const IseInfo info = window_info(g, members);
@@ -198,7 +199,7 @@ TEST(CandidateKey, IsAPureFunctionOfTheCandidate) {
 
   // Different base graph, machine, or priority — different key.
   Rng rng2(4);
-  const Graph g2 = benchx::random_dag(12, rng2, 0.5);
+  const Graph g2 = testing::make_random_dag(12, rng2, 0.5);
   EXPECT_NE(key(members, info),
             runtime::candidate_key(runtime::graph_digest(g2), members, info,
                                    machine, sched::PriorityKind::kChildCount));
@@ -216,7 +217,7 @@ TEST(CandidateKey, IsAPureFunctionOfTheCandidate) {
 // live in distinct seed domains.
 TEST(CandidateKey, DoesNotCollideWithScheduleKeyDomain) {
   Rng rng(9);
-  const Graph g = benchx::random_dag(12, rng, 0.5);
+  const Graph g = testing::make_random_dag(12, rng, 0.5);
   const std::vector<NodeId> topo = g.topological_order();
   const NodeSet members = topo_window(g, topo, 1, 3);
   const IseInfo info = window_info(g, members);

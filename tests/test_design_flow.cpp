@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "bench_suite/kernels.hpp"
 #include "flow/portfolio.hpp"
 #include "golden_hash.hpp"
+#include "isa/tac_parser.hpp"
 #include "runtime/eval_cache.hpp"
 #include "server/protocol.hpp"
 #include "test_util.hpp"
@@ -140,6 +143,36 @@ TEST(DesignFlow, NullEvalCacheLeavesProcessCacheUntouched) {
   EXPECT_GT(passed.stats().misses, 0u);
   EXPECT_EQ(server::flow_result_digest(shared),
             server::flow_result_digest(own));
+}
+
+// §5.1: the pipestage cap binds the flow, not only a bare explorer.  On
+// each example kernel a cap of one cycle changes the flow's result, and no
+// ISE it selects is slower than one cycle.
+TEST(DesignFlow, PipestageCapBindsEverySelectedIse) {
+  const hw::HwLibrary lib = hw::HwLibrary::paper_default();
+  for (const char* name : {"alpha_blend", "gf_mult", "sha_sigma"}) {
+    std::ifstream in(std::string(ISEX_SOURCE_DIR) + "/examples/kernels/" +
+                     name + ".tac");
+    const std::string source((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+    Expected<isa::ParsedBlock> block = isa::parse_tac_checked(source);
+    ASSERT_TRUE(block.has_value()) << name;
+    ProfiledProgram program;
+    program.name = name;
+    program.blocks.push_back(
+        ProfiledBlock{"kernel", std::move(block->graph), 1});
+
+    FlowConfig config = front_end_defaults();
+    const FlowResult uncapped = run_design_flow(program, lib, config);
+    config.max_ise_latency_cycles = 1;
+    const FlowResult capped = run_design_flow(program, lib, config);
+    ASSERT_FALSE(capped.selection.selected.empty()) << name;
+    for (const SelectedIse& sel : capped.selection.selected)
+      EXPECT_LE(sel.entry.ise.eval.latency_cycles, 1) << name;
+    EXPECT_NE(server::flow_result_digest(capped),
+              server::flow_result_digest(uncapped))
+        << name;
+  }
 }
 
 // The paper's six machine configurations all complete and never regress.

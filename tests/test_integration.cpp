@@ -3,7 +3,6 @@
 // qualitative claims as assertions.
 #include <gtest/gtest.h>
 
-#include "baseline/si_explorer.hpp"
 #include "bench_suite/kernels.hpp"
 #include "core/mi_explorer.hpp"
 #include "flow/design_flow.hpp"
@@ -116,11 +115,11 @@ TEST(Integration, SiSpendsMoreAreaThanMiForItsCandidates) {
   // off-critical-path operations.  Compare total candidate area proposed by
   // each explorer across the suite's unrolled flavors.
   const hw::HwLibrary lib = hw::HwLibrary::paper_default();
-  const auto machine = sched::MachineConfig::make(2, {6, 3});
-  isa::IsaFormat format;
-  format.reg_file = machine.reg_file;
-  const core::MultiIssueExplorer mi(machine, format, lib);
-  const baseline::SingleIssueExplorer si(format, lib);
+  flow::FlowConfig config;
+  config.machine = sched::MachineConfig::make(2, {6, 3});
+  const core::MultiIssueExplorer mi = flow::make_explorer(config, lib);
+  config.algorithm = flow::Algorithm::kSingleIssue;
+  const core::MultiIssueExplorer si = flow::make_explorer(config, lib);
 
   double mi_area = 0.0;
   double si_area = 0.0;

@@ -53,49 +53,6 @@ TEST(ScheduleHelpers, WritePortsOfStoresAndBranches) {
   EXPECT_EQ(write_ports_used(g, add), 1);
 }
 
-TEST(CriticalNodes, WholeChainIsCritical) {
-  const dfg::Graph g = testing::make_chain(4);
-  Schedule s;
-  s.slot = {0, 1, 2, 3};
-  s.cycles = 4;
-  const dfg::NodeSet crit = critical_nodes(g, s);
-  EXPECT_EQ(crit.count(), 4u);
-}
-
-TEST(CriticalNodes, SlackNodeExcluded) {
-  // a -> b -> d (short lane) and a -> c1 -> c2 -> d (long lane): b has
-  // slack, the long lane is the tight chain.
-  dfg::Graph g;
-  const auto a = g.add_node(isa::Opcode::kAddu, "a");
-  const auto b = g.add_node(isa::Opcode::kXor, "b");
-  const auto c1 = g.add_node(isa::Opcode::kAnd, "c1");
-  const auto c2 = g.add_node(isa::Opcode::kOr, "c2");
-  const auto d = g.add_node(isa::Opcode::kAddu, "d");
-  g.add_edge(a, b);
-  g.add_edge(b, d);
-  g.add_edge(a, c1);
-  g.add_edge(c1, c2);
-  g.add_edge(c2, d);
-  Schedule s;
-  s.slot = {0, 1, 1, 2, 3};
-  s.cycles = 4;
-  const dfg::NodeSet crit = critical_nodes(g, s);
-  EXPECT_TRUE(crit.contains(a));
-  EXPECT_FALSE(crit.contains(b));  // finishes at 2 but d starts at 3
-  EXPECT_TRUE(crit.contains(c1));
-  EXPECT_TRUE(crit.contains(c2));
-  EXPECT_TRUE(crit.contains(d));
-}
-
-TEST(CriticalNodes, ParallelFinishersAllCritical) {
-  const dfg::Graph g = testing::make_parallel_pairs(2);
-  Schedule s;
-  s.slot = {0, 1, 0, 1};
-  s.cycles = 2;
-  const dfg::NodeSet crit = critical_nodes(g, s);
-  EXPECT_EQ(crit.count(), 4u);
-}
-
 TEST(RespectsDependences, DetectsViolation) {
   const dfg::Graph g = testing::make_chain(3);
   Schedule good;

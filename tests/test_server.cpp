@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -223,15 +224,17 @@ TEST(Protocol, ParseFillsDefaults) {
   ASSERT_TRUE(request.has_value());
   EXPECT_EQ(request->kernel, "a = addu b, c\nlive_out a\n");
   EXPECT_EQ(request->priority, 0);
-  EXPECT_EQ(request->issue, 2);
-  EXPECT_EQ(request->read_ports, 6);
-  EXPECT_EQ(request->write_ports, 3);
-  EXPECT_EQ(request->repeats, 5);
-  EXPECT_EQ(request->seed, 1u);
-  EXPECT_EQ(request->colonies, 1);
-  EXPECT_EQ(request->merge_interval, 8);
-  EXPECT_FALSE(request->has_area_budget);
-  EXPECT_FALSE(request->baseline);
+  const flow::FlowConfig& config = request->config;
+  EXPECT_EQ(config.machine.issue_width, 2);
+  EXPECT_EQ(config.machine.reg_file.read_ports, 6);
+  EXPECT_EQ(config.machine.reg_file.write_ports, 3);
+  EXPECT_EQ(config.repeats, 5);
+  EXPECT_EQ(config.seed, 1u);
+  EXPECT_EQ(config.params.colonies, 1);
+  EXPECT_EQ(config.params.merge_interval, 8);
+  EXPECT_EQ(config.constraints.area_budget,
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(config.algorithm, flow::Algorithm::kMultiIssue);
 }
 
 TEST(Protocol, ParseReadsEveryField) {
@@ -244,18 +247,18 @@ TEST(Protocol, ParseReadsEveryField) {
   ASSERT_TRUE(request.has_value());
   EXPECT_EQ(request->id, "j1");
   EXPECT_EQ(request->priority, 3);
-  EXPECT_EQ(request->issue, 4);
-  EXPECT_EQ(request->read_ports, 8);
-  EXPECT_EQ(request->write_ports, 4);
-  EXPECT_EQ(request->repeats, 2);
+  const flow::FlowConfig& config = request->config;
+  EXPECT_EQ(config.machine.issue_width, 4);
+  EXPECT_EQ(config.machine.reg_file.read_ports, 8);
+  EXPECT_EQ(config.machine.reg_file.write_ports, 4);
+  EXPECT_EQ(config.repeats, 2);
   // Full 64-bit seeds survive the JSON number path.
-  EXPECT_EQ(request->seed, 18446744073709551615ull);
-  EXPECT_TRUE(request->has_area_budget);
-  EXPECT_DOUBLE_EQ(request->area_budget, 1500.5);
-  EXPECT_EQ(request->max_ises, 7);
-  EXPECT_TRUE(request->baseline);
-  EXPECT_EQ(request->colonies, 4);
-  EXPECT_EQ(request->merge_interval, 3);
+  EXPECT_EQ(config.seed, 18446744073709551615ull);
+  EXPECT_DOUBLE_EQ(config.constraints.area_budget, 1500.5);
+  EXPECT_EQ(config.constraints.max_ises, 7);
+  EXPECT_EQ(config.algorithm, flow::Algorithm::kSingleIssue);
+  EXPECT_EQ(config.params.colonies, 4);
+  EXPECT_EQ(config.params.merge_interval, 3);
 }
 
 TEST(Protocol, ParseRejectsUnknownFieldAndBadJson) {
@@ -263,15 +266,31 @@ TEST(Protocol, ParseRejectsUnknownFieldAndBadJson) {
   ASSERT_FALSE(typo.has_value());
   EXPECT_EQ(typo.error().code(), ErrorCode::kServerProtocol);
 
+  // Numbers follow RFC 8259's grammar and must fit their field; strings
+  // carry no raw control character.
   for (const char* bad :
        {"", "not json", "{\"kernel\":", "[1,2]", "{\"id\":\"x\"}",
-        "{\"kernel\":\"k\",\"priority\":\"high\"}"}) {
+        "{\"kernel\":\"k\",\"priority\":\"high\"}",
+        "{\"kernel\":\"k\",\"repeats\":3-1}",
+        "{\"kernel\":\"k\",\"area_budget\":--3}",
+        "{\"kernel\":\"k\",\"area_budget\":1.2.3}",
+        "{\"kernel\":\"k\",\"repeats\":+3}",
+        "{\"kernel\":\"k\",\"area_budget\":.5}",
+        "{\"kernel\":\"k\",\"repeats\":012}",
+        "{\"kernel\":\"k\",\"area_budget\":1e999}",
+        "{\"kernel\":\"k\",\"seed\":12345678901234567890123}",
+        "{\"kernel\":\"k\tk\"}"}) {
     const auto request = parse_job_request(bad);
     EXPECT_FALSE(request.has_value()) << bad;
     if (!request.has_value()) {
       EXPECT_EQ(request.error().code(), ErrorCode::kServerProtocol) << bad;
     }
   }
+  // Nesting is capped: a line of brackets cannot recurse off the stack.
+  const auto deep = parse_job_request("{\"kernel\":\"k\",\"x\":" +
+                                      std::string(100000, '[') + "}");
+  ASSERT_FALSE(deep.has_value());
+  EXPECT_EQ(deep.error().code(), ErrorCode::kServerProtocol);
 }
 
 // A request whose id is `escaped_id` (JSON escapes, as sent on the wire).
@@ -343,29 +362,28 @@ TEST(Protocol, JobSignatureSeparatesEveryResultAffectingParameter) {
 
   // ...and every parameter that changes the result changes the key.
   JobRequest variant = base;
-  variant.seed = 2;
+  variant.config.seed = 2;
   EXPECT_NE(job_signature(block->graph, variant), key);
   variant = base;
-  variant.issue = 4;
+  variant.config.machine = sched::MachineConfig::make(4, {6, 3});
   EXPECT_NE(job_signature(block->graph, variant), key);
   variant = base;
-  variant.repeats = 9;
+  variant.config.repeats = 9;
   EXPECT_NE(job_signature(block->graph, variant), key);
   variant = base;
-  variant.area_budget = 1000.0;
-  variant.has_area_budget = true;
+  variant.config.constraints.area_budget = 1000.0;
   EXPECT_NE(job_signature(block->graph, variant), key);
   variant = base;
-  variant.baseline = true;
+  variant.config.algorithm = flow::Algorithm::kSingleIssue;
   EXPECT_NE(job_signature(block->graph, variant), key);
 
   // Colonies reshape the search, so they separate signatures; the merge
   // interval only matters once there is more than one colony.
   variant = base;
-  variant.colonies = 4;
+  variant.config.params.colonies = 4;
   const runtime::Key128 four = job_signature(block->graph, variant);
   EXPECT_NE(four, key);
-  variant.merge_interval = 3;
+  variant.config.params.merge_interval = 3;
   EXPECT_NE(job_signature(block->graph, variant), four);
 
   // The id and priority are delivery concerns, not evaluation parameters.
@@ -377,7 +395,7 @@ TEST(Protocol, JobSignatureSeparatesEveryResultAffectingParameter) {
   // With a single colony the merge interval is inert — no merges ever
   // happen — so varying it must NOT fragment the cache.
   variant = base;
-  variant.merge_interval = 99;
+  variant.config.params.merge_interval = 99;
   EXPECT_EQ(job_signature(block->graph, variant), key);
 
   const auto other = isa::parse_tac_checked(kSigmaKernel);

@@ -210,9 +210,10 @@ TEST(FlowValidate, RejectsBadFlowConfig) {
   config.repeats = 0;
   config.params.max_iterations = 0;
   config.params.colonies = 0;
+  config.max_ise_latency_cycles = -1;
   const ValidationReport report = flow::validate(config);
   EXPECT_FALSE(report.ok());
-  EXPECT_GE(report.error_count(), 3u);
+  EXPECT_GE(report.error_count(), 4u);
   EXPECT_TRUE(has_code(report, ErrorCode::kFlowParamsInvalid));
 }
 

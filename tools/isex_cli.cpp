@@ -28,13 +28,18 @@
 //                      paper's serial loop); a search parameter like --seed —
 //                      results depend on it, never on --jobs
 //   --merge-interval N iterations between colony pheromone merges (default 8)
-//   --max-latency N    pipestage cap on ISE latency in cycles (default off)
+//   --max-latency N    pipestage cap on ISE latency in cycles, honoured by
+//                      every exploring command and portfolio (default 0 = off)
 //   --baseline         use the single-issue (legality-only) explorer
 //   --set name=value   bind a live-in (eval only; repeatable; 0x.. ok)
 //   --cache-config S   memory-hierarchy cost model (docs/MEMORY.md): derive
 //                      each load/store latency from a two-level cache
 //                      simulation instead of the fixed 1-cycle charge, e.g.
 //                      l1_size=4k,l1_ways=2,l1_line=32,l2_size=64k,mem=40
+//
+// Every numeric flag takes one whole decimal token (--seed and --set also
+// take 0x hex; a leading zero never means octal); anything else is a usage
+// error (exit 2).
 //
 // Sweep options:
 //   --sweep-out F      cache-geometry sweep JSON (default
@@ -52,6 +57,8 @@
 //                        chrome://tracing); enables the tracer for the run
 //   --metrics-out F      write a Prometheus text-format metrics snapshot
 //   --convergence-out F  write the per-iteration ACO convergence curve (CSV)
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,9 +67,10 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
-#include "baseline/si_explorer.hpp"
 #include "core/mi_explorer.hpp"
 #include "dfg/dot_export.hpp"
 #include "dfg/validate.hpp"
@@ -90,30 +98,21 @@ namespace {
 
 using namespace isex;
 
+/// The CLI's own concerns — command, paths, threads, bindings, outputs —
+/// plus the run it describes, as the one flow::FlowConfig every command
+/// reads.
 struct CliOptions {
   std::string command;
   std::string input_path;
-  int issue = 2;
-  int read_ports = 6;
-  int write_ports = 3;
-  int repeats = 5;
-  std::uint64_t seed = 1;
   int jobs = 0;  // 0 = ISEX_JOBS env var, else hardware concurrency
-  int colonies = 1;
-  int merge_interval = 8;
-  int max_latency = 0;
-  bool baseline = false;
   std::string manifest;
-  double area_budget = -1.0;  // < 0 = unlimited
-  int max_ises = 32;
   std::vector<std::pair<std::string, std::uint32_t>> bindings;
-  std::string cache_spec;
-  std::optional<mem::CacheConfig> cache;
   std::string sweep_out = "BENCH_cachesweep.json";
   std::string trace_out;
   std::string metrics_out;
   std::string convergence_out;
   std::string pool_profile_out;
+  flow::FlowConfig config = flow::front_end_defaults();
 };
 
 [[noreturn]] void usage(const char* error = nullptr) {
@@ -131,6 +130,8 @@ struct CliOptions {
                "            [--trace-out F] [--metrics-out F] "
                "[--convergence-out F]\n"
                "\n"
+               "  Each number is one whole decimal token (--seed and --set "
+               "also take 0x hex).\n"
                "  --seed S  RNG seed; same seed -> same result at any --jobs\n"
                "  --jobs N  exploration worker threads (default: ISEX_JOBS "
                "env var, else hardware concurrency)\n"
@@ -138,6 +139,9 @@ struct CliOptions {
                "parameter like --seed; default 1 = the paper's serial loop)\n"
                "  --merge-interval N   iterations between colony pheromone "
                "merges (default 8; inert with --colonies 1)\n"
+               "  --max-latency N      pipestage cap on ISE latency in cycles "
+               "(default 0 = off); applies to every\n"
+               "                       exploring command and to portfolio\n"
                "  --cache-config S     two-level cache cost model for "
                "load/store latencies (docs/MEMORY.md), e.g.\n"
                "                       l1_size=4k,l1_ways=2,l1_line=32,"
@@ -153,9 +157,46 @@ struct CliOptions {
   std::exit(error != nullptr ? 2 : 0);
 }
 
+/// The whole of `text` as a T: decimal, or hex after "0x" when `hex` is
+/// set.  A sign T cannot take, a leading '+' or zero-width token, trailing
+/// characters and an out-of-range value all give nullopt.
+template <typename T>
+std::optional<T> parse_whole(std::string_view text, bool hex = false) {
+  int base = 10;
+  if (hex && text.size() > 2 && text[0] == '0' &&
+      (text[1] == 'x' || text[1] == 'X')) {
+    text.remove_prefix(2);
+    base = 16;
+  }
+  T value{};
+  const char* const end = text.data() + text.size();
+  std::from_chars_result parsed;
+  if constexpr (std::is_floating_point_v<T>)
+    parsed = std::from_chars(text.data(), end, value);
+  else
+    parsed = std::from_chars(text.data(), end, value, base);
+  if (parsed.ec != std::errc() || parsed.ptr != end) return std::nullopt;
+  return value;
+}
+
+/// A live-in binding's value as the TAC literal grammar spells it: an
+/// optional '-', then decimal or 0x hex, within the 32-bit datapath.
+std::optional<std::uint32_t> parse_binding_value(std::string_view text) {
+  const bool negative = !text.empty() && text.front() == '-';
+  if (negative) text.remove_prefix(1);
+  const std::optional<std::uint32_t> magnitude =
+      parse_whole<std::uint32_t>(text, /*hex=*/true);
+  if (!magnitude || (negative && *magnitude > 0x80000000u))
+    return std::nullopt;
+  return negative ? 0u - *magnitude : *magnitude;
+}
+
 std::optional<CliOptions> parse_args(int argc, char** argv) {
   if (argc < 3) return std::nullopt;
   CliOptions opt;
+  flow::FlowConfig& config = opt.config;
+  int issue = config.machine.issue_width;
+  isa::RegisterFileConfig ports = config.machine.reg_file;
   opt.command = argv[1];
   int first_option = 3;
   if (argv[2][0] == '-' && argv[2][1] == '-') {
@@ -169,46 +210,59 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
       return argv[++i];
     };
+    // The flag's value as one whole decimal integer >= `min`.
+    auto next_int = [&](int min) {
+      const std::optional<int> value = parse_whole<int>(next_value());
+      if (!value || *value < min)
+        usage((arg + " must be an integer >= " + std::to_string(min)).c_str());
+      return *value;
+    };
     if (arg == "--issue") {
-      opt.issue = std::atoi(next_value());
-      if (opt.issue < 1) usage("--issue must be >= 1");
+      issue = next_int(1);
     } else if (arg == "--ports") {
-      const char* v = next_value();
-      if (std::sscanf(v, "%d/%d", &opt.read_ports, &opt.write_ports) != 2 ||
-          opt.read_ports < 1 || opt.write_ports < 1)
+      const std::string_view v = next_value();
+      const std::size_t slash = v.find('/');
+      const std::optional<int> read =
+          parse_whole<int>(v.substr(0, slash));
+      const std::optional<int> write =
+          slash == std::string_view::npos
+              ? std::nullopt
+              : parse_whole<int>(v.substr(slash + 1));
+      if (!read || !write || *read < 1 || *write < 1)
         usage("--ports expects R/W, e.g. 6/3");
+      ports = {*read, *write};
     } else if (arg == "--repeats") {
-      opt.repeats = std::atoi(next_value());
-      if (opt.repeats < 1) usage("--repeats must be >= 1");
+      config.repeats = next_int(1);
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(next_value(), nullptr, 0);
+      const std::optional<std::uint64_t> seed =
+          parse_whole<std::uint64_t>(next_value(), /*hex=*/true);
+      if (!seed) usage("--seed must be a decimal or 0x hex integer >= 0");
+      config.seed = *seed;
     } else if (arg == "--jobs") {
-      opt.jobs = std::atoi(next_value());
-      if (opt.jobs < 1) usage("--jobs must be >= 1");
+      opt.jobs = next_int(1);
     } else if (arg == "--colonies") {
-      opt.colonies = std::atoi(next_value());
-      if (opt.colonies < 1) usage("--colonies must be >= 1");
+      config.params.colonies = next_int(1);
     } else if (arg == "--merge-interval") {
-      opt.merge_interval = std::atoi(next_value());
-      if (opt.merge_interval < 1) usage("--merge-interval must be >= 1");
+      config.params.merge_interval = next_int(1);
     } else if (arg == "--max-latency") {
-      opt.max_latency = std::atoi(next_value());
+      config.max_ise_latency_cycles = next_int(0);
     } else if (arg == "--baseline") {
-      opt.baseline = true;
+      config.algorithm = flow::Algorithm::kSingleIssue;
     } else if (arg == "--manifest") {
       opt.manifest = next_value();
     } else if (arg == "--area-budget") {
-      opt.area_budget = std::strtod(next_value(), nullptr);
-      if (opt.area_budget < 0.0) usage("--area-budget must be >= 0");
+      const std::optional<double> budget = parse_whole<double>(next_value());
+      if (!budget || !std::isfinite(*budget) || *budget < 0.0)
+        usage("--area-budget must be a finite number >= 0");
+      config.constraints.area_budget = *budget;
     } else if (arg == "--max-ises") {
-      opt.max_ises = std::atoi(next_value());
-      if (opt.max_ises < 0) usage("--max-ises must be >= 0");
+      config.constraints.max_ises = next_int(0);
     } else if (arg == "--cache-config") {
-      opt.cache_spec = next_value();
-      Expected<mem::CacheConfig> parsed = mem::parse_cache_config(opt.cache_spec);
+      Expected<mem::CacheConfig> parsed =
+          mem::parse_cache_config(next_value());
       if (!parsed)
         usage(("--cache-config: " + parsed.error().to_string()).c_str());
-      opt.cache = *parsed;
+      config.cache = *parsed;
     } else if (arg == "--sweep-out") {
       opt.sweep_out = next_value();
     } else if (arg == "--trace-out") {
@@ -223,14 +277,16 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
       const std::string binding = next_value();
       const std::size_t eq = binding.find('=');
       if (eq == std::string::npos) usage("--set expects name=value");
-      opt.bindings.emplace_back(
-          binding.substr(0, eq),
-          static_cast<std::uint32_t>(
-              std::strtoul(binding.c_str() + eq + 1, nullptr, 0)));
+      const std::optional<std::uint32_t> value =
+          parse_binding_value(std::string_view(binding).substr(eq + 1));
+      if (!value)
+        usage("--set value must be a 32-bit decimal or 0x hex integer");
+      opt.bindings.emplace_back(binding.substr(0, eq), *value);
     } else {
       usage(("unknown option " + arg).c_str());
     }
   }
+  config.machine = sched::MachineConfig::make(issue, ports);
   return opt;
 }
 
@@ -261,33 +317,19 @@ bool report_issues(const char* subject, const ValidationReport& report) {
 
 core::ExplorationResult explore(const CliOptions& opt,
                                 const dfg::Graph& graph) {
-  const auto machine =
-      sched::MachineConfig::make(opt.issue, {opt.read_ports, opt.write_ports});
-  isa::IsaFormat format;
-  format.reg_file = machine.reg_file;
-  format.max_ise_latency_cycles = opt.max_latency;
-  const hw::HwLibrary library = hw::HwLibrary::paper_default();
   // The run's schedule-evaluation memo: its hit rate is the convergence
   // CSV's cache_hit_rate column and feeds the isex_schedule_cache_*
   // counters --metrics-out writes.
   runtime::EvalCache cache;
-  core::ExplorerParams params;
-  params.eval_cache = &cache;
-  params.collect_trace = !opt.convergence_out.empty();
-  params.colonies = opt.colonies;
-  params.merge_interval = opt.merge_interval;
-  Rng rng(opt.seed);
+  flow::FlowConfig config = opt.config;
+  config.params.eval_cache = &cache;
+  config.params.collect_trace = !opt.convergence_out.empty();
+  Rng rng(config.seed);
   core::ExplorationResult result;
   {
     const trace::StageTimer timer("exploration");
-    if (opt.baseline) {
-      const baseline::SingleIssueExplorer explorer(format, library, params);
-      result = explorer.explore_best_of(graph, opt.repeats, rng);
-    } else {
-      const core::MultiIssueExplorer explorer(machine, format, library,
-                                              params);
-      result = explorer.explore_best_of(graph, opt.repeats, rng);
-    }
+    result = flow::make_explorer(config, hw::HwLibrary::paper_default())
+                 .explore_best_of(graph, config.repeats, rng);
   }
   if (!opt.convergence_out.empty()) {
     std::ofstream out(opt.convergence_out);
@@ -304,9 +346,11 @@ core::ExplorationResult explore(const CliOptions& opt,
 
 int cmd_explore(const CliOptions& opt, const isa::ParsedBlock& block) {
   const auto result = explore(opt, block.graph);
+  const sched::MachineConfig& machine = opt.config.machine;
   std::printf("%zu operations, %zu edges; %d-issue %d/%d ports\n",
-              block.graph.num_nodes(), block.graph.num_edges(), opt.issue,
-              opt.read_ports, opt.write_ports);
+              block.graph.num_nodes(), block.graph.num_edges(),
+              machine.issue_width, machine.reg_file.read_ports,
+              machine.reg_file.write_ports);
   std::printf("cycles: %d without ISEs -> %d with ISEs (%.2f%% reduction)\n",
               result.base_cycles, result.final_cycles,
               result.base_cycles > 0
@@ -355,8 +399,7 @@ void print_cache_stats(const mem::CacheConfig& config,
 }
 
 int cmd_schedule(const CliOptions& opt, const isa::ParsedBlock& block) {
-  const auto machine =
-      sched::MachineConfig::make(opt.issue, {opt.read_ports, opt.write_ports});
+  const sched::MachineConfig& machine = opt.config.machine;
   const sched::ListScheduler scheduler(machine);
   const sched::Schedule schedule = scheduler.run(block.graph);
   std::printf("%s: %d cycles\n", machine.label().c_str(), schedule.cycles);
@@ -401,8 +444,7 @@ int cmd_verilog(const CliOptions& opt, const isa::ParsedBlock& block) {
 }
 
 int cmd_listing(const CliOptions& opt, const isa::ParsedBlock& block) {
-  const auto machine =
-      sched::MachineConfig::make(opt.issue, {opt.read_ports, opt.write_ports});
+  const sched::MachineConfig& machine = opt.config.machine;
   const auto result = explore(opt, block.graph);
 
   // Re-apply the committed ISEs to obtain the rewritten block.
@@ -423,7 +465,8 @@ int cmd_listing(const CliOptions& opt, const isa::ParsedBlock& block) {
 /// through the memory model — the sweep shows where the ISE selection is
 /// geometry-sensitive.  Results land in a BENCH_*.json for bench_report.py.
 int cmd_sweep(const CliOptions& opt, const isa::ParsedBlock& block) {
-  const mem::CacheConfig base = opt.cache ? *opt.cache : mem::CacheConfig{};
+  const mem::CacheConfig base =
+      opt.config.cache ? *opt.config.cache : mem::CacheConfig{};
   const std::uint64_t size_axis[] = {1024, 4096, 16384};
   const int ways_axis[] = {1, 2, 4};
   const int line_axis[] = {16, 32, 64};
@@ -453,11 +496,10 @@ int cmd_sweep(const CliOptions& opt, const isa::ParsedBlock& block) {
     }
   }
 
-  const auto machine =
-      sched::MachineConfig::make(opt.issue, {opt.read_ports, opt.write_ports});
+  const sched::MachineConfig& machine = opt.config.machine;
   std::printf("cache-geometry sweep: %zu points; %s; seed %llu\n", rows.size(),
               machine.label().c_str(),
-              static_cast<unsigned long long>(opt.seed));
+              static_cast<unsigned long long>(opt.config.seed));
   TablePrinter table;
   table.set_header({"l1 size", "ways", "line", "l1 hit", "base", "final",
                     "reduction", "ISEs"});
@@ -490,7 +532,8 @@ int cmd_sweep(const CliOptions& opt, const isa::ParsedBlock& block) {
   json.begin_object().key("bench").string("cache_sweep")
       .key("kernel").string(opt.input_path)
       .key("machine").string(machine.label())
-      .key("seed").integer(opt.seed).key("repeats").integer(opt.repeats)
+      .key("seed").integer(opt.config.seed)
+      .key("repeats").integer(opt.config.repeats)
       .key("rows").begin_array();
   for (const Row& row : rows) {
     json.newline().begin_object()
@@ -542,12 +585,12 @@ Expected<std::vector<ManifestRow>> parse_manifest(const std::string& path,
     if (!(fields >> row.path)) continue;  // blank / comment-only line
     std::string weight_token;
     if (fields >> weight_token) {
-      char* end = nullptr;
-      row.weight = std::strtod(weight_token.c_str(), &end);
-      if (end == weight_token.c_str() || *end != '\0' || !(row.weight > 0.0))
+      const std::optional<double> weight = parse_whole<double>(weight_token);
+      if (!weight || !std::isfinite(*weight) || !(*weight > 0.0))
         return Error(ErrorCode::kFlowParamsInvalid,
                      path + ":" + std::to_string(lineno) + ": weight '" +
-                         weight_token + "' must be a number > 0");
+                         weight_token + "' must be a finite number > 0");
+      row.weight = *weight;
       fields >> row.name;
     }
     if (row.name.empty()) {
@@ -612,18 +655,7 @@ int cmd_portfolio(const CliOptions& opt) {
   }
 
   flow::PortfolioConfig config;
-  config.base.machine =
-      sched::MachineConfig::make(opt.issue, {opt.read_ports, opt.write_ports});
-  config.base.params.colonies = opt.colonies;
-  config.base.params.merge_interval = opt.merge_interval;
-  config.base.repeats = opt.repeats;
-  config.base.seed = opt.seed;
-  config.base.constraints.max_ises = opt.max_ises;
-  if (opt.area_budget >= 0.0)
-    config.base.constraints.area_budget = opt.area_budget;
-  config.base.algorithm = opt.baseline ? flow::Algorithm::kSingleIssue
-                                       : flow::Algorithm::kMultiIssue;
-  if (opt.cache) config.base.cache = *opt.cache;
+  config.base = opt.config;
   if (!report_issues("machine config", sched::validate(config.base.machine)))
     return 1;
 
@@ -634,17 +666,21 @@ int cmd_portfolio(const CliOptions& opt) {
     return 1;
   }
 
+  const sched::MachineConfig& machine = config.base.machine;
+  const flow::SelectionConstraints& shared = config.base.constraints;
   std::printf(
       "%zu programs; %d-issue %d/%d ports; shared budget: %s um^2, %d types\n",
-      entries.size(), opt.issue, opt.read_ports, opt.write_ports,
-      opt.area_budget >= 0.0 ? TablePrinter::fmt(opt.area_budget, 1).c_str()
-                             : "unlimited",
-      opt.max_ises);
+      entries.size(), machine.issue_width, machine.reg_file.read_ports,
+      machine.reg_file.write_ports,
+      std::isfinite(shared.area_budget)
+          ? TablePrinter::fmt(shared.area_budget, 1).c_str()
+          : "unlimited",
+      shared.max_ises);
   std::printf("batch: %llu jobs, %llu deduped\n",
               static_cast<unsigned long long>(result->total_jobs),
               static_cast<unsigned long long>(result->deduped_jobs));
-  if (result->cache_modeled && opt.cache)
-    print_cache_stats(*opt.cache, result->cache_stats);
+  if (result->cache_modeled)
+    print_cache_stats(*config.base.cache, result->cache_stats);
   // Hit/miss *counts* are timing-dependent (two workers can race to evaluate
   // the same key and both miss); stdout stays byte-identical at any --jobs,
   // so the cache telemetry goes to stderr like the other diagnostics.
@@ -817,24 +853,22 @@ int main(int argc, char** argv) {
     return 1;
   // Machine-model diagnostics (warnings for configs outside the paper's
   // sweep; arg parsing already rejects non-positive widths/ports).
-  if (!report_issues("machine config",
-                     sched::validate(sched::MachineConfig::make(
-                         opt->issue, {opt->read_ports, opt->write_ports}))))
+  if (!report_issues("machine config", sched::validate(opt->config.machine)))
     return 1;
 
   // Memory-hierarchy cost model: annotate the kernel's load/store latencies
   // once, up front, so every command downstream (schedule, explore, listing)
   // sees the same cache-derived costs.  The sweep command annotates per grid
   // point itself.
-  if (opt->cache && opt->command != "sweep") {
+  const std::optional<mem::CacheConfig>& cache = opt->config.cache;
+  if (cache && opt->command != "sweep") {
     flow::ProfiledProgram annotated;
     annotated.name = opt->input_path;
     annotated.blocks.push_back(
         flow::ProfiledBlock{"kernel", std::move(block.graph), 1});
-    const mem::CacheStats stats =
-        flow::annotate_program(annotated, *opt->cache);
+    const mem::CacheStats stats = flow::annotate_program(annotated, *cache);
     block.graph = std::move(annotated.blocks[0].graph);
-    print_cache_stats(*opt->cache, stats);
+    print_cache_stats(*cache, stats);
   }
 
   int rc = -1;
